@@ -132,7 +132,7 @@ def _version() -> str:
 
         return version("repro")
     except Exception:
-        return "1.9.0"
+        return "2.0.0"
 
 
 __version__ = _version()

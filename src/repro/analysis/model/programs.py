@@ -16,7 +16,7 @@ pinned by tests in two directions:
   simulator's *measured* ``rank_peak_memory_elements``, byte for byte.
 
 :func:`fig5_model_program` additionally models the fault-tolerant variant
-(:func:`repro.core.parallel._make_program_ft`): checkpointed first level,
+(:func:`repro.sched.fig5._make_program_ft`): checkpointed first level,
 barrier + all-to-all heartbeats with timeout fallbacks, and -- under a
 ``kill=(rank, op)`` scenario -- per-survivor failure detection and buddy
 adoption with virtual-rank message tags, exactly as the real program
@@ -43,11 +43,11 @@ from repro.analysis.model.ops import (
 from repro.arrays.chunking import grid_block_lengths, portion_elements
 from repro.cluster.topology import ProcessorGrid
 from repro.core.lattice import Node
+from repro.sched.fig5 import _HB_TAG, _buddy, fig5_schedule
+from repro.sched.marginals import pruned_schedule
+from repro.sched.steps import PFinalize, PLocalAggregate, PWriteBack
 
 __all__ = ["fig5_model_program", "shuffle_model_program"]
-
-#: Tag of the failure-detection heartbeats (mirrors ``repro.core.parallel``).
-_HB_TAG = 1
 
 
 def _plain_fig5_streams(
@@ -56,9 +56,7 @@ def _plain_fig5_streams(
     labels: list[tuple[int, ...]],
     lengths: list[list[int]],
 ) -> list[list[MOp]]:
-    """Per-rank streams of :func:`repro.core.parallel.make_fig5_program`."""
-    from repro.core.parallel import PFinalize, PLocalAggregate, PWriteBack
-
+    """Per-rank streams of :func:`repro.sched.fig5.make_fig5_program`."""
     streams: list[list[MOp]] = [[] for _ in range(grid.size)]
     for step_idx, step in enumerate(schedule):
         if isinstance(step, PLocalAggregate):
@@ -119,13 +117,6 @@ def _plain_fig5_streams(
     return streams
 
 
-def _buddy(grid: ProcessorGrid, dead: int, live: set[int]) -> int:
-    """The adopting survivor; must match ``repro.core.parallel._buddy``."""
-    from repro.core.parallel import _buddy as real_buddy
-
-    return real_buddy(grid, dead, live)
-
-
 def _ft_stream(
     me: int,
     schedule: Sequence[object],
@@ -140,8 +131,6 @@ def _ft_stream(
     heartbeat round; routing (the virtual->physical map), adoption, and
     message tags all follow from it exactly as in ``_make_program_ft``.
     """
-    from repro.core.parallel import PFinalize, PLocalAggregate, PWriteBack
-
     num_v = grid.size
 
     def vtag(step_idx: int, vsrc: int) -> int:
@@ -284,13 +273,9 @@ def fig5_model_program(
     spec = "fig5"
     if schedule is None:
         if targets is not None:
-            from repro.sched.marginals import pruned_schedule
-
             schedule = pruned_schedule(n, targets)
             spec = "marginals"
         else:
-            from repro.sched.fig5 import fig5_schedule
-
             schedule = fig5_schedule(n)
 
     if not detection_round and kill is None:

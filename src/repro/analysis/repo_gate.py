@@ -31,6 +31,7 @@ STRICT_PACKAGES = (
     "repro/cluster",
     "repro/analysis",
     "repro/sched",
+    "repro/exec",
     "repro/obs",
 )
 

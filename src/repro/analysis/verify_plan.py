@@ -34,12 +34,8 @@ from repro.cluster.topology import ProcessorGrid
 from repro.core.comm_model import total_comm_volume
 from repro.core.lattice import Node
 from repro.core.memory_model import parallel_memory_bound_exact
-from repro.core.parallel import (
-    PFinalize,
-    PLocalAggregate,
-    PStep,
-    PWriteBack,
-)
+from repro.sched.fig5 import _HB_TAG
+from repro.sched.steps import PFinalize, PLocalAggregate, PStep, PWriteBack
 
 __all__ = [
     "CommSchedule",
@@ -53,9 +49,6 @@ __all__ = [
     "verify_plan",
     "verify_schedule",
 ]
-
-#: Tag of the failure-detection heartbeats (mirrors ``repro.core.parallel``).
-_HB_TAG = 1
 
 
 # -- symbolic operations ----------------------------------------------------
@@ -135,7 +128,7 @@ def enumerate_comm_schedule(
 ) -> CommSchedule:
     """Symbolically execute the Fig 5 plan; no simulator, no data.
 
-    Mirrors :func:`repro.core.parallel.make_fig5_program` exactly: for every
+    Mirrors :func:`repro.sched.fig5.make_fig5_program` exactly: for every
     ``PFinalize`` step, each reduction group's non-leads send their partial
     (sized by the lead's portion of the child) to the lead, tagged with the
     step index; the lead receives in group order.  ``detection_round=True``

@@ -38,10 +38,10 @@ from repro.core.lattice import Node, all_nodes, full_node, node_size
 from repro.core.parallel import (
     ParallelResult,
     _extract_local_inputs,
-    _make_combiner,
     assemble_results,
 )
 from repro.core.spanning_tree import minimal_parent_tree
+from repro.sched.base import make_combiner
 
 
 def level_sync_comm_volume(shape: Sequence[int], bits: Sequence[int]) -> int:
@@ -72,7 +72,7 @@ def construct_cube_level_sync(
     local_inputs = _extract_local_inputs(array, grid)
     tree = minimal_parent_tree(shape)
     root = full_node(n)
-    combine = _make_combiner(measure)
+    combine = make_combiner(measure)
     all_dims = tuple(range(n))
 
     # Nodes grouped by level, descending (level n-1 first).

@@ -24,6 +24,7 @@ import numpy as np
 
 from repro.arrays.aggregate import aggregate_dense, aggregate_sparse_to_dense
 from repro.arrays.dense import DenseArray
+from repro.arrays.measures import SUM
 from repro.arrays.sparse import SparseArray
 from repro.cluster.collectives import reduce_to_lead
 from repro.cluster.machine import MachineModel
@@ -32,10 +33,10 @@ from repro.cluster.topology import ProcessorGrid
 from repro.core.lattice import Node, all_nodes, node_size
 from repro.core.parallel import (
     ParallelResult,
-    _combine_dense,
     _extract_local_inputs,
     assemble_results,
 )
+from repro.sched.base import make_combiner
 
 
 def naive_comm_volume(shape: Sequence[int], bits: Sequence[int]) -> int:
@@ -100,6 +101,7 @@ def construct_cube_naive_parallel(
     local_inputs = _extract_local_inputs(array, grid)
     all_dims = tuple(range(n))
     nodes = [nd for nd in all_nodes(n) if len(nd) < n]
+    combine = make_combiner(SUM)
 
     def program(env: RankEnv) -> Generator[Op, Any, dict[Node, DenseArray]]:
         rank = env.rank
@@ -119,7 +121,7 @@ def construct_cube_naive_parallel(
             if len(group) > 1:
                 final = yield from reduce_to_lead(
                     env, group, partial, tag=tag,
-                    combine=_combine_dense, element_ops=partial.size,
+                    combine=combine, element_ops=partial.size,
                 )
             else:
                 final = partial

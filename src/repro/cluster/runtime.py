@@ -341,11 +341,6 @@ def recovery_trace_events(fstats: FaultStats) -> list[TraceEvent]:
 
 _READY, _BLOCKED, _BARRIER, _DONE, _DEAD = range(5)
 
-#: Key of the once-per-process deprecation latch (in ``repro._compat``) for
-#: driving a cube-build program through ``run_spmd`` directly instead of a
-#: :mod:`repro.exec` backend.
-_DIRECT_CUBE_BUILD_KEY = "run_spmd.cube_program"
-
 
 def run_spmd(
     num_ranks: int,
@@ -355,7 +350,6 @@ def run_spmd(
     machines: "list[MachineModel] | None" = None,
     faults: FaultPlan | None = None,
     timeouts: TimeoutPolicy | None = None,
-    _via_backend: bool = False,
 ) -> RunMetrics:
     """Run one SPMD program on ``num_ranks`` virtual processors.
 
@@ -376,25 +370,7 @@ def run_spmd(
 
     ``timeouts`` overrides the :class:`TimeoutPolicy` handed to every rank
     (default: :data:`SIMULATED_TIMEOUTS`).
-
-    Calling this directly for *cube-build* programs (factories produced by
-    :mod:`repro.core.parallel`) is deprecated: route through
-    ``repro.exec.get_backend("sim")`` or ``construct_cube_parallel`` so the
-    same program can also run on real processes.  Generic SPMD programs are
-    unaffected.
     """
-    if not _via_backend and getattr(program_factory, "_cube_program", False):
-        from repro._compat import deprecated
-
-        deprecated(
-            "calling run_spmd directly for cube builds",
-            instead="repro.exec.get_backend('sim').spawn_ranks(...) or "
-            "construct_cube_parallel(backend='sim')",
-            since="1.7.0",
-            removal="2.0.0",
-            once=True,
-            key=_DIRECT_CUBE_BUILD_KEY,
-        )
     if machines is not None:
         if len(machines) != num_ranks:
             raise ValueError(

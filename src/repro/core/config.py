@@ -1,37 +1,22 @@
 """Consolidated options for the parallel cube constructor.
 
-:func:`repro.core.parallel.construct_cube_parallel` grew a long tail of
-keyword arguments (machine models, reduction strategy, fault injection,
-checkpointing, tracing, ...).  :class:`BuildConfig` gathers them into one
+:class:`BuildConfig` gathers every option of
+:func:`repro.core.parallel.construct_cube_parallel` (machine models,
+reduction strategy, fault injection, checkpointing, tracing, ...) into one
 immutable value that can be stored, compared, and passed around as
-``config=``.  The old keywords keep working -- they are funneled through a
-config instance, with explicitly passed keywords overriding the config's
-fields -- so existing call sites need not change.
+``config=``.  The constructor also accepts the fields as individual
+keywords, applied over the config with :func:`dataclasses.replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
 from repro.arrays.measures import Measure, SUM
 from repro.cluster.faults import FaultPlan
 from repro.cluster.machine import MachineModel
-
-
-class _Unset:
-    """Sentinel distinguishing 'not passed' from an explicit ``None``."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<UNSET>"
-
-
-#: Typed as ``Any`` so keyword parameters can declare their real types
-#: while defaulting to the sentinel (``machine: MachineModel | None = UNSET``).
-UNSET: Any = _Unset()
 
 
 @dataclass(frozen=True)
@@ -63,10 +48,15 @@ class BuildConfig:
     machines:
         Per-rank cost models (straggler studies); overrides ``machine``.
     fault_plan:
-        Deterministic fault injection plan (crashes, drops, stragglers).
+        Deterministic fault injection plan (crashes, drops, stragglers,
+        NIC degradation).  Without ``checkpoint``, a crash surfaces as a
+        diagnosable :class:`~repro.cluster.runtime.DeadlockError` naming
+        the dead rank.
     checkpoint:
-        Run the fault-tolerant program (checkpoint + heartbeat detection +
-        buddy recovery).
+        Run the fault-tolerant program: checkpoint first-level partials,
+        detect failures via heartbeats, and recover any single crashed
+        rank's work through its reduction-group buddy.  Requires the flat
+        reduction and whole-partial messages.
     checkpoint_dir:
         Where checkpoint ``.npz`` files live (default: temporary).
     recv_timeout:
@@ -75,7 +65,8 @@ class BuildConfig:
     backend:
         Execution backend: a registered name (``"sim"`` runs the
         deterministic simulator, ``"process"`` real OS processes with
-        shared-memory inputs) or a :class:`~repro.exec.base.Backend`
+        shared-memory input/output arenas, ``"thread"`` GIL-releasing
+        threads in this process) or a :class:`~repro.exec.base.Backend`
         instance.  Results are bit-identical across backends.
     scheduler:
         Construction scheduler: a registered spec (``"fig5"`` default,
@@ -93,7 +84,7 @@ class BuildConfig:
 
     Every cross-field constraint is validated here, at construction, so a
     bad combination fails before any work starts -- whether the config was
-    built directly or funneled from legacy keywords via :meth:`merged_with`.
+    built directly or from keywords passed to the constructor.
     Scheduler capability combinations are checked the same way the backend
     ones are: the scheduler declares what its program can honor
     (checkpointing, schedule overrides, chunked messages), and a violation
@@ -154,26 +145,22 @@ class BuildConfig:
         kills on ``"process"``) is legal while unsupported kinds fail here,
         at construction, naming exactly what the backend cannot honor.
         """
-        if isinstance(self.backend, str):
-            # Imported lazily: repro.exec sits above repro.cluster, and a
-            # module-level import here would be needlessly eager for the
-            # overwhelmingly common sim-backend path.
-            from repro.exec.registry import get_backend
+        # Inside the method: repro.exec imports repro.core modules, and the
+        # repro.core package imports this module eagerly.
+        from repro.exec.base import Backend, check_backend_options
+        from repro.exec.registry import get_backend
 
+        if isinstance(self.backend, str):
             # Unknown names raise the registry's ValueError (available
             # names plus a "did you mean ...?" suggestion).
             backend_obj = get_backend(self.backend)
-        else:
-            from repro.exec.base import Backend
-
-            if not isinstance(self.backend, Backend):
-                raise TypeError(
-                    "backend must be a registered name or a Backend "
-                    f"instance, got {type(self.backend).__name__}"
-                )
+        elif isinstance(self.backend, Backend):
             backend_obj = self.backend
-        from repro.exec.base import check_backend_options
-
+        else:
+            raise TypeError(
+                "backend must be a registered name or a Backend "
+                f"instance, got {type(self.backend).__name__}"
+            )
         check_backend_options(backend_obj, self.fault_plan, self.machines)
 
     def _validate_scheduler(self) -> None:
@@ -202,13 +189,3 @@ class BuildConfig:
             tree=self.tree,
             schedule=self.schedule,
         )
-
-    def merged_with(self, **overrides: object) -> "BuildConfig":
-        """Copy of this config with every non-UNSET override applied.
-
-        This is the funnel that keeps the legacy keyword surface of
-        :func:`~repro.core.parallel.construct_cube_parallel` working:
-        explicitly passed keywords win over the config's fields.
-        """
-        kwargs = {k: v for k, v in overrides.items() if not isinstance(v, _Unset)}
-        return replace(self, **kwargs) if kwargs else self

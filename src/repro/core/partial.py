@@ -36,14 +36,7 @@ from repro.arrays.storage import SimulatedDisk
 from repro.cluster.machine import MachineModel
 from repro.core.aggregation_tree import AggregationTree
 from repro.core.lattice import Node, full_node, node_size
-from repro.core.parallel import (
-    ParallelResult,
-    PFinalize,
-    PLocalAggregate,
-    PStep,
-    PWriteBack,
-    construct_cube_parallel,
-)
+from repro.core.parallel import ParallelResult, construct_cube_parallel
 from repro.core.sequential import SequentialResult
 from repro.util import node_name
 
@@ -77,25 +70,6 @@ def required_closure(targets: Iterable[Sequence[int]], n: int) -> set[Node]:
     return needed
 
 
-def pruned_parallel_schedule(
-    n: int, targets: Iterable[Sequence[int]]
-) -> list[PStep]:
-    """Deprecated alias of :func:`repro.sched.marginals.pruned_schedule`.
-
-    Schedule construction now lives with the scheduler implementations in
-    :mod:`repro.sched`; this shim warns once per process and delegates.
-    """
-    from repro.core.parallel import _warn_once
-
-    _warn_once(
-        "repro.core.partial.pruned_parallel_schedule",
-        "repro.sched.pruned_schedule",
-    )
-    from repro.sched.marginals import pruned_schedule
-
-    return pruned_schedule(n, targets)
-
-
 def partial_comm_volume(
     shape: Sequence[int], bits: Sequence[int], targets: Iterable[Sequence[int]]
 ) -> int:
@@ -120,10 +94,12 @@ def construct_partial_cube_parallel(
     measure: Measure | str = SUM,
 ) -> ParallelResult:
     """Materialize only ``targets`` (and transient ancestors) in parallel."""
-    shape = tuple(array.shape)
-    n = len(shape)
+    # repro.sched sits above repro.core (its modules import this one), so
+    # the pruned schedule is reached from inside the function.
     from repro.sched.marginals import pruned_schedule
 
+    shape = tuple(array.shape)
+    n = len(shape)
     schedule = pruned_schedule(n, targets)
     res = construct_cube_parallel(
         array,
@@ -162,6 +138,7 @@ def construct_partial_cube_sequential(
     results: dict[Node, DenseArray] = {}
 
     from repro.sched.marginals import pruned_schedule
+    from repro.sched.steps import PFinalize, PLocalAggregate, PWriteBack
 
     for step in pruned_schedule(n, targets_set):
         if isinstance(step, PLocalAggregate):

@@ -11,8 +11,7 @@ caller's original dimension numbering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +20,6 @@ from repro.arrays.measures import Measure, SUM
 from repro.arrays.sparse import SparseArray
 from repro.cluster.machine import MachineModel
 from repro.core.comm_model import total_comm_volume
-from repro.core.config import UNSET
 from repro.core.lattice import Node
 from repro.core.memory_model import (
     parallel_memory_bound_exact,
@@ -31,7 +29,6 @@ from repro.core.ordering import apply_order, canonical_order, invert_order
 from repro.core.partition import describe_partition, greedy_partition
 
 if TYPE_CHECKING:
-    from repro.cluster.faults import FaultPlan
     from repro.core.config import BuildConfig
     from repro.core.parallel import ParallelResult
     from repro.core.sequential import SequentialResult
@@ -171,53 +168,23 @@ class CubePlan:
     def run_parallel(
         self,
         array: SparseArray | DenseArray | np.ndarray,
-        machine: MachineModel | None = UNSET,
-        reduction: str = UNSET,
-        collect_results: bool = UNSET,
-        measure: Measure | str = UNSET,
-        trace: bool = UNSET,
-        trace_out: str | Path | None = UNSET,
-        fault_plan: FaultPlan | None = UNSET,
-        checkpoint: bool = UNSET,
-        checkpoint_dir: str | Path | None = UNSET,
-        recv_timeout: float | None = UNSET,
-        backend: object = UNSET,
-        scheduler: object = UNSET,
-        live: object = UNSET,
         config: BuildConfig | None = None,
+        **options: Any,
     ) -> ParallelResult:
         """Construct the cube on an execution backend; results re-keyed.
 
-        Options pass straight through to
-        :func:`~repro.core.parallel.construct_cube_parallel`: either as a
-        :class:`~repro.core.config.BuildConfig` via ``config=`` or as the
-        legacy keywords (which override the config's fields).  ``backend``
-        selects the executor (``"sim"`` default, ``"process"`` for real
-        OS processes); ``scheduler`` defaults to the plan's own; ``live``
-        attaches a :class:`~repro.obs.live.LiveRunView` snapshot bus.
+        ``config`` and the keyword ``options`` pass straight through to
+        :func:`~repro.core.parallel.construct_cube_parallel` (any
+        :class:`~repro.core.config.BuildConfig` field; keywords override
+        the config).  Unless a ``scheduler`` keyword is passed, the plan's
+        own scheduler applies.
         """
         from repro.core.parallel import construct_cube_parallel
 
-        if scheduler is UNSET and self.scheduler != "fig5":
-            scheduler = self.scheduler
-        ordered = self.transpose_input(array)
+        if self.scheduler != "fig5":
+            options.setdefault("scheduler", self.scheduler)
         result = construct_cube_parallel(
-            ordered,
-            self.bits,
-            machine=machine,
-            reduction=reduction,
-            collect_results=collect_results,
-            measure=measure,
-            trace=trace,
-            trace_out=trace_out,
-            fault_plan=fault_plan,
-            checkpoint=checkpoint,
-            checkpoint_dir=checkpoint_dir,
-            recv_timeout=recv_timeout,
-            backend=backend,
-            scheduler=scheduler,
-            live=live,
-            config=config,
+            self.transpose_input(array), self.bits, config, **options
         )
         if result.results is not None:
             result.results = self.translate_results(result.results)

@@ -25,9 +25,12 @@ vocabulary.  Three ship with the package:
   ``spawn_ranks`` calls); fault surface is
   :data:`THREAD_FAULT_KINDS` (no ``crash_op``: threads share one fate).
 
-Because all backends drive the *same* generator program, the arithmetic
-(including the order of floating-point accumulation in reductions) is
-identical, and results are bit-for-bit the same across backends.  Select
+The two real backends share one op interpreter,
+:func:`repro.exec.driver.drive_rank`, and supply only their transport;
+the simulator keeps its own virtual-time engine.  Because all backends
+drive the *same* generator program, the arithmetic (including the order of
+floating-point accumulation in reductions) is identical, and results are
+bit-for-bit the same across backends.  Select
 one by name through :func:`get_backend` or
 ``construct_cube_parallel(backend="thread")``; the registry is an
 instance of the generic :class:`repro.registry.Registry` and its entries

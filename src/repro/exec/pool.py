@@ -11,7 +11,7 @@ Design points that the pool-reuse tests pin:
 - a task that raises does **not** kill its worker; the exception is
   re-raised in the submitter when it waits, and the pool stays usable
   (this is what makes ``close()`` clean after a failed build or a
-  :class:`~repro.exec.process.WorkerError`);
+  :class:`~repro.exec.driver.WorkerError`);
 - every finished task records which worker thread ran it
   (:attr:`PoolTask.worker_ident`), so tests can prove that two builds on
   one pool really reused the same live threads;
@@ -45,7 +45,7 @@ class PoolTask:
 
     __slots__ = ("fn", "_done", "result", "error", "worker_ident")
 
-    def __init__(self, fn: Callable[[], Any]):
+    def __init__(self, fn: Callable[[], Any]) -> None:
         self.fn = fn
         self._done = threading.Event()
         self.result: Any = None
@@ -69,7 +69,7 @@ class PoolTask:
 class WorkerPool:
     """A persistent, growable pool of daemon worker threads."""
 
-    def __init__(self, workers: int = 0, *, name: str | None = None):
+    def __init__(self, workers: int = 0, *, name: str | None = None) -> None:
         self.name = name or f"repro-pool-{next(_POOL_IDS)}"
         self._queue: queue.SimpleQueue[PoolTask | None] = queue.SimpleQueue()
         self._threads: list[threading.Thread] = []

@@ -1,12 +1,12 @@
 """Real shared-memory execution of SPMD rank programs, supervised.
 
-:class:`ProcessBackend` interprets the same generator rank programs the
-simulator runs, but on real OS processes: one forked worker per rank,
-per-rank :class:`multiprocessing.Queue` inboxes with MPI-style ``(src,
-tag)`` matching, and input blocks staged in shared memory by
-:class:`~repro.exec.shm.SharedInputArena` (the fork inherits the mapping,
-so local partitions are read zero-copy; only cross-rank partials travel
-through pickled queue messages).
+:class:`ProcessBackend` runs the same generator rank programs the
+simulator runs, but on real OS processes: one forked worker per rank, each
+calling :func:`~repro.exec.driver.drive_rank` over per-rank
+:class:`multiprocessing.Queue` inboxes, and input blocks staged in shared
+memory by :class:`~repro.exec.shm.SharedInputArena` (the fork inherits the
+mapping, so local partitions are read zero-copy; only cross-rank partials
+travel through pickled queue messages).
 
 Because the *program* is identical -- same numpy kernels, same flat
 reduce-to-lead combine order -- results are bit-for-bit identical to the
@@ -35,32 +35,17 @@ rest -- and per-rank machine cost models -- raise ``ValueError`` through
 from __future__ import annotations
 
 import multiprocessing
-import queue as queue_mod
 import time
 import traceback
-from collections import deque
 from typing import Any, Sequence
 
-from repro.cluster.faults import FaultPlan, FaultStats
+from repro.cluster.faults import FaultPlan
 from repro.cluster.machine import MachineModel
-from repro.cluster.metrics import CommStats, RunMetrics
-from repro.cluster.network import payload_elements, payload_nbytes
-from repro.cluster.runtime import (
-    BarrierOp,
-    ComputeOp,
-    DiskReadOp,
-    DiskWriteOp,
-    MONOTONIC_TIMEOUTS,
-    RECV_TIMEOUT,
-    RankEnv,
-    RecvOp,
-    SendOp,
-    SleepOp,
-    TimeoutPolicy,
-    TraceEvent,
-)
+from repro.cluster.metrics import RunMetrics
+from repro.cluster.runtime import MONOTONIC_TIMEOUTS, TimeoutPolicy
 from repro.exec.base import Backend, ProgramFactory, check_backend_options
-from repro.exec.chaos import NULL_CHAOS, PROCESS_FAULT_KINDS, ChaosAgent
+from repro.exec.chaos import PROCESS_FAULT_KINDS
+from repro.exec.driver import AwaitMessage, WorkerError, drive_rank
 from repro.exec.shm import OutputLayout, SharedInputArena, SharedOutputArena
 from repro.exec.stats import empty_metrics, merge_rank_stats
 from repro.exec.supervisor import (
@@ -71,298 +56,11 @@ from repro.exec.supervisor import (
     _FatalFailure,
 )
 from repro.obs.live import LiveRunView, RankProbe
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import Tracer
 
 #: Minimum spacing of the heartbeats workers piggyback on the control
 #: queue at op boundaries (diagnostic context for post-mortems; liveness
 #: itself is judged from process exit codes, not heartbeat gaps).
 HEARTBEAT_INTERVAL_S = 0.25
-
-
-class WorkerError(RuntimeError):
-    """A worker process (or the supervised run as a whole) failed.
-
-    Beyond the message, carries a structured post-mortem when the
-    supervisor produced one: the failing ``rank`` (``None`` for host-side
-    failures such as the watchdog), its ``exit_code`` and decoded
-    ``signal_name`` (``"SIGKILL"``) when it died on a signal, the
-    formatted ``post_mortem`` string, and per-rank
-    :class:`~repro.exec.supervisor.RankIncident` entries in ``incidents``
-    -- including the last trace events of surviving ranks on traced runs.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        *,
-        rank: int | None = None,
-        exit_code: int | None = None,
-        signal_name: str | None = None,
-        post_mortem: str = "",
-        incidents: Sequence[Any] = (),
-    ) -> None:
-        super().__init__(
-            f"{message}\n{post_mortem}" if post_mortem else message
-        )
-        self.rank = rank
-        self.exit_code = exit_code
-        self.signal_name = signal_name
-        self.post_mortem = post_mortem
-        self.incidents = list(incidents)
-
-
-def _drive(
-    rank: int,
-    num_ranks: int,
-    machine: MachineModel,
-    program_factory: ProgramFactory,
-    inboxes: Sequence[Any],
-    ctl_queue: Any,
-    record_trace: bool,
-    epoch: float,
-    watchdog_s: float,
-    faults: FaultPlan | None,
-    incarnation: int,
-    epoch0: float | None,
-    live_enabled: bool,
-) -> dict[str, Any]:
-    """Interpret one rank's program in real time; returns its stats.
-
-    The generator runs the actual numpy work between yields; ops are
-    interpreted as real communication (queue sends/receives, supervised
-    barriers) or as pure accounting (compute/disk charges, whose *real*
-    duration is the measured interval since the previous op).  A
-    :class:`~repro.exec.chaos.ChaosAgent` intercepts op boundaries for the
-    process-compatible fault subset; respawned incarnations run disarmed.
-    """
-    fstats = FaultStats()
-    env = RankEnv(
-        rank=rank,
-        num_ranks=num_ranks,
-        machine=machine,
-        incarnation=incarnation,
-        _fault_stats=fstats,
-        timeouts=MONOTONIC_TIMEOUTS,
-    )
-    chaos = (
-        ChaosAgent(faults, rank, incarnation, machine)
-        if faults is not None
-        else NULL_CHAOS
-    )
-    inbox = inboxes[rank]
-    mailbox: dict[tuple[int, int], deque[Any]] = {}
-    trace: list[TraceEvent] = []
-    comm = CommStats()
-    barrier_seq = 0
-    last_hb = time.monotonic()
-
-    def now() -> float:
-        return time.monotonic() - epoch
-
-    if record_trace:
-        # Per-rank tracer on the shared monotonic epoch and a per-rank
-        # registry; the host merges both when the stats come back.
-        env.tracer = Tracer(rank=rank, clock=now)
-        env.obs = MetricsRegistry()
-
-    # The snapshot-bus probe: published on the heartbeat cadence, so a
-    # live view costs one extra small queue message per >= 250 ms tick.
-    probe = (
-        RankProbe(rank, env, env.tracer, comm, now) if live_enabled else None
-    )
-
-    def await_message(src: int, tag: int, deadline: float | None) -> Any:
-        """Next ``(src, tag)`` payload; :data:`RECV_TIMEOUT` past deadline."""
-        hard = now() + watchdog_s
-        while True:
-            box = mailbox.get((src, tag))
-            if box:
-                return box.popleft()
-            limit = hard if deadline is None else min(deadline, hard)
-            wait = limit - now()
-            if wait <= 0:
-                if deadline is not None and now() >= deadline:
-                    return RECV_TIMEOUT
-                raise WorkerError(
-                    f"rank {rank}: no message from {src} tag {tag} after "
-                    f"{watchdog_s:.0f}s (likely deadlock or a dead peer)"
-                )
-            try:
-                msrc, mtag, payload = inbox.get(timeout=wait)
-            except queue_mod.Empty:
-                continue
-            mailbox.setdefault((msrc, mtag), deque()).append(payload)
-
-    def sup_barrier() -> None:
-        """Supervised barrier: announce arrival, await the release token.
-
-        Survives rank death (the supervisor releases around declared-dead
-        ranks) and respawn (already-released sequences fast-forward), which
-        a shared ``multiprocessing.Barrier`` cannot.
-        """
-        nonlocal barrier_seq
-        seq = barrier_seq
-        barrier_seq += 1
-        ctl_queue.put(("barrier", rank, incarnation, seq))
-        await_message(SUPERVISOR_RANK, BARRIER_TAG_BASE + seq, None)
-
-    def heartbeat(op_index: int, op_kind: str) -> None:
-        nonlocal last_hb
-        t = time.monotonic()
-        if t - last_hb >= HEARTBEAT_INTERVAL_S:
-            last_hb = t
-            ctl_queue.put(("hb", rank, incarnation, op_index, op_kind, now()))
-            if probe is not None:
-                probe.op_index = op_index
-                probe.op_kind = op_kind
-                ctl_queue.put(("snap", rank, incarnation, probe.snapshot()))
-
-    # Align every rank's timeline at the spawn barrier so span/op start
-    # times are comparable across lanes (fork+import skew would otherwise
-    # show up as phantom head-of-run work on the late ranks).  The host's
-    # spawn-time epoch only bounds the pre-barrier watchdog; rebasing at
-    # the release instant keeps fork/setup skew out of every rank clock.
-    # Respawned incarnations inherit the original cohort's epoch instead,
-    # so their events land on the same timeline as the run they rejoin.
-    sup_barrier()
-    epoch = epoch0 if epoch0 is not None else time.monotonic()
-
-    gen = program_factory(env)
-    resume: Any = None
-    result: Any = None
-    op_index = 0
-    t_prev = now()
-    while True:
-        try:
-            op = gen.send(resume)
-        except StopIteration as stop:
-            result = stop.value
-            break
-        # The chaos boundary: the program code *behind* this yield has run,
-        # the op itself has not been interpreted -- the same instant the
-        # simulator's op-indexed kill fires at, which is what makes seeded
-        # crashes land on the identical protocol state on both backends.
-        chaos.before_op(op_index)
-        t_yield = now()
-        env.clock = t_yield
-        heartbeat(op_index, type(op).__name__)
-        resume = None
-        if isinstance(op, ComputeOp):
-            extra = chaos.compute_delay_s(t_yield - t_prev)
-            if extra > 0.0:
-                time.sleep(extra)
-                t_yield = now()
-                env.clock = t_yield
-            env.compute_ops += op.element_ops
-            if record_trace and t_yield > t_prev:
-                trace.append(TraceEvent(rank, "compute", t_prev, t_yield))
-        elif isinstance(op, SendOp):
-            nbytes = payload_nbytes(op.payload)
-            delay = chaos.send_delay_s(nbytes, t_yield)
-            if delay > 0.0:
-                time.sleep(delay)
-            copies = chaos.deliveries(op.dst)
-            for _ in range(copies):
-                inboxes[op.dst].put((rank, op.tag, op.payload))
-                # The simulator's network charges every posted copy, so a
-                # duplicated delivery counts twice here too.
-                comm.record(rank, op.dst, nbytes, payload_elements(op.payload))
-            t_done = now()
-            if record_trace:
-                trace.append(
-                    TraceEvent(
-                        rank, "send", t_yield, t_done,
-                        f"to {op.dst} ({nbytes}B)",
-                        peer=op.dst, tag=op.tag, nbytes=nbytes,
-                    )
-                )
-            if copies > 1:
-                fstats.note(
-                    "duplicate", t_done, rank,
-                    f"{rank}->{op.dst} tag {op.tag} ({nbytes}B)",
-                )
-                if record_trace:
-                    trace.append(
-                        TraceEvent(
-                            rank, "fault", t_done, t_done,
-                            f"duplicate to {op.dst}",
-                            peer=op.dst, tag=op.tag, nbytes=nbytes,
-                        )
-                    )
-        elif isinstance(op, RecvOp):
-            deadline = None if op.timeout is None else t_yield + op.timeout
-            resume = await_message(op.src, op.tag, deadline)
-            t_done = now()
-            if resume is RECV_TIMEOUT:
-                fstats.note(
-                    "timeout", t_done, rank, f"recv from {op.src} tag {op.tag}"
-                )
-                if record_trace:
-                    trace.append(
-                        TraceEvent(
-                            rank, "wait", t_yield, t_done,
-                            f"timeout (from {op.src} tag {op.tag})",
-                            peer=op.src, tag=op.tag,
-                        )
-                    )
-                    trace.append(
-                        TraceEvent(
-                            rank, "fault", t_done, t_done,
-                            f"timeout from {op.src}", peer=op.src, tag=op.tag,
-                        )
-                    )
-            elif record_trace:
-                trace.append(
-                    TraceEvent(
-                        rank, "recv", t_yield, t_done,
-                        f"from {op.src} ({payload_nbytes(resume)}B)",
-                        peer=op.src, tag=op.tag, nbytes=payload_nbytes(resume),
-                    )
-                )
-        elif isinstance(op, DiskWriteOp):
-            env.disk_bytes_written += op.nbytes
-            if record_trace and t_yield > t_prev:
-                trace.append(TraceEvent(rank, "disk", t_prev, t_yield, "write"))
-        elif isinstance(op, DiskReadOp):
-            env.disk_bytes_read += op.nbytes
-            if record_trace and t_yield > t_prev:
-                trace.append(TraceEvent(rank, "disk", t_prev, t_yield, "read"))
-        elif isinstance(op, SleepOp):
-            time.sleep(op.seconds)
-            if record_trace:
-                trace.append(TraceEvent(rank, "wait", t_yield, now(), "sleep"))
-        elif isinstance(op, BarrierOp):
-            sup_barrier()
-            if record_trace:
-                trace.append(TraceEvent(rank, "barrier", t_yield, now()))
-        else:
-            raise TypeError(f"rank {rank} yielded unknown op {op!r}")
-        op_index += 1
-        t_prev = now()
-
-    env.clock = now()
-    if probe is not None:
-        # Terminal snapshot: rates and peak memory reach their final
-        # values, and the view can render the rank as done.
-        probe.op_index = op_index
-        probe.op_kind = "done"
-        probe.done = True
-        ctl_queue.put(("snap", rank, incarnation, probe.snapshot()))
-    return {
-        "result": result,
-        "clock": env.clock,
-        "peak_memory_elements": env.peak_memory_elements,
-        "compute_ops": env.compute_ops,
-        "disk_bytes_written": env.disk_bytes_written,
-        "disk_bytes_read": env.disk_bytes_read,
-        "comm": comm,
-        "trace": trace,
-        "faults": fstats,
-        "spans": env.tracer.spans if record_trace else [],
-        "samples": env.tracer.samples if record_trace else [],
-        "registry": env.obs if record_trace else None,
-    }
 
 
 def _worker(
@@ -373,20 +71,66 @@ def _worker(
     inboxes: Sequence[Any],
     ctl_queue: Any,
     record_trace: bool,
-    epoch: float,
     watchdog_s: float,
     faults: FaultPlan | None,
     incarnation: int,
     epoch0: float | None,
     live_enabled: bool,
 ) -> None:
-    """Process entry point: drive the program, ship stats (or the error)."""
+    """Process entry point: drive the program, ship stats (or the error).
+
+    Supplies :func:`~repro.exec.driver.drive_rank` with the supervised
+    halves of the protocol: barriers announce arrival on the control queue
+    and await the supervisor's release token on the rank's own inbox, and
+    every op boundary may piggyback a heartbeat (plus a live snapshot).
+    """
     try:
-        stats = _drive(
-            rank, num_ranks, machine, program_factory, inboxes, ctl_queue,
-            record_trace, epoch, watchdog_s, faults, incarnation, epoch0,
-            live_enabled,
+        # The snapshot-bus probe: published on the heartbeat cadence, so a
+        # live view costs one extra small queue message per >= 250 ms tick.
+        probe = (
+            RankProbe(rank, None, None, None, lambda: 0.0)
+            if live_enabled
+            else None
         )
+        barrier_seq = 0
+        last_hb = time.monotonic()
+
+        def sup_barrier(await_message: AwaitMessage) -> None:
+            """Supervised barrier: announce arrival, await the release token.
+
+            Survives rank death (the supervisor releases around
+            declared-dead ranks) and respawn (already-released sequences
+            fast-forward), which a shared ``multiprocessing.Barrier``
+            cannot.
+            """
+            nonlocal barrier_seq
+            seq = barrier_seq
+            barrier_seq += 1
+            ctl_queue.put(("barrier", rank, incarnation, seq))
+            await_message(SUPERVISOR_RANK, BARRIER_TAG_BASE + seq, None)
+
+        def heartbeat(op_index: int, op_kind: str, clock: float) -> None:
+            nonlocal last_hb
+            t = time.monotonic()
+            if t - last_hb >= HEARTBEAT_INTERVAL_S:
+                last_hb = t
+                ctl_queue.put(("hb", rank, incarnation, op_index, op_kind, clock))
+                if probe is not None:
+                    ctl_queue.put(("snap", rank, incarnation, probe.snapshot()))
+
+        stats = drive_rank(
+            rank, num_ranks, machine, program_factory, inboxes, sup_barrier,
+            # Rebasing at the release instant keeps fork/setup skew out of
+            # every rank clock.  Respawned incarnations inherit the
+            # original cohort's epoch instead, so their events land on the
+            # same timeline as the run they rejoin.
+            lambda: epoch0 if epoch0 is not None else time.monotonic(),
+            record_trace=record_trace, watchdog_s=watchdog_s, faults=faults,
+            incarnation=incarnation, probe=probe, tick=heartbeat,
+        )
+        if probe is not None:
+            # The terminal snapshot bypasses the heartbeat rate limit.
+            ctl_queue.put(("snap", rank, incarnation, probe.snapshot()))
         ctl_queue.put(("ok", rank, incarnation, stats))
     except BaseException:
         ctl_queue.put(("error", rank, incarnation, traceback.format_exc()))
@@ -415,7 +159,7 @@ class ProcessBackend(Backend):
         self,
         watchdog_s: float = 120.0,
         max_respawns: int = DEFAULT_MAX_RESPAWNS,
-    ):
+    ) -> None:
         if watchdog_s <= 0:
             raise ValueError("watchdog_s must be positive")
         if max_respawns < 0:
@@ -469,7 +213,6 @@ class ProcessBackend(Backend):
         ctx = multiprocessing.get_context("fork")
         inboxes = [ctx.Queue() for _ in range(num_ranks)]
         ctl_queue = ctx.Queue()
-        host_epoch = time.monotonic()
         # Fault-tolerant programs mark themselves replayable-from-checkpoint;
         # only those may be respawned (a plain program would recompute sends
         # its peers already consumed, corrupting the protocol).
@@ -483,7 +226,7 @@ class ProcessBackend(Backend):
                 target=_worker,
                 args=(
                     r, num_ranks, mach, program_factory, inboxes, ctl_queue,
-                    record_trace, host_epoch, self.watchdog_s, faults,
+                    record_trace, self.watchdog_s, faults,
                     incarnation, epoch0, live is not None,
                 ),
             )

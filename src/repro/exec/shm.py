@@ -56,7 +56,7 @@ class SharedInputArena:
     must not silently corrupt another's input.
     """
 
-    def __init__(self, local_inputs: list[Block]):
+    def __init__(self, local_inputs: list[Block]) -> None:
         arrays: list[np.ndarray] = []
         for block in local_inputs:
             if isinstance(block, SparseArray):
@@ -185,7 +185,7 @@ class SharedOutputArena:
     :meth:`close`.
     """
 
-    def __init__(self, layout: OutputLayout):
+    def __init__(self, layout: OutputLayout) -> None:
         self.layout = layout
         self._dtype = np.dtype(layout.dtype)
         self._partition = BlockPartition(layout.shape, layout.grid.parts)

@@ -61,7 +61,6 @@ class SimBackend(Backend):
             machines=list(machines) if machines is not None else None,
             faults=faults,
             timeouts=self.timeouts,
-            _via_backend=True,
         )
         metrics.backend = self.name
         if live is not None:

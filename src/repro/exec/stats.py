@@ -1,13 +1,13 @@
 """Host-side merging of per-rank driver stats into :class:`RunMetrics`.
 
 Both real backends (:class:`~repro.exec.process.ProcessBackend`,
-:class:`~repro.exec.thread.ThreadBackend`) drive one interpreter per rank
-and get back the same per-rank stats dict (result, clock, comm counters,
-trace, spans, per-rank metrics registry).  :func:`merge_rank_stats` is the
-single place those are folded into the backend-neutral
-:class:`~repro.cluster.metrics.RunMetrics`, so the two backends cannot
-drift in how they aggregate -- and the parity suite's "equal messages,
-equal peak memory" comparisons stay meaningful.
+:class:`~repro.exec.thread.ThreadBackend`) run
+:func:`~repro.exec.driver.drive_rank` once per rank and get back its stats
+dict (result, clock, comm counters, trace, spans, per-rank metrics
+registry).  :func:`merge_rank_stats` is the single place those are folded
+into the backend-neutral :class:`~repro.cluster.metrics.RunMetrics`, so the
+two backends cannot drift in how they aggregate -- and the parity suite's
+"equal messages, equal peak memory" comparisons stay meaningful.
 
 A ``None`` entry in ``stats`` is a declared-dead rank whose portion was
 recovered by its buddy (process backend only); it contributes nothing.
@@ -60,11 +60,10 @@ def merge_rank_stats(
             continue
         comm.merge(s["comm"])
         trace.extend(s["trace"])
-        spans.extend(s.get("spans", []))
-        samples.extend(s.get("samples", []))
-        if s.get("faults") is not None:
-            fstats.merge(s["faults"])
-        if s.get("registry") is not None:
+        spans.extend(s["spans"])
+        samples.extend(s["samples"])
+        fstats.merge(s["faults"])
+        if s["registry"] is not None:
             registry.merge(s["registry"])
     if extra_faults is not None:
         fstats.merge(extra_faults)

@@ -26,7 +26,7 @@ Recovery policy on a detected death:
    degraded, but still bit-exact.
 3. If the program is not restartable (or a worker reports an exception),
    the failure is fatal: every worker is terminated and a
-   :class:`~repro.exec.process.WorkerError` carries a structured
+   :class:`~repro.exec.driver.WorkerError` carries a structured
    post-mortem -- per-rank exit codes and signal names, last heartbeats,
    and the final trace events of surviving ranks.
 
@@ -208,7 +208,7 @@ class Supervisor:
         Returns per-rank stats dicts (``None`` for ranks declared dead and
         recovered by the program-level buddy protocol).  Raises
         :class:`_FatalFailure` wrapped by the caller into a
-        :class:`~repro.exec.process.WorkerError` on unrecoverable failure.
+        :class:`~repro.exec.driver.WorkerError` on unrecoverable failure.
         """
         self._ranks = [_RankState(self._spawn(r, 0, None)) for r in range(self.num_ranks)]
         deadline = time.monotonic() + self._watchdog_s + 30.0

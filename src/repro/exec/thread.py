@@ -1,7 +1,8 @@
 """Real thread-parallel execution of SPMD rank programs.
 
-:class:`ThreadBackend` interprets the same generator rank programs the
-simulator and :class:`~repro.exec.process.ProcessBackend` run, but on one
+:class:`ThreadBackend` runs the same generator rank programs the
+simulator and :class:`~repro.exec.process.ProcessBackend` run -- through
+the same :func:`~repro.exec.driver.drive_rank` as the latter -- but on one
 thread per rank inside the host process.  The premise: the kernels doing
 ~98 % of the paper's work (``numpy.bincount`` scatter-adds, ``numpy.sum``
 reductions, large array copies) release the GIL, so threads genuinely
@@ -23,7 +24,7 @@ process workers are, so the fault surface is
 :data:`~repro.exec.chaos.THREAD_FAULT_KINDS` (stragglers, nic windows,
 duplicates -- no ``crash_op``) and there is no supervisor.  A rank
 program that raises aborts the run barriers so peers fail fast with
-:class:`~repro.exec.process.WorkerError` instead of hanging on a dead
+:class:`~repro.exec.driver.WorkerError` instead of hanging on a dead
 peer.
 
 This backend owns the **persistent pool** fast path
@@ -42,286 +43,19 @@ import queue as queue_mod
 import threading
 import time
 import traceback
-from collections import deque
 from typing import Any, Sequence
 
-from repro.cluster.faults import FaultPlan, FaultStats
+from repro.cluster.faults import FaultPlan
 from repro.cluster.machine import MachineModel
-from repro.cluster.metrics import CommStats, RunMetrics
-from repro.cluster.network import payload_elements, payload_nbytes
-from repro.cluster.runtime import (
-    BarrierOp,
-    ComputeOp,
-    DiskReadOp,
-    DiskWriteOp,
-    MONOTONIC_TIMEOUTS,
-    RECV_TIMEOUT,
-    RankEnv,
-    RecvOp,
-    SendOp,
-    SleepOp,
-    TimeoutPolicy,
-    TraceEvent,
-)
+from repro.cluster.metrics import RunMetrics
+from repro.cluster.runtime import MONOTONIC_TIMEOUTS, TimeoutPolicy
 from repro.exec.base import Backend, ProgramFactory, check_backend_options
-from repro.exec.chaos import NULL_CHAOS, THREAD_FAULT_KINDS, ChaosAgent
+from repro.exec.chaos import THREAD_FAULT_KINDS
+from repro.exec.driver import AwaitMessage, WorkerError, drive_rank
 from repro.exec.pool import WorkerPool
-from repro.exec.process import WorkerError
 from repro.exec.shm import OutputLayout, SharedOutputArena
 from repro.exec.stats import empty_metrics, merge_rank_stats
 from repro.obs.live import LiveRunView, RankProbe
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import Tracer
-
-
-class _Epoch:
-    """Mutable epoch shared by every rank; set once at the start barrier."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = time.monotonic()
-
-    def rebase(self) -> None:
-        self.value = time.monotonic()
-
-
-def _drive_thread(
-    rank: int,
-    num_ranks: int,
-    machine: MachineModel,
-    program_factory: ProgramFactory,
-    inboxes: Sequence[queue_mod.SimpleQueue[tuple[int, int, Any]]],
-    start_barrier: threading.Barrier,
-    op_barrier: threading.Barrier,
-    epoch: _Epoch,
-    record_trace: bool,
-    watchdog_s: float,
-    faults: FaultPlan | None,
-    probe: RankProbe | None,
-) -> dict[str, Any]:
-    """Interpret one rank's program on this thread; returns its stats.
-
-    Mirrors the process backend's driver with the process-only machinery
-    removed: barriers are real ``threading.Barrier`` waits (abort-aware,
-    so one failing rank breaks its peers out immediately), there is no
-    supervisor control queue, and payloads move by reference.
-    """
-    fstats = FaultStats()
-    env = RankEnv(
-        rank=rank,
-        num_ranks=num_ranks,
-        machine=machine,
-        incarnation=0,
-        _fault_stats=fstats,
-        timeouts=MONOTONIC_TIMEOUTS,
-    )
-    chaos = (
-        ChaosAgent(faults, rank, 0, machine) if faults is not None else NULL_CHAOS
-    )
-    inbox = inboxes[rank]
-    mailbox: dict[tuple[int, int], deque[Any]] = {}
-    trace: list[TraceEvent] = []
-    comm = CommStats()
-
-    def now() -> float:
-        return time.monotonic() - epoch.value
-
-    if record_trace:
-        env.tracer = Tracer(rank=rank, clock=now)
-        env.obs = MetricsRegistry()
-
-    if probe is not None:
-        # Hand the host's sampler thread this rank's real state: the
-        # sampler reads these references without locks (each is one
-        # atomic reference under the GIL; torn reads are diagnostic).
-        probe.env = env
-        probe.tracer = env.tracer
-        probe.comm = comm
-        probe.clock = now
-
-    def await_message(src: int, tag: int, deadline: float | None) -> Any:
-        """Next ``(src, tag)`` payload; :data:`RECV_TIMEOUT` past deadline."""
-        hard = now() + watchdog_s
-        while True:
-            box = mailbox.get((src, tag))
-            if box:
-                return box.popleft()
-            limit = hard if deadline is None else min(deadline, hard)
-            wait = limit - now()
-            if wait <= 0:
-                if deadline is not None and now() >= deadline:
-                    return RECV_TIMEOUT
-                raise WorkerError(
-                    f"rank {rank}: no message from {src} tag {tag} after "
-                    f"{watchdog_s:.0f}s (likely deadlock or a dead peer)",
-                    rank=rank,
-                )
-            try:
-                msrc, mtag, payload = inbox.get(timeout=wait)
-            except queue_mod.Empty:
-                continue
-            mailbox.setdefault((msrc, mtag), deque()).append(payload)
-
-    def thread_barrier() -> None:
-        """Real barrier; a broken barrier means a peer failed or timed out."""
-        try:
-            op_barrier.wait(timeout=watchdog_s)
-        except threading.BrokenBarrierError:
-            err = WorkerError(
-                f"rank {rank}: barrier broken (a peer rank failed, or no "
-                f"release within {watchdog_s:.0f}s)",
-                rank=rank,
-            )
-            # Mark as a symptom: when a peer's failure aborted the barrier,
-            # spawn_ranks reports that root cause instead of this echo.
-            err.is_barrier_break = True
-            raise err from None
-
-    # Align every rank's timeline at the start barrier: its action callback
-    # (run in exactly one thread, before any rank is released) rebases the
-    # shared epoch, so thread spawn skew never shows up as phantom
-    # head-of-run work on late ranks.
-    try:
-        start_barrier.wait(timeout=watchdog_s)
-    except threading.BrokenBarrierError:
-        err = WorkerError(
-            f"rank {rank}: cohort failed to assemble within {watchdog_s:.0f}s",
-            rank=rank,
-        )
-        err.is_barrier_break = True
-        raise err from None
-
-    gen = program_factory(env)
-    resume: Any = None
-    result: Any = None
-    op_index = 0
-    t_prev = now()
-    while True:
-        try:
-            op = gen.send(resume)
-        except StopIteration as stop:
-            result = stop.value
-            break
-        # Same chaos boundary as the process driver: program code behind
-        # this yield has run, the op itself has not been interpreted.
-        chaos.before_op(op_index)
-        t_yield = now()
-        env.clock = t_yield
-        if probe is not None:
-            probe.op_index = op_index
-            probe.op_kind = type(op).__name__
-        resume = None
-        if isinstance(op, ComputeOp):
-            extra = chaos.compute_delay_s(t_yield - t_prev)
-            if extra > 0.0:
-                time.sleep(extra)
-                t_yield = now()
-                env.clock = t_yield
-            env.compute_ops += op.element_ops
-            if record_trace and t_yield > t_prev:
-                trace.append(TraceEvent(rank, "compute", t_prev, t_yield))
-        elif isinstance(op, SendOp):
-            nbytes = payload_nbytes(op.payload)
-            delay = chaos.send_delay_s(nbytes, t_yield)
-            if delay > 0.0:
-                time.sleep(delay)
-            copies = chaos.deliveries(op.dst)
-            for _ in range(copies):
-                inboxes[op.dst].put((rank, op.tag, op.payload))
-                comm.record(rank, op.dst, nbytes, payload_elements(op.payload))
-            t_done = now()
-            if record_trace:
-                trace.append(
-                    TraceEvent(
-                        rank, "send", t_yield, t_done,
-                        f"to {op.dst} ({nbytes}B)",
-                        peer=op.dst, tag=op.tag, nbytes=nbytes,
-                    )
-                )
-            if copies > 1:
-                fstats.note(
-                    "duplicate", t_done, rank,
-                    f"{rank}->{op.dst} tag {op.tag} ({nbytes}B)",
-                )
-                if record_trace:
-                    trace.append(
-                        TraceEvent(
-                            rank, "fault", t_done, t_done,
-                            f"duplicate to {op.dst}",
-                            peer=op.dst, tag=op.tag, nbytes=nbytes,
-                        )
-                    )
-        elif isinstance(op, RecvOp):
-            deadline = None if op.timeout is None else t_yield + op.timeout
-            resume = await_message(op.src, op.tag, deadline)
-            t_done = now()
-            if resume is RECV_TIMEOUT:
-                fstats.note(
-                    "timeout", t_done, rank, f"recv from {op.src} tag {op.tag}"
-                )
-                if record_trace:
-                    trace.append(
-                        TraceEvent(
-                            rank, "wait", t_yield, t_done,
-                            f"timeout (from {op.src} tag {op.tag})",
-                            peer=op.src, tag=op.tag,
-                        )
-                    )
-                    trace.append(
-                        TraceEvent(
-                            rank, "fault", t_done, t_done,
-                            f"timeout from {op.src}", peer=op.src, tag=op.tag,
-                        )
-                    )
-            elif record_trace:
-                trace.append(
-                    TraceEvent(
-                        rank, "recv", t_yield, t_done,
-                        f"from {op.src} ({payload_nbytes(resume)}B)",
-                        peer=op.src, tag=op.tag, nbytes=payload_nbytes(resume),
-                    )
-                )
-        elif isinstance(op, DiskWriteOp):
-            env.disk_bytes_written += op.nbytes
-            if record_trace and t_yield > t_prev:
-                trace.append(TraceEvent(rank, "disk", t_prev, t_yield, "write"))
-        elif isinstance(op, DiskReadOp):
-            env.disk_bytes_read += op.nbytes
-            if record_trace and t_yield > t_prev:
-                trace.append(TraceEvent(rank, "disk", t_prev, t_yield, "read"))
-        elif isinstance(op, SleepOp):
-            time.sleep(op.seconds)
-            if record_trace:
-                trace.append(TraceEvent(rank, "wait", t_yield, now(), "sleep"))
-        elif isinstance(op, BarrierOp):
-            thread_barrier()
-            if record_trace:
-                trace.append(TraceEvent(rank, "barrier", t_yield, now()))
-        else:
-            raise TypeError(f"rank {rank} yielded unknown op {op!r}")
-        op_index += 1
-        t_prev = now()
-
-    env.clock = now()
-    if probe is not None:
-        probe.op_index = op_index
-        probe.op_kind = "done"
-        probe.done = True
-    return {
-        "result": result,
-        "clock": env.clock,
-        "peak_memory_elements": env.peak_memory_elements,
-        "compute_ops": env.compute_ops,
-        "disk_bytes_written": env.disk_bytes_written,
-        "disk_bytes_read": env.disk_bytes_read,
-        "comm": comm,
-        "trace": trace,
-        "faults": fstats,
-        "spans": env.tracer.spans if record_trace else [],
-        "samples": env.tracer.samples if record_trace else [],
-        "registry": env.obs if record_trace else None,
-    }
 
 
 class _LiveSampler:
@@ -375,7 +109,9 @@ class ThreadBackend(Backend):
     fault_capabilities = THREAD_FAULT_KINDS
     supports_pooling = True
 
-    def __init__(self, watchdog_s: float = 120.0, workers: int | None = None):
+    def __init__(
+        self, watchdog_s: float = 120.0, workers: int | None = None
+    ) -> None:
         if watchdog_s <= 0:
             raise ValueError("watchdog_s must be positive")
         if workers is not None and workers < 1:
@@ -456,15 +192,24 @@ class ThreadBackend(Backend):
         inboxes: list[queue_mod.SimpleQueue[tuple[int, int, Any]]] = [
             queue_mod.SimpleQueue() for _ in range(num_ranks)
         ]
-        epoch = _Epoch()
-        start_barrier = threading.Barrier(num_ranks, action=epoch.rebase)
-        op_barrier = threading.Barrier(num_ranks)
+        # One cyclic barrier serves the start alignment and every BarrierOp.
+        # Its action callback runs in exactly one thread before any rank is
+        # released; stamping the first release (the start barrier) there
+        # gives all ranks the same run epoch, so thread spawn skew never
+        # shows up as phantom head-of-run work on late ranks.
+        epoch: list[float] = []
+
+        def stamp_epoch() -> None:
+            if not epoch:
+                epoch.append(time.monotonic())
+
+        cohort = threading.Barrier(num_ranks, action=stamp_epoch)
 
         probes: list[RankProbe] | None = None
         sampler: _LiveSampler | None = None
         if live is not None:
             live.attach(num_ranks, self.name)
-            # Probes start with placeholder state; each driver thread
+            # Probes start with placeholder state; each rank's driver
             # swaps in its real env/tracer/comm/clock before the first op.
             probes = [
                 RankProbe(r, None, None, None, lambda: 0.0)
@@ -474,21 +219,35 @@ class ThreadBackend(Backend):
             sampler.start()
 
         def make_task(rank: int) -> Any:
-            probe = probes[rank] if probes is not None else None
+            def barrier(_await_message: AwaitMessage) -> None:
+                """Real barrier; a broken one means a peer failed or timed out."""
+                try:
+                    cohort.wait(timeout=self.watchdog_s)
+                except threading.BrokenBarrierError:
+                    err = WorkerError(
+                        f"rank {rank}: barrier broken (a peer rank failed, or "
+                        f"no release within {self.watchdog_s:.0f}s)",
+                        rank=rank,
+                    )
+                    # Mark as a symptom: when a peer's failure aborted the
+                    # barrier, the root cause is reported instead of this echo.
+                    err.is_barrier_break = True
+                    raise err from None
 
             def run() -> dict[str, Any]:
                 try:
-                    return _drive_thread(
+                    return drive_rank(
                         rank, num_ranks, mach, program_factory, inboxes,
-                        start_barrier, op_barrier, epoch, record_trace,
-                        self.watchdog_s, faults, probe,
+                        barrier, lambda: epoch[0],
+                        record_trace=record_trace, watchdog_s=self.watchdog_s,
+                        faults=faults,
+                        probe=probes[rank] if probes is not None else None,
                     )
                 except BaseException:
                     # Break every peer out of its barrier wait so one
                     # failing rank fails the cohort fast instead of
                     # letting the others hang until the watchdog.
-                    start_barrier.abort()
-                    op_barrier.abort()
+                    cohort.abort()
                     raise
             return run
 
@@ -512,7 +271,7 @@ class ThreadBackend(Backend):
                     stats.append(None)
                     # Barrier breaks on healthy ranks are echoes of the
                     # rank that actually failed (its except clause aborts
-                    # both barriers); report the root cause when one exists.
+                    # the barrier); report the root cause when one exists.
                     if getattr(exc, "is_barrier_break", False):
                         if barrier_echo is None:
                             barrier_echo = (rank, exc)

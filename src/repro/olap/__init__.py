@@ -50,16 +50,6 @@ from repro.olap.view_selection import (
     workload_cost,
 )
 
-def __getattr__(name: str):
-    if name == "QueryAnswer":
-        # Deprecated: resolved lazily so importing the package stays silent;
-        # repro.olap.query emits the DeprecationWarning.
-        from repro.olap import query
-
-        return query.QueryAnswer
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "Dimension",
     "Hierarchy",
@@ -67,7 +57,6 @@ __all__ = [
     "DataCube",
     "CanonicalQuery",
     "GroupByQuery",
-    "QueryAnswer",
     "QueryResult",
     "QueryEngine",
     "canonicalize_query",

@@ -19,8 +19,7 @@ bitwise with point/range selection on other axes.
 :class:`QueryEngine` resolves covers, applies point/range filters, and
 reports which view served each query and how many cells were scanned --
 the cost model view selection optimizes.  :class:`QueryEngine.execute`
-returns a structured :class:`QueryResult`; the pre-1.1 ``answer`` /
-``QueryAnswer`` surface survives as deprecated shims.
+returns a structured :class:`QueryResult`.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro._compat import deprecated
 from repro.arrays.aggregate import aggregate_sparse_to_dense
 from repro.arrays.dense import DenseArray
 from repro.arrays.sparse import SparseArray
@@ -275,32 +273,6 @@ class QueryResult:
     is_fallback: bool = False
     stale: bool = False
 
-    @property
-    def served_from(self) -> tuple[str, ...]:
-        """Deprecated alias of :attr:`served_by` (pre-1.1 field name)."""
-        deprecated(
-            "QueryResult.served_from",
-            instead="served_by",
-            since="1.1.0",
-            removal="2.0.0",
-            stacklevel=2,
-        )
-        return self.served_by
-
-
-def __getattr__(name: str):
-    if name == "QueryAnswer":
-        deprecated(
-            "QueryAnswer",
-            instead="QueryResult",
-            since="1.1.0",
-            removal="2.0.0",
-            extra="field served_from is now served_by",
-            stacklevel=2,
-        )
-        return QueryResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 class QueryEngine:
     """Answers :class:`GroupByQuery` objects from a :class:`DataCube`."""
@@ -401,27 +373,3 @@ class QueryEngine:
         cached, batched serving.
         """
         return [self.execute(q) for q in queries]
-
-    # -- deprecated pre-1.1 surface --------------------------------------------------
-
-    def answer(self, query: GroupByQuery) -> QueryResult:
-        """Deprecated alias of :meth:`execute` (pre-1.1 name)."""
-        deprecated(
-            "QueryEngine.answer",
-            instead="execute()",
-            since="1.1.0",
-            removal="2.0.0",
-            stacklevel=2,
-        )
-        return self.execute(query)
-
-    def answer_many(self, queries: Sequence[GroupByQuery]) -> list[QueryResult]:
-        """Deprecated alias of :meth:`execute_many` (pre-1.1 name)."""
-        deprecated(
-            "QueryEngine.answer_many",
-            instead="execute_many()",
-            since="1.1.0",
-            removal="2.0.0",
-            stacklevel=2,
-        )
-        return self.execute_many(queries)

@@ -10,7 +10,7 @@ every scheduler runs unchanged on every backend.
 Three strategies ship registered (:mod:`repro.sched.registry`):
 
 - ``fig5`` -- the paper's Fig 5 SPMD schedule (communication and memory
-  optimal; extracted bit-identically from the previously hardwired path);
+  optimal), home of the step-list rank programs;
 - ``shuffle`` -- MapReduce-style batch-shuffle materialization
   (arXiv:1709.10072);
 - ``marginals-<k>`` / ``marginals-<k>-shuffle`` -- only the order-``k``

@@ -31,6 +31,7 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
+from repro.arrays.aggregate import aggregate_dense, aggregate_sparse_multi
 from repro.arrays.dense import DenseArray
 from repro.arrays.measures import Measure, SUM
 from repro.arrays.sparse import SparseArray
@@ -46,6 +47,38 @@ if TYPE_CHECKING:
 #: A rank program factory: called once per run, returns the generator each
 #: rank executes.  The factory closes over the per-rank input blocks.
 ProgramFactory = Callable[[RankEnv], Generator[Op, Any, dict[Node, DenseArray]]]
+
+
+def make_combiner(measure: Measure) -> Callable[[DenseArray, DenseArray], DenseArray]:
+    """The in-place ``combine(acc, other)`` the reduction collectives take."""
+
+    def combine(acc: DenseArray, other: DenseArray) -> DenseArray:
+        measure.combine(acc.data, other.data)
+        return acc
+
+    return combine
+
+
+def scan_block(
+    block: SparseArray | DenseArray,
+    targets: Sequence[Node],
+    measure: Measure,
+) -> tuple[list[DenseArray], int, bool]:
+    """One scan of a rank's input block emitting every target's partial.
+
+    Returns ``(outs, element_ops, sparse)`` -- ``outs`` aligned with
+    ``targets``, plus the compute charge to yield for the scan.  This is
+    the kernel that is ~98 % of a build's work: Fig 5's first level (plain,
+    checkpointed, and a buddy's re-aggregation of a dead rank's block) and
+    the shuffle scheduler's map pass.
+    """
+    if isinstance(block, SparseArray):
+        outs = aggregate_sparse_multi(
+            block, tuple(range(len(block.shape))), targets, measure=measure
+        )
+        return outs, block.nnz * len(targets), True
+    outs = [aggregate_dense(block, t, measure=measure) for t in targets]
+    return outs, block.size * len(targets), False
 
 
 class Scheduler(abc.ABC):

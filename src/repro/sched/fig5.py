@@ -1,53 +1,96 @@
 """The paper's Fig 5 scheduler (communication and memory optimal).
 
-This is the schedule previously hardwired into
-:func:`repro.core.parallel.construct_cube_parallel`, extracted verbatim so
-it is one registered strategy among several.  :func:`fig5_schedule` is the
-canonical home of the step-list construction (the old
-``repro.core.parallel.parallel_schedule`` import keeps working through a
-deprecation shim), and :class:`Fig5Scheduler` wraps it in the
-:class:`~repro.sched.base.Scheduler` protocol.  The rank program is built
-by the exact same code path as before the split, so output stays
-bit-identical (pinned by the golden regression test).
+The algorithm runs on ``p = 2**k`` processors arranged by
+:class:`repro.cluster.topology.ProcessorGrid`: dimension ``j`` is block
+partitioned across ``2**bits[j]`` of them.  Mirroring the paper:
+
+1. Every processor locally aggregates its portion of a node's array into
+   partial results for *all* the node's aggregation-tree children at once
+   (maximal cache/memory reuse; for the root this is one scan of the sparse
+   input block).
+2. Each child is then *finalized* right-to-left: the ``2**bits[j]``
+   processors of each reduction group along the aggregated dimension ``j``
+   combine their partials onto the group's lead (label ``l_j == 0``), which
+   thereafter holds the child's portion.  Non-leads discard their partials.
+3. Recursion proceeds exactly as in the sequential Fig 3 schedule; deeper
+   levels run only on the (shrinking) holder sets -- the paper's point that
+   the dominant first level is fully parallel while deeper levels
+   sequentialize some processors.
+4. A node is written back (simulated disk) by its holders exactly once.
+
+This module is the one home of that program: :func:`fig5_schedule`
+linearizes it into the step-list IR of :mod:`repro.sched.steps`,
+:func:`make_fig5_program` is the generator rank program that walks a step
+list (also behind ``marginals-<k>`` and partial materialization, which
+only supply a pruned list), and :class:`Fig5Scheduler` registers it with
+its declared closed forms.  The program is backend-portable: the simulator
+and the real thread/process backends interpret the same generator, which
+is what makes aggregates bit-identical across them (golden-pinned).
+
+Fault tolerance (``checkpoint=True``, :func:`_make_program_ft`): every
+rank persists its first-level partials to a
+:class:`~repro.arrays.persist.CheckpointStore` right after the root scan,
+then the cluster runs one failure-detection round (barrier + all-to-all
+heartbeats with receive timeouts).  Each surviving rank derives the same
+dead set and the same dead->buddy substitution map; a dead rank's
+reduction-group buddy re-reads the lost partials from the checkpoint (or
+re-aggregates them from the dead rank's input block if it died before
+checkpointing) and executes the dead rank's remaining schedule alongside
+its own.  The cube that comes out is bit-exact identical to the fault-free
+run under any single-rank crash occurring before the detection round
+completes.
+
+The two programs share helpers, not a body: they differ in message tags
+(``step_idx`` vs the virtual-sender ``vtag``, each mirrored exactly by
+:mod:`repro.analysis.verify_plan` and :mod:`repro.analysis.model.programs`),
+collectives (flat/binomial/chunked vs an inline two-phase flat reduce),
+span attributes, free-before-send vs send-before-free ordering, and output
+staging -- a merged generator would branch on ``ft`` at every step.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
+from repro.arrays.aggregate import aggregate_dense
 from repro.arrays.dense import DenseArray
 from repro.arrays.measures import Measure, SUM
 from repro.arrays.sparse import SparseArray
+from repro.cluster.collectives import (
+    reduce_binomial,
+    reduce_to_lead,
+    reduce_to_lead_chunked,
+)
+from repro.cluster.network import Control
+from repro.cluster.runtime import Op, RankEnv, RECV_TIMEOUT
 from repro.cluster.topology import ProcessorGrid
 from repro.core.aggregation_tree import AggregationTree
 from repro.core.comm_model import total_comm_volume
-from repro.core.lattice import full_node
+from repro.core.lattice import Node, full_node
 from repro.core.memory_model import parallel_memory_bound_exact
-from repro.sched.base import ProgramFactory, Scheduler
+from repro.exec.shm import SharedOutputArena, StagedResult
+from repro.sched.base import (
+    ProgramFactory,
+    Scheduler,
+    make_combiner,
+    scan_block,
+)
+from repro.sched.steps import PFinalize, PLocalAggregate, PStep, PWriteBack
+from repro.util import node_name
 
 if TYPE_CHECKING:
     from repro.analysis.model.ops import ModelProgram
     from repro.analysis.verify_plan import CommSchedule
-    from repro.core.parallel import PStep
+    from repro.arrays.persist import CheckpointStore
 
 
-def fig5_schedule(n: int, tree: Any = None) -> "list[PStep]":
+def fig5_schedule(n: int, tree: Any = None) -> list[PStep]:
     """Linearize Fig 5: local aggregation, right-to-left finalize + recurse.
 
     ``tree`` may be any object with the spanning-tree traversal API
     (``children`` / ``is_leaf`` / ``aggregated_dim``); defaults to the
     aggregation tree.  Baselines pass alternative trees.
     """
-    # Imported here, not at module top: the step dataclasses live with the
-    # program interpreter in repro.core.parallel, which lazily imports this
-    # module for the default schedule.
-    from repro.core.parallel import (
-        PFinalize,
-        PLocalAggregate,
-        PStep,
-        PWriteBack,
-    )
-
     if tree is None:
         tree = AggregationTree(n)
     root = full_node(n)
@@ -70,6 +113,464 @@ def fig5_schedule(n: int, tree: Any = None) -> "list[PStep]":
     return steps
 
 
+# -- the rank programs -------------------------------------------------------
+
+
+def make_fig5_program(
+    schedule: list[PStep],
+    grid: ProcessorGrid,
+    local_inputs: list[SparseArray | DenseArray],
+    n: int,
+    reduction: str,
+    measure: Measure = SUM,
+    max_message_elements: int | None = None,
+    outputs: SharedOutputArena | None = None,
+) -> Callable[[RankEnv], Generator[Op, Any, dict[Node, Any]]]:
+    """Build the Fig 5 rank program for ``schedule`` (the step-list IR).
+
+    This is the interpreter behind the ``fig5`` and ``marginals-<k>``
+    schedulers: one generator per rank walking the shared step list, with
+    the reduction collectives doing the communication.
+
+    When ``outputs`` is a :class:`~repro.exec.shm.SharedOutputArena`, each
+    lead writes its finalized portion straight into the arena's
+    global-shaped slot at write-back time and returns a lightweight
+    :class:`~repro.exec.shm.StagedResult` marker instead of the array --
+    the host collects the assembled node from shared memory, so nothing
+    is pickled back through result queues.  A portion the arena cannot
+    take (dtype/shape mismatch) falls back to the normal in-band return.
+    """
+    reduce_fn = {"flat": reduce_to_lead, "binomial": reduce_binomial}[reduction]
+    combine = make_combiner(measure)
+    root = full_node(n)
+
+    def program(env: RankEnv) -> Generator[Op, Any, dict[Node, Any]]:
+        rank = env.rank
+        block = local_inputs[rank]
+        local: dict[Node, DenseArray] = {}
+        written: dict[Node, Any] = {}
+        # Spans use the explicit clock/end_span style: a generator suspends
+        # at every yield, so a `with` block cannot bracket backend time.
+        # `traced` is False on untraced runs and every tracer touch below is
+        # guarded on it, keeping the untraced path free of obs work.
+        # Phases chain: each span starts where the previous one ended
+        # (`end_span` returns its end time), so on real-clock backends the
+        # interpreter overhead and scheduler stalls between segments stay
+        # attributed to a named phase; the simulated clock cannot advance
+        # between spans, so chaining is exact there.
+        tr = env.tracer
+        traced = tr.enabled
+
+        # Read the local portion of the initial array from disk.
+        # `mark` announces the phase *now starting* so the live snapshot
+        # bus can attribute in-flight time; `end_span` still records the
+        # completed span.  Both are single attribute writes when traced,
+        # nothing when not.
+        t0 = tr.clock() if traced else 0.0
+        if traced:
+            tr.mark("build.input_read")
+        yield env.disk_read(block.nbytes)
+        if traced:
+            t0 = tr.end_span(
+                "build.input_read", t0, attrs={"nbytes": block.nbytes}
+            )
+
+        for step_idx, step in enumerate(schedule):
+            if isinstance(step, PLocalAggregate):
+                if not grid.holds_node(rank, step.node):
+                    continue
+                if traced:
+                    tr.mark(
+                        "build.first_level" if step.node == root
+                        else "build.local_aggregate"
+                    )
+                if step.node == root:
+                    outs, ops, sparse = scan_block(block, step.children, measure)
+                    yield env.compute(ops, sparse=sparse)
+                else:
+                    parent = local[step.node]
+                    outs = [
+                        aggregate_dense(parent, c, measure=measure.rollup)
+                        for c in step.children
+                    ]
+                    yield env.compute(parent.size * len(step.children))
+                for child, out in zip(step.children, outs):
+                    local[child] = out
+                    env.alloc(child, out.size)
+                if traced:
+                    t0 = tr.end_span(
+                        "build.first_level" if step.node == root
+                        else "build.local_aggregate",
+                        t0,
+                        attrs={
+                            "node": node_name(step.node),
+                            "children": len(step.children),
+                        },
+                    )
+            elif isinstance(step, PFinalize):
+                parent = tuple(sorted(step.child + (step.dim,)))
+                if not grid.holds_node(rank, parent):
+                    continue
+                group = grid.reduction_group(rank, step.dim)
+                if len(group) == 1:
+                    continue  # dimension not partitioned: already final
+                if traced:
+                    tr.mark("build.reduce")
+                partial = local[step.child]
+                if max_message_elements is not None:
+                    final = yield from reduce_to_lead_chunked(
+                        env,
+                        group,
+                        partial,
+                        tag=step_idx,
+                        max_message_elements=max_message_elements,
+                        combine_flat=measure.combine,
+                    )
+                else:
+                    final = yield from reduce_fn(
+                        env,
+                        group,
+                        partial,
+                        tag=step_idx,
+                        combine=combine,
+                        element_ops=partial.size,
+                    )
+                if traced:
+                    t0 = tr.end_span(
+                        "build.reduce",
+                        t0,
+                        attrs={
+                            "child": node_name(step.child),
+                            "dim": step.dim,
+                            "lead": final is not None,
+                        },
+                    )
+                if final is None:
+                    # Non-lead: partial was shipped away.
+                    del local[step.child]
+                    env.free(step.child)
+                else:
+                    local[step.child] = final
+            elif isinstance(step, PWriteBack):
+                if not grid.holds_node(rank, step.node):
+                    continue
+                out = local.pop(step.node)
+                env.free(step.node)
+                if not step.discard:
+                    if traced:
+                        tr.mark("build.writeback")
+                    yield env.disk_write(out.nbytes)
+                    staged = outputs is not None and outputs.stage(
+                        rank, step.node, out.data
+                    )
+                    if traced:
+                        t0 = tr.end_span(
+                            "build.writeback", t0,
+                            attrs={"node": node_name(step.node), "staged": staged},
+                        )
+                    if staged:
+                        written[step.node] = StagedResult(step.node, out.nbytes)
+                    else:
+                        written[step.node] = out
+            else:  # pragma: no cover - defensive
+                raise TypeError(f"unknown step {step!r}")
+
+        if local:
+            raise AssertionError(
+                f"rank {rank} finished with nodes still in memory: {sorted(local)}"
+            )
+        return written
+
+    return program
+
+
+#: Tag of the failure-detection heartbeats (data tags start at 2 * grid.size).
+_HB_TAG = 1
+
+
+def _buddy(grid: ProcessorGrid, dead: int, live: set[int]) -> int:
+    """The surviving rank that adopts ``dead``'s role.
+
+    The first live member of the dead rank's reduction group, scanning
+    dimensions in order -- its closest peer in the topology, which is also
+    the rank whose reduction work the dead rank would have fed.  Every
+    survivor computes this identically from the (identical) dead set.
+    """
+    for dim in range(grid.ndim):
+        if grid.parts[dim] == 1:
+            continue
+        for member in grid.reduction_group(dead, dim):
+            if member != dead and member in live:
+                return member
+    live_others = live - {dead}
+    if not live_others:
+        raise ValueError("no surviving rank left to adopt the crashed rank")
+    return min(live_others)
+
+
+def _make_program_ft(
+    schedule: list[PStep],
+    grid: ProcessorGrid,
+    local_inputs: list[SparseArray | DenseArray],
+    n: int,
+    measure: Measure,
+    store: CheckpointStore,
+    recv_timeout: float | None,
+) -> Callable[[RankEnv], Generator[Op, Any, dict[int, dict[Node, DenseArray]]]]:
+    """Fault-tolerant variant of :func:`make_fig5_program` (flat reduction only).
+
+    Differences from the paper's fragile program:
+
+    1. first-level partials are checkpointed (real ``.npz`` files plus the
+       simulated :class:`DiskWriteOp` charge);
+    2. one detection round (barrier + all-to-all ``Control`` heartbeats with
+       receive timeouts) gives every survivor the same dead set and the same
+       dead->buddy map;
+    3. the rest of the schedule runs over *virtual* ranks: each physical
+       rank executes every virtual rank it embodies, recovering a dead
+       rank's partials from the checkpoint store (or by re-aggregating its
+       input block) and rerouting that rank's messages to itself.  Message
+       tags encode the virtual sender, so adopted traffic can share a
+       physical channel without breaking FIFO pairing.
+    """
+    combine = make_combiner(measure)
+    root = full_node(n)
+    num_v = grid.size
+    root_step = schedule[0]
+    if not isinstance(root_step, PLocalAggregate) or root_step.node != root:
+        raise ValueError(
+            "checkpointed construction requires a schedule that starts with "
+            "the root local aggregation"
+        )
+
+    def vtag(step_idx: int, vsrc: int) -> int:
+        return (step_idx + 2) * num_v + vsrc
+
+    def program(env: RankEnv) -> Generator[Op, Any, dict[int, dict[Node, DenseArray]]]:
+        me = env.rank
+        # The detection window comes from the backend's timeout policy: the
+        # simulator derives it from the cost model, a real-process backend
+        # uses a wall-clock floor.  An explicit recv_timeout is still shaped
+        # (scaled/floored) by the policy so simulator-tuned values stay safe
+        # on real clocks.
+        timeout = (
+            env.timeouts.effective(recv_timeout)
+            if recv_timeout is not None
+            else env.timeouts.detection_timeout(env.machine)
+        )
+        block = local_inputs[me]
+        vlocal: dict[int, dict[Node, DenseArray]] = {me: {}}
+        written: dict[int, dict[Node, DenseArray]] = {me: {}}
+        tr = env.tracer
+        traced = tr.enabled
+
+        # A respawned incarnation (supervised process backend) replays its
+        # own committed checkpoint instead of redoing the first level; only
+        # a committed epoch covering every child is trusted.
+        restored = store.load_committed(me) if env.incarnation > 0 else None
+        if restored is not None and any(
+            c not in restored[1] for c in root_step.children
+        ):
+            restored = None
+
+        # Phases chain (see the fault-free program): `end_span` returns its
+        # end time, which seeds the next span's start.
+        t0 = tr.clock() if traced else 0.0
+        if restored is not None:
+            ep, parts = restored
+            for child in root_step.children:
+                arr = parts[child]
+                yield env.disk_read(arr.nbytes)
+                vlocal[me][child] = arr
+                env.alloc((me, child), arr.size)
+            env.note_recovery(
+                f"checkpoint epoch {ep}: rank {me} replayed first-level "
+                f"partials after respawn"
+            )
+            if traced:
+                t0 = tr.end_span(
+                    "build.replay", t0,
+                    attrs={"epoch": ep, "children": len(root_step.children)},
+                )
+        else:
+            yield env.disk_read(block.nbytes)
+            if traced:
+                t0 = tr.end_span(
+                    "build.input_read", t0, attrs={"nbytes": block.nbytes}
+                )
+
+            # 1. First-level local aggregation + checkpoint.
+            outs, ops, sparse = scan_block(block, root_step.children, measure)
+            yield env.compute(ops, sparse=sparse)
+            for child, out in zip(root_step.children, outs):
+                vlocal[me][child] = out
+                env.alloc((me, child), out.size)
+            if traced:
+                t0 = tr.end_span(
+                    "build.first_level", t0,
+                    attrs={"node": node_name(root), "children": len(root_step.children)},
+                )
+            for child in root_step.children:
+                arr = vlocal[me][child]
+                store.save(me, child, arr)
+                yield env.disk_write(arr.nbytes)
+            # Commit makes the set restorable: a replaying reader trusts
+            # only the manifest, never a bag of individually-atomic files.
+            store.commit(me, root_step.children)
+            if env.incarnation > 0:
+                env.note_recovery(
+                    f"rank {me} re-aggregated first-level partials from its "
+                    f"input block after respawn (crash preceded the commit)"
+                )
+            if traced:
+                t0 = tr.end_span(
+                    "build.checkpoint", t0, attrs={"children": len(root_step.children)}
+                )
+
+        # 2. Failure detection: barrier, then all-to-all heartbeats.  The
+        # barrier aligns clocks so a live peer's heartbeat always lands
+        # within the window; a rank that died earlier never sends one.
+        yield env.barrier()
+        for dst in range(num_v):
+            if dst != me:
+                yield env.send(dst, Control("hb", (me,)), _HB_TAG)
+        dead: list[int] = []
+        for src in range(num_v):
+            if src == me:
+                continue
+            beat = yield env.recv(src, _HB_TAG, timeout=timeout)
+            if beat is RECV_TIMEOUT:
+                dead.append(src)
+        live = set(range(num_v)) - set(dead)
+        pmap = {v: (v if v in live else _buddy(grid, v, live)) for v in range(num_v)}
+        myv = sorted(v for v in range(num_v) if pmap[v] == me)
+        if traced:
+            t0 = tr.end_span("build.detect", t0, attrs={"dead": len(dead)})
+
+        # 3. Adopt dead ranks: recover their first-level partials from the
+        # checkpoint store, falling back to re-aggregating their input
+        # block when they died before checkpointing.
+        for d in myv:
+            if d == me:
+                continue
+            vlocal[d] = {}
+            written[d] = {}
+            recovered = {c: store.load(d, c) for c in root_step.children}
+            if all(arr is not None for arr in recovered.values()):
+                for child, arr in recovered.items():
+                    yield env.disk_read(arr.nbytes)
+                    vlocal[d][child] = arr
+                ep = store.committed_epoch(d) or 0
+                env.note_recovery(
+                    f"checkpoint epoch {ep}: re-read rank {d} partials "
+                    f"from checkpoint"
+                )
+            else:
+                dblock = local_inputs[d]
+                yield env.disk_read(dblock.nbytes)
+                douts, dops, dsparse = scan_block(dblock, root_step.children, measure)
+                yield env.compute(dops, sparse=dsparse)
+                for child, out in zip(root_step.children, douts):
+                    vlocal[d][child] = out
+                env.note_recovery(f"re-aggregated rank {d} partials from its block")
+            for child in root_step.children:
+                env.alloc((d, child), vlocal[d][child].size)
+        if traced and len(myv) > 1:
+            t0 = tr.end_span(
+                "build.recover", t0, attrs={"adopted": len(myv) - 1}
+            )
+
+        # 4. The remaining schedule, executed per embodied virtual rank.
+        inbox: dict[tuple[int, int, int], DenseArray] = {}
+        for step_idx, step in enumerate(schedule[1:], start=1):
+            if isinstance(step, PLocalAggregate):
+                for v in myv:
+                    if not grid.holds_node(v, step.node):
+                        continue
+                    parent = vlocal[v][step.node]
+                    outs = [
+                        aggregate_dense(parent, c, measure=measure.rollup)
+                        for c in step.children
+                    ]
+                    yield env.compute(parent.size * len(step.children))
+                    for child, out in zip(step.children, outs):
+                        vlocal[v][child] = out
+                        env.alloc((v, child), out.size)
+                    if traced:
+                        t0 = tr.end_span(
+                            "build.local_aggregate", t0,
+                            attrs={"node": node_name(step.node), "vrank": v},
+                        )
+            elif isinstance(step, PFinalize):
+                parent = tuple(sorted(step.child + (step.dim,)))
+                participants = [
+                    v for v in myv if grid.holds_node(v, parent)
+                ]
+                # Phase 1: every embodied non-lead ships its partial (a
+                # local handoff when the lead lives on this physical rank).
+                for v in participants:
+                    group = grid.reduction_group(v, step.dim)
+                    if len(group) == 1 or v == group[0]:
+                        continue
+                    payload = vlocal[v].pop(step.child)
+                    env.free((v, step.child))
+                    lead_p = pmap[group[0]]
+                    if lead_p == me:
+                        inbox[(v, group[0], step_idx)] = payload
+                    else:
+                        yield env.send(lead_p, payload, vtag(step_idx, v))
+                # Phase 2: every embodied lead combines, in group order, so
+                # the float accumulation order matches the fault-free run.
+                for v in participants:
+                    group = grid.reduction_group(v, step.dim)
+                    if len(group) == 1 or v != group[0]:
+                        continue
+                    acc = vlocal[v][step.child]
+                    for vsrc in group[1:]:
+                        if pmap[vsrc] == me:
+                            other = inbox.pop((vsrc, v, step_idx))
+                        else:
+                            other = yield env.recv(
+                                pmap[vsrc], vtag(step_idx, vsrc)
+                            )
+                        yield env.compute(other.size)
+                        combine(acc, other)
+                if traced and participants:
+                    t0 = tr.end_span(
+                        "build.reduce", t0,
+                        attrs={"child": node_name(step.child), "dim": step.dim},
+                    )
+            elif isinstance(step, PWriteBack):
+                for v in myv:
+                    if not grid.holds_node(v, step.node):
+                        continue
+                    out = vlocal[v].pop(step.node)
+                    env.free((v, step.node))
+                    if not step.discard:
+                        yield env.disk_write(out.nbytes)
+                        if traced:
+                            t0 = tr.end_span(
+                                "build.writeback", t0,
+                                attrs={"node": node_name(step.node), "vrank": v},
+                            )
+                        written[v][step.node] = out
+            else:  # pragma: no cover - defensive
+                raise TypeError(f"unknown step {step!r}")
+
+        leftovers = {v: sorted(vlocal[v]) for v in myv if vlocal[v]}
+        if leftovers:
+            raise AssertionError(
+                f"rank {me} finished with nodes still in memory: {leftovers}"
+            )
+        return written
+
+    # Replayable from the checkpoint store: the supervised process backend
+    # may respawn a crashed rank running this program (a plain program would
+    # recompute sends its peers already consumed).
+    setattr(program, "_restartable", True)
+    return program
+
+
 class Fig5Scheduler(Scheduler):
     """The paper's Fig 5 schedule: Theorem 3 volume, Theorem 4 memory."""
 
@@ -86,9 +587,7 @@ class Fig5Scheduler(Scheduler):
         measure: Measure = SUM,
         max_message_elements: int | None = None,
     ) -> ProgramFactory:
-        """The unchanged Fig 5 rank program (bit-identical to pre-split)."""
-        from repro.core.parallel import make_fig5_program
-
+        """The Fig 5 rank program over the full aggregation tree."""
         n = len(shape)
         return make_fig5_program(
             fig5_schedule(n),

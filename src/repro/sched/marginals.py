@@ -36,13 +36,19 @@ from repro.cluster.topology import ProcessorGrid
 from repro.core.aggregation_tree import AggregationTree
 from repro.core.lattice import Node, full_node
 from repro.core.memory_model import parallel_memory_bound_exact
+from repro.core.partial import (
+    _check_targets,
+    partial_comm_volume,
+    required_closure,
+)
 from repro.sched.base import ProgramFactory, Scheduler
+from repro.sched.fig5 import make_fig5_program
 from repro.sched.shuffle import ShuffleScheduler, shuffle_comm_volume
+from repro.sched.steps import PFinalize, PLocalAggregate, PStep, PWriteBack
 
 if TYPE_CHECKING:
     from repro.analysis.model.ops import ModelProgram
     from repro.analysis.verify_plan import CommSchedule
-    from repro.core.parallel import PStep
 
 _BASES = ("fig5", "shuffle")
 
@@ -54,25 +60,12 @@ def order_k_nodes(n: int, k: int) -> tuple[Node, ...]:
     return tuple(combinations(range(n), k))
 
 
-def pruned_schedule(n: int, targets: Iterable[Sequence[int]]) -> "list[PStep]":
+def pruned_schedule(n: int, targets: Iterable[Sequence[int]]) -> list[PStep]:
     """The Fig 5 schedule restricted to the targets' ancestral closure.
 
     Nodes in the closure but not targeted are computed, used, and then
-    discarded (freed without a disk write).  This is the canonical home of
-    what ``repro.core.partial.pruned_parallel_schedule`` used to build;
-    the old import keeps working through a deprecation shim.
+    discarded (freed without a disk write).
     """
-    # Imported here, not at module top: repro.core.partial imports this
-    # module lazily for its shim, and the step dataclasses live with the
-    # interpreter in repro.core.parallel.
-    from repro.core.parallel import (
-        PFinalize,
-        PLocalAggregate,
-        PStep,
-        PWriteBack,
-    )
-    from repro.core.partial import _check_targets, required_closure
-
     targets_set = _check_targets(targets, n)
     needed = required_closure(targets_set, n)
     tree = AggregationTree(n)
@@ -162,8 +155,6 @@ class MarginalsScheduler(Scheduler):
                 measure=measure,
                 max_message_elements=max_message_elements,
             )
-        from repro.core.parallel import make_fig5_program
-
         return make_fig5_program(
             pruned_schedule(n, self.target_nodes(n)),
             grid,
@@ -222,8 +213,6 @@ class MarginalsScheduler(Scheduler):
         self.validate_shape(shape)
         if self.base == "shuffle":
             return shuffle_comm_volume(shape, bits, self.target_nodes(n))
-        from repro.core.partial import partial_comm_volume
-
         return partial_comm_volume(shape, bits, self.target_nodes(n))
 
     def declared_memory_bound(

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, Iterable, Sequence
 
-from repro.arrays.aggregate import aggregate_dense, aggregate_sparse_multi
 from repro.arrays.chunking import grid_block_lengths, portion_elements
 from repro.arrays.dense import DenseArray
 from repro.arrays.measures import Measure, SUM
@@ -50,7 +49,12 @@ from repro.cluster.collectives import reduce_binomial, reduce_to_lead
 from repro.cluster.runtime import Op, RankEnv
 from repro.cluster.topology import ProcessorGrid
 from repro.core.lattice import Node, all_nodes, node_size
-from repro.sched.base import ProgramFactory, Scheduler
+from repro.sched.base import (
+    ProgramFactory,
+    Scheduler,
+    make_combiner,
+    scan_block,
+)
 from repro.util import node_name
 
 if TYPE_CHECKING:
@@ -140,15 +144,10 @@ class ShuffleScheduler(Scheduler):
             )
         n = len(shape)
         targets = self.target_nodes(n)
-        all_dims = tuple(range(n))
         reduce_fn = {"flat": reduce_to_lead, "binomial": reduce_binomial}[
             reduction
         ]
-
-        def combine(acc: DenseArray, other: DenseArray) -> DenseArray:
-            measure.combine(acc.data, other.data)
-            return acc
-
+        combine = make_combiner(measure)
         inputs = list(local_inputs)
 
         def program(
@@ -168,17 +167,8 @@ class ShuffleScheduler(Scheduler):
 
             # Map: one batched scan emits every target's partial at once.
             local: dict[Node, DenseArray] = {}
-            if isinstance(block, SparseArray):
-                outs = aggregate_sparse_multi(
-                    block, all_dims, targets, measure=measure
-                )
-                yield env.compute(block.nnz * len(targets), sparse=True)
-            else:
-                outs = [
-                    aggregate_dense(block, t, measure=measure)
-                    for t in targets
-                ]
-                yield env.compute(block.size * len(targets))
+            outs, ops, sparse = scan_block(block, targets, measure)
+            yield env.compute(ops, sparse=sparse)
             for t, out in zip(targets, outs):
                 local[t] = out
                 env.alloc(t, out.size)
@@ -241,7 +231,6 @@ class ShuffleScheduler(Scheduler):
                 )
             return written
 
-        setattr(program, "_cube_program", True)
         return program
 
     # -- declared invariants ------------------------------------------------

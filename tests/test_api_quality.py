@@ -21,7 +21,6 @@ MODULES = [
     "repro.analysis.model.lifetime",
     "repro.analysis.model.ops",
     "repro.analysis.model.programs",
-    "repro._compat",
     "repro.analysis.repo_gate",
     "repro.analysis.verify_plan",
     "repro.arrays",
@@ -78,6 +77,7 @@ MODULES = [
     "repro.exec",
     "repro.exec.base",
     "repro.exec.chaos",
+    "repro.exec.driver",
     "repro.exec.pool",
     "repro.exec.process",
     "repro.exec.registry",
@@ -100,6 +100,7 @@ MODULES = [
     "repro.sched.marginals",
     "repro.sched.registry",
     "repro.sched.shuffle",
+    "repro.sched.steps",
     "repro.serve",
     "repro.serve.batch",
     "repro.serve.cache",
@@ -164,36 +165,9 @@ def test_curated_top_level_exports(name):
     assert hasattr(repro, name)
 
 
-def test_deprecated_query_answer_warns():
-    from repro.olap import query
-
-    with pytest.warns(DeprecationWarning, match="QueryAnswer is deprecated"):
-        cls = query.QueryAnswer
-    from repro.olap.query import QueryResult
-
-    assert cls is QueryResult
-
-
-def test_deprecated_engine_methods_warn():
-    import numpy as np
-
-    from repro.olap import DataCube, GroupByQuery, QueryEngine, Schema
-
-    schema = Schema.simple(a=3, b=2)
-    cube = DataCube.build(schema, np.ones(schema.shape))
-    engine = QueryEngine(cube)
-    q = GroupByQuery(group_by=("a",))
-    with pytest.warns(DeprecationWarning, match="answer is deprecated"):
-        result = engine.answer(q)
-    with pytest.warns(DeprecationWarning, match="served_from is deprecated"):
-        assert result.served_from == result.served_by
-    with pytest.warns(DeprecationWarning, match="answer_many is deprecated"):
-        engine.answer_many([q])
-
-
 def test_importing_packages_stays_silent():
-    # The deprecated names must resolve lazily: a plain import of the olap
-    # package (or access to its modern names) must not emit warnings.
+    # A plain import of the packages (or access to a public name) must not
+    # emit warnings.
     import subprocess
     import sys
 
@@ -230,49 +204,4 @@ def test_version():
     pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
     match = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
     assert match is not None
-    assert repro.__version__ == match.group(1) == "1.9.0"
-
-
-def test_deprecated_shims_warn_exactly_once_and_match_execute():
-    # The 1.1 rename kept answer/answer_many/served_from as shims; each call
-    # must emit exactly one DeprecationWarning and return values identical
-    # to the modern spelling.
-    import warnings
-
-    import numpy as np
-
-    from repro.olap import DataCube, GroupByQuery, QueryEngine, Schema
-
-    schema = Schema.simple(a=4, b=3)
-    cube = DataCube.build(schema, np.arange(12, dtype=float).reshape(4, 3))
-    q = GroupByQuery(group_by=("a",))
-    expected = QueryEngine(cube).execute(q)
-
-    engine = QueryEngine(cube)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = engine.answer(q)
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1, "one warning per answer() call"
-    assert "use execute()" in str(dep[0].message)
-    assert np.array_equal(result.values, expected.values)
-    assert result.served_by == expected.served_by
-    assert result.cells_scanned == expected.cells_scanned
-    assert result.is_fallback == expected.is_fallback
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        many = engine.answer_many([q, q])
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1, "one warning per answer_many() call, not per query"
-    assert len(many) == 2
-    for r in many:
-        assert np.array_equal(r.values, expected.values)
-        assert r.served_by == expected.served_by
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        legacy = result.served_from
-    dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-    assert len(dep) == 1, "one warning per served_from access"
-    assert legacy == result.served_by
+    assert repro.__version__ == match.group(1) == "2.0.0"

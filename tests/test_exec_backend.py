@@ -26,7 +26,7 @@ from repro.cluster.runtime import (
     run_spmd,
 )
 from repro.core.config import BuildConfig
-from repro.core.parallel import construct_cube_parallel, make_fig5_program
+from repro.core.parallel import construct_cube_parallel
 from repro.exec import (
     Backend,
     ProcessBackend,
@@ -68,14 +68,14 @@ class TestRegistry:
             register_backend("", SimBackend)
 
 
-# -- deprecation of direct run_spmd cube builds ---------------------------------------
+# -- cube programs and generic SPMD programs run without warnings ----------------------
 
 
 def _cube_program_factory():
     from repro.arrays.measures import SUM
     from repro.cluster.topology import ProcessorGrid
     from repro.core.parallel import _extract_local_inputs
-    from repro.sched import fig5_schedule
+    from repro.sched.fig5 import fig5_schedule, make_fig5_program
 
     data = DenseArray.full_cube_input(np.arange(32, dtype=float).reshape(8, 4))
     grid = ProcessorGrid((1, 0))
@@ -86,26 +86,7 @@ def _cube_program_factory():
 
 
 class TestRunSpmdDeprecation:
-    def _reset_latch(self, monkeypatch):
-        from repro import _compat
-        from repro.cluster.runtime import _DIRECT_CUBE_BUILD_KEY
-
-        _compat._WARNED.discard(_DIRECT_CUBE_BUILD_KEY)
-
-    def test_direct_cube_build_warns_exactly_once(self, monkeypatch):
-        self._reset_latch(monkeypatch)
-        program = _cube_program_factory()
-        with pytest.warns(DeprecationWarning, match="run_spmd directly"):
-            run_spmd(2, program)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            run_spmd(2, program)
-        assert not [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ], "the deprecation warning must fire once per process"
-
-    def test_backend_route_does_not_warn(self, monkeypatch):
-        self._reset_latch(monkeypatch)
+    def test_backend_route_does_not_warn(self):
         program = _cube_program_factory()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -114,9 +95,7 @@ class TestRunSpmdDeprecation:
             w for w in caught if issubclass(w.category, DeprecationWarning)
         ]
 
-    def test_generic_spmd_programs_do_not_warn(self, monkeypatch):
-        self._reset_latch(monkeypatch)
-
+    def test_generic_spmd_programs_do_not_warn(self):
         def program(env):
             if env.rank == 0:
                 yield SendOp(dst=1, tag=0, payload=np.ones(4))

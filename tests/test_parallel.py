@@ -8,14 +8,12 @@ from repro.cluster.machine import MachineModel
 from repro.core.comm_model import total_comm_volume
 from repro.core.memory_model import parallel_memory_bound_exact
 from repro.core.parallel import (
-    PFinalize,
-    PLocalAggregate,
-    PWriteBack,
     construct_cube_parallel,
     sequential_fraction_at_first_level,
 )
 from repro.core.sequential import verify_cube
 from repro.sched import fig5_schedule
+from repro.sched.steps import PFinalize, PLocalAggregate, PWriteBack
 
 
 class TestSchedule:
@@ -252,16 +250,10 @@ class TestBuildConfig:
         with pytest.raises(ValueError, match="not both"):
             BuildConfig(tree=minimal_parent_tree((4, 4)), schedule=[])
 
-    def test_merged_with_keeps_unset(self):
-        from repro.core.config import UNSET, BuildConfig
-
-        cfg = BuildConfig(reduction="binomial")
-        same = cfg.merged_with(machine=UNSET, reduction=UNSET)
-        assert same is cfg
-        changed = cfg.merged_with(reduction="flat", trace=True)
-        assert changed.reduction == "flat"
-        assert changed.trace is True
-        assert cfg.reduction == "binomial"  # original untouched
+    def test_unknown_keyword_raises_type_error_naming_it(self):
+        data = random_sparse((8, 4), 0.3, seed=41)
+        with pytest.raises(TypeError, match="reducton"):
+            construct_cube_parallel(data, (1, 0), reducton="flat")
 
     def test_plan_run_parallel_accepts_config(self):
         from repro.core.config import BuildConfig

@@ -125,7 +125,7 @@ class TestParallelPartial:
 
 class TestPrunedSchedule:
     def test_only_closure_nodes_touched(self):
-        from repro.core.parallel import PLocalAggregate, PWriteBack
+        from repro.sched.steps import PLocalAggregate, PWriteBack
 
         n = 4
         targets = [(0,), (1, 2)]
@@ -137,7 +137,7 @@ class TestPrunedSchedule:
                 assert step.node in closure
 
     def test_discard_flags(self):
-        from repro.core.parallel import PWriteBack
+        from repro.sched.steps import PWriteBack
 
         n = 4
         targets = {(0,)}

@@ -10,7 +10,6 @@ pre-refactor construction path.
 
 import hashlib
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -345,38 +344,6 @@ class TestBuildConfigValidation:
 
 
 class TestDeprecationShims:
-    def _reset(self):
-        from repro.core.parallel import _DEPRECATED_WARNED
-
-        _DEPRECATED_WARNED.clear()
-
-    def test_parallel_schedule_warns_once_and_delegates(self):
-        from repro.core.parallel import parallel_schedule
-
-        self._reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            steps = parallel_schedule(3)
-            parallel_schedule(3)
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1, "one warning per process, not per call"
-        assert "repro.sched.fig5_schedule" in str(dep[0].message)
-        assert steps == fig5_schedule(3)
-
-    def test_pruned_parallel_schedule_warns_once_and_delegates(self):
-        from repro.core.partial import pruned_parallel_schedule
-        from repro.sched import pruned_schedule
-
-        self._reset()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            steps = pruned_parallel_schedule(3, [(0,)])
-            pruned_parallel_schedule(3, [(0,)])
-        dep = [w for w in caught if issubclass(w.category, DeprecationWarning)]
-        assert len(dep) == 1
-        assert "repro.sched.pruned_schedule" in str(dep[0].message)
-        assert steps == pruned_schedule(3, [(0,)])
-
     def test_importing_core_stays_silent(self):
         import subprocess
         import sys
