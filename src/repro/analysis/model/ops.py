@@ -36,6 +36,7 @@ __all__ = [
     "MRecv",
     "MSend",
     "ModelProgram",
+    "check_kill",
     "from_comm_schedule",
     "seed_model_defect",
     "truncate_at",
@@ -194,6 +195,15 @@ def from_comm_schedule(
     )
 
 
+def check_kill(num_ranks: int, kill: tuple[int, int]) -> None:
+    """Reject a ``(rank, op_index)`` scenario that names no rank or op."""
+    rank, op_index = kill
+    if not 0 <= rank < num_ranks:
+        raise ValueError(f"kill rank {rank} out of range 0..{num_ranks - 1}")
+    if op_index < 0:
+        raise ValueError(f"kill op index must be >= 0, got {op_index}")
+
+
 def truncate_at(prog: ModelProgram, kill: tuple[int, int]) -> ModelProgram:
     """Crash ``rank`` at model-op index ``op``: its stream simply ends there.
 
@@ -202,13 +212,8 @@ def truncate_at(prog: ModelProgram, kill: tuple[int, int]) -> ModelProgram:
     handling, so any receive addressed to the dead rank now blocks forever
     and the explorer reports MC306.
     """
+    check_kill(prog.num_ranks, kill)
     rank, op_index = kill
-    if not 0 <= rank < prog.num_ranks:
-        raise ValueError(
-            f"kill rank {rank} out of range 0..{prog.num_ranks - 1}"
-        )
-    if op_index < 0:
-        raise ValueError(f"kill op index must be >= 0, got {op_index}")
     streams = list(prog.streams)
     streams[rank] = streams[rank][:op_index]
     return ModelProgram(
