@@ -303,6 +303,13 @@ is replaced by the deterministic simulator; the Figure 8/9 dataset's exact
 extents are lost to the source OCR and stand in as 96^4 (larger than
 Figure 7's 64^4, as in the paper); datasets are synthetic sparse arrays at
 the paper's 25 % / 10 % / 5 % sparsity levels, as in the paper.
+
+The end-to-end pipeline benchmark (facts → ingest → builds on every backend
+→ served queries → delta refresh; `BENCHMARK.json`, `benchmarks/e2e/`) is
+separate from these tables: `python benchmarks/e2e/run.py --workload all --smoke --set smoke` followed
+by `python -m pytest benchmarks/e2e/test_smoke.py -q` is the quick check CI
+runs, `python benchmarks/e2e/run.py --workload all` the full measurement
+(see `benchmarks/e2e/README.md`).
 """
 
 

@@ -3,11 +3,12 @@
 Four layers, one diagnostic vocabulary (:mod:`repro.analysis.diagnostics`):
 
 - :mod:`repro.analysis.verify_plan` -- prove protocol and closed-form
-  properties of a partition + aggregation-tree plan *before* running it;
+  properties of a partition + scheduler plan *before* running it;
 - :mod:`repro.analysis.model` -- the rank-program model checker:
   happens-before race detection, exhaustive-interleaving deadlock
-  certification, and static memory-lifetime analysis over any registered
-  scheduler's symbolic op streams;
+  certification, and static memory-lifetime analysis.  Both consume the
+  same per-rank op streams, recorded from the scheduler's real generator
+  rank program (:mod:`repro.analysis.model.record`);
 - :mod:`repro.analysis.lint_trace` -- audit a recorded run's trace *after*
   the fact, including fault-injection runs;
 - :mod:`repro.analysis.repo_gate` -- the in-repo subset of the repo's
@@ -32,19 +33,16 @@ from repro.analysis.model import (
     crosscheck_trace,
     hb_from_trace,
     parse_kill,
+    seed_model_defect,
 )
 from repro.analysis.repo_gate import run_gate
 from repro.analysis.verify_plan import (
-    CommSchedule,
     PlanVerification,
-    enumerate_comm_schedule,
-    seed_defect,
     verify_plan,
     verify_schedule,
 )
 
 __all__ = [
-    "CommSchedule",
     "Diagnostic",
     "DiagnosticReport",
     "ModelCheckResult",
@@ -54,13 +52,12 @@ __all__ = [
     "Rule",
     "check_model",
     "crosscheck_trace",
-    "enumerate_comm_schedule",
     "format_diagnostics",
     "hb_from_trace",
     "lint_trace",
     "parse_kill",
     "run_gate",
-    "seed_defect",
+    "seed_model_defect",
     "verify_plan",
     "verify_schedule",
 ]

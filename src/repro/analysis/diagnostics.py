@@ -66,15 +66,15 @@ RULE_LIST: tuple[Rule, ...] = (
         "SPMD003",
         "error",
         "tag-collision",
-        "two messages are in flight concurrently on one (src, dst, tag) "
-        "channel; FIFO matching may pair the wrong payloads",
+        "a (src, dst, tag) channel is used by more than one message; "
+        "FIFO matching may pair the wrong payloads",
     ),
     Rule(
         "SPMD004",
         "error",
         "wrong-lead",
-        "reduction traffic for a child lands on a rank that is not the "
-        "lead of the sender's reduction group",
+        "reduction traffic for a node lands on a rank that is not the "
+        "lead of the sender's reduction group, or does not hold the node",
     ),
     Rule(
         "SPMD005",
@@ -86,14 +86,15 @@ RULE_LIST: tuple[Rule, ...] = (
         "SPMD006",
         "error",
         "volume-mismatch",
-        "the enumerated communication volume differs from the Theorem 3 "
-        "closed form V = sum_j (2^k_j - 1) c_j",
+        "the recorded communication volume differs from the scheduler's "
+        "declared closed form (Theorem 3's V = sum_j (2^k_j - 1) c_j for fig5)",
     ),
     Rule(
         "SPMD007",
         "error",
         "memory-bound-exceeded",
-        "the symbolic held-results peak exceeds the Theorem 1/4 memory bound",
+        "the ledger's held-results peak exceeds the scheduler's declared "
+        "memory bound (Theorem 1/4 for fig5)",
     ),
     Rule(
         "TRACE101",

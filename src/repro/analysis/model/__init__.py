@@ -1,7 +1,8 @@
 """Rank-program model checker (the MC3xx rules).
 
-Consumes any registered scheduler's symbolic op streams
-(``Scheduler.symbolic_ops``) and proves -- or refutes with a
+Consumes any scheduler's symbolic op streams -- recorded from its real
+generator rank program (``Scheduler.symbolic_ops``, :mod:`.record`) -- and
+proves -- or refutes with a
 counterexample -- three families of properties:
 
 - **happens-before** (:mod:`.hb`): vector-clock race detection on
@@ -46,14 +47,10 @@ from repro.analysis.model.ops import (
     MRecv,
     MSend,
     ModelProgram,
-    from_comm_schedule,
     seed_model_defect,
     truncate_at,
 )
-from repro.analysis.model.programs import (
-    fig5_model_program,
-    shuffle_model_program,
-)
+from repro.analysis.model.record import record_program
 
 __all__ = [
     "BYTES_PER_ELEMENT",
@@ -75,11 +72,9 @@ __all__ = [
     "check_program",
     "crosscheck_trace",
     "explore",
-    "fig5_model_program",
-    "from_comm_schedule",
     "hb_from_trace",
     "parse_kill",
+    "record_program",
     "seed_model_defect",
-    "shuffle_model_program",
     "truncate_at",
 ]

@@ -2,7 +2,8 @@
 
 :func:`check_model` ties the three analyses together for one plan:
 
-1. build the scheduler's symbolic streams (``Scheduler.symbolic_ops``);
+1. record the scheduler's rank program into per-rank streams
+   (``Scheduler.symbolic_ops``);
 2. happens-before construction and race checks (MC301/303/304);
 3. exhaustive interleaving exploration (MC302/305/306), certifying
    deadlock freedom when it completes clean;
@@ -89,7 +90,7 @@ class ModelCheckResult:
         for name, res in self.scenarios:
             lines.append(f"explore [{name}]: {res.summary()}")
         highs = self.lifetime.rank_high_water
-        source = "ledger scan" if self.lifetime.from_ledger else "symbolic peaks"
+        source = "ledger scan" if self.lifetime.from_ledger else "no ledger"
         lines.append(
             f"memory ({source}): per-rank high-water "
             f"{list(highs)} elements, max "
@@ -110,7 +111,7 @@ class ModelCheckResult:
 def check_model(
     shape: Sequence[int],
     bits: Sequence[int],
-    scheduler: str = "fig5",
+    scheduler: object = "fig5",
     *,
     detection_round: bool = False,
     kill: tuple[int, int] | None = None,
@@ -119,16 +120,17 @@ def check_model(
 ) -> ModelCheckResult:
     """Model-check one plan end to end.
 
-    ``detection_round`` selects the fault-tolerant program (fig5 only)
-    and, when no explicit ``kill`` is given, auto-explores every
-    crash-at-start scenario on top of the fault-free one.  ``kill``
-    checks exactly one fault scenario (on the plain program this is the
-    MC306 demonstration; on the FT program it exercises detection and
-    adoption).
+    ``scheduler`` is a registered spec or a
+    :class:`~repro.sched.base.Scheduler` instance.  ``detection_round``
+    selects the fault-tolerant program (fig5 only) and, when no explicit
+    ``kill`` is given, auto-explores every crash-at-start scenario on top
+    of the fault-free one.  ``kill`` checks exactly one fault scenario (on
+    the plain program this is the MC306 demonstration; on the FT program
+    it exercises detection and adoption).
     """
-    from repro.sched import get_scheduler
+    from repro.sched import resolve_scheduler
 
-    sched = get_scheduler(scheduler)
+    sched = resolve_scheduler(scheduler)
     shape = tuple(shape)
     bits = tuple(bits)
     sched.validate_shape(shape)
@@ -200,19 +202,12 @@ def check_program(
     )
     res = explore(prog, max_states=max_states)
     report.extend(res.diagnostics)
-    if prog.has_memory_events() or prog.fallback_peaks is not None:
-        lifetime = analyze_lifetime(
-            prog,
-            declared_bound_elements=declared_bound_elements,
-            mem_cap_bytes=mem_cap_bytes,
-        )
-        report.extend(lifetime.diagnostics)
-    else:
-        lifetime = LifetimeResult(
-            rank_high_water=(0,) * prog.num_ranks,
-            from_ledger=False,
-            diagnostics=[],
-        )
+    lifetime = analyze_lifetime(
+        prog,
+        declared_bound_elements=declared_bound_elements,
+        mem_cap_bytes=mem_cap_bytes,
+    )
+    report.extend(lifetime.diagnostics)
     return ModelCheckResult(
         scheduler=prog.scheduler,
         shape=prog.shape,

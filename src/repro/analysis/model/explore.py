@@ -33,10 +33,10 @@ heartbeat receive is blocked in a stuck state, its sender is provably
 dead or finished and the message can never arrive.
 
 **Faults.** ``kill=(rank, op_index)`` truncates that rank's stream, the
-static counterpart of a crash at that point.  (FT programs built by
-:func:`~repro.analysis.model.programs.fig5_model_program` bake the kill
-into the streams themselves, including each survivor's *perceived* dead
-set; plain programs are truncated here.)
+static counterpart of a crash at that point.  (FT programs recorded by
+:func:`~repro.analysis.model.record.record_program` bake the kill into
+the streams themselves, including each survivor's *perceived* dead set;
+plain programs are truncated here.)
 """
 
 from __future__ import annotations
@@ -198,7 +198,6 @@ def explore(
                             f"payload it pairs with depends on the "
                             f"scheduler",
                             rank=op.rank,
-                            edge=op.edge,
                             step=op.step,
                             hint="tag concurrent messages distinctly, or "
                             "order the sends behind the earlier receive",

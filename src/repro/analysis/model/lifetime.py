@@ -34,8 +34,8 @@ class LifetimeResult:
 
     #: Per-rank high-water, in elements.
     rank_high_water: tuple[int, ...]
-    #: True when the profile came from alloc/free streams; False when it
-    #: fell back on the scheduler's symbolic peaks (no ledger available).
+    #: True when the streams carry an alloc/free ledger; False for
+    #: programs with none (trace-derived ones), whose high-water is 0.
     from_ledger: bool
     diagnostics: list[Diagnostic]
     #: Keys still live at end-of-stream per rank (empty for clean
@@ -59,57 +59,45 @@ def analyze_lifetime(
 ) -> LifetimeResult:
     """Scan every rank's ledger and check MC307 against the bounds."""
     diags: list[Diagnostic] = []
-    if prog.has_memory_events():
-        highs: list[int] = []
-        leaked: list[tuple[Hashable, ...]] = []
-        for rank, stream in enumerate(prog.streams):
-            live: dict[Hashable, int] = {}
-            current = 0
-            high = 0
-            for op in stream:
-                if isinstance(op, MAlloc):
-                    if op.key in live:
-                        diags.append(
-                            Diagnostic(
-                                "MC307",
-                                f"rank {rank} allocates key {op.key!r} "
-                                f"twice without freeing it; the ledger is "
-                                f"double-counting",
-                                rank=rank,
-                                step=op.step,
-                            )
+    highs: list[int] = []
+    leaked: list[tuple[Hashable, ...]] = []
+    for rank, stream in enumerate(prog.streams):
+        live: dict[Hashable, int] = {}
+        current = 0
+        high = 0
+        for op in stream:
+            if isinstance(op, MAlloc):
+                if op.key in live:
+                    diags.append(
+                        Diagnostic(
+                            "MC307",
+                            f"rank {rank} allocates key {op.key!r} "
+                            f"twice without freeing it; the ledger is "
+                            f"double-counting",
+                            rank=rank,
+                            step=op.step,
                         )
-                    live[op.key] = live.get(op.key, 0) + op.elements
-                    current += op.elements
-                    high = max(high, current)
-                elif isinstance(op, MFree):
-                    size = live.pop(op.key, None)
-                    if size is None:
-                        diags.append(
-                            Diagnostic(
-                                "MC307",
-                                f"rank {rank} frees key {op.key!r} it "
-                                f"never allocated (or freed twice)",
-                                rank=rank,
-                                step=op.step,
-                            )
+                    )
+                live[op.key] = live.get(op.key, 0) + op.elements
+                current += op.elements
+                high = max(high, current)
+            elif isinstance(op, MFree):
+                size = live.pop(op.key, None)
+                if size is None:
+                    diags.append(
+                        Diagnostic(
+                            "MC307",
+                            f"rank {rank} frees key {op.key!r} it "
+                            f"never allocated (or freed twice)",
+                            rank=rank,
+                            step=op.step,
                         )
-                    else:
-                        current -= size
-            highs.append(high)
-            leaked.append(tuple(sorted(live, key=repr)))
-        from_ledger = True
-        rank_high_water = tuple(highs)
-        leaked_t = tuple(leaked)
-    elif prog.fallback_peaks is not None:
-        from_ledger = False
-        rank_high_water = prog.fallback_peaks
-        leaked_t = tuple(() for _ in range(prog.num_ranks))
-    else:
-        raise ValueError(
-            "program carries no alloc/free ledger and no fallback peaks; "
-            "nothing to analyze"
-        )
+                    )
+                else:
+                    current -= size
+        highs.append(high)
+        leaked.append(tuple(sorted(live, key=repr)))
+    rank_high_water = tuple(highs)
 
     if declared_bound_elements is not None:
         for rank, high in enumerate(rank_high_water):
@@ -144,7 +132,7 @@ def analyze_lifetime(
                 )
     return LifetimeResult(
         rank_high_water=rank_high_water,
-        from_ledger=from_ledger,
+        from_ledger=prog.has_memory_events(),
         diagnostics=diags,
-        leaked=leaked_t,
+        leaked=tuple(leaked),
     )

@@ -90,6 +90,11 @@ _SHAPE_ONLY = Measure(
 )
 
 
+#: What a data receive is answered with: a 0-d zero every
+#: ``Measure.combine`` broadcasts (and the shape-only one ignores).
+_ZERO = DenseArray(np.zeros(()), ())
+
+
 class _NoCheckpoints(CheckpointStore):
     """A store that keeps nothing, for recording the fault-tolerant program.
 
@@ -167,7 +172,7 @@ def _record_rank(
                 )
             elif isinstance(op, RecvOp):
                 stream.append(MRecv(rank, op.src, op.tag, step, timeout=op.timeout is not None))
-                reply = DenseArray(np.zeros(()), ())
+                reply = _ZERO
                 if op.timeout is not None and op.src == dead:
                     posted[op.tag] += 1
                     if posted[op.tag] > delivered[rank, op.tag]:
@@ -210,27 +215,22 @@ def record_program(
     ]
     program = build(grid, inputs, _SHAPE_ONLY)
 
-    order = list(range(grid.size))
+    streams: dict[int, list[MOp]] = {}
+    delivered: Counter[tuple[int, int]] = Counter()
     dead: int | None = None
     if kill is not None:
         check_kill(grid.size, kill)
-        dead = kill[0]
-        order.remove(dead)
-        order.insert(0, dead)
-    delivered: Counter[tuple[int, int]] = Counter()
-    streams: list[tuple[MOp, ...]] = [()] * grid.size
-    for rank in order:
-        if kill is not None and rank == dead:
-            stream = _record_rank(program, rank, grid.size, None, delivered)[: kill[1]]
-            delivered.update((op.dst, op.tag) for op in stream if isinstance(op, MSend))
-        else:
-            stream = _record_rank(program, rank, grid.size, dead, delivered)
-        streams[rank] = tuple(stream)
+        dead, op_index = kill
+        streams[dead] = _record_rank(program, dead, grid.size, None, delivered)[:op_index]
+        delivered.update((op.dst, op.tag) for op in streams[dead] if isinstance(op, MSend))
+    for rank in range(grid.size):
+        if rank != dead:
+            streams[rank] = _record_rank(program, rank, grid.size, dead, delivered)
     return ModelProgram(
         shape=shape,
         bits=bits,
         num_ranks=grid.size,
-        streams=tuple(streams),
+        streams=tuple(tuple(streams[rank]) for rank in range(grid.size)),
         scheduler=scheduler,
         kill=kill,
     )

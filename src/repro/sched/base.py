@@ -11,9 +11,12 @@ the real-process backend interpret it.
 
 Each scheduler also *declares* its analytical invariants -- a closed-form
 (or exactly computed) communication volume and a per-rank memory bound --
-so :func:`repro.analysis.verify_plan.verify_plan` can check the statically
-enumerated schedule against the scheduler's own claims, the same way the
-Fig 5 schedule is checked against the paper's Theorem 3 and Theorem 4.
+so :func:`repro.analysis.verify_plan.verify_plan` can check the program
+against the scheduler's own claims, the same way the Fig 5 schedule is
+checked against the paper's Theorem 3 and Theorem 4.  The program is
+written once: the verifier and the model checker *record* the generator
+(:meth:`Scheduler.symbolic_ops`), so a scheduler never describes its own
+communication a second time.
 
 Concrete schedulers register under a name (:mod:`repro.sched.registry`):
 
@@ -41,7 +44,6 @@ from repro.core.lattice import Node
 
 if TYPE_CHECKING:
     from repro.analysis.model.ops import ModelProgram
-    from repro.analysis.verify_plan import CommSchedule
     from repro.core.plan import CubePlan
 
 #: A rank program factory: called once per run, returns the generator each
@@ -84,8 +86,9 @@ def scan_block(
 class Scheduler(abc.ABC):
     """Strategy object that plans one parallel cube construction.
 
-    Subclasses set :attr:`name` (the registry family name), implement the
-    four planning methods, and may override :meth:`validate_options` /
+    Subclasses set :attr:`name` (the registry family name), implement
+    :meth:`rank_program`, :meth:`declared_volume` and
+    :meth:`declared_memory_bound`, and may override :meth:`validate_options` /
     :meth:`validate_shape` to reject option combinations their program
     cannot honor -- at configuration time, before any work starts.
     """
@@ -142,17 +145,6 @@ class Scheduler(abc.ABC):
 
     # -- declared invariants ------------------------------------------------
 
-    @abc.abstractmethod
-    def enumerate_comm(
-        self, shape: Sequence[int], bits: Sequence[int]
-    ) -> "CommSchedule":
-        """Symbolically enumerate every send/recv the program will post.
-
-        The result feeds :func:`repro.analysis.verify_plan.verify_schedule`
-        (SPMD001-005) and is checked against :meth:`declared_volume` and
-        :meth:`declared_memory_bound` (SPMD006/007).
-        """
-
     def symbolic_ops(
         self,
         shape: Sequence[int],
@@ -161,32 +153,35 @@ class Scheduler(abc.ABC):
         detection_round: bool = False,
         kill: tuple[int, int] | None = None,
     ) -> "ModelProgram":
-        """Per-rank symbolic instruction streams for the model checker.
+        """Per-rank symbolic instruction streams, recorded from the program.
 
-        The returned :class:`~repro.analysis.model.ops.ModelProgram` must
-        reflect the requested scenario: ``detection_round`` selects the
-        fault-tolerant program (heartbeats + timeout receives), ``kill``
-        crashes one rank at a model-op index.  The default implementation
-        projects :meth:`enumerate_comm` onto per-rank streams -- program
-        order is the enumeration order, which holds for every built-in
-        enumerator -- and truncates for ``kill``; it cannot model
-        ``detection_round`` (only ``fig5`` has a fault-tolerant program).
-        Built-in schedulers override this with exact builders that also
-        carry the alloc/free ledger, enabling the MC307 lifetime check.
+        Runs :meth:`rank_program` under the clockless recorder
+        (:func:`repro.analysis.model.record.record_program`): every send,
+        receive, barrier, and alloc/free the real generator performs, per
+        rank and in program order.  ``verify_plan`` (SPMD001-007) and the
+        model checker (MC301-307) both consume the result, so a scheduler
+        that implements :meth:`rank_program` is verified with no further
+        code.  ``kill`` crashes one rank at a model-op index;
+        ``detection_round`` selects a fault-tolerant program, which only
+        ``fig5`` has.
         """
         if detection_round:
             raise ValueError(
                 f"scheduler {self.spec!r} has no fault-tolerant program to "
                 f"model; detection_round applies to 'fig5' only"
             )
-        from repro.analysis.model.ops import from_comm_schedule, truncate_at
+        from repro.analysis.model.record import record_program
 
-        prog = from_comm_schedule(
-            self.enumerate_comm(shape, bits), scheduler=self.spec
+        shape_t, bits_t = tuple(shape), tuple(bits)
+        return record_program(
+            lambda grid, inputs, measure: self.rank_program(
+                shape_t, bits_t, grid, inputs, measure=measure
+            ),
+            shape_t,
+            bits_t,
+            scheduler=self.spec,
+            kill=kill,
         )
-        if kill is not None:
-            prog = truncate_at(prog, kill)
-        return prog
 
     @abc.abstractmethod
     def declared_volume(self, shape: Sequence[int], bits: Sequence[int]) -> int:

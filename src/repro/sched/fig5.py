@@ -41,10 +41,9 @@ run under any single-rank crash occurring before the detection round
 completes.
 
 The two programs share helpers, not a body: they differ in message tags
-(``step_idx`` vs the virtual-sender ``vtag``, each mirrored exactly by
-:mod:`repro.analysis.verify_plan` and :mod:`repro.analysis.model.programs`),
-collectives (flat/binomial/chunked vs an inline two-phase flat reduce),
-span attributes, free-before-send vs send-before-free ordering, and output
+(``step_idx`` vs the virtual-sender ``vtag``), collectives
+(flat/binomial/chunked vs an inline two-phase flat reduce), span
+attributes, free-before-send vs send-before-free ordering, and output
 staging -- a merged generator would branch on ``ft`` at every step.
 """
 
@@ -80,7 +79,6 @@ from repro.util import node_name
 
 if TYPE_CHECKING:
     from repro.analysis.model.ops import ModelProgram
-    from repro.analysis.verify_plan import CommSchedule
     from repro.arrays.persist import CheckpointStore
 
 
@@ -599,14 +597,6 @@ class Fig5Scheduler(Scheduler):
             max_message_elements,
         )
 
-    def enumerate_comm(
-        self, shape: Sequence[int], bits: Sequence[int]
-    ) -> "CommSchedule":
-        """The existing symbolic Fig 5 enumeration."""
-        from repro.analysis.verify_plan import enumerate_comm_schedule
-
-        return enumerate_comm_schedule(shape, bits)
-
     def symbolic_ops(
         self,
         shape: Sequence[int],
@@ -615,25 +605,28 @@ class Fig5Scheduler(Scheduler):
         detection_round: bool = False,
         kill: tuple[int, int] | None = None,
     ) -> "ModelProgram":
-        """Exact per-rank streams, including the alloc/free ledger.
+        """Recorded streams of the plain or the fault-tolerant program.
 
-        ``detection_round`` models the fault-tolerant program (barrier,
+        ``detection_round`` records :func:`_make_program_ft` (barrier,
         heartbeats with timeout receives, virtual-rank routing); with
-        ``kill`` it also rebuilds each survivor's stream from its own
-        perception of the death.  A ``kill`` without ``detection_round``
-        crashes a rank in the *plain* program (the MC306 scenario).
+        ``kill`` each survivor's stream follows from its own perception of
+        the death.  A ``kill`` without ``detection_round`` crashes a rank
+        in the *plain* program (the MC306 scenario).
         """
-        from repro.analysis.model.ops import truncate_at
-        from repro.analysis.model.programs import fig5_model_program
+        if not detection_round:
+            return super().symbolic_ops(shape, bits, kill=kill)
+        from repro.analysis.model.record import NO_CHECKPOINTS, record_program
 
-        if detection_round:
-            return fig5_model_program(
-                shape, bits, detection_round=True, kill=kill
-            )
-        prog = fig5_model_program(shape, bits)
-        if kill is not None:
-            prog = truncate_at(prog, kill)
-        return prog
+        n = len(shape)
+        return record_program(
+            lambda grid, inputs, measure: _make_program_ft(
+                fig5_schedule(n), grid, inputs, n, measure, NO_CHECKPOINTS, None
+            ),
+            shape,
+            bits,
+            scheduler=self.spec,
+            kill=kill,
+        )
 
     def declared_volume(self, shape: Sequence[int], bits: Sequence[int]) -> int:
         """Theorem 3's closed form ``V = sum_j (2^k_j - 1) c_j``."""

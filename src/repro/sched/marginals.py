@@ -27,7 +27,7 @@ the shape being planned, checked at construction time.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from repro.arrays.dense import DenseArray
 from repro.arrays.measures import Measure, SUM
@@ -45,10 +45,6 @@ from repro.sched.base import ProgramFactory, Scheduler
 from repro.sched.fig5 import make_fig5_program
 from repro.sched.shuffle import ShuffleScheduler, shuffle_comm_volume
 from repro.sched.steps import PFinalize, PLocalAggregate, PStep, PWriteBack
-
-if TYPE_CHECKING:
-    from repro.analysis.model.ops import ModelProgram
-    from repro.analysis.verify_plan import CommSchedule
 
 _BASES = ("fig5", "shuffle")
 
@@ -166,46 +162,6 @@ class MarginalsScheduler(Scheduler):
         )
 
     # -- declared invariants ------------------------------------------------
-
-    def enumerate_comm(
-        self, shape: Sequence[int], bits: Sequence[int]
-    ) -> "CommSchedule":
-        """Symbolic schedule of the pruned-Fig-5 or restricted-shuffle plan."""
-        n = len(shape)
-        self.validate_shape(shape)
-        if self.base == "shuffle":
-            return self._shuffle(n).enumerate_comm(shape, bits)
-        from repro.analysis.verify_plan import enumerate_comm_schedule
-
-        return enumerate_comm_schedule(
-            shape, bits, schedule=pruned_schedule(n, self.target_nodes(n))
-        )
-
-    def symbolic_ops(
-        self,
-        shape: Sequence[int],
-        bits: Sequence[int],
-        *,
-        detection_round: bool = False,
-        kill: tuple[int, int] | None = None,
-    ) -> "ModelProgram":
-        """Exact streams of the pruned-Fig-5 or restricted-shuffle program."""
-        n = len(shape)
-        self.validate_shape(shape)
-        if detection_round:
-            raise ValueError(
-                f"scheduler {self.spec!r} has no fault-tolerant program to "
-                f"model; detection_round applies to 'fig5' only"
-            )
-        if self.base == "shuffle":
-            return self._shuffle(n).symbolic_ops(shape, bits, kill=kill)
-        from repro.analysis.model.ops import truncate_at
-        from repro.analysis.model.programs import fig5_model_program
-
-        prog = fig5_model_program(shape, bits, targets=self.target_nodes(n))
-        if kill is not None:
-            prog = truncate_at(prog, kill)
-        return prog
 
     def declared_volume(self, shape: Sequence[int], bits: Sequence[int]) -> int:
         """Lemma-1 sum over the pruned tree, or the shuffle closed form."""

@@ -27,8 +27,8 @@ comparison harness measures both:
   bound.
 
 Both closed forms are *declared* by the scheduler and checked against the
-symbolic enumeration by ``verify_plan`` (and against the simulator's
-measured volume by the tests), mirroring how Fig 5 is held to Theorem 3/4.
+recorded program by ``verify_plan`` (and against the simulator's measured
+volume by the tests), mirroring how Fig 5 is held to Theorem 3/4.
 
 The scheduler optionally takes an explicit target set -- that is how
 ``marginals-<k>-shuffle`` reuses it: computing only the order-``k``
@@ -39,7 +39,7 @@ stones.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator, Iterable, Sequence
+from typing import Any, Generator, Iterable, Sequence
 
 from repro.arrays.chunking import grid_block_lengths, portion_elements
 from repro.arrays.dense import DenseArray
@@ -56,10 +56,6 @@ from repro.sched.base import (
     scan_block,
 )
 from repro.util import node_name
-
-if TYPE_CHECKING:
-    from repro.analysis.model.ops import ModelProgram
-    from repro.analysis.verify_plan import CommSchedule
 
 
 def shuffle_targets(n: int) -> tuple[Node, ...]:
@@ -234,107 +230,6 @@ class ShuffleScheduler(Scheduler):
         return program
 
     # -- declared invariants ------------------------------------------------
-
-    def enumerate_comm(
-        self, shape: Sequence[int], bits: Sequence[int]
-    ) -> "CommSchedule":
-        """Symbolic mirror of :meth:`rank_program`'s communication.
-
-        The enumeration assumes the flat reduction (as the Fig 5
-        enumerator does); the binomial variant moves the same total volume
-        along different group-internal paths.  Sends of the last
-        partitioned round carry the target as their ``edge`` so the
-        SPMD004 lead check applies; earlier rounds ship to *intermediate*
-        leads that do not yet hold the target and are exempt
-        (``edge=None``), exactly like control traffic.
-        """
-        from repro.analysis.verify_plan import CommSchedule, SymRecv, SymSend
-
-        shape = tuple(shape)
-        bits = tuple(bits)
-        if len(shape) != len(bits):
-            raise ValueError("shape and bits must have equal length")
-        n = len(shape)
-        grid = ProcessorGrid(bits)
-        lengths = grid_block_lengths(shape, grid.parts)
-        labels = [grid.label(r) for r in range(grid.size)]
-        targets = self.target_nodes(n)
-
-        # Map-phase ledger: every rank holds one partial per target, and
-        # memory only shrinks afterwards -- so the peak is the map total.
-        current = [
-            sum(portion_elements(t, labels[r], lengths) for t in targets)
-            for r in range(grid.size)
-        ]
-        peak = list(current)
-
-        ops: list[SymSend | SymRecv] = []
-        step = 0
-        for t in targets:
-            in_t = set(t)
-            missing = [d for d in range(n) if d not in in_t]
-            partitioned = [d for d in missing if grid.parts[d] > 1]
-            last_dim = min(partitioned) if partitioned else None
-            live = list(range(grid.size))
-            for d in reversed(missing):
-                step += 1
-                if grid.parts[d] == 1:
-                    continue
-                edge = t if d == last_dim else None
-                next_live = []
-                for lead in live:
-                    if labels[lead][d] != 0:
-                        continue
-                    next_live.append(lead)
-                    group = grid.reduction_group(lead, d)
-                    elements = portion_elements(t, labels[lead], lengths)
-                    for member in group[1:]:
-                        ops.append(
-                            SymSend(
-                                member, lead, step, elements,
-                                step=step, edge=edge,
-                            )
-                        )
-                    for member in group[1:]:
-                        ops.append(
-                            SymRecv(lead, member, step, step=step, edge=edge)
-                        )
-                        current[member] -= elements
-                live = next_live
-            for holder in live:
-                current[holder] -= portion_elements(t, labels[holder], lengths)
-
-        return CommSchedule(
-            shape=shape,
-            bits=bits,
-            num_ranks=grid.size,
-            ops=list(ops),
-            rank_peak_memory_elements=peak,
-        )
-
-    def symbolic_ops(
-        self,
-        shape: Sequence[int],
-        bits: Sequence[int],
-        *,
-        detection_round: bool = False,
-        kill: tuple[int, int] | None = None,
-    ) -> "ModelProgram":
-        """Exact shuffle streams with the map-phase alloc/free ledger."""
-        if detection_round:
-            raise ValueError(
-                f"scheduler {self.spec!r} has no fault-tolerant program to "
-                f"model; detection_round applies to 'fig5' only"
-            )
-        from repro.analysis.model.ops import truncate_at
-        from repro.analysis.model.programs import shuffle_model_program
-
-        prog = shuffle_model_program(
-            shape, bits, self.target_nodes(len(shape))
-        )
-        if kill is not None:
-            prog = truncate_at(prog, kill)
-        return prog
 
     def declared_volume(self, shape: Sequence[int], bits: Sequence[int]) -> int:
         """The exact closed form ``sum_T (q_T - 1) * |T|``."""

@@ -3,8 +3,7 @@
 A schedule is a flat list of these three steps, shared by every rank.
 :func:`repro.sched.fig5.fig5_schedule` and
 :func:`repro.sched.marginals.pruned_schedule` build one; the rank programs
-in :mod:`repro.sched.fig5` interpret it; :mod:`repro.analysis.verify_plan`
-and :mod:`repro.analysis.model.programs` mirror it symbolically; and
+in :mod:`repro.sched.fig5` interpret it; and
 :func:`repro.core.partial.construct_partial_cube_sequential` walks it
 without communication.
 """

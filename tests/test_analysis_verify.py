@@ -2,7 +2,7 @@
 
 The acceptance sweep: for every dimensionality n <= 6, processor count
 p in {2, 4, 8, 16}, and *every* partition with sum(k_i) = k, the statically
-enumerated communication volume equals the Theorem 3 closed form -- and,
+recorded communication volume equals the Theorem 3 closed form -- and,
 for a representative sub-grid, the volume and per-rank memory peaks a real
 ``run_spmd`` execution measures.  Property tests then prove each seeded
 defect class is caught while clean plans yield zero diagnostics.
@@ -13,16 +13,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import (
-    enumerate_comm_schedule,
-    seed_defect,
-    verify_plan,
-    verify_schedule,
-)
-from repro.analysis.verify_plan import SymBarrier, SymRecv, SymSend
+from repro.analysis import seed_model_defect, verify_plan, verify_schedule
+from repro.analysis.model import MBarrier, MRecv, MSend
 from repro.core.comm_model import total_comm_volume
 from repro.core.memory_model import parallel_memory_bound_exact
 from repro.core.parallel import construct_cube_parallel
+from repro.sched import Fig5Scheduler, get_scheduler
+
+
+def ft_program(shape, bits):
+    """The recorded fault-tolerant Fig 5 program (it has a barrier)."""
+    return get_scheduler("fig5").symbolic_ops(shape, bits, detection_round=True)
 
 
 def compositions(total, parts):
@@ -69,7 +70,7 @@ class TestClosedFormSweep:
             assert m.comm.total_elements == v.predicted_volume_elements, bits
             assert m.comm.total_elements == total_comm_volume(shape, bits)
             assert list(m.rank_peak_memory_elements) == list(
-                v.schedule.rank_peak_memory_elements
+                v.rank_peak_memory_elements
             ), bits
 
     @pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (5, 1), (5, 2), (6, 1), (6, 2)])
@@ -81,7 +82,7 @@ class TestClosedFormSweep:
             res = construct_cube_parallel(arr, bits, collect_results=False)
             assert res.metrics.comm.total_elements == v.predicted_volume_elements
             assert list(res.metrics.rank_peak_memory_elements) == list(
-                v.schedule.rank_peak_memory_elements
+                v.rank_peak_memory_elements
             )
 
     def test_detection_round_adds_only_control_traffic(self):
@@ -93,13 +94,16 @@ class TestClosedFormSweep:
         assert ft.predicted_volume_elements == plain.predicted_volume_elements
         p = ft.schedule.num_ranks
         assert ft.schedule.total_messages == plain.schedule.total_messages + p * (p - 1)
-        assert any(isinstance(op, SymBarrier) for op in ft.schedule.ops)
+        assert all(
+            any(isinstance(op, MBarrier) for op in stream)
+            for stream in ft.schedule.streams
+        )
 
 
 class TestSeededDefects:
     @pytest.fixture()
     def sched(self):
-        return enumerate_comm_schedule((4, 4, 2), (1, 1, 0), detection_round=True)
+        return ft_program((4, 4, 2), (1, 1, 0))
 
     def test_clean_schedule_has_zero_diagnostics(self, sched):
         assert verify_schedule(sched) == []
@@ -114,35 +118,56 @@ class TestSeededDefects:
         ],
     )
     def test_each_defect_class_is_flagged(self, sched, kind, rule):
-        diags = verify_schedule(seed_defect(sched, kind))
+        diags = verify_schedule(seed_model_defect(sched, kind))
         assert diags, kind
         assert any(d.rule == rule for d in diags), (kind, [d.format() for d in diags])
 
     def test_dropped_recv_points_at_the_channel(self, sched):
-        diags = verify_schedule(seed_defect(sched, "dropped-recv"))
+        diags = verify_schedule(seed_model_defect(sched, "dropped-recv"))
         d = next(d for d in diags if d.rule == "SPMD001")
         assert d.severity == "error"
         assert d.edge is not None
         assert "recv" in d.hint
 
+    def test_lead_must_hold_the_node_it_receives(self):
+        # SPMD004's second clause: correct routing is not enough, the
+        # receiver must have the node live when it posts the receive.
+        from dataclasses import replace
+
+        from repro.analysis.model import MAlloc, MFree
+
+        clean = get_scheduler("fig5").symbolic_ops((4, 4, 2), (1, 1, 0))
+        send = next(
+            op for s in clean.streams for op in s if isinstance(op, MSend)
+        )
+        streams = list(clean.streams)
+        streams[send.dst] = tuple(
+            op
+            for op in streams[send.dst]
+            if not (isinstance(op, (MAlloc, MFree)) and op.key == send.edge)
+        )
+        diags = verify_schedule(replace(clean, streams=tuple(streams)))
+        assert [d.rule for d in diags] == ["SPMD004"]
+        assert (diags[0].rank, diags[0].edge) == (send.dst, send.edge)
+
     def test_wrong_lead_needs_three_ranks(self):
-        sched = enumerate_comm_schedule((8, 4), (1, 0))
+        sched = get_scheduler("fig5").symbolic_ops((8, 4), (1, 0))
         with pytest.raises(ValueError, match="at least 3 ranks"):
-            seed_defect(sched, "wrong-lead")
+            seed_model_defect(sched, "wrong-lead")
 
     def test_barrier_skip_requires_detection_round(self):
-        sched = enumerate_comm_schedule((4, 4), (1, 1))
+        sched = get_scheduler("fig5").symbolic_ops((4, 4), (1, 1))
         with pytest.raises(ValueError, match="detection_round"):
-            seed_defect(sched, "barrier-skip")
+            seed_model_defect(sched, "barrier-skip")
 
     def test_unknown_kind_rejected(self, sched):
         with pytest.raises(ValueError, match="unknown defect kind"):
-            seed_defect(sched, "gremlins")
+            seed_model_defect(sched, "gremlins")
 
     def test_seeding_does_not_mutate_the_original(self, sched):
-        before = list(sched.ops)
-        seed_defect(sched, "tag-collision")
-        assert sched.ops == before
+        before = sched.streams
+        seed_model_defect(sched, "tag-collision")
+        assert sched.streams == before
 
 
 @st.composite
@@ -160,11 +185,11 @@ class TestDefectProperty:
     def test_clean_plans_verify_and_defects_do_not(self, case, kind):
         shape, bits = case
         assume(not (kind == "wrong-lead" and 2 ** sum(bits) < 3))
-        sched = enumerate_comm_schedule(shape, bits, detection_round=True)
+        sched = ft_program(shape, bits)
         assert verify_schedule(sched) == []
         # The full plan check also proves Theorem 3 / Theorem 4 hold.
         assert verify_plan(shape, bits, detection_round=True).ok
-        diags = verify_schedule(seed_defect(sched, kind))
+        diags = verify_schedule(seed_model_defect(sched, kind))
         assert diags, (shape, bits, kind)
         assert all(d.rule.startswith("SPMD") for d in diags)
         assert all(d.severity == "error" for d in diags)
@@ -172,45 +197,45 @@ class TestDefectProperty:
 
 class TestClosedFormRules:
     def test_volume_mismatch_fires_spmd006(self, monkeypatch):
-        import importlib
-
-        vp = importlib.import_module("repro.analysis.verify_plan")
-        monkeypatch.setattr(vp, "total_comm_volume", lambda shape, bits: -1)
+        monkeypatch.setattr(Fig5Scheduler, "declared_volume", lambda self, shape, bits: -1)
         v = verify_plan((4, 4), (1, 1))
         assert not v.ok
         assert [d.rule for d in v.report.errors] == ["SPMD006"]
 
     def test_memory_bound_excess_fires_spmd007(self, monkeypatch):
-        import importlib
-
-        vp = importlib.import_module("repro.analysis.verify_plan")
-        monkeypatch.setattr(vp, "parallel_memory_bound_exact", lambda shape, bits: 0)
+        monkeypatch.setattr(
+            Fig5Scheduler, "declared_memory_bound", lambda self, shape, bits: 0
+        )
         v = verify_plan((4, 4), (1, 1))
         assert not v.ok
         assert [d.rule for d in v.report.errors] == ["SPMD007"]
         assert v.report.errors[0].rank is not None
 
-    def test_custom_schedule_skips_volume_claim(self):
-        from repro.sched import fig5_schedule
+    def test_inflated_alloc_fires_spmd007_through_the_ledger(self):
+        # SPMD007 reads the same ledger MC307 does: a seeded inflation
+        # pushes the recorded high-water past the Theorem 4 bound.
+        from repro.analysis.model import analyze_lifetime
 
-        # A truncated schedule moves less data than the full cube; that is
-        # legal for run_partial-style plans, so SPMD006 must not fire.
-        schedule = fig5_schedule(2)[:1]
-        v = verify_plan((4, 4), (1, 1), schedule=schedule)
-        assert all(d.rule != "SPMD006" for d in v.report)
+        prog = get_scheduler("fig5").symbolic_ops((4, 4), (1, 1))
+        bad = seed_model_defect(prog, "inflated-alloc")
+        bound = parallel_memory_bound_exact((4, 4), (1, 1))
+        assert max(analyze_lifetime(prog).rank_high_water) <= bound
+        assert max(analyze_lifetime(bad).rank_high_water) > bound
 
 
 class TestScheduleShape:
     def test_symbolic_ops_are_well_formed(self):
-        sched = enumerate_comm_schedule((4, 4, 2), (1, 1, 0), detection_round=True)
-        for op in sched.ops:
-            if isinstance(op, SymSend):
-                assert op.src != op.dst
-                assert op.elements >= 0
-            elif isinstance(op, SymRecv):
-                assert op.src != op.rank
+        sched = ft_program((4, 4, 2), (1, 1, 0))
+        for rank, stream in enumerate(sched.streams):
+            for index, op in enumerate(stream):
+                assert (op.rank, op.step) == (rank, index)
+                if isinstance(op, MSend):
+                    assert op.rank != op.dst
+                    assert op.elements >= 0
+                    assert (op.edge is None) == (op.elements == 0)
+                elif isinstance(op, MRecv):
+                    assert op.src != op.rank
         assert sched.total_elements == total_comm_volume((4, 4, 2), (1, 1, 0))
-        assert sched.max_peak_memory_elements == max(sched.rank_peak_memory_elements)
 
     def test_describe_mentions_theorems(self):
         v = verify_plan((4, 4), (1, 1))
@@ -220,4 +245,4 @@ class TestScheduleShape:
 
     def test_shape_bits_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal length"):
-            enumerate_comm_schedule((4, 4), (1,))
+            verify_plan((4, 4), (1,))

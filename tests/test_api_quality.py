@@ -20,7 +20,7 @@ MODULES = [
     "repro.analysis.model.hb",
     "repro.analysis.model.lifetime",
     "repro.analysis.model.ops",
-    "repro.analysis.model.programs",
+    "repro.analysis.model.record",
     "repro.analysis.repo_gate",
     "repro.analysis.verify_plan",
     "repro.arrays",
@@ -204,4 +204,4 @@ def test_version():
     pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
     match = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
     assert match is not None
-    assert repro.__version__ == match.group(1) == "2.0.0"
+    assert repro.__version__ == match.group(1) == "3.0.0"

@@ -163,7 +163,7 @@ class TestLinearOffset:
 
 class TestSharedSplitArithmetic:
     """Regression pin: the shared helpers must reproduce the inline
-    split-point arithmetic they replaced in verify_plan and the shuffle
+    split-point arithmetic they replaced in the analyses and the shuffle
     scheduler, for every (size, parts) in range -- the model checker's
     bit-exact memory parity depends on all consumers agreeing."""
 
@@ -200,16 +200,14 @@ class TestSharedSplitArithmetic:
                 assert portion_elements(dims, label, lengths) == inline
 
     def test_verify_plan_and_scheduler_share_the_helpers(self):
-        # The dedup is structural, not accidental: both modules import
-        # the shared helpers rather than re-deriving the arithmetic.
-        import importlib
+        # The dedup is structural, not accidental: the recorder that
+        # sizes verify_plan's input blocks and the shuffle scheduler both
+        # import the shared helpers rather than re-deriving the arithmetic.
         import inspect
 
-        # importlib avoids the function re-exported by the package
-        # __init__ shadowing the submodule of the same name.
-        vp_mod = importlib.import_module("repro.analysis.verify_plan")
-        shuffle_mod = importlib.import_module("repro.sched.shuffle")
+        import repro.analysis.model.record as record_mod
+        import repro.sched.shuffle as shuffle_mod
 
-        for mod in (vp_mod, shuffle_mod):
+        for mod in (record_mod, shuffle_mod):
             src = inspect.getsource(mod)
             assert "grid_block_lengths" in src or "portion_elements" in src

@@ -76,38 +76,6 @@ class TestMC307:
         assert "MC307" in {d.rule for d in result.diagnostics}
 
 
-class TestFallbackPath:
-    def test_default_projection_uses_fallback_peaks(self):
-        # A scheduler that does not override symbolic_ops gets the base
-        # class's projection of enumerate_comm, which carries simulator
-        # peaks instead of an alloc/free ledger.
-        from repro.analysis.model import from_comm_schedule
-        from repro.sched.base import Scheduler
-
-        sched = get_scheduler("fig5")
-        prog = from_comm_schedule(
-            sched.enumerate_comm(SHAPE, BITS), scheduler="fig5"
-        )
-        assert prog.fallback_peaks is not None
-        result = analyze_lifetime(prog)
-        assert not result.from_ledger
-        assert result.max_high_water == max(prog.fallback_peaks)
-        assert Scheduler.symbolic_ops is not None  # hook exists on the base
-
-    def test_fallback_peaks_still_checked_against_cap(self):
-        from repro.analysis.model import from_comm_schedule
-
-        sched = get_scheduler("fig5")
-        prog = from_comm_schedule(
-            sched.enumerate_comm(SHAPE, BITS), scheduler="fig5"
-        )
-        peak_bytes = max(prog.fallback_peaks) * BYTES_PER_ELEMENT
-        ok = analyze_lifetime(prog, mem_cap_bytes=peak_bytes)
-        assert ok.diagnostics == []
-        bad = analyze_lifetime(prog, mem_cap_bytes=peak_bytes - 1)
-        assert "MC307" in {d.rule for d in bad.diagnostics}
-
-
 class TestLedgerErrors:
     def test_double_alloc_is_flagged(self):
         from dataclasses import replace

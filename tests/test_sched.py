@@ -278,23 +278,58 @@ class TestVerifyPlanSchedulerMode:
         assert "declared by 'shuffle'" in shuffle.describe()
 
     def test_scheduler_exclusive_with_fig5_overrides(self):
+        # detection_round is rejected by exactly the schedulers that have
+        # no fault-tolerant program, by name.
         from repro.analysis import verify_plan
 
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            verify_plan((8, 4), (1, 1), scheduler="shuffle", detection_round=True)
-        with pytest.raises(ValueError, match="mutually exclusive"):
-            verify_plan(
-                (8, 4), (1, 1), scheduler="shuffle", schedule=fig5_schedule(2)
-            )
+        for spec in ("shuffle", "marginals-1", "marginals-1-shuffle"):
+            with pytest.raises(ValueError, match="no fault-tolerant program"):
+                verify_plan((8, 4), (1, 1), scheduler=spec, detection_round=True)
 
     def test_shuffle_protocol_defects_are_caught(self):
-        from repro.analysis.verify_plan import seed_defect, verify_schedule
+        from repro.analysis import seed_model_defect, verify_schedule
 
-        sym = get_scheduler("shuffle").enumerate_comm((8, 6, 4), (1, 1, 0))
+        sym = get_scheduler("shuffle").symbolic_ops((8, 6, 4), (1, 1, 0))
         assert not verify_schedule(sym)
         for kind in ("dropped-recv", "tag-collision", "wrong-lead"):
-            mutated = seed_defect(sym, kind)
+            mutated = seed_model_defect(sym, kind)
             assert verify_schedule(mutated), f"{kind} not caught"
+
+    def test_shuffle_intermediate_rounds_are_lead_checked(self):
+        # Every data send of a multi-round shuffle reduction -- not only
+        # the last round -- carries its node and goes to a rank that
+        # holds it: no exemption is needed for SPMD004.
+        from repro.analysis import verify_schedule
+        from repro.analysis.model import MSend
+
+        prog = get_scheduler("shuffle").symbolic_ops((4, 4, 4), (1, 1, 0))
+        data = [op for s in prog.streams for op in s if isinstance(op, MSend)]
+        assert data and all(op.edge is not None for op in data)
+        assert not verify_schedule(prog)
+
+    def test_check_model_accepts_a_scheduler_instance(self):
+        # Regression: check_model resolved its scheduler with
+        # get_scheduler, a TypeError on an instance.
+        from repro.analysis import check_model
+
+        shape, bits = (4, 4, 4), (1, 1, 0)
+        by_instance = check_model(shape, bits, scheduler=ShuffleScheduler())
+        assert by_instance.certified
+        assert by_instance.certificate() == check_model(
+            shape, bits, scheduler="shuffle"
+        ).certificate()
+
+    def test_verify_plan_takes_detection_round_with_a_fig5_instance(self):
+        # Regression: verify_plan special-cased the *string* "fig5", so an
+        # instance plus detection_round was "mutually exclusive".
+        from repro.analysis import verify_plan
+
+        shape, bits = (4, 4, 4), (1, 1, 0)
+        ft = verify_plan(
+            shape, bits, scheduler=get_scheduler("fig5"), detection_round=True
+        )
+        assert ft.ok, ft.describe()
+        assert ft.describe() == verify_plan(shape, bits, detection_round=True).describe()
 
 
 class TestBuildConfigValidation:
@@ -402,6 +437,103 @@ class TestFig5GoldenRegression:
         )
         for node, arr in default.results.items():
             assert arr.data.tobytes() == explicit.results[node].data.tobytes()
+
+
+class TwoRoundScheduler(Scheduler):
+    """Toy third-party scheduler: two gather rounds on a 1-D grid.
+
+    For a 2-D shape partitioned along dimension 0 only, it materializes
+    ``(1,)`` and ``()`` straight from the input block, one reduction round
+    each.  It implements :meth:`rank_program` and the two declared forms
+    and nothing else -- verification comes from the program.
+    """
+
+    name = "two-round"
+
+    def __init__(self, volume_error=0):
+        self.volume_error = volume_error
+
+    def target_nodes(self, n):
+        return ((1,), ())
+
+    def rank_program(
+        self, shape, bits, grid, local_inputs, *,
+        reduction="flat", measure=None, max_message_elements=None,
+    ):
+        from repro.arrays.aggregate import aggregate_dense
+        from repro.cluster.collectives import reduce_to_lead
+        from repro.sched.base import make_combiner
+
+        combine = make_combiner(measure)
+        inputs = list(local_inputs)
+
+        def program(env):
+            block = inputs[env.rank]
+            group = grid.reduction_group(env.rank, 0)
+            written = {}
+            yield env.disk_read(block.nbytes)
+            for tag, target in enumerate(self.target_nodes(2), start=1):
+                part = aggregate_dense(block, target, measure=measure)
+                yield env.compute(block.size)
+                env.alloc(target, part.size)
+                final = yield from reduce_to_lead(
+                    env, group, part, tag=tag, combine=combine,
+                    element_ops=part.size,
+                )
+                env.free(target)
+                if final is not None:
+                    yield env.disk_write(final.nbytes)
+                    written[target] = final
+            return written
+
+        return program
+
+    def declared_volume(self, shape, bits):
+        return (2 ** bits[0] - 1) * (shape[1] + 1) + self.volume_error
+
+    def declared_memory_bound(self, shape, bits):
+        return shape[1]
+
+
+class TestThirdPartyScheduler:
+    SHAPE, BITS = (8, 4), (2, 0)
+
+    def test_verified_and_model_checked_for_free(self):
+        from repro.analysis import check_model, verify_plan
+
+        sched = TwoRoundScheduler()
+        v = verify_plan(self.SHAPE, self.BITS, scheduler=sched)
+        assert v.diagnostics == [], v.describe()
+        assert v.scheduler == "two-round"
+        assert v.predicted_volume_elements == 3 * (4 + 1)
+        result = check_model(self.SHAPE, self.BITS, scheduler=sched)
+        assert result.certified, result.certificate()
+        assert len(result.report.diagnostics) == 0
+
+    def test_ledger_high_water_equals_measured_peaks(self):
+        from repro.analysis.model import analyze_lifetime
+
+        sched = TwoRoundScheduler()
+        data = np.arange(32, dtype=float).reshape(self.SHAPE)
+        run = construct_cube_parallel(data, self.BITS, scheduler=sched)
+        static = analyze_lifetime(sched.symbolic_ops(self.SHAPE, self.BITS))
+        assert static.from_ledger
+        assert static.rank_high_water == tuple(
+            run.metrics.rank_peak_memory_elements
+        )
+        assert run.metrics.comm.total_elements == sched.declared_volume(
+            self.SHAPE, self.BITS
+        )
+        np.testing.assert_array_equal(run.results[(1,)].data, data.sum(axis=0))
+        np.testing.assert_array_equal(run.results[()].data, data.sum())
+
+    def test_wrong_declared_volume_trips_spmd006(self):
+        from repro.analysis import verify_plan
+
+        v = verify_plan(
+            self.SHAPE, self.BITS, scheduler=TwoRoundScheduler(volume_error=1)
+        )
+        assert [d.rule for d in v.report.errors] == ["SPMD006"]
 
 
 class TestSchedulerProtocol:
