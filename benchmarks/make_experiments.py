@@ -227,20 +227,6 @@ record, not a gate — the machine-readable copy is
         "t_model",
     ),
     (
-        "T-obs — telemetry overhead (extension)",
-        """Observability extension beyond the paper: the unified telemetry
-subsystem (`repro.obs` — spans, metrics registry, Chrome-trace export)
-promises to be free when off and cheap when on.  Asserted always: a traced
-build's *simulated* makespan is bit-identical to an untraced one's
-(instrumentation observes, never perturbs, the cost model), and
-`tracemalloc` attributes zero allocations to `repro.obs` during an
-untraced build.  The < 5 % median host wall-clock overhead gate is
-enforced when the host is quiet enough to measure it; the machine-readable
-record (including any skip reason) is
-`benchmarks/results/BENCH_obs.json`.""",
-        "t_obs",
-    ),
-    (
         "T-chaos — supervised recovery on real processes (extension)",
         """Fault-tolerance extension beyond the paper: a seeded
 `kill:RANK@OP` SIGKILLs a real worker at the FT program's detection
@@ -271,20 +257,6 @@ so the JSON records the honest slowdown trajectory: warm-pool thread
 0.24x vs process-cold 0.15x).  The machine-readable record is
 `benchmarks/results/BENCH_speed.json`.""",
         "t_speed",
-    ),
-    (
-        "T-live — live observability overhead (extension)",
-        """Live-operations extension beyond the paper: the snapshot bus
-(`LiveRunView`, sampled by the thread backend's probe thread) attached to
-a real Fig 7 build, plus the collapsed-stack profiler.  Asserted always:
-a build with the bus attached produces *bit-identical* aggregates to a
-plain build, every rank delivers a terminal ``done`` snapshot, and
-resampling a traced simulator build attributes >= 80 % of profile
-samples to named spans (the flamegraph is phases, not ``[idle]``).  The
-< 5 % median wall-clock overhead gate for the bus is enforced when the
-host is quiet enough to measure it; the machine-readable record
-(including any skip reason) is `benchmarks/results/BENCH_live.json`.""",
-        "t_live",
     ),
 ]
 

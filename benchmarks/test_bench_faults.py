@@ -32,9 +32,9 @@ VICTIM = 3
 def _post_checkpoint_crash_time(data):
     traced = construct_cube_parallel(data, BITS, checkpoint=True, trace=True)
     disk = [e for e in traced.metrics.trace
-            if e.rank == VICTIM and e.kind == "disk"]
+            if e.rank == VICTIM and e.name == "disk"]
     # disk[0] is the input read; the next len(SHAPE) are checkpoint writes.
-    return disk[len(SHAPE)].end + 1e-9
+    return disk[len(SHAPE)].t_end + 1e-9
 
 
 def test_fault_tolerance_overhead(benchmark):

@@ -35,8 +35,8 @@ def main() -> None:
     # 2. Pick a dramatic moment: right after rank 3 finished checkpointing.
     traced = construct_cube_parallel(data, bits, checkpoint=True, trace=True)
     disk = [e for e in traced.metrics.trace
-            if e.rank == victim and e.kind == "disk"]
-    t_crash = disk[len(shape)].end + 1e-9  # disk[0] is the input read
+            if e.rank == victim and e.name == "disk"]
+    t_crash = disk[len(shape)].t_end + 1e-9  # disk[0] is the input read
     plan = FaultPlan().crash(victim, t_crash)
     print(f"\ninjecting: {plan.describe()}")
 

@@ -1,16 +1,20 @@
-"""Post-hoc linting of :class:`TraceEvent` streams from recorded runs.
+"""Post-hoc linting of recorded runs: the op spans and the fault log.
 
 Where :mod:`repro.analysis.verify_plan` proves properties of a plan before
 execution, this module audits what *actually happened*: it replays the
-recorded trace of a run and flags communication that completed by
-accident rather than by design.  Every execution backend emits the same
-event vocabulary -- the simulator stamps simulated clocks, the process
-backend (:mod:`repro.exec.process`) wall clocks -- so the rules below
-audit real executions exactly as they audit simulated ones.  On
-fault-injection runs this distinguishes "recovered correctly" (every
-timeout was followed by a recovery action, no payload silently vanished)
-from "recovered by accident" (the result happened to be right even though
-the protocol leaked messages).
+recorded run and flags communication that completed by accident rather
+than by design.  It reads two records: ``RunMetrics.trace``, the
+``cat="op"`` :class:`~repro.obs.span.Span` of every interpreted op (channel
+in ``attrs["peer"]`` / ``attrs["tag"]``), and ``RunMetrics.faults.events``,
+where every drop, duplicate, timeout, crash and recovery is noted once with
+its ``kind`` (and ``peer`` / ``tag`` for message faults).  Every execution
+backend emits the same vocabulary -- the simulator stamps simulated
+clocks, the process backend (:mod:`repro.exec.process`) wall clocks -- so
+the rules below audit real executions exactly as they audit simulated
+ones.  On fault-injection runs this distinguishes "recovered correctly"
+(every timeout was followed by a recovery action, no payload silently
+vanished) from "recovered by accident" (the result happened to be right
+even though the protocol leaked messages).
 
 Rules (catalogued in :mod:`repro.analysis.diagnostics`):
 
@@ -22,26 +26,28 @@ Rules (catalogued in :mod:`repro.analysis.diagnostics`):
 - ``TRACE104`` a rank's measured peak held-results memory exceeds the
   Theorem 1/4 bound;
 - ``TRACE105`` per-rank idle fractions are badly skewed;
-- ``TRACE106`` a rank crashed but the trace shows no recovery action at
-  all (the run "succeeded" without anyone adopting the lost work);
+- ``TRACE106`` a rank crashed but the fault log shows no recovery action
+  at all (the run "succeeded" without anyone adopting the lost work);
 - ``TRACE107`` a recovery action references neither a committed
   checkpoint epoch nor an input-block re-aggregation, so the recovered
   data's provenance is unaccounted for.
 
-Requires a trace recorded with structured fields (``record_trace=True`` on
-``run_spmd`` / ``trace=True`` on the constructors).
+Requires a traced run (``record_trace=True`` on ``run_spmd`` /
+``trace=True`` on the constructors).
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from pathlib import Path
 from typing import Mapping, Sequence, Union
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
+from repro.cluster.faults import FaultStats
 from repro.cluster.metrics import RunMetrics
-from repro.cluster.runtime import TraceEvent
 from repro.core.memory_model import parallel_memory_bound_exact
+from repro.obs.span import Span, op_channel
 
 __all__ = ["lint_trace"]
 
@@ -49,30 +55,19 @@ __all__ = ["lint_trace"]
 IDLE_SKEW_THRESHOLD = 0.5
 
 
-def _comm_events(trace: Sequence[TraceEvent]) -> list[TraceEvent]:
-    return [ev for ev in trace if ev.peer is not None and ev.tag is not None]
-
-
-def _channel_checks(trace: Sequence[TraceEvent]) -> list[Diagnostic]:
+def _channel_checks(trace: Sequence[Span], faults: FaultStats) -> list[Diagnostic]:
     """TRACE101/102: per-channel send/recv accounting."""
-    sends: dict[tuple[int, int, int], int] = {}
-    recvs: dict[tuple[int, int, int], int] = {}
-    drops: dict[tuple[int, int, int], int] = {}
-    dups: dict[tuple[int, int, int], int] = {}
-    for ev in _comm_events(trace):
-        assert ev.peer is not None and ev.tag is not None
-        if ev.kind == "send":
-            key = (ev.rank, ev.peer, ev.tag)
-            sends[key] = sends.get(key, 0) + 1
-        elif ev.kind == "recv":
-            key = (ev.peer, ev.rank, ev.tag)
-            recvs[key] = recvs.get(key, 0) + 1
-        elif ev.kind == "fault":
-            key = (ev.rank, ev.peer, ev.tag)
-            if ev.detail.startswith("drop"):
-                drops[key] = drops.get(key, 0) + 1
-            elif ev.detail.startswith("duplicate"):
-                dups[key] = dups.get(key, 0) + 1
+    sends: Counter[tuple[int, int, int]] = Counter()
+    recvs: Counter[tuple[int, int, int]] = Counter()
+    for ev in trace:
+        if ev.name == "send":
+            peer, tag = op_channel(ev)
+            sends[ev.rank, peer, tag] += 1
+        elif ev.name == "recv":
+            peer, tag = op_channel(ev)
+            recvs[peer, ev.rank, tag] += 1
+    drops = faults.channel_counts("drop")
+    dups = faults.channel_counts("duplicate")
 
     diags: list[Diagnostic] = []
     for key in sorted(set(sends) | set(recvs)):
@@ -104,22 +99,23 @@ def _channel_checks(trace: Sequence[TraceEvent]) -> list[Diagnostic]:
     return diags
 
 
-def _timeout_checks(trace: Sequence[TraceEvent]) -> list[Diagnostic]:
-    """TRACE103: a timeout with no later retry/recovery on that rank."""
+def _timeout_checks(trace: Sequence[Span], faults: FaultStats) -> list[Diagnostic]:
+    """TRACE103: a timeout with no later retry/recovery on that rank.
+
+    "Later" is an op that starts at or after the timeout was noted: the
+    timed-out wait itself starts before it, and the rank's next op after.
+    """
     diags: list[Diagnostic] = []
-    for i, ev in enumerate(trace):
-        if ev.kind != "fault" or not ev.detail.startswith("timeout"):
+    for ev in faults.events:
+        if ev.kind != "timeout":
             continue
-        recovered = False
-        for later in trace[i + 1 :]:
-            if later.rank != ev.rank:
-                continue
-            if later.kind == "recv" and later.peer == ev.peer:
-                recovered = True  # retried and got the payload
-                break
-            if later.kind == "disk" and later.detail == "read":
-                recovered = True  # recovered from a checkpoint
-                break
+        recovered = any(
+            # retried and got the payload, or recovered from a checkpoint
+            (op.name == "recv" and op.attrs["peer"] == ev.peer)
+            or (op.name == "disk" and op.attrs.get("detail") == "read")
+            for op in trace
+            if op.rank == ev.rank and op.t_start >= ev.time
+        )
         if not recovered:
             diags.append(
                 Diagnostic(
@@ -161,30 +157,23 @@ def _memory_checks(
 _EPOCH_RE = re.compile(r"checkpoint epoch \d+")
 
 
-def _recovery_checks(trace: Sequence[TraceEvent]) -> list[Diagnostic]:
+def _recovery_checks(faults: FaultStats) -> list[Diagnostic]:
     """TRACE106/107: every crash recovered, every recovery accounted for.
 
-    Both backends emit the same markers: zero-width ``fault`` events whose
-    detail starts with ``crash`` (the simulator's scheduled kill, the
-    supervisor's observed worker exit) and ``recover:`` events synthesized
-    from :meth:`~repro.cluster.runtime.RankEnv.note_recovery` actions
+    Both backends note the same kinds: ``crash`` (the simulator's scheduled
+    kill, the supervisor's observed worker exit) and ``recovery``, from
+    :meth:`~repro.cluster.runtime.RankEnv.note_recovery` actions
     (checkpoint replay, buddy re-read, input-block re-aggregation).
     """
-    crashes = [
-        ev for ev in trace
-        if ev.kind == "fault" and ev.detail.startswith("crash")
-    ]
-    recovers = [
-        ev for ev in trace
-        if ev.kind == "fault" and ev.detail.startswith("recover")
-    ]
+    crashes = [ev for ev in faults.events if ev.kind == "crash"]
+    recovers = [ev for ev in faults.events if ev.kind == "recovery"]
     diags: list[Diagnostic] = []
     if crashes and not recovers:
         for ev in crashes:
             diags.append(
                 Diagnostic(
                     "TRACE106",
-                    f"rank {ev.rank} crashed at t={ev.start:.3f} but the "
+                    f"rank {ev.rank} crashed at t={ev.time:.3f} but the "
                     f"trace records no recovery action anywhere in the run",
                     rank=ev.rank,
                     severity="warning",
@@ -248,7 +237,9 @@ def lint_trace(
     :mod:`repro.obs.export` (or the already-parsed mapping), which is
     reconstructed with :func:`repro.obs.export.load_run` first.  The
     exporters preserve exact event times, so linting an export yields the
-    same diagnostics as linting the live run.
+    same diagnostics as linting the live run.  No rule parses a free-text
+    ``detail`` to classify an event; TRACE107 alone reads a recovery's
+    ``detail``, for the provenance it must state.
 
     ``shape``/``bits`` enable the Theorem-bound memory check (TRACE104);
     without them only the protocol- and timing-level rules run.  Raises
@@ -261,10 +252,10 @@ def lint_trace(
     if not metrics.trace:
         raise ValueError("run has no trace; pass record_trace=True / trace=True")
     report = DiagnosticReport()
-    report.extend(_channel_checks(metrics.trace))
-    report.extend(_timeout_checks(metrics.trace))
+    report.extend(_channel_checks(metrics.trace, metrics.faults))
+    report.extend(_timeout_checks(metrics.trace, metrics.faults))
     if shape is not None and bits is not None:
         report.extend(_memory_checks(metrics, shape, bits))
-    report.extend(_recovery_checks(metrics.trace))
+    report.extend(_recovery_checks(metrics.faults))
     report.extend(_idle_skew_check(metrics))
     return report

@@ -24,9 +24,9 @@ Vector clocks are computed along a topological order, giving an O(1)
   otherwise which payload pairs with which receive is a race.
 
 :func:`hb_from_trace` builds the same structure from a *recorded* run's
-:class:`TraceEvent` stream, which is how the trace linter's TRACE101/102
-channel accounting is cross-checked against an independent happens-before
-pairing (:func:`crosscheck_trace`).
+``send``/``recv`` op spans and fault log, which is how the trace linter's
+TRACE101/102 channel accounting is cross-checked against an independent
+happens-before pairing (:func:`crosscheck_trace`).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from repro.analysis.model.ops import (
     ModelProgram,
 )
 from repro.cluster.metrics import RunMetrics
+from repro.obs.span import op_channel
 
 __all__ = [
     "HBGraph",
@@ -296,43 +297,31 @@ def hb_from_trace(metrics: Union[RunMetrics, str, Path, Mapping]) -> HBGraph:
     """Build the happens-before graph of a *recorded* run.
 
     ``metrics`` is an in-memory :class:`RunMetrics` or an exported run
-    (path / parsed mapping), exactly as :func:`lint_trace` accepts.  Comm
-    events are projected per rank in trace order (each rank's events
-    are appended in its own program order by both backends), dropped
-    copies are removed from the sender's stream and duplicated copies
-    re-posted -- the same fault accounting the trace linter applies --
-    and FIFO pairing then proceeds exactly as on symbolic programs.
+    (path / parsed mapping), exactly as :func:`lint_trace` accepts.  The
+    ``send``/``recv`` op spans are projected per rank in trace order (each
+    rank's ops are appended in its own program order by both backends);
+    the fault log's dropped copies are removed from the sender's stream
+    and its duplicated copies re-posted -- the same fault accounting the
+    trace linter applies -- and FIFO pairing then proceeds exactly as on
+    symbolic programs.
     """
     metrics = _as_metrics(metrics)
     if not metrics.trace:
         raise ValueError("run has no trace; pass record_trace=True / trace=True")
     num_ranks = metrics.num_ranks
     streams: list[list[MOp]] = [[] for _ in range(num_ranks)]
-    # Fault accounting: a "drop" consumes the sender's most recent posted
-    # copy on that channel; a "duplicate" posts one more.
-    drops: dict[tuple[int, int, int], int] = {}
-    dups: dict[tuple[int, int, int], int] = {}
     for ev in metrics.trace:
-        if ev.peer is None or ev.tag is None:
-            continue
-        if ev.kind == "send":
-            streams[ev.rank].append(
-                MSend(ev.rank, ev.peer, ev.tag, 0, step=len(streams[ev.rank]))
-            )
-        elif ev.kind == "recv":
-            streams[ev.rank].append(
-                MRecv(ev.rank, ev.peer, ev.tag, step=len(streams[ev.rank]))
-            )
-        elif ev.kind == "fault":
-            key = (ev.rank, ev.peer, ev.tag)
-            if ev.detail.startswith("drop"):
-                drops[key] = drops.get(key, 0) + 1
-            elif ev.detail.startswith("duplicate"):
-                dups[key] = dups.get(key, 0) + 1
-    # Apply drops/dups to the sender streams: remove the last dropped
-    # copies, append the duplicated ones (a duplicate is delivered after
-    # the original, so appending preserves FIFO pairing).
-    for (src, dst, tag), k in drops.items():
+        if ev.name == "send":
+            peer, tag = op_channel(ev)
+            streams[ev.rank].append(MSend(ev.rank, peer, tag, 0, step=len(streams[ev.rank])))
+        elif ev.name == "recv":
+            peer, tag = op_channel(ev)
+            streams[ev.rank].append(MRecv(ev.rank, peer, tag, step=len(streams[ev.rank])))
+    # Fault accounting: a "drop" consumes the sender's most recent posted
+    # copy on that channel, so remove the last dropped copies; a
+    # "duplicate" posts one more (delivered after the original, so
+    # appending preserves FIFO pairing).
+    for (src, dst, tag), k in metrics.faults.channel_counts("drop").items():
         removed = 0
         for i in range(len(streams[src]) - 1, -1, -1):
             op = streams[src][i]
@@ -343,7 +332,7 @@ def hb_from_trace(metrics: Union[RunMetrics, str, Path, Mapping]) -> HBGraph:
             ):
                 del streams[src][i]
                 removed += 1
-    for (src, dst, tag), k in dups.items():
+    for (src, dst, tag), k in metrics.faults.channel_counts("duplicate").items():
         for _ in range(k):
             streams[src].append(
                 MSend(src, dst, tag, 0, step=len(streams[src]))
@@ -442,10 +431,8 @@ def crosscheck_trace(
     intentional: dict[tuple[int, int, int], int] = {}
     consumed: dict[tuple[int, int, int], int] = {}
     for ev in metrics.trace:
-        if ev.peer is None or ev.tag is None:
-            continue
-        if ev.kind == "send":
-            key = (ev.rank, ev.peer, ev.tag)
+        if ev.name == "send":
+            key = (ev.rank, *op_channel(ev))
             intentional[key] = intentional.get(key, 0) + 1
     for key, plist in graph.pairs.items():
         consumed[key] = len(plist)

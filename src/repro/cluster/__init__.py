@@ -30,7 +30,6 @@ from repro.cluster.runtime import (
     TimeoutPolicy,
     SIMULATED_TIMEOUTS,
     MONOTONIC_TIMEOUTS,
-    TraceEvent,
     run_spmd,
     DeadlockError,
     RECV_TIMEOUT,
@@ -50,7 +49,6 @@ __all__ = [
     "TimeoutPolicy",
     "SIMULATED_TIMEOUTS",
     "MONOTONIC_TIMEOUTS",
-    "TraceEvent",
     "run_spmd",
     "DeadlockError",
     "RECV_TIMEOUT",

@@ -8,9 +8,9 @@ plan is pure data plus a seed; :func:`run_spmd` builds one
 program yields bit-identical metrics -- probabilistic faults draw from a
 ``random.Random(seed)`` stream in the scheduler's (deterministic) order.
 
-Everything that actually happened is recorded in a :class:`FaultStats` block
-on :class:`~repro.cluster.metrics.RunMetrics`, and (with tracing on) as
-zero-width ``fault`` events on the timeline.
+Everything that actually happened is recorded once, in a :class:`FaultStats`
+block on :class:`~repro.cluster.metrics.RunMetrics`; the trace linter, the
+happens-before cross-check and the exporters all read faults from there.
 
 This module is standalone on purpose: :mod:`repro.cluster.runtime` and
 :mod:`repro.cluster.metrics` import it, never the other way round.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 #: Every fault kind a :class:`FaultPlan` can describe.  Execution backends
@@ -85,13 +86,17 @@ class FaultEvent:
     """One injected or observed fault occurrence on the simulated timeline.
 
     ``kind`` is one of ``crash``, ``drop``, ``duplicate``, ``timeout``,
-    ``retry``, ``recovery``.
+    ``retry``, ``recovery``.  Message faults carry the channel: ``peer`` is
+    the other endpoint (destination of a dropped/duplicated send, source of
+    a timed-out receive) and ``tag`` the message tag.
     """
 
     kind: str
     time: float
     rank: int
     detail: str = ""
+    peer: int | None = None
+    tag: int | None = None
 
 
 @dataclass
@@ -106,8 +111,17 @@ class FaultStats:
     recoveries: int = 0
     events: list[FaultEvent] = field(default_factory=list)
 
-    def note(self, kind: str, time: float, rank: int, detail: str = "") -> None:
-        self.events.append(FaultEvent(kind, time, rank, detail))
+    def note(
+        self,
+        kind: str,
+        time: float,
+        rank: int,
+        detail: str = "",
+        *,
+        peer: int | None = None,
+        tag: int | None = None,
+    ) -> None:
+        self.events.append(FaultEvent(kind, time, rank, detail, peer, tag))
         if kind == "crash":
             self.crashed_ranks.append(rank)
         elif kind == "drop":
@@ -133,7 +147,17 @@ class FaultStats:
         event log (each event is re-noted through :meth:`note`).
         """
         for ev in other.events:
-            self.note(ev.kind, ev.time, ev.rank, ev.detail)
+            self.note(
+                ev.kind, ev.time, ev.rank, ev.detail, peer=ev.peer, tag=ev.tag
+            )
+
+    def channel_counts(self, kind: str) -> dict[tuple[int, int, int], int]:
+        """``(src, dst, tag) -> count`` of ``drop`` or ``duplicate`` faults."""
+        return Counter(
+            (ev.rank, ev.peer, ev.tag)
+            for ev in self.events
+            if ev.kind == kind and ev.peer is not None and ev.tag is not None
+        )
 
     def summary(self) -> str:
         return (

@@ -28,12 +28,11 @@ Robustness layer (all optional, zero simulated cost when unused):
   ``arrival_time <= block_start + timeout`` ever becomes available.
 - a :class:`~repro.cluster.faults.FaultPlan` passed as ``faults=`` injects
   rank crashes, message drops/duplications, NIC degradation windows, and
-  compute stragglers; everything injected or observed lands in
-  ``RunMetrics.faults`` (and, with tracing, as zero-width ``fault`` trace
-  events).  A crashed rank stops executing at its crash time: in-flight
-  sends it already posted stand, everything after is gone, and partners
-  discover the loss through timeouts (or a :class:`DeadlockError` naming
-  the crashed ranks).
+  compute stragglers; everything injected or observed is noted once, in
+  ``RunMetrics.faults``.  A crashed rank stops executing at its crash
+  time: in-flight sends it already posted stand, everything after is gone,
+  and partners discover the loss through timeouts (or a
+  :class:`DeadlockError` naming the crashed ranks).
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from repro.cluster.machine import MachineModel
 from repro.cluster.metrics import RunMetrics
 from repro.cluster.network import CONTROL_NBYTES, Network, payload_nbytes
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.span import NULL_TRACER, Tracer
+from repro.obs.span import NULL_TRACER, Span, Tracer, op_span
 
 
 class DeadlockError(RuntimeError):
@@ -133,49 +132,6 @@ SIMULATED_TIMEOUTS = TimeoutPolicy()
 MONOTONIC_TIMEOUTS = TimeoutPolicy(
     clock="monotonic", min_timeout_s=0.05, detection_floor_s=2.0
 )
-
-
-@dataclass(frozen=True)
-class TraceEvent:
-    """One interval of a rank's simulated timeline.
-
-    ``kind`` is one of ``compute``, ``send``, ``wait`` (idle, blocked on a
-    receive), ``recv`` (receiver-side transfer), ``disk``, ``barrier``, or
-    the zero-width ``fault`` (crash / drop / timeout marker).
-
-    Communication events also carry structured fields so post-hoc analyzers
-    (:mod:`repro.analysis.lint_trace`) never parse ``detail`` strings:
-    ``peer`` is the other endpoint (destination of a send, source of a
-    recv/wait/timeout), ``tag`` the message tag, and ``nbytes`` the payload
-    size for completed transfers.
-    """
-
-    rank: int
-    kind: str
-    start: float
-    end: float
-    detail: str = ""
-    peer: int | None = None
-    tag: int | None = None
-    nbytes: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.end < self.start:
-            raise ValueError(
-                f"TraceEvent {self.kind!r} on rank {self.rank} has negative "
-                f"duration ({self.start} .. {self.end})"
-            )
-        if self.kind in ("send", "recv") and (self.peer is None or self.tag is None):
-            raise ValueError(
-                f"TraceEvent {self.kind!r} on rank {self.rank} requires "
-                f"structured peer/tag fields (got peer={self.peer}, "
-                f"tag={self.tag}); the lint rules never parse detail strings"
-            )
-
-    @property
-    def t_end(self) -> float:
-        """Alias for ``end``, matching the :class:`repro.obs.Span` vocabulary."""
-        return self.end
 
 
 @dataclass(frozen=True)
@@ -323,22 +279,6 @@ class RankEnv:
         return list(self._held)
 
 
-def recovery_trace_events(fstats: FaultStats) -> list[TraceEvent]:
-    """Zero-width ``fault`` events for every recovery action in ``fstats``.
-
-    Recovery actions are noted through :meth:`RankEnv.note_recovery` (not
-    yielded ops), so without this synthesis they would be invisible to the
-    trace linter -- :mod:`repro.analysis.lint_trace` rules TRACE106/107
-    validate crashed runs by pairing ``crash`` markers with these
-    ``recover:`` markers.  Both backends append them to traced runs.
-    """
-    return [
-        TraceEvent(ev.rank, "fault", ev.time, ev.time, f"recover: {ev.detail}")
-        for ev in fstats.events
-        if ev.kind == "recovery"
-    ]
-
-
 _READY, _BLOCKED, _BARRIER, _DONE, _DEAD = range(5)
 
 
@@ -356,8 +296,8 @@ def run_spmd(
     ``program_factory(env)`` must return a fresh generator per rank.  The
     generator's return value is collected into ``RunMetrics.rank_results``
     (``None`` for ranks that crashed).  With ``record_trace=True``, every
-    rank's simulated timeline is captured as :class:`TraceEvent` intervals
-    in ``RunMetrics.trace``.
+    rank's simulated timeline is captured as ``cat="op"``
+    :class:`~repro.obs.span.Span` intervals in ``RunMetrics.trace``.
 
     ``machines`` gives each rank its own cost model (heterogeneous cluster /
     straggler studies); it overrides ``machine`` and must have one entry per
@@ -407,14 +347,14 @@ def run_spmd(
     crash_op_at = [ctl.crash_op(r) for r in range(num_ranks)]
     ops_issued = [0] * num_ranks
     results: list[Any] = [None] * num_ranks
-    trace: list[TraceEvent] = []
+    trace: list[Span] = []
 
     def record(
         rank: int,
         kind: str,
         start: float,
         end: float,
-        detail: str = "",
+        detail: str | None = None,
         *,
         peer: int | None = None,
         tag: int | None = None,
@@ -422,20 +362,11 @@ def run_spmd(
     ) -> None:
         if record_trace and end > start:
             trace.append(
-                TraceEvent(rank, kind, start, end, detail, peer, tag, nbytes)
+                op_span(
+                    rank, kind, start, end,
+                    peer=peer, tag=tag, nbytes=nbytes, detail=detail,
+                )
             )
-
-    def record_fault(
-        rank: int,
-        t: float,
-        detail: str,
-        *,
-        peer: int | None = None,
-        tag: int | None = None,
-        nbytes: int | None = None,
-    ) -> None:
-        if record_trace:
-            trace.append(TraceEvent(rank, "fault", t, t, detail, peer, tag, nbytes))
 
     def kill(r: int, t: float) -> None:
         """Rank ``r`` dies at simulated time ``t``; its generator is closed."""
@@ -445,7 +376,6 @@ def run_spmd(
         blocked_on[r] = None
         blocked_deadline[r] = None
         fstats.note("crash", env.clock, r, f"rank {r} crashed")
-        record_fault(r, env.clock, "crash")
         gens[r].close()
 
     def crashes_by(r: int, end: float) -> bool:
@@ -455,13 +385,12 @@ def run_spmd(
     def fire_timeout(r: int, deadline: float, op: RecvOp) -> Any:
         """Resume a timed-out receive at its deadline with the sentinel."""
         env = envs[r]
-        record(
-            r, "wait", env.clock, deadline,
-            f"timeout (from {op.src} tag {op.tag})", peer=op.src, tag=op.tag,
-        )
+        record(r, "wait", env.clock, deadline, "timeout", peer=op.src, tag=op.tag)
         env.clock = max(env.clock, deadline)
-        fstats.note("timeout", env.clock, r, f"recv from {op.src} tag {op.tag}")
-        record_fault(r, env.clock, f"timeout from {op.src}", peer=op.src, tag=op.tag)
+        fstats.note(
+            "timeout", env.clock, r, f"recv from {op.src} tag {op.tag}",
+            peer=op.src, tag=op.tag,
+        )
         return RECV_TIMEOUT
 
     def receive(r: int, op: RecvOp) -> Any:
@@ -478,11 +407,10 @@ def run_spmd(
         if crashes_by(r, end):
             kill(r, max(t0, crash_at[r]))
             return None
-        record(r, "wait", t0, arrived, f"from {msg.src}", peer=msg.src, tag=op.tag)
+        record(r, "wait", t0, arrived, peer=msg.src, tag=op.tag)
         env.clock = end
         record(
-            r, "recv", arrived, end, f"from {msg.src} ({msg.nbytes}B)",
-            peer=msg.src, tag=op.tag, nbytes=msg.nbytes,
+            r, "recv", arrived, end, peer=msg.src, tag=op.tag, nbytes=msg.nbytes
         )
         network.match(r, op.src, op.tag)
         return msg.payload
@@ -527,7 +455,7 @@ def run_spmd(
                     return
                 env.clock = t0 + dur
                 record(
-                    r, "send", t0, env.clock, f"to {op.dst} ({nbytes}B)",
+                    r, "send", t0, env.clock,
                     peer=op.dst, tag=op.tag, nbytes=nbytes,
                 )
                 action = ctl.message_action(r, op.dst)
@@ -535,10 +463,7 @@ def run_spmd(
                     fstats.note(
                         "drop", env.clock, r,
                         f"{r}->{op.dst} tag {op.tag} ({nbytes}B)",
-                    )
-                    record_fault(
-                        r, env.clock, f"drop to {op.dst}",
-                        peer=op.dst, tag=op.tag, nbytes=nbytes,
+                        peer=op.dst, tag=op.tag,
                     )
                 else:
                     network.post(r, op.dst, op.tag, op.payload, arrival_time=env.clock)
@@ -546,10 +471,7 @@ def run_spmd(
                         fstats.note(
                             "duplicate", env.clock, r,
                             f"{r}->{op.dst} tag {op.tag} ({nbytes}B)",
-                        )
-                        record_fault(
-                            r, env.clock, f"duplicate to {op.dst}",
-                            peer=op.dst, tag=op.tag, nbytes=nbytes,
+                            peer=op.dst, tag=op.tag,
                         )
                         network.post(
                             r, op.dst, op.tag, op.payload, arrival_time=env.clock
@@ -671,8 +593,6 @@ def run_spmd(
                 _deadlock_report(num_ranks, state, blocked_on, envs, network, fstats)
             )
 
-    if record_trace and fstats.recoveries:
-        trace.extend(recovery_trace_events(fstats))
     spans = sorted(
         (s for env in envs for s in env.tracer.spans),
         key=lambda s: (s.t_start, s.t_end, s.rank),

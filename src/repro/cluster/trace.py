@@ -2,8 +2,8 @@
 
 With ``record_trace=True`` on :func:`repro.cluster.runtime.run_spmd` (or
 ``trace=True`` on the constructors that expose it), every rank's simulated
-execution is captured as intervals.  This module turns those into the
-numbers the paper's figures are explained by:
+execution is captured as ``cat="op"`` spans.  This module turns those into
+the numbers the paper's figures are explained by:
 
 - per-rank and aggregate **breakdowns** (compute / send / recv / wait /
   disk / barrier / idle);
@@ -29,7 +29,6 @@ _GLYPH = {
     "wait": ".",
     "disk": "D",
     "barrier": "|",
-    "fault": "X",
 }
 
 
@@ -64,10 +63,10 @@ def breakdown(metrics: RunMetrics) -> list[TimeBreakdown]:
         r: {k: 0.0 for k in KINDS} for r in range(metrics.num_ranks)
     }
     for ev in metrics.trace:
-        # Unknown kinds (e.g. zero-width "fault" markers) accumulate too,
-        # but only the canonical KINDS are tabulated by summarize().
-        per_rank[ev.rank][ev.kind] = (
-            per_rank[ev.rank].get(ev.kind, 0.0) + ev.end - ev.start
+        # Unknown op names in a loaded file accumulate too, but only the
+        # canonical KINDS are tabulated by summarize().
+        per_rank[ev.rank][ev.name] = (
+            per_rank[ev.rank].get(ev.name, 0.0) + ev.duration
         )
     return [
         TimeBreakdown(rank=r, seconds=per_rank[r], makespan=metrics.makespan_s)
@@ -105,8 +104,9 @@ def ascii_gantt(
     """Terminal Gantt chart: one row per rank, one glyph per time slot.
 
     Glyphs: ``#`` compute, ``>`` send, ``<`` receive, ``.`` waiting,
-    ``D`` disk, ``|`` barrier, space idle.  Later events overwrite earlier
-    ones within a slot (slots are makespan/width wide).
+    ``D`` disk, ``|`` barrier, ``X`` an entry of the run's fault log, space
+    idle.  Later events overwrite earlier ones within a slot (slots are
+    makespan/width wide); fault marks are drawn last.
     """
     if width < 1:
         raise ValueError("width must be positive")
@@ -120,13 +120,16 @@ def ascii_gantt(
     for ev in metrics.trace:
         if ev.rank not in rows:
             continue
-        lo = min(width - 1, int(ev.start / span * width))
-        hi = min(width, max(lo + 1, int(ev.end / span * width)))
-        glyph = _GLYPH.get(ev.kind, "?")
+        lo = min(width - 1, int(ev.t_start / span * width))
+        hi = min(width, max(lo + 1, int(ev.t_end / span * width)))
+        glyph = _GLYPH.get(ev.name, "?")
         for i in range(lo, hi):
             rows[ev.rank][i] = glyph
+    for fault in metrics.faults.events:
+        if fault.rank in rows:
+            rows[fault.rank][min(width - 1, int(fault.time / span * width))] = "X"
     lines = [f"{r:>4} |{''.join(rows[r])}|" for r in rows]
-    legend = "      # compute  > send  < recv  . wait  D disk  | barrier"
+    legend = "      # compute  > send  < recv  . wait  D disk  | barrier  X fault"
     return "\n".join(lines + [legend])
 
 

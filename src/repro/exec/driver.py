@@ -10,8 +10,8 @@ since the previous op).
 The driver owns everything the real backends share: the ``gen.send``
 loop, the mailbox and its receive deadline / watchdog logic, the chaos
 boundary (:class:`~repro.exec.chaos.ChaosAgent` kills, straggler and NIC
-delays, duplicate deliveries), per-op accounting,
-:class:`~repro.cluster.runtime.TraceEvent` emission, and the stats dict
+delays, duplicate deliveries), per-op accounting, op-span emission
+(:func:`~repro.obs.span.op_span`), fault notes, and the stats dict
 :func:`~repro.exec.stats.merge_rank_stats` folds.  A backend supplies only
 what genuinely differs:
 
@@ -55,13 +55,12 @@ from repro.cluster.runtime import (
     RecvOp,
     SendOp,
     SleepOp,
-    TraceEvent,
 )
 from repro.exec.base import ProgramFactory
 from repro.exec.chaos import NULL_CHAOS, ChaosAgent
 from repro.obs.live import RankProbe
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import Tracer
+from repro.obs.span import Span, Tracer, op_span
 
 #: ``await_message(src, tag, deadline)``: the next matching payload, or
 #: :data:`~repro.cluster.runtime.RECV_TIMEOUT` past a non-``None`` deadline.
@@ -145,7 +144,7 @@ def drive_rank(
     )
     inbox = inboxes[rank]
     mailbox: dict[tuple[int, int], deque[Any]] = {}
-    trace: list[TraceEvent] = []
+    trace: list[Span] = []
     comm = CommStats()
     # Provisional until the start barrier releases; only waits relative to
     # `now()` happen before then, so its absolute value never shows.
@@ -232,7 +231,7 @@ def drive_rank(
                 env.clock = t_yield
             env.compute_ops += op.element_ops
             if record_trace and t_yield > t_prev:
-                trace.append(TraceEvent(rank, "compute", t_prev, t_yield))
+                trace.append(op_span(rank, "compute", t_prev, t_yield))
         elif isinstance(op, SendOp):
             nbytes = payload_nbytes(op.payload)
             delay = chaos.send_delay_s(nbytes, t_yield)
@@ -247,9 +246,8 @@ def drive_rank(
             t_done = now()
             if record_trace:
                 trace.append(
-                    TraceEvent(
+                    op_span(
                         rank, "send", t_yield, t_done,
-                        f"to {op.dst} ({nbytes}B)",
                         peer=op.dst, tag=op.tag, nbytes=nbytes,
                     )
                 )
@@ -257,61 +255,47 @@ def drive_rank(
                 fstats.note(
                     "duplicate", t_done, rank,
                     f"{rank}->{op.dst} tag {op.tag} ({nbytes}B)",
+                    peer=op.dst, tag=op.tag,
                 )
-                if record_trace:
-                    trace.append(
-                        TraceEvent(
-                            rank, "fault", t_done, t_done,
-                            f"duplicate to {op.dst}",
-                            peer=op.dst, tag=op.tag, nbytes=nbytes,
-                        )
-                    )
         elif isinstance(op, RecvOp):
             deadline = None if op.timeout is None else t_yield + op.timeout
             resume = await_message(op.src, op.tag, deadline)
             t_done = now()
             if resume is RECV_TIMEOUT:
                 fstats.note(
-                    "timeout", t_done, rank, f"recv from {op.src} tag {op.tag}"
+                    "timeout", t_done, rank, f"recv from {op.src} tag {op.tag}",
+                    peer=op.src, tag=op.tag,
                 )
                 if record_trace:
                     trace.append(
-                        TraceEvent(
+                        op_span(
                             rank, "wait", t_yield, t_done,
-                            f"timeout (from {op.src} tag {op.tag})",
-                            peer=op.src, tag=op.tag,
-                        )
-                    )
-                    trace.append(
-                        TraceEvent(
-                            rank, "fault", t_done, t_done,
-                            f"timeout from {op.src}", peer=op.src, tag=op.tag,
+                            peer=op.src, tag=op.tag, detail="timeout",
                         )
                     )
             elif record_trace:
                 trace.append(
-                    TraceEvent(
+                    op_span(
                         rank, "recv", t_yield, t_done,
-                        f"from {op.src} ({payload_nbytes(resume)}B)",
                         peer=op.src, tag=op.tag, nbytes=payload_nbytes(resume),
                     )
                 )
         elif isinstance(op, DiskWriteOp):
             env.disk_bytes_written += op.nbytes
             if record_trace and t_yield > t_prev:
-                trace.append(TraceEvent(rank, "disk", t_prev, t_yield, "write"))
+                trace.append(op_span(rank, "disk", t_prev, t_yield, detail="write"))
         elif isinstance(op, DiskReadOp):
             env.disk_bytes_read += op.nbytes
             if record_trace and t_yield > t_prev:
-                trace.append(TraceEvent(rank, "disk", t_prev, t_yield, "read"))
+                trace.append(op_span(rank, "disk", t_prev, t_yield, detail="read"))
         elif isinstance(op, SleepOp):
             time.sleep(op.seconds)
             if record_trace:
-                trace.append(TraceEvent(rank, "wait", t_yield, now(), "sleep"))
+                trace.append(op_span(rank, "wait", t_yield, now(), detail="sleep"))
         elif isinstance(op, BarrierOp):
             barrier(await_message)
             if record_trace:
-                trace.append(TraceEvent(rank, "barrier", t_yield, now()))
+                trace.append(op_span(rank, "barrier", t_yield, now()))
         else:
             raise TypeError(f"rank {rank} yielded unknown op {op!r}")
         op_index += 1

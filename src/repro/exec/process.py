@@ -12,7 +12,7 @@ Because the *program* is identical -- same numpy kernels, same flat
 reduce-to-lead combine order -- results are bit-for-bit identical to the
 simulator's, and the message pattern (hence the Theorem 3 communication
 volume) matches exactly.  What changes is the meaning of time: clocks and
-:class:`~repro.cluster.runtime.TraceEvent` intervals are real
+op-span intervals (``RunMetrics.trace``) are real
 ``time.monotonic`` seconds against a common epoch (``CLOCK_MONOTONIC`` is
 system-wide, so cross-process timestamps are comparable), and receive
 timeouts are shaped by :data:`~repro.cluster.runtime.MONOTONIC_TIMEOUTS`.
@@ -241,7 +241,6 @@ class ProcessBackend(Backend):
             restartable=restartable,
             watchdog_s=self.watchdog_s,
             max_respawns=self.max_respawns,
-            record_trace=record_trace,
             on_snapshot=live.update if live is not None else None,
         )
         try:
@@ -270,7 +269,6 @@ class ProcessBackend(Backend):
             backend=self.name,
             record_trace=record_trace,
             extra_faults=sup.fstats,
-            host_trace=sup.host_trace,
         )
 
     def end_run(self) -> None:

@@ -10,7 +10,9 @@ two backends cannot drift in how they aggregate -- and the parity suite's
 "equal messages, equal peak memory" comparisons stay meaningful.
 
 A ``None`` entry in ``stats`` is a declared-dead rank whose portion was
-recovered by its buddy (process backend only); it contributes nothing.
+recovered by its buddy (process backend only).  It keeps its position in
+every per-rank list -- clock 0.0, peak 0, result ``None``, as the simulator
+reports a crashed rank -- so rank ``r`` is index ``r`` for every reader.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from typing import Any, Sequence
 
 from repro.cluster.faults import FaultStats
 from repro.cluster.metrics import CommStats, RunMetrics
-from repro.cluster.runtime import TraceEvent, recovery_trace_events
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.span import Sample, Span
 
@@ -36,21 +37,24 @@ def empty_metrics(backend: str) -> RunMetrics:
     )
 
 
+def _by_time(sp: Span) -> tuple[float, float, int]:
+    return (sp.t_start, sp.t_end, sp.rank)
+
+
 def merge_rank_stats(
     stats: Sequence[dict[str, Any] | None],
     *,
     backend: str,
     record_trace: bool,
     extra_faults: FaultStats | None = None,
-    host_trace: Sequence[TraceEvent] = (),
 ) -> RunMetrics:
     """Fold per-rank driver stats into one :class:`RunMetrics`.
 
-    ``extra_faults`` / ``host_trace`` carry supervisor-side observations
-    (respawns, declared deaths) on backends that have a supervisor.
+    ``extra_faults`` carries supervisor-side observations (respawns,
+    declared deaths) on backends that have a supervisor.
     """
     comm = CommStats()
-    trace: list[TraceEvent] = []
+    trace: list[Span] = []
     spans: list[Span] = []
     samples: list[Sample] = []
     registry = MetricsRegistry() if record_trace else NULL_REGISTRY
@@ -67,28 +71,23 @@ def merge_rank_stats(
             registry.merge(s["registry"])
     if extra_faults is not None:
         fstats.merge(extra_faults)
-    trace.extend(host_trace)
-    if record_trace and fstats.recoveries:
-        trace.extend(recovery_trace_events(fstats))
-    trace.sort(key=lambda ev: (ev.start, ev.end, ev.rank))
-    spans.sort(key=lambda sp: (sp.t_start, sp.t_end, sp.rank))
+    trace.sort(key=_by_time)
+    spans.sort(key=_by_time)
     samples.sort(key=lambda sm: (sm.t, sm.rank))
-    clocks = [s["clock"] for s in stats if s is not None]
+
+    def per_rank(key: str, dead: Any) -> list[Any]:
+        return [dead if s is None else s[key] for s in stats]
+
+    clocks = per_rank("clock", 0.0)
     return RunMetrics(
         makespan_s=max(clocks, default=0.0),
         rank_clocks=clocks,
         comm=comm,
-        rank_peak_memory_elements=[
-            s["peak_memory_elements"] for s in stats if s is not None
-        ],
-        rank_compute_ops=[s["compute_ops"] for s in stats if s is not None],
-        rank_disk_bytes_written=[
-            s["disk_bytes_written"] for s in stats if s is not None
-        ],
-        rank_disk_bytes_read=[
-            s["disk_bytes_read"] for s in stats if s is not None
-        ],
-        rank_results=[s["result"] for s in stats if s is not None],
+        rank_peak_memory_elements=per_rank("peak_memory_elements", 0),
+        rank_compute_ops=per_rank("compute_ops", 0.0),
+        rank_disk_bytes_written=per_rank("disk_bytes_written", 0),
+        rank_disk_bytes_read=per_rank("disk_bytes_read", 0),
+        rank_results=per_rank("result", None),
         trace=trace,
         faults=fstats,
         backend=backend,

@@ -32,7 +32,7 @@ Recovery policy on a detected death:
 
 Everything the supervisor observes lands in its
 :class:`~repro.cluster.faults.FaultStats` (crash/retry events with host
-timestamps) and, on traced runs, as zero-width ``fault`` trace events, so
+timestamps), which the backend merges into the run's fault log, so
 :func:`repro.analysis.lint_trace.lint_trace` audits real recoveries with
 the same rules it applies to simulated ones.
 """
@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.cluster.faults import FaultStats
-from repro.cluster.runtime import TraceEvent
+from repro.obs.span import Span
 
 #: Pseudo-rank the supervisor uses as the ``src`` of control messages it
 #: pushes into worker inboxes (barrier releases).  Negative so it can never
@@ -105,7 +105,7 @@ class RankIncident:
     exit_code: int | None = None
     signal_name: str | None = None
     last_heartbeat: tuple[int, str, float] | None = None
-    trace_tail: list[TraceEvent] = field(default_factory=list)
+    trace_tail: list[Span] = field(default_factory=list)
 
     def format(self) -> str:
         line = f"rank {self.rank}: {self.status}"
@@ -157,8 +157,6 @@ class Supervisor:
         run is declared wedged and fails with a post-mortem.
     max_respawns:
         Per-rank respawn budget before the rank is declared dead.
-    record_trace:
-        Whether to synthesize host-side ``fault`` trace events.
     on_snapshot:
         Optional sink for ``("snap", rank, incarnation, snapshot)``
         control messages -- the snapshot-bus leg of the process backend.
@@ -176,7 +174,6 @@ class Supervisor:
         restartable: bool = False,
         watchdog_s: float = 120.0,
         max_respawns: int = DEFAULT_MAX_RESPAWNS,
-        record_trace: bool = False,
         on_snapshot: Callable[[Any], Any] | None = None,
     ) -> None:
         self.num_ranks = num_ranks
@@ -186,10 +183,8 @@ class Supervisor:
         self._restartable = restartable
         self._watchdog_s = watchdog_s
         self._max_respawns = max_respawns
-        self._record_trace = record_trace
         self._on_snapshot = on_snapshot
         self.fstats = FaultStats()
-        self.host_trace: list[TraceEvent] = []
         self.epoch: float | None = None
         self._ranks: list[_RankState] = []
         self._stats: list[dict[str, Any] | None] = [None] * num_ranks
@@ -250,7 +245,7 @@ class Supervisor:
                 status = "exited without reporting"
             if st.respawns:
                 status += f"; respawned {st.respawns}x"
-            tail: list[TraceEvent] = []
+            tail: list[Span] = []
             stats = self._stats[r]
             if stats is not None:
                 tail = list(stats.get("trace", []))[-5:]
@@ -277,10 +272,10 @@ class Supervisor:
             lines.append("last trace events from surviving ranks:")
             for inc in tails:
                 for ev in inc.trace_tail:
-                    detail = f" {ev.detail}" if ev.detail else ""
+                    attrs = "".join(f" {k}={v}" for k, v in ev.attrs.items())
                     lines.append(
-                        f"  rank {inc.rank}: {ev.kind} "
-                        f"[{ev.start:.3f}, {ev.end:.3f}]{detail}"
+                        f"  rank {inc.rank}: {ev.name} "
+                        f"[{ev.t_start:.3f}, {ev.t_end:.3f}]{attrs}"
                     )
         return "\n".join(lines)
 
@@ -406,10 +401,6 @@ class Supervisor:
             f"worker exited with code {code}{sig} "
             f"(incarnation {st.incarnation})",
         )
-        if self._record_trace:
-            self.host_trace.append(
-                TraceEvent(rank, "fault", t, t, f"crash (worker exit {code}{sig})")
-            )
         if not self._restartable:
             raise _FatalFailure(
                 f"rank {rank} died with exit code {code}{sig} and the "

@@ -2,9 +2,9 @@
 
 Zero-dependency instrumentation wired through the whole stack:
 
-- :class:`Tracer` collects hierarchical :class:`Span` timelines plus
-  :class:`Instant` markers and :class:`Sample` series, one tracer per SPMD
-  rank (simulated or real clocks) or per service;
+- :class:`Tracer` collects hierarchical :class:`Span` timelines (phases,
+  interpreted ops, zero-width markers) and :class:`Sample` series, one
+  tracer per SPMD rank (simulated or real clocks) or per service;
 - :class:`MetricsRegistry` holds named :class:`Counter` / :class:`Gauge` /
   :class:`Histogram` instruments with labels -- the single vocabulary that
   ``CacheStats``, ``CubeService`` counters, and ``ServiceStats``
@@ -39,7 +39,7 @@ Quickstart::
 
 When tracing is off, the shared :data:`NULL_TRACER` is in place and hot
 paths skip instrumentation entirely -- a disabled run allocates nothing in
-this package (``benchmarks/test_bench_obs.py`` enforces that).
+this package (``tests/test_obs.py`` enforces that).
 """
 
 from repro.obs.export import (
@@ -70,7 +70,6 @@ from repro.obs.slo import (
 )
 from repro.obs.span import (
     NULL_TRACER,
-    Instant,
     NullTracer,
     Sample,
     Span,
@@ -84,7 +83,6 @@ __all__ = [
     "FORMAT_NAME",
     "Gauge",
     "Histogram",
-    "Instant",
     "LiveRunView",
     "MetricsRegistry",
     "NULL_TRACER",

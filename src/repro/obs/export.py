@@ -4,19 +4,22 @@
 as a Chrome trace-event JSON object (the format Perfetto and
 ``chrome://tracing`` load directly): one process lane per rank (plus a
 ``host`` lane for rank ``-1`` spans), a ``phases`` thread for the named
-spans and an ``ops`` thread for the raw :class:`TraceEvent` stream, instant
-markers for injected faults and timeouts, and counter tracks for sampled
-quantities (per-rank held memory over time).
+spans and an ``ops`` thread for the ``cat="op"`` spans of ``RunMetrics.trace``
+(both through one ``_span_event``), instant markers drawn from the fault
+log, and counter tracks for sampled quantities (per-rank held memory over
+time).
 
 Timestamps in the Chrome format are integer-ish microseconds, which loses
 precision relative to the float seconds the backends record, so every
 exported event also carries the exact values in its ``args`` (``_t0``/
 ``_t1``), and run-level state (comm totals, per-pair bytes, fault log,
-registry snapshot) rides along under ``otherData``.  That makes the export
-*lossless where it matters*: :func:`load_run` reconstructs a
-:class:`RunMetrics` whose trace, comm, memory, and fault data are exactly
-the recorded values, so :func:`repro.analysis.lint_trace` produces the
-same TRACE diagnostics on the file as on the in-memory run.
+registry snapshot) rides along under ``otherData``.  The fault instants
+are a view for the timeline UI; ``otherData.faults`` is the one copy the
+reader loads.  That makes the export *lossless where it matters*:
+:func:`load_run` reconstructs a :class:`RunMetrics` whose trace, comm,
+memory, and fault data are exactly the recorded values, so
+:func:`repro.analysis.lint_trace` produces the same TRACE diagnostics on
+the file as on the in-memory run.
 
 This module deliberately imports cluster modules inside functions only:
 ``cluster.runtime`` imports ``repro.obs`` for its tracer types, and keeping
@@ -30,9 +33,10 @@ from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Iterator, Mapping, Union
 
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import Sample, Span
+from repro.obs.span import Sample, Span, op_span
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
+    from repro.cluster.faults import FaultEvent
     from repro.cluster.metrics import RunMetrics
 
 __all__ = [
@@ -45,7 +49,8 @@ __all__ = [
 ]
 
 #: Identifies our export dialect inside ``otherData`` / the JSONL meta record.
-FORMAT_NAME = "repro-run-v1"
+#: v2: ops are ``cat="op"`` spans and fault rows carry ``peer``/``tag``.
+FORMAT_NAME = "repro-run-v2"
 
 RunSource = Union["RunMetrics", str, Path, Mapping[str, Any]]
 
@@ -108,45 +113,23 @@ def _span_event(span: Span, num_ranks: int) -> dict[str, Any]:
         "name": span.name,
         "cat": span.cat,
         "pid": pid,
-        "tid": 0,
+        "tid": 1 if span.cat == "op" else 0,
         "ts": span.t_start * _US,
         "dur": span.duration * _US,
         "args": args,
     }
 
 
-def _op_event(ev: Any) -> dict[str, Any]:
-    # ev is a cluster.runtime.TraceEvent (typed Any to keep the import lazy).
-    args: dict[str, Any] = {"_t0": ev.start, "_t1": ev.end}
-    if ev.detail:
-        args["detail"] = ev.detail
-    if ev.peer is not None:
-        args["peer"] = ev.peer
-    if ev.tag is not None:
-        args["tag"] = ev.tag
-    if ev.nbytes is not None:
-        args["nbytes"] = ev.nbytes
-    if ev.kind == "fault":
-        return {
-            "ph": "i",
-            "name": f"fault:{ev.detail}" if ev.detail else "fault",
-            "cat": "fault",
-            "pid": ev.rank,
-            "tid": 1,
-            "ts": ev.start * _US,
-            "s": "t",
-            "args": args,
-        }
-    name = ev.kind if not ev.detail else f"{ev.kind}:{ev.detail.split(' ')[0]}"
+def _fault_event(ev: "FaultEvent") -> dict[str, Any]:
     return {
-        "ph": "X",
-        "name": name,
-        "cat": f"op.{ev.kind}",
+        "ph": "i",
+        "name": f"fault:{ev.kind}",
+        "cat": "fault",
         "pid": ev.rank,
         "tid": 1,
-        "ts": ev.start * _US,
-        "dur": (ev.end - ev.start) * _US,
-        "args": args,
+        "ts": ev.time * _US,
+        "s": "t",
+        "args": {"detail": ev.detail},
     }
 
 
@@ -185,7 +168,8 @@ def _other_data(metrics: "RunMetrics") -> dict[str, Any]:
         },
         "faults": {
             "events": [
-                [ev.kind, ev.time, ev.rank, ev.detail] for ev in metrics.faults.events
+                [ev.kind, ev.time, ev.rank, ev.detail, ev.peer, ev.tag]
+                for ev in metrics.faults.events
             ],
         },
         "registry": registry.snapshot() if registry is not None else None,
@@ -205,10 +189,10 @@ def to_chrome_trace(metrics: "RunMetrics") -> dict[str, Any]:
     num_ranks = metrics.num_ranks
     have_host = any(s.rank < 0 for s in spans)
     events: list[dict[str, Any]] = []
-    for span in spans:
+    for span in (*spans, *metrics.trace):
         events.append(_span_event(span, num_ranks))
-    for ev in metrics.trace:
-        events.append(_op_event(ev))
+    for fault in metrics.faults.events:
+        events.append(_fault_event(fault))
     for sample in getattr(metrics, "samples", []):
         events.append(_sample_event(sample, num_ranks))
     events.sort(key=lambda e: (e["ts"], e["pid"], e["tid"]))
@@ -230,13 +214,14 @@ def to_jsonl_records(metrics: "RunMetrics") -> Iterator[dict[str, Any]]:
     """Yield the run as a stream of JSON-safe records.
 
     The first record is ``{"type": "meta", ...}`` with all run-level state;
-    then one record per span (``"span"``), op trace event (``"op"``), and
-    sample (``"sample"``), each in recorded order.  The stream carries
-    exactly the information of the Chrome export, one object per line, for
-    consumers that want to grep/stream rather than load a timeline UI.
+    then one ``"span"`` record per phase span and per op (``cat: "op"``) and
+    one ``"sample"`` record per sample, each in recorded order.  The stream
+    carries exactly the information of the Chrome export, one object per
+    line, for consumers that want to grep/stream rather than load a
+    timeline UI.
     """
     yield {"type": "meta", **_other_data(metrics)}
-    for span in getattr(metrics, "spans", []):
+    for span in (*getattr(metrics, "spans", []), *metrics.trace):
         yield {
             "type": "span",
             "name": span.name,
@@ -246,18 +231,6 @@ def to_jsonl_records(metrics: "RunMetrics") -> Iterator[dict[str, Any]]:
             "cat": span.cat,
             "parent": span.parent,
             "attrs": dict(span.attrs),
-        }
-    for ev in metrics.trace:
-        yield {
-            "type": "op",
-            "rank": ev.rank,
-            "kind": ev.kind,
-            "start": ev.start,
-            "end": ev.end,
-            "detail": ev.detail,
-            "peer": ev.peer,
-            "tag": ev.tag,
-            "nbytes": ev.nbytes,
         }
     for sample in getattr(metrics, "samples", []):
         yield {
@@ -280,18 +253,13 @@ def write_jsonl(metrics: "RunMetrics", path: str | Path) -> Path:
 
 def _records_from_chrome(doc: Mapping[str, Any]) -> tuple[dict[str, Any], list[dict[str, Any]]]:
     """Normalize a Chrome export back into (meta, records)."""
-    other = doc.get("otherData")
-    if not isinstance(other, Mapping) or other.get("format") != FORMAT_NAME:
-        raise ValueError(
-            f"not a {FORMAT_NAME} export: missing otherData.format marker"
-        )
-    meta = dict(other)
+    meta = _checked_meta(doc.get("otherData"))
     records: list[dict[str, Any]] = []
     num_ranks = int(meta["num_ranks"])
     for ev in doc.get("traceEvents", []):
         ph = ev.get("ph")
         args = ev.get("args", {})
-        if ph == "M":
+        if ph in ("M", "i"):  # fault instants are a view of otherData.faults
             continue
         rank = int(ev["pid"])
         if rank >= num_ranks:
@@ -300,22 +268,6 @@ def _records_from_chrome(doc: Mapping[str, Any]) -> tuple[dict[str, Any], list[d
             records.append(
                 {"type": "sample", "name": ev["name"], "rank": rank,
                  "t": args["_t"], "value": args["value"]}
-            )
-        elif ph == "i":
-            records.append(
-                {"type": "op", "rank": rank, "kind": "fault",
-                 "start": args["_t0"], "end": args["_t1"],
-                 "detail": args.get("detail", ""), "peer": args.get("peer"),
-                 "tag": args.get("tag"), "nbytes": args.get("nbytes")}
-            )
-        elif ph == "X" and ev.get("tid") == 1:
-            cat = str(ev.get("cat", ""))
-            kind = cat[3:] if cat.startswith("op.") else str(ev["name"]).split(":")[0]
-            records.append(
-                {"type": "op", "rank": rank, "kind": kind,
-                 "start": args["_t0"], "end": args["_t1"],
-                 "detail": args.get("detail", ""), "peer": args.get("peer"),
-                 "tag": args.get("tag"), "nbytes": args.get("nbytes")}
             )
         elif ph == "X":
             attrs = {k: v for k, v in args.items() if not k.startswith("_") and k != "parent"}
@@ -326,6 +278,17 @@ def _records_from_chrome(doc: Mapping[str, Any]) -> tuple[dict[str, Any], list[d
                  "attrs": attrs}
             )
     return meta, records
+
+
+def _checked_meta(meta: Any) -> dict[str, Any]:
+    """``meta`` as a dict, provided it carries this version's format marker."""
+    found = meta.get("format") if isinstance(meta, Mapping) else None
+    if found != FORMAT_NAME:
+        raise ValueError(
+            f"not a {FORMAT_NAME} export (its format marker is {found!r}); "
+            "older exports are not read -- export the run again"
+        )
+    return dict(meta)
 
 
 def _read_source(source: RunSource) -> tuple[dict[str, Any], list[dict[str, Any]]]:
@@ -347,9 +310,7 @@ def _read_source(source: RunSource) -> tuple[dict[str, Any], list[dict[str, Any]
             continue
         record = json.loads(line)
         if record.get("type") == "meta":
-            if record.get("format") != FORMAT_NAME:
-                raise ValueError(f"not a {FORMAT_NAME} JSONL stream")
-            meta = record
+            meta = _checked_meta(record)
         else:
             records.append(record)
     if meta is None:
@@ -372,7 +333,6 @@ def load_run(source: RunSource) -> "RunMetrics":
     """
     from repro.cluster.faults import FaultStats
     from repro.cluster.metrics import CommStats, RunMetrics
-    from repro.cluster.runtime import TraceEvent
 
     meta, records = _read_source(source)
     comm = CommStats(
@@ -385,8 +345,8 @@ def load_run(source: RunSource) -> "RunMetrics":
         },
     )
     faults = FaultStats()
-    for kind, t, rank, detail in meta["faults"]["events"]:
-        faults.note(str(kind), float(t), int(rank), str(detail))
+    for kind, t, rank, detail, peer, tag in meta["faults"]["events"]:
+        faults.note(str(kind), float(t), int(rank), str(detail), peer=peer, tag=tag)
     registry = MetricsRegistry()
     reg_snapshot = meta.get("registry")
     if isinstance(reg_snapshot, Mapping):
@@ -397,36 +357,31 @@ def load_run(source: RunSource) -> "RunMetrics":
             base, labels = _parse_full_name(name)
             registry.gauge(base, **labels).set(float(value))
 
-    trace: list[TraceEvent] = []
+    trace: list[Span] = []
     spans: list[Span] = []
     samples: list[Sample] = []
     for record in records:
         kind = record["type"]
-        if kind == "op":
-            trace.append(
-                TraceEvent(
-                    rank=int(record["rank"]),
-                    kind=str(record["kind"]),
-                    start=float(record["start"]),
-                    end=float(record["end"]),
-                    detail=str(record.get("detail") or ""),
-                    peer=None if record.get("peer") is None else int(record["peer"]),
-                    tag=None if record.get("tag") is None else int(record["tag"]),
-                    nbytes=None if record.get("nbytes") is None else int(record["nbytes"]),
+        if kind == "span":
+            name, rank = str(record["name"]), int(record["rank"])
+            t_start, t_end = float(record["t_start"]), float(record["t_end"])
+            attrs = dict(record.get("attrs") or {})
+            if record.get("cat") == "op":
+                # Through the constructor, so a send/recv without its
+                # channel is rejected here and not inside a lint rule.
+                trace.append(op_span(rank, name, t_start, t_end, **attrs))
+            else:
+                spans.append(
+                    Span(
+                        name=name,
+                        rank=rank,
+                        t_start=t_start,
+                        t_end=t_end,
+                        cat=str(record.get("cat") or "phase"),
+                        parent=record.get("parent"),
+                        attrs=attrs,
+                    )
                 )
-            )
-        elif kind == "span":
-            spans.append(
-                Span(
-                    name=str(record["name"]),
-                    rank=int(record["rank"]),
-                    t_start=float(record["t_start"]),
-                    t_end=float(record["t_end"]),
-                    cat=str(record.get("cat") or "phase"),
-                    parent=record.get("parent"),
-                    attrs=dict(record.get("attrs") or {}),
-                )
-            )
         elif kind == "sample":
             samples.append(
                 Sample(
@@ -436,7 +391,7 @@ def load_run(source: RunSource) -> "RunMetrics":
                     value=float(record["value"]),
                 )
             )
-    trace.sort(key=lambda ev: (ev.start, ev.end, ev.rank))
+    trace.sort(key=lambda ev: (ev.t_start, ev.t_end, ev.rank))
     num_ranks = int(meta["num_ranks"])
     return RunMetrics(
         makespan_s=float(meta["makespan_s"]),

@@ -17,8 +17,7 @@ Design constraints, in order:
 2. **Cheap when on.**  A snapshot is a handful of attribute reads; the
    process backend sends one small pickled dataclass per heartbeat tick
    (>= 250 ms apart), the thread sampler reads shared attributes under
-   the GIL without any locking on the rank side.  The ``BENCH_live``
-   gate holds the whole bus under 5 % build overhead.
+   the GIL without any locking on the rank side.
 3. **Monotonic.**  Snapshots can arrive out of order (queue races,
    respawned incarnations); :meth:`LiveRunView.update` keeps only the
    newest per rank, ordered by ``(incarnation, seq)``, so the view never

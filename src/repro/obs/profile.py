@@ -13,7 +13,7 @@ Two sample sources share one :class:`ProfileResult`:
   recorded span covering that instant.  Deterministic (no timers
   involved), and because instrumented builds keep phase coverage >= 95 %
   (:func:`repro.obs.report.phase_coverage`), well over 80 % of samples
-  land in named spans -- the ``BENCH_live`` acceptance gate.
+  land in named spans (asserted in ``tests/test_obs_profile.py``).
 - :meth:`ProfileResult.from_view` collapses the *live* samples a
   :class:`~repro.obs.live.LiveRunView` accumulated from the snapshot
   bus (every accepted snapshot is one wall-clock sample of the rank's

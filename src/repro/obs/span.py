@@ -1,10 +1,13 @@
-"""Spans, instants, samples, and the :class:`Tracer`: the timeline half
-of ``repro.obs``.
+"""Spans, samples, and the :class:`Tracer`: the timeline half of
+``repro.obs``.
 
 A :class:`Span` is a named interval on one rank's clock with optional
-attributes and a parent (spans nest); an :class:`Instant` is a zero-width
-marker (a fault injection, a cache invalidation); a :class:`Sample` is a
+attributes and a parent (spans nest) -- a named phase (``cat="phase"``),
+one interpreted op (``cat="op"``, built by :func:`op_span`), or a
+zero-width marker such as a cache invalidation; a :class:`Sample` is a
 timestamped value of a named quantity (per-rank held-memory over time).
+Faults are not on this timeline: they are noted once, in
+:class:`repro.cluster.faults.FaultStats`.
 
 Two recording styles coexist because the codebase has two kinds of code:
 
@@ -26,22 +29,23 @@ service shares one tracer across threads, appending under the GIL like
 every other counter in the repo.  When tracing is off, the module-level
 :data:`NULL_TRACER` singleton stands in: its ``enabled`` flag is False and
 instrumentation sites guard on it, so a disabled run executes no
-observability code at all (the property the ``BENCH_obs`` gate pins down).
+observability code at all (pinned by ``tests/test_obs.py``).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Union
+from typing import Callable, Mapping, Union, cast
 
 __all__ = [
-    "Instant",
     "NULL_TRACER",
     "NullTracer",
     "Sample",
     "Span",
     "Tracer",
+    "op_channel",
+    "op_span",
 ]
 
 AttrValue = Union[str, int, float, bool, None]
@@ -80,15 +84,42 @@ class Span:
         return self.t_end - self.t_start
 
 
-@dataclass(frozen=True)
-class Instant:
-    """A zero-width marker on one rank's clock (fault, invalidation)."""
+def op_span(
+    rank: int,
+    name: str,
+    t_start: float,
+    t_end: float,
+    *,
+    peer: int | None = None,
+    tag: int | None = None,
+    nbytes: int | None = None,
+    detail: str | None = None,
+) -> Span:
+    """One interpreted op on ``rank``'s timeline (``cat="op"``).
 
-    name: str
-    rank: int
-    t: float
-    cat: str = "event"
-    attrs: Mapping[str, AttrValue] = field(default_factory=dict)
+    ``name`` is one of ``compute``, ``send``, ``wait`` (idle, blocked on a
+    receive or asleep), ``recv`` (receiver-side transfer), ``disk``,
+    ``barrier``.  ``peer`` is the other endpoint (destination of a send,
+    source of a recv/wait), ``tag`` the message tag, ``nbytes`` the payload
+    size of a completed transfer; ``detail`` says what those cannot (disk
+    ``read``/``write``, wait ``sleep``/``timeout``).  Unset fields are left
+    out of ``attrs``.
+    """
+    if name in ("send", "recv") and (peer is None or tag is None):
+        raise ValueError(
+            f"op span {name!r} on rank {rank} requires peer and tag "
+            f"(got peer={peer}, tag={tag}); analyzers match channels on them"
+        )
+    fields: dict[str, AttrValue] = {
+        "peer": peer, "tag": tag, "nbytes": nbytes, "detail": detail
+    }
+    attrs = {k: v for k, v in fields.items() if v is not None}
+    return Span(name, rank, t_start, t_end, "op", attrs=attrs)
+
+
+def op_channel(op: Span) -> tuple[int, int]:
+    """``(peer, tag)`` of a ``send``/``recv`` op span, as :func:`op_span` set them."""
+    return cast(int, op.attrs["peer"]), cast(int, op.attrs["tag"])
 
 
 @dataclass(frozen=True)
@@ -143,8 +174,8 @@ class _SpanContext:
 
 
 class Tracer:
-    """Collects :class:`Span`/:class:`Instant`/:class:`Sample` streams for
-    one rank (or for the host, ``rank=-1``).
+    """Collects :class:`Span`/:class:`Sample` streams for one rank (or for
+    the host, ``rank=-1``).
 
     ``clock`` is any zero-argument callable returning seconds; the
     simulator passes a closure over the rank's simulated clock, the
@@ -158,7 +189,6 @@ class Tracer:
         self.rank = rank
         self.clock: Callable[[], float] = clock if clock is not None else time.perf_counter
         self.spans: list[Span] = []
-        self.instants: list[Instant] = []
         self.samples: list[Sample] = []
         self._stack: list[str] = []
         #: The phase the rank program last announced via :meth:`mark`.
@@ -231,10 +261,9 @@ class Tracer:
         return t_end
 
     def instant(self, name: str, cat: str = "event", **attrs: AttrValue) -> None:
-        """Record a zero-width marker at the current clock."""
-        self.instants.append(
-            Instant(name=name, rank=self.rank, t=self.clock(), cat=cat, attrs=attrs)
-        )
+        """Record a zero-width span (a marker) at the current clock."""
+        t = self.clock()
+        self.spans.append(Span(name, self.rank, t, t, cat, attrs=attrs))
 
     def sample(self, name: str, value: float) -> None:
         """Record a timestamped value of a named quantity."""

@@ -62,8 +62,8 @@ class CubeService:
         private one (exposed as :attr:`metrics`).
     tracer:
         :class:`~repro.obs.Tracer` receiving a ``serve.batch`` span per
-        miss batch and an instant per cache invalidation; default: the
-        no-op tracer.
+        miss batch and a zero-width span per cache invalidation; default:
+        the no-op tracer.
 
     The legacy integer attributes (``queries_served`` and friends) remain
     readable -- they are now views over the registry counters.
@@ -238,7 +238,7 @@ class CubeService:
         Observability: ``serve.degraded.rebuild_failures`` and
         ``.rebuild_retries`` count attempts, ``.entered`` / ``.recovered``
         count mode transitions, and the tracer gets
-        ``serve.degraded.enter`` / ``serve.degraded.exit`` instants.
+        ``serve.degraded.enter`` / ``serve.degraded.exit`` zero-width spans.
         """
         if max_retries < 0:
             raise ValueError("max_retries must be non-negative")

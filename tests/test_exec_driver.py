@@ -61,7 +61,12 @@ def test_recv_past_its_deadline_resumes_with_recv_timeout():
     stats, _ = drive(program, record_trace=True)
     assert stats["result"] is RECV_TIMEOUT
     assert [ev.kind for ev in stats["faults"].events] == ["timeout"]
-    assert [ev.kind for ev in stats["trace"]] == ["wait", "fault"]
+    (fault,) = stats["faults"].events
+    assert (fault.peer, fault.tag) == (1, 0)
+    (wait,) = stats["trace"]
+    assert (wait.name, wait.cat, wait.attrs) == (
+        "wait", "op", {"peer": 1, "tag": 0, "detail": "timeout"}
+    )
 
 
 def test_watchdog_raises_worker_error_carrying_the_rank():
@@ -95,7 +100,9 @@ def test_duplicate_delivery_posts_and_counts_every_copy():
     assert stats["comm"].total_messages == 2
     assert stats["comm"].total_elements == 8
     assert [ev.kind for ev in stats["faults"].events] == ["duplicate"]
-    assert [ev.kind for ev in stats["trace"]] == ["send", "fault"]
+    (fault,) = stats["faults"].events
+    assert (fault.peer, fault.tag) == (1, 5)
+    assert [(ev.name, ev.cat) for ev in stats["trace"]] == [("send", "op")]
 
 
 @pytest.mark.parametrize("record_trace", [False, True])

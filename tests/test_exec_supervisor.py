@@ -14,9 +14,11 @@ import pytest
 from repro.analysis.lint_trace import lint_trace
 from repro.arrays.dataset import random_sparse
 from repro.cluster.faults import ALL_FAULT_KINDS, FaultPlan
+from repro.cluster.trace import breakdown
 from repro.core.config import BuildConfig
 from repro.core.parallel import construct_cube_parallel
 from repro.exec import PROCESS_FAULT_KINDS, ProcessBackend, SimBackend, WorkerError
+from repro.obs import load_run, summarize_run, to_chrome_trace
 
 SHAPE = (8, 6, 4)
 BITS = (1, 1, 0)  # p = 4
@@ -93,23 +95,49 @@ class TestRespawnRecovery:
 
 
 class TestDeclareDead:
-    def test_budget_exhausted_falls_back_to_buddy(self, data, clean):
+    @pytest.fixture(scope="class")
+    def run(self, data):
         # max_respawns=0: the dead rank is never rebuilt; survivors'
         # heartbeat timeouts fire and the buddy adopts its work.
         backend = ProcessBackend(watchdog_s=60.0, max_respawns=0)
-        run = construct_cube_parallel(
+        return construct_cube_parallel(
             data, BITS,
             checkpoint=True,
             fault_plan=FaultPlan().crash_at_op(1, KILL_AT),
             backend=backend,
+            trace=True,
         )
+
+    def test_budget_exhausted_falls_back_to_buddy(self, run, clean):
         _assert_same_cube(run, clean)
         stats = run.metrics.faults
         assert stats.crashed_ranks == [1]
         assert stats.timeouts_fired >= 1  # survivors detected the death
         assert stats.recoveries >= 1  # the buddy re-read the checkpoint
-        # Three survivors reported; the dead rank contributed nothing.
-        assert len(run.metrics.rank_clocks) == 3
+        assert all(
+            e.peer is not None and e.tag is not None
+            for e in stats.events if e.kind == "timeout"
+        )
+
+    def test_dead_rank_keeps_its_place_in_the_run_record(self, run):
+        # The per-rank lists stay positional (dead rank: clock 0, peak 0,
+        # result None), so rank r is index r for every reader of the run.
+        m = run.metrics
+        assert m.num_ranks == 4
+        assert (m.rank_clocks[1], m.rank_peak_memory_elements[1]) == (0.0, 0)
+        assert m.rank_results[1] is None
+        assert all(clock > 0.0 for r, clock in enumerate(m.rank_clocks) if r != 1)
+        assert {op.rank for op in m.trace} == {0, 2, 3}
+        assert [b.rank for b in breakdown(m)] == [0, 1, 2, 3]
+        assert "build.reduce" in summarize_run(m)
+        # Degraded, but the crash was adopted with its provenance noted.
+        rules = {d.rule for d in lint_trace(m, shape=SHAPE, bits=BITS)}
+        assert "TRACE101" in rules  # heartbeats addressed to the dead rank
+        assert not rules & {"TRACE106", "TRACE107"}
+        loaded = load_run(to_chrome_trace(m))
+        assert [(op.rank, op.name) for op in loaded.trace] == [
+            (op.rank, op.name) for op in m.trace
+        ]
 
 
 class TestFatalFailures:

@@ -521,10 +521,10 @@ def _post_checkpoint_crash_time(data, bits, victim):
     failure-detection round: just past its last checkpoint disk write."""
     traced = construct_cube_parallel(data, bits, checkpoint=True, trace=True)
     disk = [e for e in traced.metrics.trace
-            if e.rank == victim and e.kind == "disk"]
+            if e.rank == victim and e.name == "disk"]
     nchildren = len(data.shape)  # the root's aggregation-tree children
     # disk[0] is the input-block read; the next nchildren are checkpoints.
-    return disk[nchildren].end + 1e-9
+    return disk[nchildren].t_end + 1e-9
 
 
 class TestFaultTolerantConstruction:
@@ -664,8 +664,11 @@ class TestFaultStatsSurface:
 
         m = run_spmd(2, program, faults=FaultPlan().drop_messages(1.0),
                      record_trace=True)
-        kinds = {e.kind for e in m.trace}
-        assert "fault" in kinds
+        assert {e.cat for e in m.trace} == {"op"}
+        assert [(e.kind, e.rank, e.peer, e.tag) for e in m.faults.events] == [
+            ("drop", 0, 1, 0),
+            ("timeout", 1, 0, 0),
+        ]
 
     def test_stats_note_dispatch(self):
         s = FaultStats()

@@ -9,13 +9,13 @@ from repro.obs import (
     Counter,
     Gauge,
     Histogram,
-    Instant,
     MetricsRegistry,
     NULL_TRACER,
     NullTracer,
     Span,
     Tracer,
 )
+from repro.obs.span import op_span
 from repro.util import percentile
 
 
@@ -132,12 +132,20 @@ class TestTracer:
         tr = Tracer(rank=1, clock=lambda: 2.5)
         tr.instant("boom", detail="x")
         tr.sample("memory_elements", 42.0)
-        assert tr.instants[0].name == "boom"
+        (marker,) = tr.spans
+        assert (marker.name, marker.cat, marker.attrs) == ("boom", "event", {"detail": "x"})
+        assert marker.t_start == marker.t_end == 2.5
         assert tr.samples[0].value == 42.0
 
     def test_span_validates_time_order(self):
         with pytest.raises(ValueError):
             Span(name="bad", rank=0, t_start=2.0, t_end=1.0)
+
+    def test_op_span_requires_the_channel_on_send_and_recv(self):
+        with pytest.raises(ValueError, match="requires peer and tag"):
+            op_span(0, "send", 0.0, 1.0, peer=1)
+        op = op_span(0, "disk", 0.0, 1.0, detail="read")
+        assert (op.cat, op.attrs) == ("op", {"detail": "read"})
 
     def test_null_tracer_is_inert(self):
         with NULL_TRACER.span("anything"):
@@ -145,12 +153,38 @@ class TestTracer:
             NULL_TRACER.sample("y", 1.0)
         assert not NULL_TRACER.enabled
         assert NULL_TRACER.spans == []
-        assert NULL_TRACER.instants == []
         assert isinstance(NULL_TRACER, NullTracer)
 
-    def test_instant_dataclass(self):
-        i = Instant(name="n", rank=0, t=1.0)
-        assert i.cat == "event"
+
+class TestTracingObservesOnly:
+    def test_untraced_build_same_makespan_and_no_obs_allocations(self):
+        # Tracing must observe, never perturb, the simulated timeline; and
+        # a build with tracing off touches no telemetry objects at all.
+        import tracemalloc
+
+        from repro.arrays.dataset import random_sparse
+        from repro.core.parallel import construct_cube_parallel
+
+        data = random_sparse((8, 8, 4), 0.3, seed=0)
+
+        def build(trace):
+            return construct_cube_parallel(
+                data, (1, 1, 0), trace=trace, collect_results=False
+            )
+
+        assert build(False).metrics.makespan_s == build(True).metrics.makespan_s
+        tracemalloc.start()
+        build(False)
+        snapshot = tracemalloc.take_snapshot()
+        tracemalloc.stop()
+        obs_bytes = sum(
+            stat.size
+            for stat in snapshot.statistics("filename")
+            if "repro/obs/" in stat.traceback[0].filename.replace("\\", "/")
+        )
+        assert obs_bytes == 0, (
+            f"untraced build allocated {obs_bytes} bytes inside repro/obs"
+        )
 
 
 class TestServeViews:
@@ -200,7 +234,9 @@ class TestServeViews:
         assert [s.name for s in tr.spans] == ["serve.batch"]
         assert tr.spans[0].attrs["misses"] == 1
         svc._handle_refresh()
-        assert [i.name for i in tr.instants] == ["serve.cache.invalidated"]
+        assert [(s.name, s.cat, s.duration) for s in tr.spans[1:]] == [
+            ("serve.cache.invalidated", "serve", 0.0)
+        ]
         assert svc.refreshes_seen == 1
 
     def test_replay_stats_come_from_histogram(self):

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from repro.analysis import lint_trace
+from repro.analysis.model.hb import crosscheck_trace
+from repro.cluster.faults import FaultPlan
+from repro.cluster.runtime import run_spmd
 from repro.core.config import BuildConfig
 from repro.core.parallel import construct_cube_parallel
 from repro.obs import (
@@ -20,6 +23,7 @@ from repro.obs import (
     write_chrome_trace,
     write_jsonl,
 )
+from tests.test_obs_faults import _faulted_run
 
 SHAPE = (8, 8, 8, 8)
 BITS = (1, 1, 1, 0)
@@ -30,6 +34,48 @@ NUM_RANKS = 8
 def traced_run():
     data = np.arange(np.prod(SHAPE), dtype=float).reshape(SHAPE)
     return construct_cube_parallel(data, BITS, trace=True, collect_results=False)
+
+
+def _shrugs_off_a_timeout(env):
+    """Rank 1 times out on rank 0 and carries on: the TRACE103 trigger."""
+    if env.rank == 1:
+        yield env.recv(0, tag=7, timeout=0.5)
+    else:
+        yield env.compute(1.0)
+
+
+def _process_kill_run():
+    """The ``kill:1@5 --checkpoint`` drive: SIGKILL, respawn, replay."""
+    shape = (8, 6, 4)
+    data = np.arange(np.prod(shape), dtype=float).reshape(shape)
+    return construct_cube_parallel(
+        data, (1, 1, 0), backend="process", checkpoint=True, trace=True,
+        fault_plan=FaultPlan().crash_at_op(1, 5), collect_results=False,
+    ).metrics
+
+
+WRITERS = [
+    pytest.param(write_chrome_trace, id="chrome"),
+    pytest.param(write_jsonl, id="jsonl"),
+]
+
+#: Recorded runs the export must lint identically to:
+#: name -> (builder, the error/warning rules the run fires).
+LINT_RUNS = {
+    "fig7": (
+        lambda: construct_cube_parallel(
+            np.arange(np.prod(SHAPE), dtype=float).reshape(SHAPE), BITS,
+            trace=True, collect_results=False,
+        ).metrics,
+        [],
+    ),
+    "faulted": (_faulted_run, ["TRACE103", "TRACE106"]),
+    "silent_timeout": (
+        lambda: run_spmd(2, _shrugs_off_a_timeout, record_trace=True),
+        ["TRACE103"],
+    ),
+    "process_kill": (_process_kill_run, []),
+}
 
 
 class TestChromeTrace:
@@ -68,8 +114,13 @@ class TestChromeTrace:
         names = {ev["name"] for ev in doc["traceEvents"] if ev["ph"] == "X"}
         assert "build.input_read" in names
         assert "build.reduce" in names
-        cats = {ev.get("cat") for ev in doc["traceEvents"] if ev["ph"] == "X"}
-        assert "op.send" in cats and "op.recv" in cats  # op lane
+        ops = {ev["name"] for ev in doc["traceEvents"] if ev.get("cat") == "op"}
+        assert {"send", "recv"} <= ops
+        assert all(
+            ev["tid"] == (1 if ev["cat"] == "op" else 0)
+            for ev in doc["traceEvents"]
+            if ev["ph"] == "X"
+        )
 
 
 class TestLoadRun:
@@ -102,19 +153,34 @@ class TestLoadRun:
     def test_jsonl_records_match_span_count(self, traced_run):
         records = to_jsonl_records(traced_run.metrics)
         spans = [r for r in records if r["type"] == "span"]
-        assert len(spans) == len(traced_run.metrics.spans)
+        ops = [r for r in spans if r["cat"] == "op"]
+        assert len(ops) == len(traced_run.metrics.trace)
+        assert len(spans) - len(ops) == len(traced_run.metrics.spans)
 
     def test_load_accepts_parsed_mapping(self, traced_run):
         doc = to_chrome_trace(traced_run.metrics)
         loaded = load_run(doc)
         assert loaded.num_ranks == NUM_RANKS
 
-    def test_lint_parity_between_export_and_memory(self, traced_run, tmp_path):
-        path = tmp_path / "run.json"
-        write_chrome_trace(traced_run.metrics, path)
-        live = lint_trace(traced_run.metrics, shape=SHAPE, bits=BITS)
-        exported = lint_trace(str(path), shape=SHAPE, bits=BITS)
-        assert exported.format() == live.format()
+    @pytest.mark.parametrize("write", WRITERS)
+    @pytest.mark.parametrize("run", sorted(LINT_RUNS))
+    def test_lint_parity_between_export_and_memory(self, run, write, tmp_path):
+        build, fires = LINT_RUNS[run]
+        metrics = build()
+        path = write(metrics, tmp_path / "run.out")
+        live = lint_trace(metrics)
+        assert [d.rule for d in live if d.severity != "info"] == fires
+        assert lint_trace(path).diagnostics == live.diagnostics
+        assert crosscheck_trace(path) == crosscheck_trace(metrics)
+
+    @pytest.mark.parametrize("write", WRITERS)
+    def test_a_v1_export_is_rejected_naming_both_versions(
+        self, write, traced_run, tmp_path
+    ):
+        path = write(traced_run.metrics, tmp_path / "run.out")
+        path.write_text(path.read_text().replace(FORMAT_NAME, "repro-run-v1"))
+        with pytest.raises(ValueError, match="repro-run-v2.*repro-run-v1"):
+            load_run(path)
 
 
 class TestReports:

@@ -1,13 +1,16 @@
-"""Fault telemetry: every injected fault becomes a trace instant, and the
-Chrome export of a deterministic faulted run is pinned by a golden file."""
+"""Fault telemetry: every fault is noted once, in the fault log, with its
+channel; the Chrome export draws an instant per entry, and the export of a
+deterministic faulted run is pinned by a golden file."""
 
 import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from repro.cluster.faults import FaultPlan
 from repro.cluster.runtime import RECV_TIMEOUT, RecvOp, run_spmd
+from repro.exec import get_backend
 from repro.obs import load_run, to_chrome_trace
 
 GOLDEN = Path(__file__).parent / "golden" / "fault_trace.json"
@@ -30,6 +33,32 @@ def _faulted_run():
     return run_spmd(2, _faulted_program, faults=plan, record_trace=True)
 
 
+def _dup_then_timeout(env):
+    """0 -> 1 tag 3 is duplicated by the plan; rank 1 then waits on a
+    message nobody sends."""
+    if env.rank == 0:
+        yield env.send(1, np.ones(4), tag=3)
+    else:
+        yield env.recv(0, tag=3)
+        yield env.recv(0, tag=3)
+        got = yield env.recv(0, tag=4, timeout=0.05)
+        return got is RECV_TIMEOUT
+
+
+@pytest.mark.parametrize("backend", ["sim", "thread", "process"])
+def test_message_faults_carry_their_channel_and_the_trace_holds_only_ops(backend):
+    plan = FaultPlan(seed=3).duplicate_messages(1.0, src=0, dst=1)
+    metrics = get_backend(backend).spawn_ranks(
+        2, _dup_then_timeout, faults=plan, record_trace=True
+    )
+    assert metrics.rank_results[1] is True
+    assert [(e.kind, e.rank, e.peer, e.tag) for e in metrics.faults.events] == [
+        ("duplicate", 0, 1, 3),
+        ("timeout", 1, 0, 4),
+    ]
+    assert metrics.trace and {op.cat for op in metrics.trace} == {"op"}
+
+
 class TestFaultInstants:
     def test_every_injected_fault_has_an_instant(self):
         metrics = _faulted_run()
@@ -49,12 +78,14 @@ class TestFaultInstants:
             ]
             assert matches, f"no instant for injected {fault.kind} on rank {fault.rank}"
 
-    def test_instants_survive_the_roundtrip(self):
+    def test_the_fault_log_survives_the_roundtrip(self):
         metrics = _faulted_run()
         loaded = load_run(to_chrome_trace(metrics))
-        want = [(e.kind, e.time, e.rank) for e in metrics.faults.events]
-        got = [(e.kind, e.time, e.rank) for e in loaded.faults.events]
-        assert got == want
+        assert loaded.faults.events == metrics.faults.events
+        assert {(e.kind, e.peer, e.tag) for e in loaded.faults.events} >= {
+            ("drop", 1, 0),
+            ("timeout", 1, 1),
+        }
 
     def test_chrome_export_matches_golden_file(self):
         doc = to_chrome_trace(_faulted_run())

@@ -277,14 +277,16 @@ class TestBackendBus:
         view = LiveRunView(interval_s=0.01)
         data = random_sparse((8, 8, 4), 0.3, seed=0)
         plan = plan_cube((8, 8, 4), num_processors=4)
-        run = plan.run_parallel(
-            data, trace=True, collect_results=False,
-            backend="thread", live=view,
-        )
+        run = plan.run_parallel(data, trace=True, backend="thread", live=view)
         assert run.backend == "thread"
         assert view.finished
         assert view.num_ranks == 4
         assert all(s.done for s in view.snapshots())
+        # The bus observes only: aggregates are bit-identical to a plain build.
+        plain = plan.run_parallel(data, backend="thread")
+        assert set(run.results) == set(plain.results)
+        for node, arr in plain.results.items():
+            assert arr.data.tobytes() == run.results[node].data.tobytes()
 
 
 class TestTracerRankSafety:
@@ -339,7 +341,6 @@ class TestTracerRankSafety:
         sampler.join()
         assert all(s == () for s in stacks)
         assert NULL_TRACER.spans == []
-        assert NULL_TRACER.instants == []
         assert NULL_TRACER.current_phase is None
         assert isinstance(NULL_TRACER, NullTracer)
 

@@ -3,7 +3,7 @@
 Synthetic-span cases pin the resampling rules exactly -- bucket-midpoint
 grids, innermost-span attribution for nested spans, ``[idle]`` for busy
 clock outside every span, host-span exclusion -- and an end-to-end sim
-build asserts the >= 80 % attribution the ``BENCH_live`` gate relies on.
+build asserts >= 80 % attribution.
 """
 
 from types import SimpleNamespace
@@ -169,7 +169,7 @@ class TestEndToEnd:
         )
         result = ProfileResult.from_run(run.metrics)
         assert result.samples_total > 0
-        # The BENCH_live acceptance gate: >= 80 % of samples land in
+        # The profiler's acceptance bar: >= 80 % of samples land in
         # named spans on an instrumented build.
         assert result.attribution_fraction >= 0.8
         top = result.phase_fractions()

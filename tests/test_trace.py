@@ -27,8 +27,8 @@ class TestRecording:
         m = traced_run(program, n=1)
         assert len(m.trace) == 1
         ev = m.trace[0]
-        assert ev.kind == "compute" and ev.rank == 0
-        assert ev.end > ev.start == 0.0
+        assert (ev.name, ev.cat, ev.rank) == ("compute", "op", 0)
+        assert ev.t_end > ev.t_start == 0.0
 
     def test_send_recv_wait_events(self):
         def program(env):
@@ -39,7 +39,7 @@ class TestRecording:
                 yield env.recv(0, tag=0)
 
         m = traced_run(program)
-        kinds = {(ev.rank, ev.kind) for ev in m.trace}
+        kinds = {(ev.rank, ev.name) for ev in m.trace}
         assert (0, "compute") in kinds
         assert (0, "send") in kinds
         assert (1, "recv") in kinds
@@ -52,7 +52,7 @@ class TestRecording:
             yield env.barrier()
 
         m = traced_run(program, n=2)
-        kinds = {ev.kind for ev in m.trace}
+        kinds = {ev.name for ev in m.trace}
         assert "disk" in kinds and "barrier" in kinds
 
     def test_no_trace_by_default(self):
@@ -66,8 +66,8 @@ class TestRecording:
         data = random_sparse((8, 6, 4), 0.3, seed=1)
         res = construct_cube_parallel(data, (1, 1, 0), trace=True)
         for ev in res.metrics.trace:
-            assert ev.end >= ev.start >= 0.0
-            assert ev.end <= res.simulated_time_s + 1e-12
+            assert ev.t_end >= ev.t_start >= 0.0
+            assert ev.t_end <= res.simulated_time_s + 1e-12
 
     def test_intervals_disjoint_per_rank(self):
         data = random_sparse((8, 6, 4), 0.3, seed=2)
@@ -76,9 +76,9 @@ class TestRecording:
         for ev in res.metrics.trace:
             per_rank.setdefault(ev.rank, []).append(ev)
         for events in per_rank.values():
-            events.sort(key=lambda e: e.start)
+            events.sort(key=lambda e: e.t_start)
             for a, b in zip(events, events[1:]):
-                assert b.start >= a.end - 1e-12
+                assert b.t_start >= a.t_end - 1e-12
 
 
 class TestAnalysis:
