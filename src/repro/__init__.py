@@ -132,7 +132,7 @@ def _version() -> str:
 
         return version("repro")
     except Exception:
-        return "4.0.0"
+        return "4.0.1"
 
 
 __version__ = _version()

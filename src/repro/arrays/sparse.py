@@ -13,12 +13,13 @@ coordinates) plus construction from / conversion to dense for testing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from repro.arrays.chunking import BlockPartition
+from repro.arrays.chunking import BlockPartition, grid_block_lengths, split_points
 
 OFFSET_DTYPE = np.int64
 VALUE_DTYPE = np.float64
@@ -95,15 +96,89 @@ def _chunk_grid(shape: Sequence[int], chunk_shape: Sequence[int]) -> BlockPartit
     return BlockPartition(tuple(shape), parts)
 
 
+def _row_major_strides(shape: Sequence[int]) -> list[int]:
+    strides = [1] * len(shape)
+    for axis in range(len(shape) - 2, -1, -1):
+        strides[axis] = strides[axis + 1] * shape[axis + 1]
+    return strides
+
+
+def _sorted_summed(
+    keys: np.ndarray, values: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, values)`` with keys strictly increasing, equal keys summed.
+
+    The sort is stable and the sum sequential, so each duplicate group is
+    accumulated in input order (bit-identical to ``np.add.at`` on zeros).
+    Input that is already strictly increasing is returned as is.
+    """
+    if keys.size < 2 or bool((keys[1:] > keys[:-1]).all()):
+        return keys, values
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    first = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    if not first.all():
+        values = np.bincount(np.cumsum(first) - 1, weights=values)
+        keys = keys[first]
+    return keys, values
+
+
+def _quotient(chunk: SparseChunk, step: int) -> np.ndarray:
+    return chunk.offsets if step == 1 else chunk.offsets // step
+
+
+def _rebased_offsets(chunk: SparseChunk, strides: Sequence[int]) -> np.ndarray:
+    """The chunk's offsets re-linearised for a frame with other strides.
+
+    ``strides[a]`` is the target frame's stride along chunk axis ``a``; the
+    result is relative to the chunk's own corner.  With ``q[a] = offsets //
+    prod(shape[a+1:])`` the coordinate along ``a`` is ``q[a] - q[a-1] *
+    shape[a]``, so ``sum(coord[a] * strides[a])`` regroups into one
+    multiply-add per axis whose stride differs from the chunk-extended one
+    (``shape[a+1] * strides[a+1]``) -- no coordinate matrix, no ``divmod``.
+    """
+    out = np.zeros(chunk.nnz, dtype=OFFSET_DTYPE)
+    steps = _row_major_strides(chunk.shape)
+    extended = 0
+    for axis in range(len(steps) - 1, -1, -1):
+        weight = strides[axis] - extended
+        if weight:
+            quotient = _quotient(chunk, steps[axis])
+            out += quotient if weight == 1 else quotient * weight
+        extended = chunk.shape[axis] * strides[axis]
+    return out
+
+
+def _inside(
+    chunk: SparseChunk, window: Sequence[tuple[int, int]]
+) -> np.ndarray | None:
+    """Mask of cells whose in-chunk coordinates fall in ``window``.
+
+    ``None`` when the window covers the whole chunk (nothing to drop).
+    """
+    keep = None
+    steps = _row_major_strides(chunk.shape)
+    for axis, (lo, hi) in enumerate(window):
+        extent = chunk.shape[axis]
+        if lo <= 0 and hi >= extent:
+            continue
+        coord = _quotient(chunk, steps[axis])
+        if axis:
+            coord = coord - _quotient(chunk, steps[axis] * extent) * extent
+        ok = (coord >= lo) & (coord < hi)
+        keep = ok if keep is None else keep & ok
+    return keep
+
+
 class SparseArray:
     """A chunk-offset compressed sparse n-dimensional array."""
 
-    __slots__ = ("shape", "chunks", "_partition")
+    __slots__ = ("shape", "chunks")
 
     def __init__(self, shape: Sequence[int], chunks: Sequence[SparseChunk]):
         self.shape = tuple(shape)
         self.chunks = list(chunks)
-        self._partition = None
 
     # -- construction -----------------------------------------------------------
 
@@ -137,10 +212,17 @@ class SparseArray:
     ) -> "SparseArray":
         """Build from an ``(nnz, ndim)`` coordinate list.
 
-        Duplicate coordinates are summed.  Coordinates must be in range.
+        Duplicate coordinates are summed in input order.  Coordinates must
+        be integers (any dtype holding whole numbers) and in range.  Every
+        fact is encoded once: one linearised key ``chunk_id * max_chunk_size
+        + in_chunk_offset`` per fact, one stable sort, one slice per chunk.
+        The result has one chunk per grid block, in ``iter_blocks`` order.
         """
         shape = tuple(shape)
-        coords = np.asarray(coords, dtype=OFFSET_DTYPE)
+        coords = np.asarray(coords)
+        if coords.dtype.kind == "f" and (coords != np.floor(coords)).any():
+            raise ValueError("coordinates must be integers")
+        coords = coords.astype(OFFSET_DTYPE, copy=False)
         values = np.asarray(values, dtype=VALUE_DTYPE)
         if coords.ndim != 2 or coords.shape[1] != len(shape):
             raise ValueError("coords must be (nnz, ndim)")
@@ -154,29 +236,37 @@ class SparseArray:
         if chunk_shape is None:
             chunk_shape = shape
         grid = _chunk_grid(shape, chunk_shape)
+        # Keys order facts by chunk, then row-major inside a frame of the
+        # largest chunk extents (balanced chunks differ by at most one cell
+        # per axis), so each axis contributes one table lookup per fact.
+        padded = tuple(max(n) for n in grid_block_lengths(shape, grid.parts))
+        max_chunk_size = math.prod(padded)
+        keys = np.zeros(coords.shape[0], dtype=OFFSET_DTYPE)
+        chunk_step, cell_step = max_chunk_size, 1
+        for axis in range(len(shape) - 1, -1, -1):
+            s, m = shape[axis], grid.parts[axis]
+            index = np.arange(s, dtype=OFFSET_DTYPE)
+            owner = ((index + 1) * m - 1) // s  # block_of_index, vectorised
+            local = index - np.asarray(split_points(s, m), dtype=OFFSET_DTYPE)[owner]
+            keys += (owner * chunk_step + local * cell_step)[coords[:, axis]]
+            chunk_step *= m
+            cell_step *= padded[axis]
+        keys, values = _sorted_summed(keys, values)
+        starts = np.searchsorted(
+            keys, np.arange(grid.num_blocks + 1, dtype=OFFSET_DTYPE) * max_chunk_size
+        )
         chunks: list[SparseChunk] = []
-        owners = np.empty_like(coords)
-        for axis in range(len(shape)):
-            # Vectorized block_of_index for balanced splits.
-            m, s = grid.parts[axis], shape[axis]
-            owners[:, axis] = ((coords[:, axis] + 1) * m - 1) // s
-        for blocks in grid.iter_blocks():
-            mask = np.all(owners == np.asarray(blocks, dtype=OFFSET_DTYPE), axis=1)
-            sl = grid.slices(blocks)
-            origin = tuple(x.start for x in sl)
+        for b, blocks in enumerate(grid.iter_blocks()):
+            origin = tuple(x.start for x in grid.slices(blocks))
             cshape = grid.local_shape(blocks)
-            sub_coords = coords[mask] - np.asarray(origin, dtype=OFFSET_DTYPE)
-            offs = np.zeros(sub_coords.shape[0], dtype=OFFSET_DTYPE)
-            for axis in range(len(shape)):
-                offs = offs * cshape[axis] + sub_coords[:, axis]
-            vals = values[mask]
-            # Sum duplicates and sort by offset.
-            if offs.size:
-                uniq, inv = np.unique(offs, return_inverse=True)
-                summed = np.zeros(uniq.size, dtype=VALUE_DTYPE)
-                np.add.at(summed, inv, vals)
-                offs, vals = uniq, summed
-            chunks.append(SparseChunk(origin, cshape, offs, vals))
+            lo, hi = starts[b], starts[b + 1]
+            chunk = SparseChunk(
+                origin, padded, keys[lo:hi] - b * max_chunk_size, values[lo:hi].copy()
+            )
+            if cshape != padded:
+                offsets = _rebased_offsets(chunk, _row_major_strides(cshape))
+                chunk = SparseChunk(origin, cshape, offsets, chunk.values)
+            chunks.append(chunk)
         return cls(shape, chunks)
 
     # -- properties --------------------------------------------------------------
@@ -228,11 +318,44 @@ class SparseArray:
         values = np.concatenate([c.values for c in self.chunks])
         return coords, values
 
+    def transpose(self, order: Sequence[int]) -> "SparseArray":
+        """Axes permuted so that new axis ``i`` is old axis ``order[i]``.
+
+        The identity order returns ``self``.  Otherwise the chunk grid is
+        preserved under the permutation: each chunk keeps its facts, gets
+        the permuted ``origin`` / ``shape``, and has its offsets
+        re-linearised under the permuted strides and re-sorted; chunks are
+        listed in row-major order of the permuted origins.  ``values`` are
+        never decoded to coordinates.
+        """
+        order = tuple(order)
+        if sorted(order) != list(range(self.ndim)):
+            raise ValueError(f"order {order} is not a permutation of the axes")
+        if order == tuple(range(self.ndim)):
+            return self
+        chunks = []
+        for c in self.chunks:
+            shape = tuple(c.shape[a] for a in order)
+            strides = [0] * self.ndim
+            for pos, step in enumerate(_row_major_strides(shape)):
+                strides[order[pos]] = step
+            offsets, values = _sorted_summed(_rebased_offsets(c, strides), c.values)
+            origin = tuple(c.origin[a] for a in order)
+            chunks.append(SparseChunk(origin, shape, offsets, values))
+        chunks.sort(key=lambda c: c.origin)
+        return SparseArray(tuple(self.shape[a] for a in order), chunks)
+
     def extract_block(self, slices: Sequence[slice]) -> "SparseArray":
-        """Sub-array covered by per-dimension slices (single-chunk result).
+        """Sub-array covered by per-dimension slices, as one sorted chunk.
 
         Used to hand each simulated processor its partition of the initial
-        array.  Slices must have unit step and explicit bounds.
+        array.  Slices must have unit step and explicit bounds.  The result
+        holds exactly one chunk spanning the block (none if the block is
+        empty) with strictly increasing offsets: each intersecting chunk's
+        offsets are re-based into the block frame (only chunks that
+        straddle the block boundary are masked) and the per-chunk runs are
+        merged by one stable sort.  A block covered by a single chunk
+        shares that chunk's ``values``; inputs are immutable by contract.
         """
         lows = []
         highs = []
@@ -243,29 +366,37 @@ class SparseArray:
                 raise ValueError(f"bad slice {sl} for size {s}")
             lows.append(lo)
             highs.append(hi)
-        lows_a = np.asarray(lows, dtype=OFFSET_DTYPE)
-        highs_a = np.asarray(highs, dtype=OFFSET_DTYPE)
         sub_shape = tuple(int(hi - lo) for lo, hi in zip(lows, highs))
         if any(s == 0 for s in sub_shape):
             # Empty block: no chunks, zero nnz.
             return SparseArray(sub_shape, [])
-        picked_coords = []
-        picked_values = []
+        strides = _row_major_strides(sub_shape)
+        runs_offsets = []
+        runs_values = []
         for c in self.chunks:
-            # Skip chunks that cannot intersect the block.
-            corner = np.asarray(c.origin, dtype=OFFSET_DTYPE)
-            far = corner + np.asarray(c.shape, dtype=OFFSET_DTYPE)
-            if (far <= lows_a).any() or (corner >= highs_a).any():
+            # In-chunk coordinate window that falls inside the block.
+            window = [
+                (lo - o, hi - o)
+                for lo, hi, o in zip(lows, highs, c.origin, strict=True)
+            ]
+            if any(lo >= e or hi <= 0 for (lo, hi), e in zip(window, c.shape)):
                 continue
-            g = c.global_coords()
-            mask = np.all((g >= lows_a) & (g < highs_a), axis=1)
-            if mask.any():
-                picked_coords.append(g[mask] - lows_a)
-                picked_values.append(c.values[mask])
-        if picked_coords:
-            coords = np.concatenate(picked_coords)
-            values = np.concatenate(picked_values)
+            offsets = _rebased_offsets(c, strides)
+            offsets += sum(-lo * st for (lo, _), st in zip(window, strides))
+            values = c.values
+            keep = _inside(c, window)
+            if keep is not None:
+                offsets, values = offsets[keep], values[keep]
+            runs_offsets.append(offsets)
+            runs_values.append(values)
+        if len(runs_offsets) == 1:
+            offsets, values = runs_offsets[0], runs_values[0]
+        elif runs_offsets:
+            offsets = np.concatenate(runs_offsets)
+            values = np.concatenate(runs_values)
         else:
-            coords = np.empty((0, self.ndim), dtype=OFFSET_DTYPE)
+            offsets = np.empty(0, dtype=OFFSET_DTYPE)
             values = np.empty(0, dtype=VALUE_DTYPE)
-        return SparseArray.from_coords(sub_shape, coords, values)
+        offsets, values = _sorted_summed(offsets, values)
+        origin = (0,) * self.ndim
+        return SparseArray(sub_shape, [SparseChunk(origin, sub_shape, offsets, values)])

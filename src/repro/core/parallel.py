@@ -101,7 +101,12 @@ def _extract_local_inputs(
     array: SparseArray | DenseArray | np.ndarray,
     grid: ProcessorGrid,
 ) -> list[SparseArray | DenseArray]:
-    """Hand each rank its block of the initial array."""
+    """Hand each rank its block of the initial array.
+
+    A sparse block is one sorted chunk whose offsets were re-based from the
+    source chunks (:meth:`SparseArray.extract_block`); facts are not
+    re-encoded and a block may share ``values`` with the input.
+    """
     shape = tuple(array.shape)
     partition = BlockPartition(shape, grid.parts)
     out: list[SparseArray | DenseArray] = []

@@ -113,15 +113,19 @@ class CubePlan:
     def transpose_input(
         self, array: SparseArray | DenseArray | np.ndarray
     ) -> SparseArray | DenseArray:
-        """Permute the initial array's axes into plan order."""
+        """Permute the initial array's axes into plan order.
+
+        Sparse input is never re-encoded: when the plan order is the
+        identity the input itself is returned, and otherwise
+        :meth:`SparseArray.transpose` re-bases each chunk's offsets, so the
+        chunk grid is preserved under the permutation.
+        """
         if isinstance(array, SparseArray):
             if array.shape != self.original_shape:
                 raise ValueError(
                     f"array shape {array.shape} != plan shape {self.original_shape}"
                 )
-            coords, values = array.all_coords_values()
-            coords = coords[:, list(self.order)]
-            return SparseArray.from_coords(self.ordered_shape, coords, values)
+            return array.transpose(self.order)
         data = array.data if isinstance(array, DenseArray) else np.asarray(array)
         if data.shape != self.original_shape:
             raise ValueError(

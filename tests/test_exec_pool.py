@@ -75,11 +75,14 @@ class TestExecution:
 
     def test_workers_are_reused_across_batches(self):
         with WorkerPool(2) as pool:
+            idents = {t.ident for t in pool._threads}
             pool.run_all([lambda: None] * 4)
-            first = dict(pool.tasks_by_worker)
             pool.run_all([lambda: None] * 4)
-            # Same thread idents keep accumulating: no respawn between runs.
-            assert set(pool.tasks_by_worker) == set(first)
+            # Only the pool's own threads ever run tasks: no respawn between
+            # runs.  (Which worker drains which task is up to the scheduler,
+            # so the two batches' ident sets need not match each other.)
+            assert set(pool.tasks_by_worker) <= idents
+            assert {t.ident for t in pool._threads} == idents
             assert pool.total_tasks == 8
 
     def test_task_error_reraises_and_worker_survives(self):

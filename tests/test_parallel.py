@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arrays.dataset import random_sparse
+from repro.arrays.sparse import SparseArray
 from repro.cluster.machine import MachineModel
 from repro.core.comm_model import total_comm_volume
 from repro.core.memory_model import parallel_memory_bound_exact
@@ -109,6 +110,53 @@ class TestCorrectness:
         data = random_sparse((4, 4), 0.5, seed=27)
         with pytest.raises(ValueError):
             construct_cube_parallel(data, (1, 0), reduction="quantum")
+
+
+class TestFactsAreEncodedOnce:
+    """Ingest is the only encoder: builds re-base offsets, never re-encode."""
+
+    SHAPE, BITS, CHUNKS = (8, 6, 4), (1, 1, 0), (3, 4, 2)  # chunks straddle blocks
+
+    @pytest.fixture
+    def data(self):
+        return random_sparse(self.SHAPE, 0.4, seed=28, chunk_shape=self.CHUNKS)
+
+    @pytest.fixture
+    def no_reencode(self, data, monkeypatch):
+        def refuse(cls, *args, **kwargs):
+            raise AssertionError("facts were re-encoded after ingest")
+
+        monkeypatch.setattr(SparseArray, "from_coords", classmethod(refuse))
+
+    @pytest.mark.parametrize("backend", ["sim", "thread", "process"])
+    @pytest.mark.parametrize("scheduler", ["fig5", "shuffle"])
+    def test_parallel_build_never_calls_from_coords(
+        self, data, no_reencode, backend, scheduler
+    ):
+        res = construct_cube_parallel(
+            data, self.BITS, backend=backend, scheduler=scheduler
+        )
+        verify_cube(res.results, data)
+
+    @pytest.mark.parametrize("procs", [1, 4])
+    def test_datacube_build_never_calls_from_coords(self, data, no_reencode, procs):
+        from repro.olap import DataCube, Schema
+
+        # (6, 8, 4) is not in plan order, so the build also transposes.
+        facts = data.transpose((1, 0, 2))
+        cube = DataCube.build(Schema.simple(a=6, b=8, c=4), facts, num_processors=procs)
+        assert cube.plan.order != (0, 1, 2)
+        dense = facts.to_dense()
+        assert np.allclose(cube.aggregates[(0, 2)].data, dense.sum(axis=1))
+        assert np.allclose(cube.aggregates[()].data, dense.sum())
+
+    @pytest.mark.parametrize("backend", ["sim", "thread", "process"])
+    def test_build_leaves_the_input_arrays_untouched(self, data, backend):
+        # Rank blocks may share ``values`` with the source chunks.
+        before = [(c.offsets.tobytes(), c.values.tobytes()) for c in data.chunks]
+        res = construct_cube_parallel(data, self.BITS, backend=backend)
+        verify_cube(res.results, data)
+        assert before == [(c.offsets.tobytes(), c.values.tobytes()) for c in data.chunks]
 
 
 class TestCommunicationVolume:

@@ -65,6 +65,31 @@ class TestTransposeInput:
             ordered.to_dense(), np.transpose(data.to_dense(), plan.order)
         )
 
+    def test_identity_order_returns_the_sparse_input_itself(self):
+        data = random_sparse((6, 4, 3), 0.4, seed=5, chunk_shape=(4, 2, 2))
+        plan = plan_cube(data.shape, num_processors=4)
+        assert plan.order == (0, 1, 2)
+        assert plan.transpose_input(data) is data
+
+    def test_sparse_keeps_the_chunk_grid_under_permutation(self):
+        data = random_sparse((3, 7, 5), 0.4, seed=6, chunk_shape=(2, 3, 2))
+        plan = plan_cube(data.shape, num_processors=2)
+        assert plan.order == (1, 2, 0)
+        ordered = plan.transpose_input(data)
+        assert np.array_equal(
+            ordered.to_dense(), np.transpose(data.to_dense(), plan.order)
+        )
+        # One chunk per block of the permuted (3, 3, 2)-part grid, in
+        # row-major order of the permuted origins, each sorted.
+        assert len(ordered.chunks) == len(data.chunks) == 3 * 3 * 2
+        origins = [c.origin for c in ordered.chunks]
+        assert origins == sorted(origins)
+        assert sorted(origins) == sorted(
+            tuple(c.origin[a] for a in plan.order) for c in data.chunks
+        )
+        for chunk in ordered.chunks:
+            assert (np.diff(chunk.offsets) > 0).all()
+
     def test_dense(self):
         rng = np.random.default_rng(2)
         data = rng.uniform(size=(3, 6, 4))

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.arrays.chunking import BlockPartition
 from repro.arrays.sparse import SparseArray, SparseChunk
 
 
@@ -175,3 +178,151 @@ class TestExtractBlock:
             sub = arr.extract_block((slice(lo, hi), slice(0, 6)))
             total += sub.nnz
         assert total == arr.nnz
+
+
+class TestFromCoordsIntegerCoordinates:
+    def test_rejects_fractional_coordinates(self):
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            SparseArray.from_coords((2, 2), np.array([[0.9, 1.2]]), np.array([1.0]))
+        with pytest.raises(ValueError, match="coordinates must be integers"):
+            SparseArray.from_coords((2, 2), [[0, np.nan]], [1.0])
+
+    def test_accepts_whole_valued_and_empty_float_coordinates(self):
+        arr = SparseArray.from_coords((2, 3), np.array([[1.0, 2.0]]), np.array([4.0]))
+        assert arr.to_dense()[1, 2] == 4.0
+        assert arr.chunks[0].offsets.dtype == np.int64
+        assert SparseArray.from_coords((2, 3), np.empty((0, 2)), np.empty(0)).nnz == 0
+
+
+@st.composite
+def fact_tables(draw, max_dim=4, max_extent=7, max_facts=40):
+    """(shape, chunk_shape, coords, values): shuffled facts with duplicates,
+    non-integer values and chunk shapes that need not divide the shape."""
+    n = draw(st.integers(1, max_dim))
+    shape = tuple(draw(st.integers(1, max_extent)) for _ in range(n))
+    chunk_shape = tuple(draw(st.integers(1, s)) for s in shape)
+    nnz = draw(st.integers(0, max_facts))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    coords = np.stack([rng.integers(0, s, nnz) for s in shape], axis=1)
+    if nnz and draw(st.booleans()):
+        coords[rng.integers(0, nnz, nnz // 2)] = coords[0]  # pile up duplicates
+    values = rng.uniform(-1.0, 1.0, nnz)
+    return shape, chunk_shape, coords, values
+
+
+def assert_sorted_chunk(chunk):
+    assert chunk.offsets.dtype == np.int64 and chunk.values.dtype == np.float64
+    assert (np.diff(chunk.offsets) > 0).all()
+    assert chunk.nnz == 0 or 0 <= chunk.offsets[0] and chunk.offsets[-1] < chunk.size
+
+
+class TestFromCoordsProperties:
+    @given(table=fact_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_input_order_dense_sum(self, table):
+        shape, chunk_shape, coords, values = table
+        oracle = np.zeros(shape)
+        np.add.at(oracle, tuple(coords.T), values)  # sequential, input order
+        arr = SparseArray.from_coords(shape, coords, values, chunk_shape=chunk_shape)
+        assert arr.to_dense().tobytes() == oracle.tobytes()
+        assert arr.nnz == len({tuple(c) for c in coords.tolist()})
+
+    @given(table=fact_tables())
+    @settings(max_examples=100, deadline=None)
+    def test_one_sorted_chunk_per_grid_block(self, table):
+        shape, chunk_shape, coords, values = table
+        arr = SparseArray.from_coords(shape, coords, values, chunk_shape=chunk_shape)
+        grid = BlockPartition(shape, tuple(-(-s // c) for s, c in zip(shape, chunk_shape)))
+        blocks = list(grid.iter_blocks())
+        assert len(arr.chunks) == len(blocks)  # empty chunks are kept
+        for chunk, block in zip(arr.chunks, blocks):
+            assert chunk.origin == tuple(sl.start for sl in grid.slices(block))
+            assert chunk.shape == grid.local_shape(block)
+            assert_sorted_chunk(chunk)
+
+    def test_does_not_alias_the_callers_arrays(self):
+        coords = np.array([[0, 0], [0, 1], [1, 1]])
+        values = np.array([1.0, 2.0, 3.0])  # already sorted: no gather needed
+        arr = SparseArray.from_coords((2, 2), coords, values)
+        values[:] = -1.0
+        assert arr.to_dense().tolist() == [[1.0, 2.0], [0.0, 3.0]]
+
+
+class TestExtractBlockProperties:
+    @given(table=fact_tables(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_equals_dense_slice_as_one_sorted_chunk(self, table, data):
+        shape, chunk_shape, coords, values = table
+        arr = SparseArray.from_coords(shape, coords, values, chunk_shape=chunk_shape)
+        slices = []
+        for s in shape:
+            lo = data.draw(st.integers(0, s - 1))
+            slices.append(slice(lo, data.draw(st.integers(lo + 1, s))))
+        block = arr.extract_block(slices)
+        assert block.to_dense().tobytes() == arr.to_dense()[tuple(slices)].tobytes()
+        (chunk,) = block.chunks
+        assert chunk.origin == (0,) * len(shape) and chunk.shape == block.shape
+        assert_sorted_chunk(chunk)
+
+    @pytest.mark.parametrize(
+        "chunk_shape, parts",
+        [
+            ((4, 3), (2, 2)),  # aligned: every chunk lies inside one block
+            ((8, 6), (2, 2)),  # one chunk split four ways
+            ((3, 4), (2, 2)),  # chunks straddle block boundaries
+            ((4, 3), (3, 4)),  # unbalanced blocks: 8 / 3 and 6 / 4
+        ],
+    )
+    def test_blocks_of_a_processor_grid(self, chunk_shape, parts):
+        dense = make_dense((8, 6), seed=11)
+        dense[:3, :] = 0.0  # some blocks hold no facts at all
+        arr = SparseArray.from_dense(dense, chunk_shape=chunk_shape)
+        grid = BlockPartition(dense.shape, parts)
+        total = 0
+        for block in grid.iter_blocks():
+            sl = grid.slices(block)
+            sub = arr.extract_block(sl)
+            assert np.array_equal(sub.to_dense(), dense[sl])
+            (chunk,) = sub.chunks
+            assert_sorted_chunk(chunk)
+            total += sub.nnz
+        assert total == arr.nnz
+
+    def test_block_equal_to_a_chunk_shares_its_values(self):
+        arr = SparseArray.from_dense(make_dense((4, 6), seed=12), chunk_shape=(2, 3))
+        chunk = arr.chunks[3]
+        sl = tuple(slice(o, o + s) for o, s in zip(chunk.origin, chunk.shape))
+        (block_chunk,) = arr.extract_block(sl).chunks
+        assert np.shares_memory(block_chunk.values, chunk.values)
+        assert np.array_equal(block_chunk.offsets, chunk.offsets)
+
+
+class TestTranspose:
+    def test_identity_returns_self(self):
+        arr = SparseArray.from_dense(make_dense((3, 4), seed=13), chunk_shape=(2, 2))
+        assert arr.transpose((0, 1)) is arr
+
+    def test_rejects_non_permutation(self):
+        arr = SparseArray.from_dense(np.ones((2, 2)))
+        with pytest.raises(ValueError, match="permutation"):
+            arr.transpose((0, 0))
+
+    @given(table=fact_tables(), seed=st.integers(0, 1000))
+    @settings(max_examples=100, deadline=None)
+    def test_equals_ingest_in_the_permuted_order(self, table, seed):
+        shape, chunk_shape, coords, values = table
+        order = tuple(int(a) for a in np.random.default_rng(seed).permutation(len(shape)))
+        arr = SparseArray.from_coords(shape, coords, values, chunk_shape=chunk_shape)
+        got = arr.transpose(order)
+        assert np.array_equal(got.to_dense(), np.transpose(arr.to_dense(), order))
+        want = SparseArray.from_coords(
+            tuple(shape[a] for a in order),
+            coords[:, list(order)],
+            values,
+            chunk_shape=tuple(chunk_shape[a] for a in order),
+        )
+        assert len(got.chunks) == len(want.chunks)
+        for g, w in zip(got.chunks, want.chunks):
+            assert (g.origin, g.shape) == (w.origin, w.shape)
+            assert np.array_equal(g.offsets, w.offsets)
+            assert g.values.tobytes() == w.values.tobytes()
