@@ -15,7 +15,8 @@ from repro.baselines.naive_parallel import (
     construct_cube_naive_parallel,
     naive_comm_volume,
 )
-from repro.baselines.trees import run_with_tree, tree_choices, tree_comm_volume
+from repro.baselines.trees import run_with_tree, tree_choices
+from repro.core.comm_model import tree_comm_volume
 from repro.core.parallel import construct_cube_parallel
 from repro.core.partition import greedy_partition
 from repro.core.sequential import construct_cube_sequential

@@ -32,7 +32,6 @@ from repro.baselines.partitions import (
 from repro.baselines.trees import (
     run_with_tree,
     tree_choices,
-    tree_comm_volume,
 )
 
 __all__ = [
@@ -45,5 +44,4 @@ __all__ = [
     "paper_partition_options",
     "run_with_tree",
     "tree_choices",
-    "tree_comm_volume",
 ]

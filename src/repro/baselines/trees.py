@@ -45,7 +45,14 @@ def run_with_tree(
     machine: MachineModel | None = None,
     collect_results: bool = True,
 ) -> ParallelResult:
-    """Parallel construction using a named or explicit spanning tree."""
+    """Parallel construction using a named or explicit spanning tree.
+
+    The tree belongs to the scheduler (``Fig5Scheduler(tree=...)``), so the
+    run's ``expected_comm_volume_elements`` is the Lemma-1 sum over *that*
+    tree's edges (:func:`repro.core.comm_model.tree_comm_volume`).
+    """
+    from repro.sched import Fig5Scheduler
+
     if isinstance(tree, str):
         tree = tree_choices(tuple(array.shape))[tree]
     return construct_cube_parallel(
@@ -53,22 +60,5 @@ def run_with_tree(
         bits,
         machine=machine,
         collect_results=collect_results,
-        tree=tree,
+        scheduler=Fig5Scheduler(tree=tree),
     )
-
-
-def tree_comm_volume(
-    tree: SpanningTree, shape: Sequence[int], bits: Sequence[int]
-) -> int:
-    """Closed-form volume for an arbitrary spanning tree.
-
-    Generalizes Theorem 3: each edge aggregating along ``j`` moves
-    ``(2**bits[j] - 1) * |child|`` elements.
-    """
-    from repro.core.lattice import node_size
-
-    total = 0
-    for _parent, child in tree.iter_edges():
-        j = tree.aggregated_dim(child)
-        total += (2 ** bits[j] - 1) * node_size(child, shape)
-    return total

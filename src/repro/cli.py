@@ -313,24 +313,11 @@ def cmd_construct(args: argparse.Namespace, out) -> int:
         file=out,
     )
     if args.verify:
-        import numpy as np
-
-        from repro.core.sequential import cube_reference
-
-        ordered = plan.transpose_input(data)
-        plan_results = {
-            plan.to_plan_node(nd): arr for nd, arr in run.results.items()
-        }
-        ref = cube_reference(ordered)
-        if set(plan_results) == set(ref):
-            verify_cube(plan_results, ordered)
-        else:
-            # Target-restricted schedulers materialize a subset; verify
-            # exactly what was produced.
-            for node, arr in plan_results.items():
-                assert np.allclose(arr.data, ref[node].data), f"mismatch at {node}"
+        # run.results is keyed and axis-ordered by the caller's dimensions,
+        # so it is checked against the caller's data, not the plan's.
+        verify_cube(run.results, data, targets=plan.target_nodes)
         print(
-            f"all {len(plan_results)} aggregates verified against direct "
+            f"all {len(run.results)} aggregates verified against direct "
             f"recomputation",
             file=out,
         )

@@ -4,9 +4,10 @@
   parents (section 2).
 - :mod:`repro.core.prefix_tree` -- the prefix tree (Def 2).
 - :mod:`repro.core.aggregation_tree` -- the aggregation tree (Def 3) and the
-  right-to-left depth-first schedule (Fig 3).
-- :mod:`repro.core.spanning_tree` -- generic spanning trees of the lattice,
-  schedules, and a memory simulator for Theorems 1/2 comparisons.
+  right-to-left depth-first schedule (Fig 3 / Fig 5): the one step IR and
+  the one linearizer, ``tree_schedule``.
+- :mod:`repro.core.spanning_tree` -- generic spanning trees of the lattice
+  and a memory simulator for Theorems 1/2 comparisons.
 - :mod:`repro.core.comm_model` -- closed-form communication volume
   (Lemma 1, Theorem 3).
 - :mod:`repro.core.memory_model` -- memory bounds (Theorems 1, 2, 4, 5).
@@ -14,8 +15,8 @@
 - :mod:`repro.core.partition` -- the greedy partitioning algorithm
   (Fig 6, Theorem 8).
 - :mod:`repro.core.sequential` -- sequential cube construction (Fig 3).
-- :mod:`repro.core.parallel` -- parallel cube construction (Fig 5) on the
-  cluster simulator.
+- :mod:`repro.core.parallel` -- parallel cube construction (Fig 5): the
+  host side, on any execution backend.
 - :mod:`repro.core.plan` -- end-to-end planner tying ordering + partitioning
   + tree together for arbitrary (unsorted) user dimensions.
 """
@@ -36,7 +37,9 @@ from repro.core.aggregation_tree import (
     AggregationTree,
     ScheduleStep,
     ComputeChildren,
+    Finalize,
     WriteBack,
+    tree_schedule,
 )
 from repro.core.spanning_tree import (
     SpanningTree,
@@ -50,6 +53,7 @@ from repro.core.comm_model import (
     edge_comm_volume,
     total_comm_volume,
     total_comm_volume_by_edges,
+    tree_comm_volume,
 )
 from repro.core.memory_model import (
     sequential_memory_bound,
@@ -77,7 +81,6 @@ from repro.core.sequential import construct_cube_sequential, SequentialResult
 from repro.core.parallel import construct_cube_parallel, ParallelResult
 from repro.core.partial import (
     construct_partial_cube_parallel,
-    construct_partial_cube_sequential,
     partial_comm_volume,
     required_closure,
 )
@@ -99,7 +102,9 @@ __all__ = [
     "AggregationTree",
     "ScheduleStep",
     "ComputeChildren",
+    "Finalize",
     "WriteBack",
+    "tree_schedule",
     "SpanningTree",
     "minimal_parent_tree",
     "left_deep_tree",
@@ -109,6 +114,7 @@ __all__ = [
     "edge_comm_volume",
     "total_comm_volume",
     "total_comm_volume_by_edges",
+    "tree_comm_volume",
     "sequential_memory_bound",
     "sequential_memory_lower_bound",
     "parallel_memory_bound",
@@ -130,7 +136,6 @@ __all__ = [
     "construct_cube_parallel",
     "ParallelResult",
     "construct_partial_cube_parallel",
-    "construct_partial_cube_sequential",
     "partial_comm_volume",
     "required_closure",
     "CubePlan",

@@ -21,15 +21,24 @@ depth-first traversal: all children of a node are computed simultaneously
 (maximal cache/memory reuse -- the parent is scanned once), then children
 are finalized right to left, recursing into non-leaves; a node is written
 back to disk exactly once, when no further child will be computed from it.
-:meth:`AggregationTree.schedule` linearizes that recursion into explicit
-steps shared by the sequential and parallel constructors and by the memory
-simulator.
+Fig 5 runs the same walk on every processor with one addition: after the
+children are computed, each is *finalized* -- its reduction group combines
+the partials onto the lead -- before anything is computed from it.
+
+:func:`tree_schedule` is the one linearizer of that recursion.  It returns
+a flat list of :class:`ComputeChildren` / :class:`Finalize` /
+:class:`WriteBack` steps for any spanning tree, optionally pruned to a
+target set, and every consumer reads that list: the sequential constructor
+and the memory simulator (which skip ``Finalize``), the out-of-core study,
+and the Fig 5 rank programs in :mod:`repro.sched.fig5`, which use a step's
+*index* in the list as its message tag -- so the list is identical on
+every rank by construction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.core.lattice import Node, all_nodes, full_node, node_complement
 
@@ -38,7 +47,8 @@ from repro.core.lattice import Node, all_nodes, full_node, node_complement
 class ComputeChildren:
     """Aggregate all children of ``node`` from ``node``, simultaneously.
 
-    ``children`` are in left-to-right tree order.
+    ``children`` are in left-to-right tree order.  In parallel, every
+    holder of ``node`` computes its local partial of each child.
     """
 
     node: Node
@@ -46,13 +56,105 @@ class ComputeChildren:
 
 
 @dataclass(frozen=True)
+class Finalize:
+    """Reduction groups along ``dim`` combine partials of ``child`` onto leads.
+
+    Nothing to do on one processor: the sequential consumers skip it.
+    """
+
+    child: Node
+    dim: int
+
+
+@dataclass(frozen=True)
 class WriteBack:
-    """Retire ``node``: its final value is written to disk and freed."""
+    """Retire ``node``: its final value is written to disk and freed.
+
+    With ``discard=True`` the node is freed without being written: an
+    ancestor that a pruned schedule needed only as a stepping stone.
+    """
 
     node: Node
+    discard: bool = False
 
 
-ScheduleStep = ComputeChildren | WriteBack
+ScheduleStep = ComputeChildren | Finalize | WriteBack
+
+
+def check_targets(targets: Iterable[Sequence[int]], n: int) -> set[Node]:
+    """Validate target group-bys of an ``n``-dimensional cube, as a set."""
+    out: set[Node] = set()
+    for t in targets:
+        t = tuple(t)
+        if any(b <= a for a, b in zip(t, t[1:])):
+            raise ValueError(f"target {t} must be strictly increasing")
+        if t and (t[0] < 0 or t[-1] >= n):
+            raise ValueError(f"target {t} out of range for {n} dimensions")
+        if len(t) == n:
+            raise ValueError("the full array is the input, not a target")
+        out.add(t)
+    if not out:
+        raise ValueError("need at least one target group-by")
+    return out
+
+
+def scheduled_nodes(tree: Any, targets: Iterable[Sequence[int]] | None = None) -> set[Node]:
+    """The nodes a schedule over ``tree`` computes (never the root).
+
+    Every proper group-by when ``targets`` is ``None``; otherwise the
+    targets plus each one's ancestors in ``tree`` -- the pruned tree.
+    """
+    root: Node = tree.root
+    n = len(root)
+    if targets is None:
+        return {node for node in all_nodes(n) if len(node) < n}
+    needed: set[Node] = set()
+    for node in check_targets(targets, n):
+        while node != root and node not in needed:
+            needed.add(node)
+            node = tree.parent(node)
+    return needed
+
+
+def tree_schedule(
+    tree: Any,
+    targets: Iterable[Sequence[int]] | None = None,
+    right_to_left: bool = True,
+) -> list[ScheduleStep]:
+    """Linearize the depth-first evaluation of ``tree`` (Fig 3 / Fig 5).
+
+    ``tree`` is any object with the spanning-tree traversal API (``root``,
+    ``children``, ``parent``, ``aggregated_dim``).  With ``targets`` the
+    walk is restricted to :func:`scheduled_nodes` and every non-target is
+    discarded instead of written.  ``right_to_left=False`` is the
+    traversal order Theorem 1 does *not* hold for (an ablation).
+
+    The returned steps have the invariants the paper's analysis relies
+    on: every node's children are computed in a single step while the
+    node is still held; a child is finalized before anything is computed
+    from it; every computed node is retired exactly once; the initial
+    array (root) is never written back.
+    """
+    root: Node = tree.root
+    if targets is None:
+        needed = wanted = scheduled_nodes(tree)
+    else:
+        wanted = check_targets(targets, len(root))
+        needed = scheduled_nodes(tree, wanted)
+    steps: list[ScheduleStep] = []
+
+    def evaluate(node: Node) -> None:
+        kids = [k for k in tree.children(node) if k in needed]
+        if kids:
+            steps.append(ComputeChildren(node, tuple(kids)))
+        for child in reversed(kids) if right_to_left else kids:
+            steps.append(Finalize(child, tree.aggregated_dim(child)))
+            evaluate(child)
+        if node != root:
+            steps.append(WriteBack(node, discard=node not in wanted))
+
+    evaluate(root)
+    return steps
 
 
 class AggregationTree:
@@ -105,9 +207,6 @@ class AggregationTree:
             raise ValueError("the root is not computed by aggregation")
         return comp[-1]
 
-    def is_leaf(self, node: Sequence[int]) -> bool:
-        return not self.children(node)
-
     def iter_edges(self) -> Iterator[tuple[Node, Node]]:
         """All (parent, child) edges, parents in preorder."""
         for node in self.preorder():
@@ -121,32 +220,9 @@ class AggregationTree:
             yield node
             stack.extend(reversed(self.children(node)))
 
-    # -- the Fig 3 schedule --------------------------------------------------------
-
     def schedule(self) -> list[ScheduleStep]:
-        """Linearized right-to-left depth-first evaluation (Fig 3).
-
-        The returned steps have the invariants the paper's analysis relies
-        on: every node's children are computed in a single step while the
-        node is still held; every computed node is written back exactly
-        once; the initial array (root) is never written back.
-        """
-        steps: list[ScheduleStep] = []
-
-        def evaluate(node: Node) -> None:
-            kids = self.children(node)
-            if kids:
-                steps.append(ComputeChildren(node, tuple(kids)))
-            for child in reversed(kids):
-                if self.is_leaf(child):
-                    steps.append(WriteBack(child))
-                else:
-                    evaluate(child)
-            if node != self.root:
-                steps.append(WriteBack(node))
-
-        evaluate(self.root)
-        return steps
+        """The right-to-left schedule of this tree (:func:`tree_schedule`)."""
+        return tree_schedule(self)
 
     # -- conversions ------------------------------------------------------------------
 

@@ -28,9 +28,9 @@ bytes.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Any, Iterable, Sequence
 
-from repro.core.aggregation_tree import AggregationTree
+from repro.core.aggregation_tree import AggregationTree, scheduled_nodes
 from repro.core.lattice import node_size
 
 
@@ -81,15 +81,28 @@ def total_comm_volume(shape: Sequence[int], bits: Sequence[int]) -> int:
     )
 
 
+def tree_comm_volume(
+    tree: Any,
+    shape: Sequence[int],
+    bits: Sequence[int],
+    targets: Iterable[Sequence[int]] | None = None,
+) -> int:
+    """Lemma 1 summed over the edges a schedule of ``tree`` finalizes.
+
+    The volume of any spanning tree, and -- with ``targets`` -- of the tree
+    pruned to their ancestors (partial materialization): every computed
+    node is reduced once along its aggregated dimension, discarded or not.
+    """
+    shape, bits = _validate(shape, bits)
+    return sum(
+        (2 ** bits[tree.aggregated_dim(node)] - 1) * node_size(node, shape)
+        for node in scheduled_nodes(tree, targets)
+    )
+
+
 def total_comm_volume_by_edges(shape: Sequence[int], bits: Sequence[int]) -> int:
     """Explicit per-edge sum over the aggregation tree (cross-check)."""
-    shape, bits = _validate(shape, bits)
-    tree = AggregationTree(len(shape))
-    total = 0
-    for _parent, child in tree.iter_edges():
-        dim = tree.aggregated_dim(child)
-        total += (2 ** bits[dim] - 1) * node_size(child, shape)
-    return total
+    return tree_comm_volume(AggregationTree(len(shape)), shape, bits)
 
 
 def first_level_comm_volume(shape: Sequence[int], bits: Sequence[int]) -> int:

@@ -31,11 +31,6 @@ class BuildConfig:
         ``"flat"`` (the paper's gather-to-lead) or ``"binomial"``.
     collect_results:
         Assemble global result arrays from the per-rank portions.
-    tree:
-        Alternative spanning tree (baselines); default aggregation tree.
-    schedule:
-        Explicit step list overriding the tree-derived one (partial
-        materialization); mutually exclusive with ``tree``.
     measure:
         Any distributive measure (default SUM).
     max_message_elements:
@@ -72,9 +67,10 @@ class BuildConfig:
         Construction scheduler: a registered spec (``"fig5"`` default,
         ``"shuffle"``, ``"marginals-<k>"``, ``"marginals-<k>-shuffle"``)
         or a :class:`~repro.sched.base.Scheduler` instance.  The
-        scheduler owns cuboid ordering and the comm schedule; the backend
-        owns how ranks exchange bytes, so any scheduler runs on any
-        backend.
+        scheduler owns cuboid ordering and the comm schedule -- including
+        which tree it walks and which group-bys it keeps
+        (``Fig5Scheduler(targets=..., tree=...)``); the backend owns how
+        ranks exchange bytes, so any scheduler runs on any backend.
     live:
         Optional :class:`~repro.obs.live.LiveRunView` the backend feeds
         with per-rank snapshots while the build runs (the snapshot bus
@@ -87,15 +83,13 @@ class BuildConfig:
     built directly or from keywords passed to the constructor.
     Scheduler capability combinations are checked the same way the backend
     ones are: the scheduler declares what its program can honor
-    (checkpointing, schedule overrides, chunked messages), and a violation
-    raises naming the exact option.
+    (checkpointing, chunked messages), and a violation raises naming the
+    exact option.
     """
 
     machine: MachineModel | None = None
     reduction: str = "flat"
     collect_results: bool = True
-    tree: object | None = None
-    schedule: Sequence[object] | None = None
     measure: Measure | str = SUM
     max_message_elements: int | None = None
     trace: bool = False
@@ -114,8 +108,6 @@ class BuildConfig:
             raise ValueError(f"unknown reduction {self.reduction!r}")
         if self.max_message_elements is not None and self.max_message_elements <= 0:
             raise ValueError("max_message_elements must be positive")
-        if self.tree is not None and self.schedule is not None:
-            raise ValueError("pass either tree or schedule, not both")
         if self.recv_timeout is not None and self.recv_timeout <= 0:
             raise ValueError("recv_timeout must be positive")
         if self.checkpoint:
@@ -186,6 +178,4 @@ class BuildConfig:
             reduction=self.reduction,
             checkpoint=self.checkpoint,
             max_message_elements=self.max_message_elements,
-            tree=self.tree,
-            schedule=self.schedule,
         )

@@ -147,8 +147,6 @@ def construct_cube_out_of_core(
             out = held.pop(step.node)
             disk.write(node_name(step.node), out)
             results[step.node] = out
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown step {step!r}")
 
     stats = disk.stats.copy()
     io_time = machine.disk_time(0) * (stats.read_ops + stats.write_ops) + (

@@ -4,9 +4,10 @@
 processor grid, asks the configured scheduler (:mod:`repro.sched`) for its
 rank program, runs it on the configured execution backend
 (:mod:`repro.exec`), and stitches the per-lead portions back into global
-arrays (:func:`assemble_results`).  The Fig 5 program itself -- the step
-IR, the plain and fault-tolerant rank programs -- lives in
-:mod:`repro.sched.fig5`.
+arrays (:func:`assemble_results`).  The host has one program path: the
+scheduler decides what is walked (tree, targets), declares what it writes
+and what it moves, and the host never looks inside; the Fig 5 rank
+programs live in :mod:`repro.sched.fig5`.
 
 The run measures communication volume exactly (tests check it equals the
 Theorem 3 closed form), per-rank held-results memory (Theorem 4), and a
@@ -31,9 +32,8 @@ from repro.arrays.sparse import SparseArray
 from repro.cluster.metrics import RunMetrics
 from repro.cluster.topology import ProcessorGrid
 from repro.core.aggregation_tree import AggregationTree
-from repro.core.comm_model import total_comm_volume
 from repro.core.config import BuildConfig
-from repro.core.lattice import Node, full_node, node_size
+from repro.core.lattice import Node, all_nodes, full_node, node_size
 from repro.obs.export import write_chrome_trace
 from repro.obs.span import NULL_TRACER, Tracer
 
@@ -46,7 +46,7 @@ if TYPE_CHECKING:
 
 @dataclass
 class ParallelResult:
-    """Outcome of one simulated parallel construction."""
+    """Outcome of one parallel construction, on whichever backend ran it."""
 
     results: dict[Node, DenseArray] | None
     metrics: RunMetrics
@@ -71,7 +71,7 @@ class ParallelResult:
     @property
     def elapsed_s(self) -> float:
         """Backend-neutral makespan: simulated seconds on ``"sim"`` runs,
-        wall-clock seconds on ``"process"`` runs."""
+        wall-clock seconds on ``"thread"`` and ``"process"`` runs."""
         return self.metrics.makespan_s
 
     @property
@@ -185,14 +185,8 @@ def construct_cube_parallel(
     from repro.arrays.persist import CheckpointStore
     from repro.exec.base import Backend
     from repro.exec.registry import get_backend
-    from repro.exec.shm import StagedResult, output_layout_for_schedule
+    from repro.exec.shm import OutputLayout, StagedResult
     from repro.sched import resolve_scheduler
-    from repro.sched.fig5 import (
-        _make_program_ft,
-        fig5_schedule,
-        make_fig5_program,
-    )
-    from repro.sched.steps import PWriteBack
 
     measure = get_measure(cfg.measure)
     trace = cfg.effective_trace
@@ -220,21 +214,12 @@ def construct_cube_parallel(
     host_tr = Tracer(rank=-1) if trace else NULL_TRACER
     with host_tr.span("build.partition", ranks=grid.size):
         local_inputs = backend_obj.prepare_inputs(_extract_local_inputs(array, grid))
-    # Fig 5 -- or an explicit schedule/tree override or a checkpointed
-    # build, all of which BuildConfig restricts to the fig5 scheduler --
-    # walks a step list; every other scheduler supplies its own program.
-    schedule = None
-    if cfg.schedule is not None:
-        schedule = list(cfg.schedule)
-    elif sched_obj.spec == "fig5" or cfg.tree is not None or cfg.checkpoint:
-        schedule = fig5_schedule(n, tree=cfg.tree)
 
     tmpdir = None
     out_arena = None
     staged_results: dict[Node, DenseArray] = {}
     try:
         if cfg.checkpoint:
-            assert schedule is not None  # set above on every checkpoint path
             checkpoint_dir = cfg.checkpoint_dir
             if checkpoint_dir is None:
                 # Prefer a RAM-backed host-shared root (/dev/shm): forked
@@ -245,12 +230,14 @@ def construct_cube_parallel(
                     dir=str(CheckpointStore.preferred_root()),
                 )
                 checkpoint_dir = tmpdir.name
-            program = _make_program_ft(
-                schedule, grid, local_inputs, n, measure,
-                CheckpointStore(checkpoint_dir), cfg.recv_timeout,
+            program = sched_obj.rank_program_ft(
+                shape, bits, grid, local_inputs,
+                measure=measure,
+                store=CheckpointStore(checkpoint_dir),
+                recv_timeout=cfg.recv_timeout,
             )
-        elif schedule is not None:
-            if cfg.collect_results:
+        else:
+            if sched_obj.stages_outputs and cfg.collect_results:
                 # Offer the backend a shared output arena: leads write
                 # finalized aggregates straight into global-shaped shared
                 # memory instead of pickling them back through result
@@ -262,23 +249,11 @@ def construct_cube_parallel(
                     if isinstance(array, SparseArray)
                     else array.data.dtype
                 )
+                targets = sched_obj.target_nodes(n)
+                written = all_nodes(n)[1:] if targets is None else targets
                 out_arena = backend_obj.prepare_outputs(
-                    output_layout_for_schedule(
-                        shape,
-                        grid,
-                        [
-                            s.node
-                            for s in schedule
-                            if isinstance(s, PWriteBack) and not s.discard
-                        ],
-                        dtype=out_dtype,
-                    )
+                    OutputLayout(shape, grid, tuple(written), out_dtype)
                 )
-            program = make_fig5_program(
-                schedule, grid, local_inputs, n, cfg.reduction, measure,
-                cfg.max_message_elements, outputs=out_arena,
-            )
-        else:
             program = sched_obj.rank_program(
                 shape,
                 bits,
@@ -287,6 +262,7 @@ def construct_cube_parallel(
                 reduction=cfg.reduction,
                 measure=measure,
                 max_message_elements=cfg.max_message_elements,
+                outputs=out_arena,
             )
         metrics = backend_obj.spawn_ranks(
             grid.size, program, machine=cfg.machine, record_trace=trace,
@@ -350,20 +326,12 @@ def construct_cube_parallel(
     if cfg.trace_out is not None:
         write_chrome_trace(metrics, cfg.trace_out)
 
-    # Step-list runs -- fig5 itself, and explicit schedule/tree overrides --
-    # carry the full-cube Theorem 3 closed form (partial materialization
-    # substitutes its own afterwards); every other scheduler declares its
-    # own volume.
-    if schedule is not None:
-        expected_volume = total_comm_volume(shape, bits)
-    else:
-        expected_volume = sched_obj.declared_volume(shape, bits)
     return ParallelResult(
         results=results,
         metrics=metrics,
         bits=bits,
         shape=shape,
-        expected_comm_volume_elements=expected_volume,
+        expected_comm_volume_elements=sched_obj.declared_volume(shape, bits),
         scheduler=sched_obj.spec,
     )
 

@@ -97,6 +97,21 @@ class CubePlan:
             self.ordered_shape, self.bits
         )
 
+    @property
+    def target_nodes(self) -> list[Node] | None:
+        """What the plan's scheduler materializes, in original dimensions.
+
+        ``None`` is the full cube; a list restricts it (``marginals-<k>``).
+        """
+        if self.scheduler == "fig5":
+            return None
+        from repro.sched import get_scheduler
+
+        targets = get_scheduler(self.scheduler).target_nodes(self.n)
+        if targets is None:
+            return None
+        return [self.to_original_node(t) for t in targets]
+
     # -- node translation ---------------------------------------------------------
 
     def to_original_node(self, node: Sequence[int]) -> Node:
@@ -160,12 +175,19 @@ class CubePlan:
         self,
         array: SparseArray | DenseArray | np.ndarray,
         measure: Measure | str = SUM,
+        targets: Iterable[Sequence[int]] | None = None,
     ) -> SequentialResult:
-        """Construct the cube sequentially; results keyed by original dims."""
+        """Construct the cube sequentially; results keyed by original dims.
+
+        ``targets`` (original-dimension nodes) materializes only those.
+        """
         from repro.core.sequential import construct_cube_sequential
 
-        ordered = self.transpose_input(array)
-        result = construct_cube_sequential(ordered, measure=measure)
+        if targets is not None:
+            targets = [self.to_plan_node(t) for t in targets]
+        result = construct_cube_sequential(
+            self.transpose_input(array), measure=measure, targets=targets
+        )
         result.results = self.translate_results(result.results)
         return result
 
@@ -209,32 +231,19 @@ class CubePlan:
         has more than one processor (override with ``parallel``).  Results
         are re-keyed by original dimensions.
         """
-        from repro.core.partial import (
-            construct_partial_cube_parallel,
-            construct_partial_cube_sequential,
-        )
-
-        plan_targets = [self.to_plan_node(t) for t in targets]
-        ordered = self.transpose_input(array)
         if parallel is None:
             parallel = self.num_processors > 1
-        if parallel:
-            result = construct_partial_cube_parallel(
-                ordered,
-                self.bits,
-                plan_targets,
-                machine=machine,
-                collect_results=collect_results,
-                measure=measure,
-            )
-            if result.results is not None:
-                result.results = self.translate_results(result.results)
-        else:
-            result = construct_partial_cube_sequential(
-                ordered, plan_targets, measure=measure
-            )
-            result.results = self.translate_results(result.results)
-        return result
+        if not parallel:
+            return self.run_sequential(array, measure, targets=targets)
+        from repro.sched import Fig5Scheduler
+
+        return self.run_parallel(
+            array,
+            scheduler=Fig5Scheduler(targets=[self.to_plan_node(t) for t in targets]),
+            machine=machine,
+            collect_results=collect_results,
+            measure=measure,
+        )
 
     def describe(self) -> str:
         sched = "" if self.scheduler == "fig5" else f" scheduler={self.scheduler}"

@@ -4,7 +4,9 @@ Executes the aggregation tree's right-to-left depth-first schedule on a real
 array: the initial (sparse or dense) array is scanned once to produce all
 first-level aggregates simultaneously; deeper nodes are computed from their
 aggregation-tree parents; every computed array is written to the simulated
-disk exactly once, when nothing further will be computed from it.
+disk exactly once, when nothing further will be computed from it.  Given
+``targets`` it walks the same schedule pruned to their ancestors (partial
+materialization): stepping-stone ancestors are freed without a write.
 
 The runner instruments exactly the quantities the paper's theorems bound:
 peak held-results memory (Theorem 1), disk traffic (read input once, write
@@ -14,7 +16,7 @@ each output once), and computation (elements scanned per edge).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +25,12 @@ from repro.arrays.dense import DenseArray
 from repro.arrays.measures import Measure, SUM, get_measure
 from repro.arrays.sparse import SparseArray
 from repro.arrays.storage import DiskStats, SimulatedDisk
-from repro.core.aggregation_tree import AggregationTree, ComputeChildren, WriteBack
+from repro.core.aggregation_tree import (
+    AggregationTree,
+    ComputeChildren,
+    WriteBack,
+    tree_schedule,
+)
 from repro.core.lattice import Node, all_nodes, full_node
 from repro.util import node_name
 
@@ -53,19 +60,19 @@ def construct_cube_sequential(
     array: SparseArray | DenseArray | np.ndarray,
     disk: SimulatedDisk | None = None,
     measure: Measure | str = SUM,
+    targets: Iterable[Sequence[int]] | None = None,
 ) -> SequentialResult:
-    """Construct the full data cube of ``array`` (Fig 3).
+    """Construct the data cube of ``array`` (Fig 3).
 
     ``array``'s axes are taken as dimensions ``0..n-1``, assumed already in
     the aggregation-tree ordering (use :func:`repro.core.plan.plan_cube` for
-    arbitrary orderings).  Returns every aggregate as a dense array keyed by
-    node, plus instrumentation.  ``measure`` is any distributive measure
-    (default SUM).
+    arbitrary orderings).  Returns every aggregate -- or only ``targets``,
+    when given -- as a dense array keyed by node, plus instrumentation.
+    ``measure`` is any distributive measure (default SUM).
     """
     measure = get_measure(measure)
     array = _as_input(array)
     n = len(array.shape)
-    tree = AggregationTree(n)
     root = full_node(n)
     disk = disk if disk is not None else SimulatedDisk()
 
@@ -77,14 +84,9 @@ def construct_cube_sequential(
     write_order: list[Node] = []
     results: dict[Node, DenseArray] = {}
 
-    def get_array(node: Node) -> SparseArray | DenseArray:
-        if node == root:
-            return array
-        return held[node]
-
-    for step in tree.schedule():
+    for step in tree_schedule(AggregationTree(n), targets):
         if isinstance(step, ComputeChildren):
-            parent = get_array(step.node)
+            parent = array if step.node == root else held[step.node]
             if isinstance(parent, SparseArray):
                 # One scan of the sparse input updates every child (the
                 # paper's cache-reuse discipline).
@@ -108,11 +110,11 @@ def construct_cube_sequential(
         elif isinstance(step, WriteBack):
             out = held.pop(step.node)
             current_elems -= out.size
-            disk.write(node_name(step.node), out)
-            results[step.node] = out
-            write_order.append(step.node)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown step {step!r}")
+            if not step.discard:
+                disk.write(node_name(step.node), out)
+                results[step.node] = out
+                write_order.append(step.node)
+        # Finalize: nothing to reduce on one processor.
 
     if held:
         raise AssertionError(f"schedule left nodes in memory: {sorted(held)}")
@@ -129,19 +131,21 @@ def construct_cube_sequential(
 def cube_reference(
     array: SparseArray | DenseArray | np.ndarray,
     measure: Measure | str = SUM,
+    targets: Iterable[Sequence[int]] | None = None,
 ) -> dict[Node, DenseArray]:
     """Oracle: every aggregate computed independently from the input.
 
     Used by tests and by the examples to cross-check the tree-based
-    constructors; makes no claim to efficiency.
+    constructors; makes no claim to efficiency.  ``targets`` restricts it
+    to those group-bys (default: every proper one).
     """
     measure = get_measure(measure)
     array = _as_input(array)
     n = len(array.shape)
+    if targets is None:
+        targets = [node for node in all_nodes(n) if len(node) < n]
     out: dict[Node, DenseArray] = {}
-    for node in all_nodes(n):
-        if len(node) == n:
-            continue
+    for node in map(tuple, targets):
         if isinstance(array, SparseArray):
             out[node] = aggregate_sparse_to_dense(
                 array, tuple(range(n)), node, measure=measure
@@ -157,9 +161,14 @@ def verify_cube(
     rtol: float = 1e-9,
     atol: float = 1e-9,
     measure: Measure | str = SUM,
+    targets: Iterable[Sequence[int]] | None = None,
 ) -> None:
-    """Raise ``AssertionError`` unless ``results`` matches the oracle."""
-    ref = cube_reference(array, measure=measure)
+    """Raise ``AssertionError`` unless ``results`` matches the oracle.
+
+    ``results`` must hold exactly ``targets`` (default: the full cube),
+    keyed and axis-ordered by ``array``'s dimensions.
+    """
+    ref = cube_reference(array, measure=measure, targets=targets)
     if set(results) != set(ref):
         raise AssertionError(
             f"node sets differ: missing={set(ref) - set(results)}, "

@@ -18,6 +18,7 @@ from repro.core.aggregation_tree import (
     ComputeChildren,
     ScheduleStep,
     WriteBack,
+    tree_schedule,
 )
 from repro.core.lattice import (
     Node,
@@ -69,9 +70,6 @@ class SpanningTree:
     def parent(self, node: Sequence[int]) -> Node:
         return self.parent_map[tuple(node)]
 
-    def is_leaf(self, node: Sequence[int]) -> bool:
-        return not self._children[tuple(node)]
-
     def aggregated_dim(self, node: Sequence[int]) -> int:
         """Dimension aggregated away on the edge parent -> node."""
         node = tuple(node)
@@ -82,30 +80,9 @@ class SpanningTree:
             yield (parent, node)
 
     def schedule(self, right_to_left: bool = True) -> list[ScheduleStep]:
-        """Fig-3-style schedule generalized to this tree.
-
-        All children of a node are computed simultaneously (maximal reuse),
-        then traversed depth-first right-to-left (or left-to-right when
-        ``right_to_left`` is False, the order Theorem 1 does *not* hold
-        for).
-        """
-        steps: list[ScheduleStep] = []
-
-        def evaluate(node: Node) -> None:
-            kids = self._children[node]
-            if kids:
-                steps.append(ComputeChildren(node, tuple(kids)))
-            order = reversed(kids) if right_to_left else kids
-            for child in order:
-                if self.is_leaf(child):
-                    steps.append(WriteBack(child))
-                else:
-                    evaluate(child)
-            if node != self.root:
-                steps.append(WriteBack(node))
-
-        evaluate(self.root)
-        return steps
+        """This tree's schedule (:func:`tree_schedule`): right-to-left, or
+        left-to-right -- the order Theorem 1 does *not* hold for."""
+        return tree_schedule(self, right_to_left=right_to_left)
 
 
 def minimal_parent_tree(shape: Sequence[int]) -> SpanningTree:
@@ -183,8 +160,8 @@ def simulate_schedule_memory(
             if step.node not in held:
                 raise ValueError(f"write-back of {step.node} which is not held")
             current -= held.pop(step.node)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"unknown step {step!r}")
+        else:
+            continue  # Finalize moves partials between ranks, not memory
         peak = max(peak, current)
         samples.append(current)
     return MemoryTimeline(peak=peak, samples=samples, final_held=set(held))

@@ -268,22 +268,3 @@ class SharedOutputArena:
         self._closed = True
         self._shm.close()
         self._shm.unlink()
-
-
-def output_layout_for_schedule(
-    shape: Sequence[int],
-    grid: ProcessorGrid,
-    written_nodes: Sequence[Node],
-    dtype: np.dtype | type = DEFAULT_DTYPE,
-) -> OutputLayout:
-    """Build the :class:`OutputLayout` for one construction's writebacks."""
-    return OutputLayout(
-        shape=tuple(shape),
-        grid=grid,
-        nodes=tuple(dict.fromkeys(written_nodes)),
-        dtype=np.dtype(dtype),
-    )
-
-
-#: Program-facing alias: what ``make_fig5_program`` receives as ``outputs=``.
-OutputStager = Union[SharedOutputArena, None]

@@ -7,8 +7,8 @@ with named dimensions, hierarchies, and a query interface:
 
 - :mod:`repro.olap.schema` -- named dimensions with optional member labels
   and roll-up hierarchies.
-- :mod:`repro.olap.cube` -- :class:`DataCube`: build (sequentially or on the
-  simulated cluster) and hold every materialized group-by.
+- :mod:`repro.olap.cube` -- :class:`DataCube`: build (sequentially or on an
+  execution backend) and hold every materialized group-by.
 - :mod:`repro.olap.query` -- queries answered from the smallest
   materialized cover (or the base facts).
 - :mod:`repro.olap.view_selection` -- HRU greedy selection under a space

@@ -2,7 +2,7 @@
 
 :class:`DataCube` ties a :class:`repro.olap.schema.Schema` to the
 constructors: ``DataCube.build`` plans (optimal ordering + partitioning),
-constructs every group-by -- sequentially or on the simulated cluster --
+constructs every group-by -- sequentially or on an execution backend --
 and exposes them by dimension *names*.
 """
 
@@ -73,14 +73,8 @@ class DataCube:
         plan = plan_cube(
             schema.shape, num_processors=num_processors, scheduler=scheduler
         )
-        restricted = cls._scheduler_targets(plan)
         if num_processors == 1:
-            if restricted is not None:
-                run = plan.run_partial(
-                    data, restricted, parallel=False, measure=measure
-                )
-            else:
-                run = plan.run_sequential(data, measure=measure)
+            run = plan.run_sequential(data, measure, targets=plan.target_nodes)
             aggregates = run.results
         else:
             run = plan.run_parallel(
@@ -99,23 +93,6 @@ class DataCube:
             build_stats=run,
             measure_name=measure.name,
         )
-
-    @staticmethod
-    def _scheduler_targets(plan: CubePlan) -> list[Node] | None:
-        """The plan scheduler's restricted target set, in original dims.
-
-        ``None`` means the scheduler materializes the full cube.  Used to
-        route single-processor builds of target-restricted schedulers
-        (``marginals-<k>``) through the pruned sequential constructor.
-        """
-        if plan.scheduler == "fig5":
-            return None
-        from repro.sched import get_scheduler
-
-        targets = get_scheduler(plan.scheduler).target_nodes(plan.n)
-        if targets is None:
-            return None
-        return [plan.to_original_node(t) for t in targets]
 
     @classmethod
     def build_partial(

@@ -10,7 +10,9 @@ every scheduler runs unchanged on every backend.
 Three strategies ship registered (:mod:`repro.sched.registry`):
 
 - ``fig5`` -- the paper's Fig 5 SPMD schedule (communication and memory
-  optimal), home of the step-list rank programs;
+  optimal): the rank programs that walk the one step list of
+  :func:`repro.core.aggregation_tree.tree_schedule`, over any tree and
+  target set (``Fig5Scheduler(targets=..., tree=...)``);
 - ``shuffle`` -- MapReduce-style batch-shuffle materialization
   (arXiv:1709.10072);
 - ``marginals-<k>`` / ``marginals-<k>-shuffle`` -- only the order-``k``
@@ -23,8 +25,8 @@ or ``repro-cube construct --scheduler ...``; compare them with
 """
 
 from repro.sched.base import ProgramFactory, Scheduler
-from repro.sched.fig5 import Fig5Scheduler, fig5_schedule
-from repro.sched.marginals import MarginalsScheduler, order_k_nodes, pruned_schedule
+from repro.sched.fig5 import Fig5Scheduler
+from repro.sched.marginals import MarginalsScheduler, order_k_nodes
 from repro.sched.registry import (
     available_schedulers,
     get_scheduler,
@@ -41,10 +43,8 @@ __all__ = [
     "Scheduler",
     "ShuffleScheduler",
     "available_schedulers",
-    "fig5_schedule",
     "get_scheduler",
     "order_k_nodes",
-    "pruned_schedule",
     "register_scheduler",
     "register_scheduler_family",
     "resolve_scheduler",

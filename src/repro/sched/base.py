@@ -44,7 +44,9 @@ from repro.core.lattice import Node
 
 if TYPE_CHECKING:
     from repro.analysis.model.ops import ModelProgram
+    from repro.arrays.persist import CheckpointStore
     from repro.core.plan import CubePlan
+    from repro.exec.shm import SharedOutputArena
 
 #: A rank program factory: called once per run, returns the generator each
 #: rank executes.  The factory closes over the per-rank input blocks.
@@ -96,6 +98,12 @@ class Scheduler(abc.ABC):
     #: Registry family name (``"fig5"``, ``"shuffle"``, ``"marginals"``).
     name: str = "abstract"
 
+    #: Whether :meth:`rank_program` writes finalized portions into the
+    #: ``outputs`` arena it is handed.  The host allocates one only for
+    #: schedulers that declare it, so a program that returns its results
+    #: in-band never costs a shared segment it would not use.
+    stages_outputs: bool = False
+
     @property
     def spec(self) -> str:
         """The full registry spec, including parameters (``"marginals-2"``).
@@ -140,8 +148,30 @@ class Scheduler(abc.ABC):
         reduction: str = "flat",
         measure: Measure = SUM,
         max_message_elements: int | None = None,
+        outputs: SharedOutputArena | None = None,
     ) -> ProgramFactory:
-        """Build the backend-portable rank program for one construction."""
+        """Build the backend-portable rank program for one construction.
+
+        ``outputs`` is the shared output arena of this run, or ``None``
+        (always ``None`` unless :attr:`stages_outputs`).
+        """
+
+    def rank_program_ft(
+        self,
+        shape: tuple[int, ...],
+        bits: tuple[int, ...],
+        grid: ProcessorGrid,
+        local_inputs: Sequence[SparseArray | DenseArray],
+        *,
+        measure: Measure,
+        store: CheckpointStore,
+        recv_timeout: float | None,
+    ) -> ProgramFactory:
+        """The fault-tolerant program ``checkpoint=True`` runs (fig5 only)."""
+        raise ValueError(
+            f"scheduler {self.spec!r} has no fault-tolerant program; "
+            f"checkpoint / detection_round apply to 'fig5' only"
+        )
 
     # -- declared invariants ------------------------------------------------
 
@@ -162,26 +192,26 @@ class Scheduler(abc.ABC):
         model checker (MC301-307) both consume the result, so a scheduler
         that implements :meth:`rank_program` is verified with no further
         code.  ``kill`` crashes one rank at a model-op index;
-        ``detection_round`` selects a fault-tolerant program, which only
-        ``fig5`` has.
+        ``detection_round`` records :meth:`rank_program_ft` instead
+        (barrier, heartbeats with timeout receives, virtual-rank routing;
+        with ``kill`` each survivor's stream follows from its own
+        perception of the death), which only ``fig5`` has.
         """
-        if detection_round:
-            raise ValueError(
-                f"scheduler {self.spec!r} has no fault-tolerant program to "
-                f"model; detection_round applies to 'fig5' only"
-            )
-        from repro.analysis.model.record import record_program
+        from repro.analysis.model.record import NO_CHECKPOINTS, record_program
 
         shape_t, bits_t = tuple(shape), tuple(bits)
-        return record_program(
-            lambda grid, inputs, measure: self.rank_program(
-                shape_t, bits_t, grid, inputs, measure=measure
-            ),
-            shape_t,
-            bits_t,
-            scheduler=self.spec,
-            kill=kill,
-        )
+
+        def build(
+            grid: ProcessorGrid, inputs: list[DenseArray], measure: Measure
+        ) -> ProgramFactory:
+            if detection_round:
+                return self.rank_program_ft(
+                    shape_t, bits_t, grid, inputs,
+                    measure=measure, store=NO_CHECKPOINTS, recv_timeout=None,
+                )
+            return self.rank_program(shape_t, bits_t, grid, inputs, measure=measure)
+
+        return record_program(build, shape_t, bits_t, scheduler=self.spec, kill=kill)
 
     @abc.abstractmethod
     def declared_volume(self, shape: Sequence[int], bits: Sequence[int]) -> int:
@@ -201,15 +231,12 @@ class Scheduler(abc.ABC):
         reduction: str = "flat",
         checkpoint: bool = False,
         max_message_elements: int | None = None,
-        tree: object | None = None,
-        schedule: object | None = None,
     ) -> None:
         """Reject build options this scheduler's program cannot honor.
 
         The default implementation covers every non-``fig5`` scheduler:
-        checkpointed (fault-tolerant) construction, explicit tree/schedule
-        overrides, and chunked reduction messages are all features of the
-        Fig 5 program.  Error messages name the exact option, matching the
+        checkpointed (fault-tolerant) construction and chunked reduction
+        messages are features of the Fig 5 program.  Error messages name the exact option, matching the
         :func:`repro.exec.base.check_backend_options` style.
         """
         if checkpoint:
@@ -218,13 +245,6 @@ class Scheduler(abc.ABC):
                 f"(its program emits the checkpoint/detection/recovery "
                 f"rounds); scheduler {self.spec!r} cannot honor "
                 f"checkpoint=True. Use scheduler='fig5' or drop checkpoint"
-                f"{self._supported_options_suffix()}"
-            )
-        if tree is not None or schedule is not None:
-            raise ValueError(
-                f"explicit tree/schedule overrides apply to the 'fig5' "
-                f"scheduler only; scheduler {self.spec!r} plans its own "
-                f"schedule. Use scheduler='fig5' or drop the override"
                 f"{self._supported_options_suffix()}"
             )
         if max_message_elements is not None:

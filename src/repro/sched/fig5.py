@@ -18,17 +18,22 @@ partitioned across ``2**bits[j]`` of them.  Mirroring the paper:
    sequentialize some processors.
 4. A node is written back (simulated disk) by its holders exactly once.
 
-This module is the one home of that program: :func:`fig5_schedule`
-linearizes it into the step-list IR of :mod:`repro.sched.steps`,
-:func:`make_fig5_program` is the generator rank program that walks a step
-list (also behind ``marginals-<k>`` and partial materialization, which
-only supply a pruned list), and :class:`Fig5Scheduler` registers it with
-its declared closed forms.  The program is backend-portable: the simulator
-and the real thread/process backends interpret the same generator, which
-is what makes aggregates bit-identical across them (golden-pinned).
+The schedule itself is not written here:
+:func:`repro.core.aggregation_tree.tree_schedule` linearizes it (the same
+list the sequential constructor walks), and this module interprets it.
+:func:`make_fig5_program` is the generator rank program that walks the
+step list, using each step's index as its message tag;
+:class:`Fig5Scheduler` owns the tree and the targets the list is made from
+-- the aggregation tree and the full cube by default, a pruned list for
+partial materialization and ``marginals-<k>``, another spanning tree for
+the baselines -- and declares the matching closed forms.  The program is
+backend-portable: the simulator and the real thread/process backends
+interpret the same generator, which is what makes aggregates bit-identical
+across them (golden-pinned).
 
-Fault tolerance (``checkpoint=True``, :func:`_make_program_ft`): every
-rank persists its first-level partials to a
+Fault tolerance (``checkpoint=True``,
+:meth:`Fig5Scheduler.rank_program_ft`): every rank persists its
+first-level partials to a
 :class:`~repro.arrays.persist.CheckpointStore` right after the root scan,
 then the cluster runs one failure-detection round (barrier + all-to-all
 heartbeats with receive timeouts).  Each surviving rank derives the same
@@ -49,7 +54,7 @@ staging -- a merged generator would branch on ``ft`` at every step.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Sequence
 
 from repro.arrays.aggregate import aggregate_dense
 from repro.arrays.dense import DenseArray
@@ -63,8 +68,15 @@ from repro.cluster.collectives import (
 from repro.cluster.network import Control
 from repro.cluster.runtime import Op, RankEnv, RECV_TIMEOUT
 from repro.cluster.topology import ProcessorGrid
-from repro.core.aggregation_tree import AggregationTree
-from repro.core.comm_model import total_comm_volume
+from repro.core.aggregation_tree import (
+    AggregationTree,
+    ComputeChildren,
+    Finalize,
+    ScheduleStep,
+    WriteBack,
+    tree_schedule,
+)
+from repro.core.comm_model import tree_comm_volume
 from repro.core.lattice import Node, full_node
 from repro.core.memory_model import parallel_memory_bound_exact
 from repro.exec.shm import SharedOutputArena, StagedResult
@@ -74,48 +86,17 @@ from repro.sched.base import (
     make_combiner,
     scan_block,
 )
-from repro.sched.steps import PFinalize, PLocalAggregate, PStep, PWriteBack
 from repro.util import node_name
 
 if TYPE_CHECKING:
-    from repro.analysis.model.ops import ModelProgram
     from repro.arrays.persist import CheckpointStore
-
-
-def fig5_schedule(n: int, tree: Any = None) -> list[PStep]:
-    """Linearize Fig 5: local aggregation, right-to-left finalize + recurse.
-
-    ``tree`` may be any object with the spanning-tree traversal API
-    (``children`` / ``is_leaf`` / ``aggregated_dim``); defaults to the
-    aggregation tree.  Baselines pass alternative trees.
-    """
-    if tree is None:
-        tree = AggregationTree(n)
-    root = full_node(n)
-    steps: list[PStep] = []
-
-    def evaluate(node: tuple[int, ...]) -> None:
-        kids = tree.children(node)
-        if kids:
-            steps.append(PLocalAggregate(node, tuple(kids)))
-        for child in reversed(kids):
-            steps.append(PFinalize(child, tree.aggregated_dim(child)))
-            if tree.is_leaf(child):
-                steps.append(PWriteBack(child))
-            else:
-                evaluate(child)
-        if node != root:
-            steps.append(PWriteBack(node))
-
-    evaluate(root)
-    return steps
 
 
 # -- the rank programs -------------------------------------------------------
 
 
 def make_fig5_program(
-    schedule: list[PStep],
+    schedule: list[ScheduleStep],
     grid: ProcessorGrid,
     local_inputs: list[SparseArray | DenseArray],
     n: int,
@@ -126,9 +107,8 @@ def make_fig5_program(
 ) -> Callable[[RankEnv], Generator[Op, Any, dict[Node, Any]]]:
     """Build the Fig 5 rank program for ``schedule`` (the step-list IR).
 
-    This is the interpreter behind the ``fig5`` and ``marginals-<k>``
-    schedulers: one generator per rank walking the shared step list, with
-    the reduction collectives doing the communication.
+    One generator per rank walking the shared step list, with the
+    reduction collectives doing the communication.
 
     When ``outputs`` is a :class:`~repro.exec.shm.SharedOutputArena`, each
     lead writes its finalized portion straight into the arena's
@@ -174,7 +154,7 @@ def make_fig5_program(
             )
 
         for step_idx, step in enumerate(schedule):
-            if isinstance(step, PLocalAggregate):
+            if isinstance(step, ComputeChildren):
                 if not grid.holds_node(rank, step.node):
                     continue
                 if traced:
@@ -205,7 +185,7 @@ def make_fig5_program(
                             "children": len(step.children),
                         },
                     )
-            elif isinstance(step, PFinalize):
+            elif isinstance(step, Finalize):
                 parent = tuple(sorted(step.child + (step.dim,)))
                 if not grid.holds_node(rank, parent):
                     continue
@@ -249,7 +229,7 @@ def make_fig5_program(
                     env.free(step.child)
                 else:
                     local[step.child] = final
-            elif isinstance(step, PWriteBack):
+            elif isinstance(step, WriteBack):
                 if not grid.holds_node(rank, step.node):
                     continue
                 out = local.pop(step.node)
@@ -307,7 +287,7 @@ def _buddy(grid: ProcessorGrid, dead: int, live: set[int]) -> int:
 
 
 def _make_program_ft(
-    schedule: list[PStep],
+    schedule: list[ScheduleStep],
     grid: ProcessorGrid,
     local_inputs: list[SparseArray | DenseArray],
     n: int,
@@ -335,7 +315,7 @@ def _make_program_ft(
     root = full_node(n)
     num_v = grid.size
     root_step = schedule[0]
-    if not isinstance(root_step, PLocalAggregate) or root_step.node != root:
+    if not isinstance(root_step, ComputeChildren) or root_step.node != root:
         raise ValueError(
             "checkpointed construction requires a schedule that starts with "
             "the root local aggregation"
@@ -481,7 +461,7 @@ def _make_program_ft(
         # 4. The remaining schedule, executed per embodied virtual rank.
         inbox: dict[tuple[int, int, int], DenseArray] = {}
         for step_idx, step in enumerate(schedule[1:], start=1):
-            if isinstance(step, PLocalAggregate):
+            if isinstance(step, ComputeChildren):
                 for v in myv:
                     if not grid.holds_node(v, step.node):
                         continue
@@ -499,7 +479,7 @@ def _make_program_ft(
                             "build.local_aggregate", t0,
                             attrs={"node": node_name(step.node), "vrank": v},
                         )
-            elif isinstance(step, PFinalize):
+            elif isinstance(step, Finalize):
                 parent = tuple(sorted(step.child + (step.dim,)))
                 participants = [
                     v for v in myv if grid.holds_node(v, parent)
@@ -538,7 +518,7 @@ def _make_program_ft(
                         "build.reduce", t0,
                         attrs={"child": node_name(step.child), "dim": step.dim},
                     )
-            elif isinstance(step, PWriteBack):
+            elif isinstance(step, WriteBack):
                 for v in myv:
                     if not grid.holds_node(v, step.node):
                         continue
@@ -570,9 +550,44 @@ def _make_program_ft(
 
 
 class Fig5Scheduler(Scheduler):
-    """The paper's Fig 5 schedule: Theorem 3 volume, Theorem 4 memory."""
+    """The paper's Fig 5 schedule: Theorem 3 volume, Theorem 4 memory.
+
+    ``targets`` restricts materialization to those group-bys: the schedule
+    is pruned to their ancestors, and ancestors that are not targets are
+    discarded instead of written (partial materialization, the basis of
+    ``marginals-<k>``).  ``tree`` replaces the aggregation tree with
+    another spanning tree (the baselines of :mod:`repro.baselines.trees`).
+    """
 
     name = "fig5"
+    stages_outputs = True
+
+    def __init__(
+        self, targets: Iterable[Sequence[int]] | None = None, tree: Any = None
+    ) -> None:
+        self._targets = (
+            None if targets is None else tuple(sorted(tuple(t) for t in targets))
+        )
+        self._tree = tree
+
+    def tree(self, n: int) -> Any:
+        """The spanning tree this scheduler walks over ``n`` dimensions."""
+        if self._tree is None:
+            return AggregationTree(n)
+        if len(self._tree.root) != n:
+            raise ValueError(
+                f"scheduler tree spans {len(self._tree.root)} dimensions, "
+                f"shape has {n}"
+            )
+        return self._tree
+
+    def schedule(self, n: int) -> list[ScheduleStep]:
+        """The step list every rank walks (indices are message tags)."""
+        return tree_schedule(self.tree(n), self._targets)
+
+    def target_nodes(self, n: int) -> tuple[Node, ...] | None:
+        """The restricted target set, or ``None`` for the full cube."""
+        return self._targets
 
     def rank_program(
         self,
@@ -584,58 +599,56 @@ class Fig5Scheduler(Scheduler):
         reduction: str = "flat",
         measure: Measure = SUM,
         max_message_elements: int | None = None,
+        outputs: SharedOutputArena | None = None,
     ) -> ProgramFactory:
-        """The Fig 5 rank program over the full aggregation tree."""
+        """The Fig 5 rank program over this scheduler's step list."""
         n = len(shape)
         return make_fig5_program(
-            fig5_schedule(n),
+            self.schedule(n),
             grid,
             list(local_inputs),
             n,
             reduction,
             measure,
             max_message_elements,
+            outputs,
         )
 
-    def symbolic_ops(
+    def rank_program_ft(
         self,
-        shape: Sequence[int],
-        bits: Sequence[int],
+        shape: tuple[int, ...],
+        bits: tuple[int, ...],
+        grid: ProcessorGrid,
+        local_inputs: Sequence[SparseArray | DenseArray],
         *,
-        detection_round: bool = False,
-        kill: tuple[int, int] | None = None,
-    ) -> "ModelProgram":
-        """Recorded streams of the plain or the fault-tolerant program.
-
-        ``detection_round`` records :func:`_make_program_ft` (barrier,
-        heartbeats with timeout receives, virtual-rank routing); with
-        ``kill`` each survivor's stream follows from its own perception of
-        the death.  A ``kill`` without ``detection_round`` crashes a rank
-        in the *plain* program (the MC306 scenario).
-        """
-        if not detection_round:
-            return super().symbolic_ops(shape, bits, kill=kill)
-        from repro.analysis.model.record import NO_CHECKPOINTS, record_program
-
+        measure: Measure,
+        store: CheckpointStore,
+        recv_timeout: float | None,
+    ) -> ProgramFactory:
+        """The checkpoint / detect / recover program over the same list."""
         n = len(shape)
-        return record_program(
-            lambda grid, inputs, measure: _make_program_ft(
-                fig5_schedule(n), grid, inputs, n, measure, NO_CHECKPOINTS, None
-            ),
-            shape,
-            bits,
-            scheduler=self.spec,
-            kill=kill,
+        return _make_program_ft(
+            self.schedule(n), grid, list(local_inputs), n, measure, store, recv_timeout
         )
 
     def declared_volume(self, shape: Sequence[int], bits: Sequence[int]) -> int:
-        """Theorem 3's closed form ``V = sum_j (2^k_j - 1) c_j``."""
-        return total_comm_volume(shape, bits)
+        """Lemma 1 summed over the edges of this scheduler's (pruned) tree.
+
+        On the full aggregation tree that is Theorem 3's closed form
+        ``V = sum_j (2^k_j - 1) c_j``
+        (:func:`repro.core.comm_model.total_comm_volume`).
+        """
+        return tree_comm_volume(self.tree(len(shape)), shape, bits, self._targets)
 
     def declared_memory_bound(
         self, shape: Sequence[int], bits: Sequence[int]
     ) -> int:
-        """The Theorem 1/4 held-results bound, exact per-portion variant."""
+        """The Theorem 1/4 held-results bound, exact per-portion variant.
+
+        It is the aggregation tree's bound: a pruned schedule holds a
+        subset of the full one's working set and stays within it, while
+        another ``tree`` may exceed it -- which is what that baseline shows.
+        """
         return parallel_memory_bound_exact(shape, bits)
 
     def validate_options(
@@ -644,8 +657,6 @@ class Fig5Scheduler(Scheduler):
         reduction: str = "flat",
         checkpoint: bool = False,
         max_message_elements: int | None = None,
-        tree: object | None = None,
-        schedule: object | None = None,
     ) -> None:
         """Fig 5 supports every build option; cross-field rules live on
         :class:`~repro.core.config.BuildConfig`."""

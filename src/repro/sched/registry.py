@@ -107,7 +107,7 @@ register_scheduler(
     Fig5Scheduler,
     metadata={
         "description": "the paper's Fig 5 SPMD schedule (communication and memory optimal)",
-        "options": ("checkpoint", "tree", "schedule", "max_message_elements"),
+        "options": ("checkpoint", "max_message_elements"),
     },
 )
 register_scheduler(

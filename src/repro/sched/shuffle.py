@@ -39,7 +39,7 @@ stones.
 
 from __future__ import annotations
 
-from typing import Any, Generator, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Generator, Iterable, Sequence
 
 from repro.arrays.chunking import grid_block_lengths, portion_elements
 from repro.arrays.dense import DenseArray
@@ -56,6 +56,9 @@ from repro.sched.base import (
     scan_block,
 )
 from repro.util import node_name
+
+if TYPE_CHECKING:
+    from repro.exec.shm import SharedOutputArena
 
 
 def shuffle_targets(n: int) -> tuple[Node, ...]:
@@ -126,12 +129,14 @@ class ShuffleScheduler(Scheduler):
         reduction: str = "flat",
         measure: Measure = SUM,
         max_message_elements: int | None = None,
+        outputs: SharedOutputArena | None = None,
     ) -> ProgramFactory:
         """Map + shuffle/reduce as a portable generator program.
 
-        Runs unchanged on both ``SimBackend`` and ``ProcessBackend`` --
-        the program only uses the shared op vocabulary and the existing
-        reduction collectives.
+        Runs unchanged on every backend -- the program only uses the shared
+        op vocabulary and the existing reduction collectives.  Results
+        return in-band (``stages_outputs`` is false), so ``outputs`` is
+        always ``None``.
         """
         if max_message_elements is not None:
             raise ValueError(

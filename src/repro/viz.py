@@ -81,7 +81,7 @@ def render_lattice_levels(shape: Sequence[int]) -> str:
 
 def render_schedule(n: int) -> str:
     """The Fig 3 schedule as a readable step list."""
-    from repro.core.aggregation_tree import ComputeChildren
+    from repro.core.aggregation_tree import ComputeChildren, WriteBack
 
     tree = AggregationTree(n)
     lines = []
@@ -89,6 +89,6 @@ def render_schedule(n: int) -> str:
         if isinstance(step, ComputeChildren):
             kids = ", ".join(node_letters(k) for k in step.children)
             lines.append(f"compute [{kids}] from {node_letters(step.node)}")
-        else:
+        elif isinstance(step, WriteBack):
             lines.append(f"write-back {node_letters(step.node)}")
     return "\n".join(lines)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.aggregation_tree import (
     AggregationTree,
     ComputeChildren,
+    Finalize,
     WriteBack,
 )
 from repro.core.lattice import all_nodes, node_complement
@@ -118,7 +119,7 @@ class TestSchedule:
         for step in tree.schedule():
             if isinstance(step, ComputeChildren):
                 alive.update(step.children)
-            else:
+            elif isinstance(step, WriteBack):
                 assert step.node in alive
                 alive.remove(step.node)
         assert not alive
@@ -130,7 +131,7 @@ class TestSchedule:
             if isinstance(step, ComputeChildren):
                 assert step.node in alive
                 alive.update(step.children)
-            else:
+            elif isinstance(step, WriteBack):
                 alive.remove(step.node)
 
     def test_first_step_is_first_level(self):
@@ -153,4 +154,5 @@ class TestSchedule:
         steps = tree.schedule()
         assert isinstance(steps[0], ComputeChildren)
         assert steps[0].children == ((),)
-        assert isinstance(steps[1], WriteBack)
+        assert steps[1] == Finalize((), 0)
+        assert isinstance(steps[2], WriteBack)

@@ -1,5 +1,6 @@
 """Unit tests for the baseline schemes."""
 
+import pytest
 
 from repro.arrays.dataset import random_sparse
 from repro.baselines.naive_parallel import (
@@ -11,8 +12,8 @@ from repro.baselines.partitions import (
     paper_partition_options,
     partition_sweep,
 )
-from repro.baselines.trees import run_with_tree, tree_choices, tree_comm_volume
-from repro.core.comm_model import total_comm_volume
+from repro.baselines.trees import run_with_tree, tree_choices
+from repro.core.comm_model import total_comm_volume, tree_comm_volume
 from repro.core.sequential import verify_cube
 from repro.core.spanning_tree import SpanningTree
 
@@ -116,6 +117,25 @@ class TestTreeBaselines:
         shape, bits = (16, 8, 4), (1, 1, 1)
         tree = SpanningTree.from_aggregation_tree(3)
         assert tree_comm_volume(tree, shape, bits) == total_comm_volume(shape, bits)
+
+    def test_expected_volume_is_the_runs_own_tree(self):
+        # Regression: every alternative-tree run reported Theorem 3 of the
+        # aggregation tree as its prediction (240 here) whatever it walked.
+        shape, bits = (8, 6, 4, 4), (1, 1, 0, 0)
+        data = random_sparse(shape, 0.3, seed=7)
+        theorem3 = total_comm_volume(shape, bits)
+        for name, tree in tree_choices(shape).items():
+            res = run_with_tree(data, bits, name, collect_results=False)
+            assert (
+                res.expected_comm_volume_elements
+                == res.comm_volume_elements
+                == tree_comm_volume(tree, shape, bits)
+            ), name
+            assert res.comm_volume_elements >= theorem3  # Theorem 3 is optimal
+        assert tree_comm_volume(tree_choices(shape)["left-deep"], shape, bits) == 375
+        assert theorem3 == 240
+        with pytest.raises(ValueError, match="cannot partition"):
+            tree_comm_volume(tree_choices(shape)["left-deep"], shape, (4, 0, 0, 0))
 
     def test_measured_volume_for_alt_tree(self):
         shape, bits = (8, 6, 4), (1, 1, 0)

@@ -69,6 +69,30 @@ class TestConstruct:
         assert "communication" in text
 
 
+    @pytest.mark.parametrize("procs", ["1", "4"])
+    @pytest.mark.parametrize(
+        "shape,scheduler,aggregates",
+        [
+            ("4,8,6", "fig5", 7),  # not in plan order: results re-keyed
+            ("4,6,6,8", "fig5", 15),  # ... with a repeated extent
+            ("4,8,6", "marginals-1", 3),  # ... and a restricted target set
+            ("4,8,6", "shuffle", 7),
+        ],
+    )
+    def test_verify_in_caller_dimension_order(
+        self, shape, scheduler, aggregates, procs
+    ):
+        # Regression: --verify re-keyed the translated results back to
+        # plan nodes without transposing their axes and died in
+        # verify_cube with a broadcast error on any shape not in plan order.
+        code, text = run_cli(
+            "construct", "--shape", shape, "--procs", procs,
+            "--scheduler", scheduler, "--sparsity", "0.4", "--verify",
+        )
+        assert code == 0, text
+        assert f"all {aggregates} aggregates verified" in text
+
+
 class TestConstructFaults:
     def test_fault_plan_described_and_summarized(self):
         code, text = run_cli(

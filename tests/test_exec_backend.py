@@ -75,13 +75,12 @@ def _cube_program_factory():
     from repro.arrays.measures import SUM
     from repro.cluster.topology import ProcessorGrid
     from repro.core.parallel import _extract_local_inputs
-    from repro.sched.fig5 import fig5_schedule, make_fig5_program
+    from repro.sched import Fig5Scheduler
 
     data = DenseArray.full_cube_input(np.arange(32, dtype=float).reshape(8, 4))
     grid = ProcessorGrid((1, 0))
-    return make_fig5_program(
-        fig5_schedule(2), grid, _extract_local_inputs(data, grid),
-        2, "flat", SUM, None,
+    return Fig5Scheduler().rank_program(
+        (8, 4), (1, 0), grid, _extract_local_inputs(data, grid), measure=SUM
     )
 
 

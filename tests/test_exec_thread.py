@@ -27,7 +27,7 @@ from repro.core.parallel import construct_cube_parallel
 from repro.exec import ThreadBackend, available_backends, get_backend
 from repro.exec.chaos import THREAD_FAULT_KINDS
 from repro.exec.process import WorkerError
-from repro.exec.shm import output_layout_for_schedule
+from repro.exec.shm import OutputLayout
 
 
 def _ping_pong(env):
@@ -264,9 +264,7 @@ class TestOutputArena:
         from repro.cluster.topology import ProcessorGrid
 
         backend = ThreadBackend()
-        layout = output_layout_for_schedule(
-            (4, 4), ProcessorGrid((1, 0)), [(0,), (0, 1)]
-        )
+        layout = OutputLayout((4, 4), ProcessorGrid((1, 0)), ((0,), (0, 1)))
         arena = backend.prepare_outputs(layout)
         assert arena.nodes == ((0,), (0, 1))
         assert arena.stage(0, (0,), np.ones(2))

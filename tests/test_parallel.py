@@ -12,9 +12,17 @@ from repro.core.parallel import (
     construct_cube_parallel,
     sequential_fraction_at_first_level,
 )
+from repro.core.aggregation_tree import (
+    AggregationTree,
+    ComputeChildren,
+    Finalize,
+    WriteBack,
+)
 from repro.core.sequential import verify_cube
-from repro.sched import fig5_schedule
-from repro.sched.steps import PFinalize, PLocalAggregate, PWriteBack
+from repro.sched import Fig5Scheduler
+
+#: The list every Fig 5 rank walks (step indices are message tags).
+fig5_schedule = Fig5Scheduler().schedule
 
 
 class TestSchedule:
@@ -22,31 +30,29 @@ class TestSchedule:
         steps = fig5_schedule(3)
         produced = set()
         for step in steps:
-            if isinstance(step, PLocalAggregate):
+            if isinstance(step, ComputeChildren):
                 produced.update(step.children)
-            elif isinstance(step, PFinalize):
+            elif isinstance(step, Finalize):
                 assert step.child in produced
 
     def test_writeback_after_finalize(self):
         steps = fig5_schedule(4)
         finalized = set()
         for step in steps:
-            if isinstance(step, PFinalize):
+            if isinstance(step, Finalize):
                 finalized.add(step.child)
-            elif isinstance(step, PWriteBack):
+            elif isinstance(step, WriteBack):
                 assert step.node in finalized
 
     def test_every_node_finalized_once(self):
         steps = fig5_schedule(4)
-        finals = [s.child for s in steps if isinstance(s, PFinalize)]
+        finals = [s.child for s in steps if isinstance(s, Finalize)]
         assert len(finals) == len(set(finals)) == 2 ** 4 - 1
 
     def test_finalize_dim_is_aggregated_dim(self):
-        from repro.core.aggregation_tree import AggregationTree
-
         tree = AggregationTree(3)
         for step in fig5_schedule(3):
-            if isinstance(step, PFinalize):
+            if isinstance(step, Finalize):
                 assert step.dim == tree.aggregated_dim(step.child)
 
 
@@ -288,6 +294,8 @@ class TestBuildConfig:
         assert run.results is not None  # keyword won over config
 
     def test_config_validation(self):
+        import dataclasses
+
         from repro.core.config import BuildConfig
         from repro.core.spanning_tree import minimal_parent_tree
 
@@ -295,8 +303,12 @@ class TestBuildConfig:
             BuildConfig(reduction="quantum")
         with pytest.raises(ValueError, match="must be positive"):
             BuildConfig(max_message_elements=0)
-        with pytest.raises(ValueError, match="not both"):
-            BuildConfig(tree=minimal_parent_tree((4, 4)), schedule=[])
+        # The tree and the step list belong to the scheduler, not the config.
+        with pytest.raises(TypeError, match="tree"):
+            BuildConfig(tree=minimal_parent_tree((4, 4)))
+        with pytest.raises(TypeError, match="schedule"):
+            BuildConfig(schedule=[])
+        assert len(dataclasses.fields(BuildConfig)) == 15
 
     def test_unknown_keyword_raises_type_error_naming_it(self):
         data = random_sparse((8, 4), 0.3, seed=41)

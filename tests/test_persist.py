@@ -62,10 +62,8 @@ class TestCubeRoundtrip:
             assert np.array_equal(aggs[node].data, res.results[node].data)
 
     def test_partial_cube(self, tmp_path):
-        from repro.core.partial import construct_partial_cube_sequential
-
         arr = random_sparse((6, 5, 4), 0.3, seed=5)
-        res = construct_partial_cube_sequential(arr, [(0,), (1, 2)])
+        res = construct_cube_sequential(arr, targets=[(0,), (1, 2)])
         path = tmp_path / "partial.npz"
         save_cube(path, res.results, (6, 5, 4))
         aggs, _shape, _m = load_cube(path)

@@ -28,7 +28,6 @@ from repro.sched import (
     Scheduler,
     ShuffleScheduler,
     available_schedulers,
-    fig5_schedule,
     get_scheduler,
     order_k_nodes,
     register_scheduler,
@@ -346,8 +345,12 @@ class TestBuildConfigValidation:
             BuildConfig(scheduler="shuffle", max_message_elements=16)
 
     def test_shuffle_rejects_schedule_override_by_name(self):
-        with pytest.raises(ValueError, match="tree/schedule"):
-            BuildConfig(scheduler="shuffle", schedule=fig5_schedule(2))
+        # There is no override to reject any more: the step list is the
+        # scheduler's (Fig5Scheduler(tree=..., targets=...)), not a field.
+        with pytest.raises(TypeError, match="schedule"):
+            BuildConfig(scheduler="shuffle", schedule=[])
+        with pytest.raises(TypeError, match="tree"):
+            BuildConfig(scheduler="shuffle", tree=object())
 
     def test_marginals_fig5_base_allows_chunked_messages(self):
         BuildConfig(scheduler="marginals-2", max_message_elements=16)
@@ -459,6 +462,7 @@ class TwoRoundScheduler(Scheduler):
     def rank_program(
         self, shape, bits, grid, local_inputs, *,
         reduction="flat", measure=None, max_message_elements=None,
+        outputs=None,
     ):
         from repro.arrays.aggregate import aggregate_dense
         from repro.cluster.collectives import reduce_to_lead

@@ -15,6 +15,8 @@ comparison deliberately uses integer-valued float data; cross-backend
 parity needs no such restriction and runs on uniform floats too.
 """
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,9 @@ from repro.arrays.dataset import random_sparse
 from repro.arrays.sparse import SparseArray
 from repro.core.parallel import construct_cube_parallel
 from repro.core.sequential import construct_cube_sequential
-from repro.sched import get_scheduler
+from repro.exec import ThreadBackend
+from repro.exec.shm import StagedResult
+from repro.sched import Fig5Scheduler, get_scheduler
 
 SCHEDULERS = ["fig5", "shuffle", "marginals-1", "marginals-1-shuffle"]
 
@@ -154,3 +158,79 @@ def test_parity_random(dims, k, spec, sparsity, seed):
     _assert_bytes_equal(sim.results, proc.results, f"{spec} sim vs process")
     thr = construct_cube_parallel(data, bits, scheduler=spec, backend="thread")
     _assert_bytes_equal(sim.results, thr.results, f"{spec} sim vs thread")
+
+
+# -- the output arena follows the scheduler's declaration ------------------------------
+
+
+def _staged_count(run):
+    return sum(
+        isinstance(portion, StagedResult)
+        for written in run.metrics.rank_results
+        for portion in written.values()
+    )
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: "marginals-2",
+        lambda: Fig5Scheduler(targets=[(0, 1), (2,), ()]),
+    ],
+    ids=["marginals-2", "fig5-targets"],
+)
+def test_step_list_schedulers_stage_into_the_arena(make):
+    # Every step-list program takes the arena -- the pruned ones used to
+    # miss it only because the host reached them through another branch.
+    shape, bits = (8, 6, 4), (1, 1, 0)
+    data = random_sparse(shape, sparsity=0.3, seed=11)
+    runs = {
+        backend: construct_cube_parallel(
+            data, bits, scheduler=make(), backend=backend
+        )
+        for backend in ("sim", "thread", "process")
+    }
+    assert _staged_count(runs["sim"]) == 0  # in-process: nothing to stage
+    assert _staged_count(runs["process"]) > 0
+    assert all(
+        isinstance(p, StagedResult)
+        for written in runs["process"].metrics.rank_results
+        for p in written.values()
+    )
+    _assert_bytes_equal(runs["sim"].results, runs["process"].results, "process")
+    _assert_bytes_equal(runs["sim"].results, runs["thread"].results, "thread")
+
+
+class _CountingThreadBackend(ThreadBackend):
+    """Counts the output arenas a build asks for."""
+
+    arenas = 0
+
+    def prepare_outputs(self, layout):
+        self.arenas += 1
+        return super().prepare_outputs(layout)
+
+
+@pytest.mark.parametrize(
+    "spec,arenas",
+    [("fig5", 1), ("marginals-1", 1), ("shuffle", 0), ("marginals-1-shuffle", 0)],
+)
+def test_only_staging_schedulers_get_an_output_segment(spec, arenas):
+    def segments():
+        try:
+            return {e for e in os.listdir("/dev/shm") if e.startswith("psm_")}
+        except OSError:
+            return set()
+
+    shape, bits = (8, 6, 4), (1, 1, 0)
+    data = random_sparse(shape, sparsity=0.3, seed=12)
+    before = segments()
+    backend = _CountingThreadBackend()
+    try:
+        run = construct_cube_parallel(data, bits, scheduler=spec, backend=backend)
+    finally:
+        backend.close()
+    assert backend.arenas == arenas
+    assert (_staged_count(run) > 0) == bool(arenas)
+    assert get_scheduler(spec).stages_outputs == bool(arenas)
+    assert segments() <= before  # and whatever was created is gone
