@@ -38,8 +38,11 @@ every rank by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Iterable, Iterator, Sequence
 
+from repro.arrays.chunking import BlockPartition
+from repro.cluster.topology import ProcessorGrid
 from repro.core.lattice import Node, all_nodes, full_node, node_complement
 
 
@@ -237,3 +240,102 @@ class AggregationTree:
         g.add_nodes_from(self.nodes())
         g.add_edges_from(self.iter_edges())
         return g
+
+
+# -- the schedule on a processor grid: resolved once per build ---------------------
+#
+# The one place that derives per-rank facts from ``(schedule, grid, shape)``.
+# The rank programs, the output arena and ``assemble_results`` read the
+# results and never ask the grid or the partition per step; the per-step
+# predicates (``ProcessorGrid.holds_node``, ``BlockPartition.project``)
+# remain the reference the tests compare against.
+
+#: One entry of a rank's resolved list: the step's index in the *shared*
+#: list (indices are message tags, so they are never renumbered), the step,
+#: and the rank's reduction group along a ``Finalize``'s dimension (``()``
+#: for the other steps).
+RankStep = tuple[int, ScheduleStep, tuple[int, ...]]
+
+
+def targets_key(
+    targets: Iterable[Sequence[int]] | None,
+) -> tuple[Node, ...] | None:
+    """``targets`` as the hashable, order-free value the memos are keyed by."""
+    return None if targets is None else tuple(sorted(tuple(t) for t in targets))
+
+
+def rank_steps(
+    schedule: Sequence[ScheduleStep], grid: ProcessorGrid
+) -> tuple[tuple[RankStep, ...], ...]:
+    """Per rank, the entries of ``schedule`` the rank takes part in.
+
+    A rank computes from, reduces into and retires only nodes it holds: it
+    is a lead along every dimension missing from the node.  A ``Finalize``
+    involves the holders of the child's *parent* and carries the rank's
+    reduction group along ``dim``, lead first; where ``dim`` is not
+    partitioned the group has one member, the partial is already final,
+    and the entry is dropped.
+    """
+    ranks = grid.ranks()
+    # Holding a node == every dimension with a non-zero label is in it.
+    off_lead = [
+        frozenset(d for d, c in enumerate(grid.label(r)) if c) for r in ranks
+    ]
+    groups = {
+        (r, d): tuple(grid.reduction_group(r, d))
+        for r in ranks
+        for d in range(grid.ndim)
+        if grid.parts[d] > 1
+    }
+    out: list[list[RankStep]] = [[] for _ in ranks]
+    for idx, step in enumerate(schedule):
+        if isinstance(step, Finalize):
+            if grid.parts[step.dim] == 1:
+                continue
+            dims = frozenset(step.child) | {step.dim}
+            for r in ranks:
+                if off_lead[r] <= dims:
+                    out[r].append((idx, step, groups[r, step.dim]))
+        else:
+            dims = frozenset(step.node)
+            for r in ranks:
+                if off_lead[r] <= dims:
+                    out[r].append((idx, step, ()))
+    return tuple(tuple(steps) for steps in out)
+
+
+@lru_cache(maxsize=64)
+def rank_slices(
+    bits: tuple[int, ...], shape: tuple[int, ...]
+) -> tuple[tuple[slice, ...], ...]:
+    """Per rank, the slice of every dimension that the rank's block covers.
+
+    ``tuple(rank_slices(bits, shape)[rank][d] for d in node)`` is the
+    rank's portion of cube node ``node`` within the node's global array
+    (the full tuple is its block of the initial array).
+    """
+    grid = ProcessorGrid(bits)
+    partition = BlockPartition(shape, grid.parts)
+    return tuple(partition.slices(grid.label(r)) for r in grid.ranks())
+
+
+# Warm-pool rebuilds (``CubeService.refresh_with``, every ``apply_delta``)
+# walk the same default tree again and again, so what follows from it is
+# memoised by value; a caller-supplied tree is linearized per build.
+
+
+@lru_cache(maxsize=64)
+def default_schedule(
+    n: int, targets: tuple[Node, ...] | None = None
+) -> tuple[ScheduleStep, ...]:
+    """:func:`tree_schedule` of the aggregation tree (``targets``: a
+    :func:`targets_key`)."""
+    return tuple(tree_schedule(AggregationTree(n), targets))
+
+
+@lru_cache(maxsize=64)
+def default_rank_steps(
+    n: int, targets: tuple[Node, ...] | None, bits: tuple[int, ...]
+) -> tuple[tuple[RankStep, ...], ...]:
+    """:func:`rank_steps` of :func:`default_schedule` on ``ProcessorGrid(bits)``."""
+    return rank_steps(default_schedule(n, targets), ProcessorGrid(bits))

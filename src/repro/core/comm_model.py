@@ -28,10 +28,11 @@ bytes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Iterable, Sequence
 
 from repro.core.aggregation_tree import AggregationTree, scheduled_nodes
-from repro.core.lattice import node_size
+from repro.core.lattice import Node, node_size
 
 
 def _validate(shape: Sequence[int], bits: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -98,6 +99,18 @@ def tree_comm_volume(
         (2 ** bits[tree.aggregated_dim(node)] - 1) * node_size(node, shape)
         for node in scheduled_nodes(tree, targets)
     )
+
+
+@lru_cache(maxsize=64)
+def default_tree_comm_volume(
+    shape: tuple[int, ...],
+    bits: tuple[int, ...],
+    targets: tuple[Node, ...] | None = None,
+) -> int:
+    """:func:`tree_comm_volume` of the aggregation tree, memoised by value
+    beside :func:`repro.core.aggregation_tree.default_schedule` (``targets``:
+    a :func:`~repro.core.aggregation_tree.targets_key`)."""
+    return tree_comm_volume(AggregationTree(len(shape)), shape, bits, targets)
 
 
 def total_comm_volume_by_edges(shape: Sequence[int], bits: Sequence[int]) -> int:

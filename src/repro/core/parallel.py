@@ -31,7 +31,7 @@ from repro.arrays.measures import get_measure
 from repro.arrays.sparse import SparseArray
 from repro.cluster.metrics import RunMetrics
 from repro.cluster.topology import ProcessorGrid
-from repro.core.aggregation_tree import AggregationTree
+from repro.core.aggregation_tree import AggregationTree, rank_slices
 from repro.core.config import BuildConfig
 from repro.core.lattice import Node, all_nodes, full_node, node_size
 from repro.obs.export import write_chrome_trace
@@ -108,10 +108,8 @@ def _extract_local_inputs(
     re-encoded and a block may share ``values`` with the input.
     """
     shape = tuple(array.shape)
-    partition = BlockPartition(shape, grid.parts)
     out: list[SparseArray | DenseArray] = []
-    for rank in grid.ranks():
-        slices = partition.slices(grid.label(rank))
+    for slices in rank_slices(grid.bits, shape):
         if isinstance(array, SparseArray):
             out.append(array.extract_block(slices))
         else:
@@ -134,22 +132,16 @@ def assemble_results(
     from repro.exec.shm import StagedResult
 
     shape = tuple(shape)
-    partition = BlockPartition(shape, grid.parts)
     assembled: dict[Node, DenseArray] = {}
-    for rank, written in enumerate(rank_results):
-        label = grid.label(rank)
+    for slices, written in zip(rank_slices(grid.bits, shape), rank_results, strict=True):
         for node, portion in written.items():
             if isinstance(portion, StagedResult):
                 continue
             if node not in assembled:
                 global_shape = tuple(shape[d] for d in node)
                 assembled[node] = DenseArray.zeros(global_shape, node, dtype=portion.data.dtype)
-            if node:
-                sub = partition.project(node)
-                sl = sub.slices(tuple(label[d] for d in node))
-                assembled[node].data[sl] = portion.data
-            else:
-                assembled[node].data[()] = portion.data
+            # The trailing Ellipsis makes the 0-d grand total assignable too.
+            assembled[node].data[(*[slices[d] for d in node], ...)] = portion.data
     return assembled
 
 
@@ -237,13 +229,14 @@ def construct_cube_parallel(
                 recv_timeout=cfg.recv_timeout,
             )
         else:
+            t_prep = host_tr.clock()
             if sched_obj.stages_outputs and cfg.collect_results:
-                # Offer the backend a shared output arena: leads write
-                # finalized aggregates straight into global-shaped shared
-                # memory instead of pickling them back through result
-                # queues (sim returns None -- results are in-process).
-                # Sparse inputs accumulate into DEFAULT_DTYPE; dense
-                # reductions preserve the input dtype.
+                # Offer the backend an output arena: leads write finalized
+                # aggregates straight into global-shaped slots instead of
+                # returning them through result queues (sim returns None
+                # -- results are in-process).  Sparse inputs accumulate
+                # into DEFAULT_DTYPE; dense reductions preserve the input
+                # dtype.
                 out_dtype = (
                     np.dtype(DEFAULT_DTYPE)
                     if isinstance(array, SparseArray)
@@ -264,13 +257,21 @@ def construct_cube_parallel(
                 max_message_elements=cfg.max_message_elements,
                 outputs=out_arena,
             )
+            if out_arena is not None:
+                # Names the host interval between partition and rank
+                # release; sim builds have no arena and no such interval.
+                host_tr.end_span(
+                    "build.prepare_outputs", t_prep,
+                    attrs={"nodes": len(out_arena.nodes), "nbytes": out_arena.nbytes},
+                )
         metrics = backend_obj.spawn_ranks(
             grid.size, program, machine=cfg.machine, record_trace=trace,
             machines=cfg.machines, faults=cfg.fault_plan, live=cfg.live,
         )
         if out_arena is not None:
-            # Copy staged nodes out *before* the finally clause releases
-            # the arena; collect() returns owned arrays.
+            # Take the staged nodes *before* the finally clause releases
+            # the arena: owned copies of a segment, or views that keep a
+            # private buffer alive on their own.
             staged_nodes = sorted(
                 {
                     node

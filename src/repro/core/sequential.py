@@ -26,10 +26,10 @@ from repro.arrays.measures import Measure, SUM, get_measure
 from repro.arrays.sparse import SparseArray
 from repro.arrays.storage import DiskStats, SimulatedDisk
 from repro.core.aggregation_tree import (
-    AggregationTree,
     ComputeChildren,
     WriteBack,
-    tree_schedule,
+    default_schedule,
+    targets_key,
 )
 from repro.core.lattice import Node, all_nodes, full_node
 from repro.util import node_name
@@ -84,7 +84,7 @@ def construct_cube_sequential(
     write_order: list[Node] = []
     results: dict[Node, DenseArray] = {}
 
-    for step in tree_schedule(AggregationTree(n), targets):
+    for step in default_schedule(n, targets_key(targets)):
         if isinstance(step, ComputeChildren):
             parent = array if step.node == root else held[step.node]
             if isinstance(parent, SparseArray):

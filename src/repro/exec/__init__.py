@@ -20,7 +20,9 @@ vocabulary.  Three ship with the package:
   (:data:`PROCESS_FAULT_KINDS`).
 - :class:`ThreadBackend` (``"thread"``) -- one GIL-releasing thread per
   rank in the host process: no fork, no pickling, payloads move by
-  reference.  Supports the persistent-pool lifecycle
+  reference, and leads write finalized aggregates into a process-private
+  :class:`PrivateOutputArena` whose views *are* the build's results.
+  Supports the persistent-pool lifecycle
   (``backend.open(workers=p)`` warms a :class:`WorkerPool` reused across
   ``spawn_ranks`` calls); fault surface is
   :data:`THREAD_FAULT_KINDS` (no ``crash_op``: threads share one fate).
@@ -55,7 +57,9 @@ from repro.exec.registry import (
     register_backend,
 )
 from repro.exec.shm import (
+    OutputArena,
     OutputLayout,
+    PrivateOutputArena,
     SharedInputArena,
     SharedOutputArena,
     StagedResult,
@@ -80,6 +84,8 @@ __all__ = [
     "PROCESS_FAULT_KINDS",
     "THREAD_FAULT_KINDS",
     "SharedInputArena",
+    "OutputArena",
+    "PrivateOutputArena",
     "SharedOutputArena",
     "OutputLayout",
     "StagedResult",

@@ -53,7 +53,7 @@ from repro.cluster.runtime import (
 from repro.obs.live import LiveRunView
 
 if TYPE_CHECKING:
-    from repro.exec.shm import OutputLayout, SharedOutputArena
+    from repro.exec.shm import OutputArena, OutputLayout
 
 #: A rank program: called once per rank with its env, returns the generator
 #: the backend drives.
@@ -160,17 +160,18 @@ class Backend(abc.ABC):
         """
         return local_inputs
 
-    def prepare_outputs(self, layout: OutputLayout) -> SharedOutputArena | None:
-        """Stage a shared-memory arena for cube writeback, or ``None``.
+    def prepare_outputs(self, layout: OutputLayout) -> OutputArena | None:
+        """Stage an arena for cube writeback, or ``None``.
 
         ``layout`` describes the written nodes of one construction
-        (:class:`~repro.exec.shm.OutputLayout`).  A backend whose workers
-        live in *another address space* returns a
-        :class:`~repro.exec.shm.SharedOutputArena` here so rank programs
-        write finalized aggregates straight into shared memory instead of
-        pickling them back through result queues.  The default -- correct
-        for the simulator and for threads, which already share the host's
-        address space -- is ``None`` (no staging).  Resources claimed by
+        (:class:`~repro.exec.shm.OutputLayout`).  A real backend returns
+        an :class:`~repro.exec.shm.OutputArena` over a buffer all its
+        ranks can write -- a named shared-memory segment for workers in
+        *another address space*, a private mapping for threads -- so rank
+        programs write finalized aggregates straight into the assembled
+        arrays instead of returning them through result queues.  The
+        default -- correct for the simulator, whose results are already
+        in-process -- is ``None`` (no staging).  Resources claimed by
         this hook are released by :meth:`end_run`.
         """
         return None

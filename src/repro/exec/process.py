@@ -184,7 +184,8 @@ class ProcessBackend(Backend):
 
         Rank programs write finalized aggregates into their slices of the
         arena instead of pickling them back through the control queue --
-        the cube-sized half of the result channel becomes a memcpy.
+        the cube-sized half of the result channel becomes a memcpy.  The
+        host copies the nodes out once; ``end_run`` unlinks the segment.
         """
         self._out_arena = SharedOutputArena(layout)
         return self._out_arena

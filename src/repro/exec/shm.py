@@ -1,4 +1,4 @@
-"""Shared-memory staging of per-rank input blocks and cube outputs.
+"""Staging of per-rank input blocks and cube outputs.
 
 :class:`SharedInputArena` copies every rank's block of the initial array
 (dense or chunk-offset sparse) into one
@@ -8,33 +8,48 @@ afterwards inherit the mapping, so first-level aggregation -- ~98 % of the
 paper's work -- reads its local partition zero-copy; only the (much
 smaller) cross-rank partial results are ever pickled.
 
-:class:`SharedOutputArena` is the same idea pointed the other way: one
-segment holding a *global-shaped* slot per written cube node.  At
-writeback each lead writes its finalized portion directly into its slice
-of the node's slot (:meth:`SharedOutputArena.stage`) and returns a tiny
-:class:`StagedResult` marker instead of pickling the aggregate back
-through the control queue; the host reads the finished arrays out of the
-segment (:meth:`SharedOutputArena.collect`).  Because each lead's portion
-occupies disjoint slices of the node array, the writes need no locking.
+:class:`OutputArena` is the same idea pointed the other way: one buffer
+holding a *global-shaped* slot per written cube node.  At writeback each
+lead writes its finalized portion directly into its slice of the node's
+slot (:meth:`OutputArena.stage`) and returns a tiny :class:`StagedResult`
+marker instead of the aggregate; the host takes the finished arrays from
+the buffer (:meth:`OutputArena.collect`).  Because each lead's portion
+occupies disjoint slices of the node array, the writes need no locking,
+and every output cell is written once.  The arena is geometry plus
+``stage`` over *some* buffer; the backend picks the owner of that buffer
+in ``prepare_outputs``:
 
-Either arena owns its segment: the host must keep it alive for the
+* :class:`PrivateOutputArena` (threads) -- a process-private anonymous
+  mapping.  ``collect`` returns **views**, so the arrays of a finished
+  build *are* the memory the ranks wrote: no copy-out, nothing to unlink,
+  and the mapping lives exactly as long as some result array does.
+* :class:`SharedOutputArena` (forked processes) -- a named shared-memory
+  segment the workers inherit.  ``collect`` copies the nodes out once and
+  ``close`` unlinks the segment.
+
+Neither buffer is zero-filled by hand: a fresh anonymous mapping and a
+freshly truncated POSIX segment both read as zero.
+
+The segment arenas own their segment: the host must keep it alive for the
 duration of the run and call ``close()`` afterwards (the
 :class:`~repro.exec.process.ProcessBackend` does both, in ``end_run``).
 """
 
 from __future__ import annotations
 
+import mmap
+import sys
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Iterator, Sequence, Union
+from typing import Any, Iterator, Sequence, Union
 
 import numpy as np
 
-from repro.arrays.chunking import BlockPartition
 from repro.arrays.dense import DEFAULT_DTYPE, DenseArray
 from repro.arrays.sparse import SparseArray, SparseChunk
 from repro.cluster.topology import ProcessorGrid
-from repro.core.lattice import Node
+from repro.core.aggregation_tree import rank_slices
+from repro.core.lattice import Node, node_size
 
 Block = Union[SparseArray, DenseArray]
 
@@ -150,21 +165,16 @@ class OutputLayout:
     @property
     def nbytes(self) -> int:
         """Payload bytes (pre-alignment) of all node slots."""
-        total = 0
-        for node in self.nodes:
-            n = 1
-            for d in node:
-                n *= self.shape[d]
-            total += n * np.dtype(self.dtype).itemsize
-        return total
+        itemsize = np.dtype(self.dtype).itemsize
+        return sum(node_size(node, self.shape) for node in self.nodes) * itemsize
 
 
 @dataclass(frozen=True)
 class StagedResult:
     """Marker a rank program returns instead of an aggregate it staged.
 
-    The real array already sits in the :class:`SharedOutputArena`; only
-    this marker travels back through the backend's result channel.
+    The real array already sits in the :class:`OutputArena`; only this
+    marker travels back through the backend's result channel.
     ``nbytes`` preserves the portion size for metrics.
     """
 
@@ -172,99 +182,131 @@ class StagedResult:
     nbytes: int = 0
 
 
-class SharedOutputArena:
-    """Global-shaped shared-memory slots for every written cube node.
+class OutputArena:
+    """Global-shaped slots for every written cube node, over one buffer.
 
-    Created host-side *before* workers fork, so they inherit the mapping.
-    Worker side: :meth:`stage` writes one rank's finalized portion into
-    its slice of the node slot and reports whether staging applied (a
-    ``False`` return tells the program to fall back to returning the
-    array through the normal channel -- staging is an optimization, never
-    a correctness requirement).  Host side: :meth:`collect` copies
-    finished nodes out of the segment as owned arrays, safe to use after
-    :meth:`close`.
+    The geometry and the write path; a subclass owns the buffer
+    (``_buf``, at least :attr:`nbytes` zero-reading bytes, set in its
+    constructor before any rank runs -- for forked workers, before the
+    fork, so they inherit the mapping).  Rank side: :meth:`stage` writes
+    one rank's finalized portion into its slice of the node slot and
+    reports whether staging applied (a ``False`` return tells the program
+    to fall back to returning the array through the normal channel --
+    staging is an optimization, never a correctness requirement).  Host
+    side: :meth:`collect` hands out the finished nodes, :meth:`close`
+    ends staging.
     """
 
     def __init__(self, layout: OutputLayout) -> None:
         self.layout = layout
         self._dtype = np.dtype(layout.dtype)
-        self._partition = BlockPartition(layout.shape, layout.grid.parts)
+        self._rank_slices = rank_slices(layout.grid.bits, tuple(layout.shape))
         self._slots: dict[Node, tuple[int, tuple[int, ...]]] = {}
         total = 0
         for node in layout.nodes:
             if node in self._slots:
                 raise ValueError(f"duplicate output node {node}")
-            node_shape = tuple(layout.shape[d] for d in node)
             total = _aligned(total)
-            self._slots[node] = (total, node_shape)
-            total += int(np.prod(node_shape, dtype=np.int64)) * self._dtype.itemsize
-        self._shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        self._closed = False
-        # Leads tile each node slot exactly, but zero the segment anyway so
-        # an unstaged region reads as the additive identity, matching
-        # ``assemble_results``'s zero-initialized global arrays.
-        zero = np.ndarray((self._shm.size,), dtype=np.uint8, buffer=self._shm.buf)
-        zero[:] = 0
-        del zero
+            self._slots[node] = (total, tuple(layout.shape[d] for d in node))
+            total += node_size(node, layout.shape) * self._dtype.itemsize
+        #: Size of the backing buffer in bytes.
+        self.nbytes = max(total, 1)
+        self._buf: Any = None
 
     def _view(self, node: Node) -> np.ndarray:
         offset, node_shape = self._slots[node]
         return np.ndarray(
-            node_shape, dtype=self._dtype, buffer=self._shm.buf, offset=offset
+            node_shape, dtype=self._dtype, buffer=self._buf, offset=offset
         )
 
     def stage(self, rank: int, node: Node, data: np.ndarray) -> bool:
         """Write ``rank``'s finalized portion of ``node`` into the arena.
 
-        Returns ``False`` (stage nothing) when the node has no slot or the
-        portion does not match the slot's dtype/geometry; the caller then
-        returns the array through the normal result channel.
+        Returns ``False`` (stage nothing) when the arena is closed, the
+        node has no slot, or the portion does not match the slot's
+        dtype/geometry; the caller then returns the array through the
+        normal result channel.
         """
-        if self._closed or node not in self._slots:
+        if self._buf is None or node not in self._slots:
             return False
         if data.dtype != self._dtype:
             return False
-        view = self._view(node)
-        if node:
-            label = self.layout.grid.label(rank)
-            sub = self._partition.project(node)
-            sl = sub.slices(tuple(label[d] for d in node))
-            if view[sl].shape != data.shape:
-                return False
-            view[sl] = data
-        else:
-            if data.shape != ():
-                return False
-            view[()] = data
+        slices = self._rank_slices[rank]
+        # The trailing Ellipsis keeps a 0-d slot (the grand total) a view.
+        dest = self._view(node)[(*[slices[d] for d in node], ...)]
+        if dest.shape != data.shape:
+            return False
+        dest[...] = data
         return True
 
     def collect(self, nodes: Sequence[Node] | None = None) -> dict[Node, DenseArray]:
-        """Copy finished node arrays out of the segment (host side).
+        """The finished node arrays, as views of the buffer (host side).
 
-        ``nodes`` restricts collection (default: every slot).  The copies
-        are owned, so the arena may be closed immediately afterwards.
+        ``nodes`` restricts collection (default: every slot).
         """
         wanted = self._slots.keys() if nodes is None else nodes
         out: dict[Node, DenseArray] = {}
         for node in wanted:
             if node not in self._slots:
                 raise KeyError(f"node {node} has no output slot")
-            out[node] = DenseArray(np.array(self._view(node)), node)
+            out[node] = DenseArray(self._view(node), node)
         return out
 
     @property
     def nodes(self) -> tuple[Node, ...]:
         return tuple(self._slots)
 
-    @property
-    def nbytes(self) -> int:
-        """Size of the backing segment in bytes."""
-        return int(self._shm.size)
+    def close(self) -> None:
+        """End staging and let go of the buffer (host side; idempotent)."""
+        self._buf = None
+
+
+class PrivateOutputArena(OutputArena):
+    """Output arena over a process-private anonymous mapping (threads).
+
+    Collected arrays are views of the mapping and keep it alive: they stay
+    valid -- and writable -- after :meth:`close`, which only drops the
+    arena's own reference, and the pages go back to the system when the
+    last of them does.  Holding one cuboid of a build therefore holds the
+    whole build's buffer.  Pages become resident only as leads write them.
+    """
+
+    def __init__(self, layout: OutputLayout) -> None:
+        super().__init__(layout)
+        if sys.platform != "win32":
+            # Private pages are cheaper to first-touch than the default
+            # MAP_SHARED ones, and nothing outside this process maps them.
+            self._buf = mmap.mmap(
+                -1, self.nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+            )
+        else:
+            self._buf = mmap.mmap(-1, self.nbytes)
+
+
+class SharedOutputArena(OutputArena):
+    """Output arena over a named shared-memory segment (forked workers).
+
+    Created host-side *before* workers fork, so they inherit the mapping.
+    :meth:`collect` copies the finished nodes out as owned arrays, safe to
+    use after :meth:`close` has unlinked the segment.
+    """
+
+    def __init__(self, layout: OutputLayout) -> None:
+        super().__init__(layout)
+        self._shm = shared_memory.SharedMemory(create=True, size=self.nbytes)
+        self._buf = self._shm.buf
+
+    def collect(self, nodes: Sequence[Node] | None = None) -> dict[Node, DenseArray]:
+        """Copy finished node arrays out of the segment (host side)."""
+        return {
+            node: DenseArray(np.array(arr.data), node)
+            for node, arr in super().collect(nodes).items()
+        }
 
     def close(self) -> None:
-        """Release the segment (host side; idempotent)."""
-        if self._closed:
+        """Release and unlink the segment (host side; idempotent)."""
+        if self._buf is None:
             return
-        self._closed = True
+        self._buf = None
         self._shm.close()
         self._shm.unlink()

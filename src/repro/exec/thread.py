@@ -53,7 +53,7 @@ from repro.exec.base import Backend, ProgramFactory, check_backend_options
 from repro.exec.chaos import THREAD_FAULT_KINDS
 from repro.exec.driver import AwaitMessage, WorkerError, drive_rank
 from repro.exec.pool import WorkerPool
-from repro.exec.shm import OutputLayout, SharedOutputArena
+from repro.exec.shm import OutputLayout, PrivateOutputArena
 from repro.exec.stats import empty_metrics, merge_rank_stats
 from repro.obs.live import LiveRunView, RankProbe
 
@@ -119,7 +119,7 @@ class ThreadBackend(Backend):
         self.watchdog_s = watchdog_s
         self.workers = workers
         self._pool: WorkerPool | None = None
-        self._out_arena: SharedOutputArena | None = None
+        self._out_arena: PrivateOutputArena | None = None
 
     @property
     def timeouts(self) -> TimeoutPolicy:
@@ -146,19 +146,24 @@ class ThreadBackend(Backend):
             self._pool.ensure(want)
         return self
 
-    def prepare_outputs(self, layout: OutputLayout) -> SharedOutputArena:
-        """Stage finalized aggregates into one shared global-shaped buffer.
+    def prepare_outputs(self, layout: OutputLayout) -> PrivateOutputArena:
+        """Stage finalized aggregates into one process-private buffer.
 
         Threads already return results by reference, but the arena lets
         every lead write its slices of the *assembled* array concurrently
         (numpy copies release the GIL), replacing the serial host
-        assemble loop.
+        assemble loop -- and the build's results are views of that buffer,
+        so an output cell is written once and never copied.
         """
-        self._out_arena = SharedOutputArena(layout)
+        self._out_arena = PrivateOutputArena(layout)
         return self._out_arena
 
     def end_run(self) -> None:
-        """Release per-run state; the warm pool stays up."""
+        """Release per-run state; the warm pool stays up.
+
+        Nothing is unlinked: the output buffer belongs to whoever holds
+        the result arrays, and this only stops further staging into it.
+        """
         if self._out_arena is not None:
             self._out_arena.close()
             self._out_arena = None

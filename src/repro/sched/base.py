@@ -46,7 +46,7 @@ if TYPE_CHECKING:
     from repro.analysis.model.ops import ModelProgram
     from repro.arrays.persist import CheckpointStore
     from repro.core.plan import CubePlan
-    from repro.exec.shm import SharedOutputArena
+    from repro.exec.shm import OutputArena
 
 #: A rank program factory: called once per run, returns the generator each
 #: rank executes.  The factory closes over the per-rank input blocks.
@@ -101,7 +101,7 @@ class Scheduler(abc.ABC):
     #: Whether :meth:`rank_program` writes finalized portions into the
     #: ``outputs`` arena it is handed.  The host allocates one only for
     #: schedulers that declare it, so a program that returns its results
-    #: in-band never costs a shared segment it would not use.
+    #: in-band never costs an arena it would not use.
     stages_outputs: bool = False
 
     @property
@@ -148,11 +148,11 @@ class Scheduler(abc.ABC):
         reduction: str = "flat",
         measure: Measure = SUM,
         max_message_elements: int | None = None,
-        outputs: SharedOutputArena | None = None,
+        outputs: OutputArena | None = None,
     ) -> ProgramFactory:
         """Build the backend-portable rank program for one construction.
 
-        ``outputs`` is the shared output arena of this run, or ``None``
+        ``outputs`` is the output arena of this run, or ``None``
         (always ``None`` unless :attr:`stages_outputs`).
         """
 

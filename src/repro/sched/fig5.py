@@ -72,14 +72,19 @@ from repro.core.aggregation_tree import (
     AggregationTree,
     ComputeChildren,
     Finalize,
+    RankStep,
     ScheduleStep,
     WriteBack,
+    default_rank_steps,
+    default_schedule,
+    rank_steps,
+    targets_key,
     tree_schedule,
 )
-from repro.core.comm_model import tree_comm_volume
+from repro.core.comm_model import default_tree_comm_volume, tree_comm_volume
 from repro.core.lattice import Node, full_node
 from repro.core.memory_model import parallel_memory_bound_exact
-from repro.exec.shm import SharedOutputArena, StagedResult
+from repro.exec.shm import OutputArena, StagedResult
 from repro.sched.base import (
     ProgramFactory,
     Scheduler,
@@ -96,25 +101,27 @@ if TYPE_CHECKING:
 
 
 def make_fig5_program(
-    schedule: list[ScheduleStep],
-    grid: ProcessorGrid,
+    steps: Sequence[Sequence[RankStep]],
     local_inputs: list[SparseArray | DenseArray],
     n: int,
     reduction: str,
     measure: Measure = SUM,
     max_message_elements: int | None = None,
-    outputs: SharedOutputArena | None = None,
+    outputs: OutputArena | None = None,
 ) -> Callable[[RankEnv], Generator[Op, Any, dict[Node, Any]]]:
-    """Build the Fig 5 rank program for ``schedule`` (the step-list IR).
+    """Build the Fig 5 rank program over ``steps`` (the step-list IR,
+    resolved per rank by :func:`~repro.core.aggregation_tree.rank_steps`).
 
-    One generator per rank walking the shared step list, with the
-    reduction collectives doing the communication.
+    One generator per rank walking its share of the shared step list --
+    the entries it holds a node of, each with its index in the shared
+    list (the message tag) and its reduction group -- with the reduction
+    collectives doing the communication.
 
-    When ``outputs`` is a :class:`~repro.exec.shm.SharedOutputArena`, each
+    When ``outputs`` is an :class:`~repro.exec.shm.OutputArena`, each
     lead writes its finalized portion straight into the arena's
     global-shaped slot at write-back time and returns a lightweight
     :class:`~repro.exec.shm.StagedResult` marker instead of the array --
-    the host collects the assembled node from shared memory, so nothing
+    the host collects the assembled node from the arena, so nothing
     is pickled back through result queues.  A portion the arena cannot
     take (dtype/shape mismatch) falls back to the normal in-band return.
     """
@@ -153,10 +160,8 @@ def make_fig5_program(
                 "build.input_read", t0, attrs={"nbytes": block.nbytes}
             )
 
-        for step_idx, step in enumerate(schedule):
+        for step_idx, step, group in steps[rank]:
             if isinstance(step, ComputeChildren):
-                if not grid.holds_node(rank, step.node):
-                    continue
                 if traced:
                     tr.mark(
                         "build.first_level" if step.node == root
@@ -186,12 +191,6 @@ def make_fig5_program(
                         },
                     )
             elif isinstance(step, Finalize):
-                parent = tuple(sorted(step.child + (step.dim,)))
-                if not grid.holds_node(rank, parent):
-                    continue
-                group = grid.reduction_group(rank, step.dim)
-                if len(group) == 1:
-                    continue  # dimension not partitioned: already final
                 if traced:
                     tr.mark("build.reduce")
                 partial = local[step.child]
@@ -230,8 +229,6 @@ def make_fig5_program(
                 else:
                     local[step.child] = final
             elif isinstance(step, WriteBack):
-                if not grid.holds_node(rank, step.node):
-                    continue
                 out = local.pop(step.node)
                 env.free(step.node)
                 if not step.discard:
@@ -287,7 +284,7 @@ def _buddy(grid: ProcessorGrid, dead: int, live: set[int]) -> int:
 
 
 def _make_program_ft(
-    schedule: list[ScheduleStep],
+    steps: Sequence[Sequence[RankStep]],
     grid: ProcessorGrid,
     local_inputs: list[SparseArray | DenseArray],
     n: int,
@@ -314,7 +311,9 @@ def _make_program_ft(
     combine = make_combiner(measure)
     root = full_node(n)
     num_v = grid.size
-    root_step = schedule[0]
+    # Every rank holds the root, so every resolved list starts with the
+    # shared list's first step.
+    root_step = steps[0][0][1] if steps[0] else None
     if not isinstance(root_step, ComputeChildren) or root_step.node != root:
         raise ValueError(
             "checkpointed construction requires a schedule that starts with "
@@ -458,13 +457,18 @@ def _make_program_ft(
                 "build.recover", t0, attrs={"adopted": len(myv) - 1}
             )
 
-        # 4. The remaining schedule, executed per embodied virtual rank.
+        # 4. The remaining schedule, executed per embodied virtual rank:
+        # their resolved lists folded back into shared-list order, so each
+        # step is visited once, with the embodied ranks that take part.
         inbox: dict[tuple[int, int, int], DenseArray] = {}
-        for step_idx, step in enumerate(schedule[1:], start=1):
+        todo: dict[int, tuple[ScheduleStep, list[tuple[int, tuple[int, ...]]]]] = {}
+        for v in myv:
+            for idx, vstep, vgroup in steps[v][1:]:
+                todo.setdefault(idx, (vstep, []))[1].append((v, vgroup))
+        for step_idx in sorted(todo):
+            step, takers = todo[step_idx]
             if isinstance(step, ComputeChildren):
-                for v in myv:
-                    if not grid.holds_node(v, step.node):
-                        continue
+                for v, _ in takers:
                     parent = vlocal[v][step.node]
                     outs = [
                         aggregate_dense(parent, c, measure=measure.rollup)
@@ -480,15 +484,10 @@ def _make_program_ft(
                             attrs={"node": node_name(step.node), "vrank": v},
                         )
             elif isinstance(step, Finalize):
-                parent = tuple(sorted(step.child + (step.dim,)))
-                participants = [
-                    v for v in myv if grid.holds_node(v, parent)
-                ]
                 # Phase 1: every embodied non-lead ships its partial (a
                 # local handoff when the lead lives on this physical rank).
-                for v in participants:
-                    group = grid.reduction_group(v, step.dim)
-                    if len(group) == 1 or v == group[0]:
+                for v, group in takers:
+                    if v == group[0]:
                         continue
                     payload = vlocal[v].pop(step.child)
                     env.free((v, step.child))
@@ -499,9 +498,8 @@ def _make_program_ft(
                         yield env.send(lead_p, payload, vtag(step_idx, v))
                 # Phase 2: every embodied lead combines, in group order, so
                 # the float accumulation order matches the fault-free run.
-                for v in participants:
-                    group = grid.reduction_group(v, step.dim)
-                    if len(group) == 1 or v != group[0]:
+                for v, group in takers:
+                    if v != group[0]:
                         continue
                     acc = vlocal[v][step.child]
                     for vsrc in group[1:]:
@@ -513,15 +511,13 @@ def _make_program_ft(
                             )
                         yield env.compute(other.size)
                         combine(acc, other)
-                if traced and participants:
+                if traced:
                     t0 = tr.end_span(
                         "build.reduce", t0,
                         attrs={"child": node_name(step.child), "dim": step.dim},
                     )
             elif isinstance(step, WriteBack):
-                for v in myv:
-                    if not grid.holds_node(v, step.node):
-                        continue
+                for v, _ in takers:
                     out = vlocal[v].pop(step.node)
                     env.free((v, step.node))
                     if not step.discard:
@@ -565,9 +561,7 @@ class Fig5Scheduler(Scheduler):
     def __init__(
         self, targets: Iterable[Sequence[int]] | None = None, tree: Any = None
     ) -> None:
-        self._targets = (
-            None if targets is None else tuple(sorted(tuple(t) for t in targets))
-        )
+        self._targets = targets_key(targets)
         self._tree = tree
 
     def tree(self, n: int) -> Any:
@@ -581,9 +575,19 @@ class Fig5Scheduler(Scheduler):
             )
         return self._tree
 
-    def schedule(self, n: int) -> list[ScheduleStep]:
+    def schedule(self, n: int) -> tuple[ScheduleStep, ...]:
         """The step list every rank walks (indices are message tags)."""
-        return tree_schedule(self.tree(n), self._targets)
+        if self._tree is None:
+            return default_schedule(n, self._targets)
+        return tuple(tree_schedule(self.tree(n), self._targets))
+
+    def rank_steps(
+        self, n: int, grid: ProcessorGrid
+    ) -> tuple[tuple[RankStep, ...], ...]:
+        """Each rank's share of :meth:`schedule` on ``grid``, resolved once."""
+        if self._tree is None:
+            return default_rank_steps(n, self._targets, grid.bits)
+        return rank_steps(self.schedule(n), grid)
 
     def target_nodes(self, n: int) -> tuple[Node, ...] | None:
         """The restricted target set, or ``None`` for the full cube."""
@@ -599,13 +603,12 @@ class Fig5Scheduler(Scheduler):
         reduction: str = "flat",
         measure: Measure = SUM,
         max_message_elements: int | None = None,
-        outputs: SharedOutputArena | None = None,
+        outputs: OutputArena | None = None,
     ) -> ProgramFactory:
         """The Fig 5 rank program over this scheduler's step list."""
         n = len(shape)
         return make_fig5_program(
-            self.schedule(n),
-            grid,
+            self.rank_steps(n, grid),
             list(local_inputs),
             n,
             reduction,
@@ -628,7 +631,13 @@ class Fig5Scheduler(Scheduler):
         """The checkpoint / detect / recover program over the same list."""
         n = len(shape)
         return _make_program_ft(
-            self.schedule(n), grid, list(local_inputs), n, measure, store, recv_timeout
+            self.rank_steps(n, grid),
+            grid,
+            list(local_inputs),
+            n,
+            measure,
+            store,
+            recv_timeout,
         )
 
     def declared_volume(self, shape: Sequence[int], bits: Sequence[int]) -> int:
@@ -638,6 +647,8 @@ class Fig5Scheduler(Scheduler):
         ``V = sum_j (2^k_j - 1) c_j``
         (:func:`repro.core.comm_model.total_comm_volume`).
         """
+        if self._tree is None:
+            return default_tree_comm_volume(tuple(shape), tuple(bits), self._targets)
         return tree_comm_volume(self.tree(len(shape)), shape, bits, self._targets)
 
     def declared_memory_bound(

@@ -38,7 +38,7 @@ from repro.sched.fig5 import Fig5Scheduler
 from repro.sched.shuffle import ShuffleScheduler
 
 if TYPE_CHECKING:
-    from repro.exec.shm import SharedOutputArena
+    from repro.exec.shm import OutputArena
 
 _BASES = ("fig5", "shuffle")
 
@@ -105,7 +105,7 @@ class MarginalsScheduler(Scheduler):
         reduction: str = "flat",
         measure: Measure = SUM,
         max_message_elements: int | None = None,
-        outputs: SharedOutputArena | None = None,
+        outputs: OutputArena | None = None,
     ) -> ProgramFactory:
         """The base scheduler's program over the order-``k`` targets."""
         return self._delegate(shape).rank_program(

@@ -58,7 +58,7 @@ from repro.sched.base import (
 from repro.util import node_name
 
 if TYPE_CHECKING:
-    from repro.exec.shm import SharedOutputArena
+    from repro.exec.shm import OutputArena
 
 
 def shuffle_targets(n: int) -> tuple[Node, ...]:
@@ -129,7 +129,7 @@ class ShuffleScheduler(Scheduler):
         reduction: str = "flat",
         measure: Measure = SUM,
         max_message_elements: int | None = None,
-        outputs: SharedOutputArena | None = None,
+        outputs: OutputArena | None = None,
     ) -> ProgramFactory:
         """Map + shuffle/reduce as a portable generator program.
 

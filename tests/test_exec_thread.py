@@ -3,17 +3,24 @@
 Covers the executor itself (real threads, by-reference payloads, fail-fast
 barrier aborts), the fault capability surface (no ``crash_op`` -- threads
 share one fate), the persistent-pool lifecycle behind ``open()``/``close()``,
-the shared output arena hookup, and pool reuse across repeated builds --
+the output arena hookup and its zero-copy contract (a thread build's
+results are views of the private buffer the ranks wrote), and pool reuse
+across repeated builds --
 including the property the pool exists for: two builds on one warm pool
 produce exactly the bytes two fresh-pool builds do, on the same live
 worker threads.  Cross-backend result parity at large lives in
 ``test_backend_parity.py`` / ``test_sched_parity.py``.
 """
 
+import gc
+import os
+
 import numpy as np
 import pytest
 
 from repro.arrays.dataset import random_sparse
+from repro.arrays.measures import MIN, SUM
+from repro.arrays.sparse import SparseArray
 from repro.cluster.faults import FaultPlan
 from repro.cluster.machine import MachineModel
 from repro.cluster.runtime import (
@@ -24,10 +31,17 @@ from repro.cluster.runtime import (
     SendOp,
 )
 from repro.core.parallel import construct_cube_parallel
-from repro.exec import ThreadBackend, available_backends, get_backend
+from repro.core.sequential import cube_reference
+from repro.exec import ProcessBackend, ThreadBackend, available_backends, get_backend
 from repro.exec.chaos import THREAD_FAULT_KINDS
 from repro.exec.process import WorkerError
-from repro.exec.shm import OutputLayout
+from repro.exec.shm import (
+    OutputLayout,
+    PrivateOutputArena,
+    SharedOutputArena,
+    StagedResult,
+)
+from repro.olap import DataCube, Schema, apply_delta, merge_sparse
 
 
 def _ping_pong(env):
@@ -259,6 +273,66 @@ class TestPoolReuse:
             backend.close()
 
 
+def _integer_facts(shape, seed):
+    """Sparse integer-valued facts: every sum is exact in any order."""
+    cells = np.random.default_rng(seed).integers(-3, 6, size=shape)
+    return SparseArray.from_dense(np.maximum(cells, 0).astype(float))
+
+
+def _segments():
+    """Named shared-memory segments currently linked in /dev/shm."""
+    try:
+        return {e for e in os.listdir("/dev/shm") if e.startswith("psm_")}
+    except OSError:
+        return set()
+
+
+def _declining(arena_cls):
+    """``arena_cls`` that refuses alternate (rank, node) portions, so one
+    node is part staged, part returned in-band."""
+
+    class Declining(arena_cls):
+        def stage(self, rank, node, data):
+            if (rank + self.nodes.index(node)) % 2:
+                return False
+            return super().stage(rank, node, data)
+
+    return Declining
+
+
+class _DecliningThreadBackend(ThreadBackend):
+    def prepare_outputs(self, layout):
+        self._out_arena = _declining(PrivateOutputArena)(layout)
+        return self._out_arena
+
+
+class _DecliningProcessBackend(ProcessBackend):
+    def prepare_outputs(self, layout):
+        self._out_arena = _declining(SharedOutputArena)(layout)
+        return self._out_arena
+
+
+class _SegmentSpyBackend(ThreadBackend):
+    """Records the /dev/shm segments linked while the ranks run."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def prepare_outputs(self, layout):
+        arena = super().prepare_outputs(layout)
+        self.seen.append(_segments())
+        return arena
+
+    def spawn_ranks(self, num_ranks, program_factory, **options):
+        def spying(env):
+            if env.rank == 0:
+                self.seen.append(_segments())
+            return program_factory(env)
+
+        return super().spawn_ranks(num_ranks, spying, **options)
+
+
 class TestOutputArena:
     def test_prepare_outputs_round_trip_and_end_run(self):
         from repro.cluster.topology import ProcessorGrid
@@ -266,14 +340,94 @@ class TestOutputArena:
         backend = ThreadBackend()
         layout = OutputLayout((4, 4), ProcessorGrid((1, 0)), ((0,), (0, 1)))
         arena = backend.prepare_outputs(layout)
+        assert isinstance(arena, PrivateOutputArena)
         assert arena.nodes == ((0,), (0, 1))
         assert arena.stage(0, (0,), np.ones(2))
         assert arena.stage(1, (0,), np.full(2, 2.0))
         out = arena.collect([(0,)])
         np.testing.assert_array_equal(out[(0,)].data, [1.0, 1.0, 2.0, 2.0])
+        # An unstaged slot reads as zero without any zero pass.
+        assert not arena.collect([(0, 1)])[(0, 1)].data.any()
         backend.end_run()
-        # The arena is per-run state: released, and staging now declines.
+        # Staging is per-run state and now declines; the collected views
+        # own the buffer and outlive the run.
         assert not arena.stage(0, (0,), np.ones(2))
+        del arena
+        gc.collect()
+        np.testing.assert_array_equal(out[(0,)].data, [1.0, 1.0, 2.0, 2.0])
+        out[(0,)].data[0] = 7.0
+        assert out[(0,)].data[0] == 7.0
+
+    def test_results_are_views_that_outlive_run_rebuild_and_backend(self):
+        # Aliasing regression: the arrays handed out are the buffer the
+        # ranks wrote, so nothing a later run or shutdown does may reach it.
+        first = _integer_facts((8, 6, 4), seed=5)
+        second = _integer_facts((8, 6, 4), seed=6)
+        backend = ThreadBackend().open(workers=4)
+        try:
+            run = construct_cube_parallel(first, (1, 1, 0), backend=backend)
+            assert not any(arr.data.flags.owndata for arr in run.results.values())
+            want = {node: arr.data.copy() for node, arr in run.results.items()}
+            backend.end_run()
+            other = construct_cube_parallel(second, (1, 1, 0), backend=backend)
+        finally:
+            backend.close()
+        del backend
+        gc.collect()
+        for node, arr in run.results.items():
+            assert arr.data.tobytes() == want[node].tobytes(), node
+        reference = cube_reference(second)
+        for node, arr in other.results.items():
+            np.testing.assert_array_equal(arr.data, reference[node].data)
+
+    def test_thread_built_cube_is_writable_and_absorbs_a_delta(self):
+        schema = Schema.simple(item=10, branch=6, time=4)
+        base = _integer_facts(schema.shape, seed=1)
+        delta = _integer_facts(schema.shape, seed=2)
+        cube = DataCube.build(schema, base, num_processors=4, backend="thread")
+        assert all(arr.data.flags.writeable for arr in cube.aggregates.values())
+        apply_delta(cube, delta)
+        reference = cube_reference(merge_sparse(base, delta))
+        for node, arr in cube.aggregates.items():
+            np.testing.assert_array_equal(arr.data, reference[node].data)
+
+    def test_thread_build_links_no_segment_and_process_build_leaves_none(self):
+        data = random_sparse((8, 6, 4), sparsity=0.3, seed=5)
+        before = _segments()
+        backend = _SegmentSpyBackend()
+        try:
+            construct_cube_parallel(data, (1, 1, 0), backend=backend)
+        finally:
+            backend.close()
+        assert len(backend.seen) == 2  # after the arena exists, and mid-run
+        assert all(seen <= before for seen in backend.seen)
+        construct_cube_parallel(data, (1, 1, 0), backend="process")
+        assert _segments() <= before
+
+    @pytest.mark.parametrize("measure", [SUM, MIN], ids=lambda m: m.name)
+    @pytest.mark.parametrize(
+        "backend_cls", [_DecliningThreadBackend, _DecliningProcessBackend]
+    )
+    def test_staged_and_in_band_portions_merge_exactly(self, backend_cls, measure):
+        # Nothing may depend on an explicit zero pass: a node whose
+        # portions arrive half through the arena, half in-band, is the sum
+        # of two arrays that are zero wherever the other one was written.
+        data = _integer_facts((8, 6, 4), seed=9)
+        backend = backend_cls()
+        try:
+            run = construct_cube_parallel(
+                data, (1, 1, 0), backend=backend, measure=measure
+            )
+        finally:
+            backend.close()
+        routes = {}
+        for written in run.metrics.rank_results:
+            for node, portion in written.items():
+                routes.setdefault(node, set()).add(isinstance(portion, StagedResult))
+        assert any(len(r) == 2 for r in routes.values()), "no node was mixed"
+        reference = cube_reference(data, measure=measure)
+        for node, arr in run.results.items():
+            np.testing.assert_array_equal(arr.data, reference[node].data)
 
     def test_traced_build_records_staged_writebacks(self):
         data = random_sparse((8, 6, 4), sparsity=0.3, seed=5)
