@@ -71,8 +71,9 @@ def test_model_checker_certification(benchmark):
 
             assert result.certified, result.certificate()
             assert len(result.report.diagnostics) == 0
-            assert not result.exploration.truncated
-            assert result.exploration.states < 200_000
+            _, explored = result.scenarios[0]
+            assert not explored.truncated
+            assert explored.states < 200_000
 
             prog = get_scheduler(spec).symbolic_ops(shape, bits)
             static = analyze_lifetime(prog)
@@ -89,8 +90,8 @@ def test_model_checker_certification(benchmark):
                     "bits": list(bits),
                     "procs": procs,
                     "events": sum(len(s) for s in prog.streams),
-                    "states": result.exploration.states,
-                    "transitions": result.exploration.transitions,
+                    "states": explored.states,
+                    "transitions": explored.transitions,
                     "max_high_water_elements": static.max_high_water,
                     "check_seconds": round(elapsed, 6),
                 }

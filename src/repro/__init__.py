@@ -132,7 +132,7 @@ def _version() -> str:
 
         return version("repro")
     except Exception:
-        return "5.1.0"
+        return "6.0.0"
 
 
 __version__ = _version()

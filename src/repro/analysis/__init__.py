@@ -6,13 +6,19 @@ Four layers, one diagnostic vocabulary (:mod:`repro.analysis.diagnostics`):
   properties of a partition + scheduler plan *before* running it;
 - :mod:`repro.analysis.model` -- the rank-program model checker:
   happens-before race detection, exhaustive-interleaving deadlock
-  certification, and static memory-lifetime analysis.  Both consume the
-  same per-rank op streams, recorded from the scheduler's real generator
-  rank program (:mod:`repro.analysis.model.record`);
+  certification, and static memory-lifetime analysis;
 - :mod:`repro.analysis.lint_trace` -- audit a recorded run's trace *after*
   the fact, including fault-injection runs;
 - :mod:`repro.analysis.repo_gate` -- the in-repo subset of the repo's
   static-analysis gate (ruff/mypy run the full version in CI).
+
+One pairing, one static pass: a send meets a receive only in
+:func:`~repro.analysis.model.hb.build_hb`, on programs recorded from the
+scheduler's real generator (:mod:`repro.analysis.model.record`) and on
+recorded runs alike (:func:`~repro.analysis.model.hb.hb_from_trace`), and
+each protocol property is proved by one rule of one static pass
+(:func:`verify_schedule`), which ``verify_plan`` and ``check_model`` both
+run.
 
 The ``repro-cube check`` CLI verb fronts the plan verifier and (with
 ``--model``) the model checker.
@@ -30,7 +36,6 @@ from repro.analysis.model import (
     ModelCheckResult,
     ModelProgram,
     check_model,
-    crosscheck_trace,
     hb_from_trace,
     parse_kill,
     seed_model_defect,
@@ -38,6 +43,7 @@ from repro.analysis.model import (
 from repro.analysis.repo_gate import run_gate
 from repro.analysis.verify_plan import (
     PlanVerification,
+    ScheduleVerification,
     verify_plan,
     verify_schedule,
 )
@@ -50,8 +56,8 @@ __all__ = [
     "PlanVerification",
     "RULES",
     "Rule",
+    "ScheduleVerification",
     "check_model",
-    "crosscheck_trace",
     "format_diagnostics",
     "hb_from_trace",
     "lint_trace",

@@ -42,12 +42,16 @@ class Rule:
             raise ValueError(f"unknown severity {self.severity!r}")
 
 
-#: Every rule, in catalog order.  Ids are permanent: retired rules keep
-#: their number.  The SPMD block is the static plan verifier
-#: (:mod:`repro.analysis.verify_plan`), TRACE the post-hoc linter
-#: (:mod:`repro.analysis.lint_trace`), MC the rank-program model checker
-#: (:mod:`repro.analysis.model`), GATE the in-repo source gate
-#: (:mod:`repro.analysis.repo_gate`).
+#: Every rule, in catalog order.  Ids are permanent: a retired rule's
+#: number is never reused.  Each protocol property has one rule, proved by
+#: one static pass (:func:`repro.analysis.verify_plan.verify_schedule`):
+#: the SPMD block holds the plan-only rules -- pairing, lead routing and
+#: the closed-form volume -- and numbers 3, 5 and 7 of it are retired
+#: because MC301, MC303 and MC307 prove the same properties on the same
+#: graph and ledger (``docs/ANALYSIS.md`` maps each).  TRACE is the
+#: post-hoc linter (:mod:`repro.analysis.lint_trace`), MC the rank-program
+#: model checker (:mod:`repro.analysis.model`), GATE the in-repo source
+#: gate (:mod:`repro.analysis.repo_gate`).
 RULE_LIST: tuple[Rule, ...] = (
     Rule(
         "SPMD001",
@@ -63,13 +67,6 @@ RULE_LIST: tuple[Rule, ...] = (
         "scheduler reports a DeadlockError",
     ),
     Rule(
-        "SPMD003",
-        "error",
-        "tag-collision",
-        "a (src, dst, tag) channel is used by more than one message; "
-        "FIFO matching may pair the wrong payloads",
-    ),
-    Rule(
         "SPMD004",
         "error",
         "wrong-lead",
@@ -77,24 +74,11 @@ RULE_LIST: tuple[Rule, ...] = (
         "lead of the sender's reduction group, or does not hold the node",
     ),
     Rule(
-        "SPMD005",
-        "error",
-        "barrier-skip",
-        "a barrier is not rank-complete; the missing rank stalls every participant",
-    ),
-    Rule(
         "SPMD006",
         "error",
         "volume-mismatch",
         "the recorded communication volume differs from the scheduler's "
         "declared closed form (Theorem 3's V = sum_j (2^k_j - 1) c_j for fig5)",
-    ),
-    Rule(
-        "SPMD007",
-        "error",
-        "memory-bound-exceeded",
-        "the ledger's held-results peak exceeds the scheduler's declared "
-        "memory bound (Theorem 1/4 for fig5)",
     ),
     Rule(
         "TRACE101",
@@ -121,7 +105,8 @@ RULE_LIST: tuple[Rule, ...] = (
         "TRACE104",
         "error",
         "memory-high-water",
-        "a rank's measured peak held-results memory exceeds the Theorem 1/4 bound",
+        "a rank's measured peak held-results memory exceeds its scheduler's "
+        "declared memory bound (Theorem 1/4 for fig5)",
     ),
     Rule(
         "TRACE105",

@@ -5,9 +5,11 @@ generator rank program (``Scheduler.symbolic_ops``, :mod:`.record`) -- and
 proves -- or refutes with a
 counterexample -- three families of properties:
 
-- **happens-before** (:mod:`.hb`): vector-clock race detection on
-  channels, barrier completeness, causal acyclicity (MC301/303/304),
-  plus the trace-side cross-check against the TRACE101/102 linter;
+- **happens-before** (:mod:`.hb`): the one FIFO pairing of sends and
+  receives, vector-clock race detection on channels, barrier
+  completeness, causal acyclicity (MC301/303/304); the same graph built
+  from a recorded run (:func:`.hb.hb_from_trace`) is what the trace
+  linter's TRACE101/102 read;
 - **exploration** (:mod:`.explore`): exhaustive interleaving coverage
   with a persistent-set reduction, certifying deadlock freedom or
   reporting the wait-for graph, including under recv-timeout fallbacks
@@ -16,24 +18,21 @@ counterexample -- three families of properties:
   high-water, held bit-exactly to the simulator's measured peaks and to
   the scheduler's declared bound (MC307).
 
-``repro-cube check --model`` is the CLI surface; :func:`check_model` the
-programmatic one.
+One pairing, one static pass: the happens-before and liveness checks run
+once per recorded program, inside
+:func:`repro.analysis.verify_plan.verify_schedule`, which both
+``verify_plan`` and :func:`check_model` call; the model checker adds
+only exploration.  ``repro-cube check --model`` is the CLI surface;
+:func:`check_model` the programmatic one.
 """
 
 from repro.analysis.model.checker import (
     ModelCheckResult,
     check_model,
-    check_program,
     parse_kill,
 )
 from repro.analysis.model.explore import ExploreResult, explore
-from repro.analysis.model.hb import (
-    HBGraph,
-    TraceParity,
-    build_hb,
-    crosscheck_trace,
-    hb_from_trace,
-)
+from repro.analysis.model.hb import HBGraph, build_hb, hb_from_trace
 from repro.analysis.model.lifetime import (
     BYTES_PER_ELEMENT,
     LifetimeResult,
@@ -65,12 +64,9 @@ __all__ = [
     "MSend",
     "ModelCheckResult",
     "ModelProgram",
-    "TraceParity",
     "analyze_lifetime",
     "build_hb",
     "check_model",
-    "check_program",
-    "crosscheck_trace",
     "explore",
     "hb_from_trace",
     "parse_kill",

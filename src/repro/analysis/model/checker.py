@@ -1,20 +1,21 @@
 """The model-check driver: one call per (scheduler, scenario) family.
 
-:func:`check_model` ties the three analyses together for one plan:
+:func:`check_model` is the static result plus exploration, for one plan:
 
-1. record the scheduler's rank program into per-rank streams
-   (``Scheduler.symbolic_ops``);
-2. happens-before construction and race checks (MC301/303/304);
-3. exhaustive interleaving exploration (MC302/305/306), certifying
-   deadlock freedom when it completes clean;
-4. block-liveness memory analysis (MC307) against the scheduler's
-   ``declared_memory_bound`` and an optional ``--mem-cap``.
-
-On the fault-tolerant program (``detection_round=True``) the driver also
-auto-explores *kill scenarios*: each rank killed at op index 0 (crash
-before any work), the worst case for the detection protocol.  Explicit
-``kill=(rank, op)`` scenarios -- the CLI's ``--kill R@OP`` -- narrow that
-to one case.
+1. record the scheduler's rank program once (``Scheduler.symbolic_ops``)
+   and run the one static pass on it -- exactly
+   :func:`~repro.analysis.verify_plan.verify_plan`'s, with the optional
+   ``--mem-cap`` added to its MC307 -- so the happens-before checks
+   (MC301/303/304) and the block-liveness memory bound (MC307) are proved
+   once;
+2. exhaustive interleaving exploration of that fault-free program
+   (MC302/305/306), certifying deadlock freedom when it completes clean;
+3. one more exploration per *kill scenario*, each recorded once: the
+   explicit ``kill=(rank, op)`` -- the CLI's ``--kill R@OP`` -- or, on the
+   fault-tolerant program (``detection_round=True``), each rank killed at
+   op index 0 (crash before any work), the worst case for the detection
+   protocol.  A killed program is only explored: its undeliverable
+   messages are the scenario's, not protocol defects.
 
 :meth:`ModelCheckResult.certificate` renders the machine-checked
 transcript quoted in ``docs/ANALYSIS.md``.
@@ -23,16 +24,14 @@ transcript quoted in ``docs/ANALYSIS.md``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.diagnostics import DiagnosticReport
 from repro.analysis.model.explore import ExploreResult, explore
-from repro.analysis.model.hb import HBGraph, build_hb
-from repro.analysis.model.lifetime import LifetimeResult, analyze_lifetime
-from repro.analysis.model.ops import ModelProgram
+from repro.analysis.verify_plan import PlanVerification, _record_and_verify
 
-__all__ = ["ModelCheckResult", "check_model", "check_program", "parse_kill"]
+__all__ = ["ModelCheckResult", "check_model", "parse_kill"]
 
 _KILL_RE = re.compile(r"^(\d+)@(\d+)$")
 
@@ -52,17 +51,22 @@ def parse_kill(spec: str) -> tuple[int, int]:
 class ModelCheckResult:
     """Everything one model-check run established about one plan."""
 
-    scheduler: str
-    shape: tuple[int, ...]
-    bits: tuple[int, ...]
-    report: DiagnosticReport
-    hb: HBGraph
-    exploration: ExploreResult
-    lifetime: LifetimeResult
-    declared_bound_elements: int
-    #: Human description of each fault scenario explored ("fault-free",
-    #: "kill rank 1 at op 0", ...), with its exploration verdict.
-    scenarios: list[tuple[str, ExploreResult]] = field(default_factory=list)
+    #: The static result: the recorded fault-free program and its one
+    #: static pass (``plan.hb``, ``plan.lifetime``, ``plan.report``).
+    plan: PlanVerification
+    #: Each scenario explored ("fault-free", "kill rank 1 at op 0", ...),
+    #: with its exploration verdict; the fault-free one comes first.
+    scenarios: list[tuple[str, ExploreResult]]
+
+    @property
+    def exploration_report(self) -> DiagnosticReport:
+        """Only the scenarios' findings (the plan's are in ``plan.report``)."""
+        return DiagnosticReport([d for _name, res in self.scenarios for d in res.diagnostics])
+
+    @property
+    def report(self) -> DiagnosticReport:
+        """The plan's findings, then every scenario's."""
+        return DiagnosticReport(self.plan.diagnostics + self.exploration_report.diagnostics)
 
     @property
     def ok(self) -> bool:
@@ -71,31 +75,28 @@ class ModelCheckResult:
     @property
     def certified(self) -> bool:
         """Deadlock freedom certified across every explored scenario."""
-        return self.ok and all(
-            res.certified for _name, res in self.scenarios
-        )
+        return self.ok and all(res.certified for _name, res in self.scenarios)
 
     def certificate(self) -> str:
         """The transcript: what was proved, over what state space."""
-        num_ranks = self.hb.num_ranks
+        prog, hb, lifetime = self.plan.schedule, self.plan.hb, self.plan.lifetime
         lines = [
-            f"model check: scheduler {self.scheduler!r}, shape "
-            f"{'x'.join(map(str, self.shape))}, p={num_ranks} "
-            f"(bits {','.join(map(str, self.bits))})",
-            f"happens-before: {self.hb.num_events} events, "
-            f"{sum(len(v) for v in self.hb.pairs.values())} message "
-            f"edges, {self.hb.barrier_episodes} barrier episode(s), "
-            + ("acyclic" if self.hb.acyclic else "CYCLIC"),
+            f"model check: scheduler {self.plan.scheduler!r}, shape "
+            f"{'x'.join(map(str, prog.shape))}, p={hb.num_ranks} "
+            f"(bits {','.join(map(str, prog.bits))})",
+            f"happens-before: {hb.num_events} events, "
+            f"{sum(len(v) for v in hb.pairs.values())} message "
+            f"edges, {hb.barrier_episodes} barrier episode(s), "
+            + ("acyclic" if hb.acyclic else "CYCLIC"),
         ]
         for name, res in self.scenarios:
             lines.append(f"explore [{name}]: {res.summary()}")
-        highs = self.lifetime.rank_high_water
-        source = "ledger scan" if self.lifetime.from_ledger else "no ledger"
+        source = "ledger scan" if lifetime.from_ledger else "no ledger"
         lines.append(
             f"memory ({source}): per-rank high-water "
-            f"{list(highs)} elements, max "
-            f"{self.lifetime.max_high_water_bytes} bytes, declared bound "
-            f"{self.declared_bound_elements} elements"
+            f"{list(lifetime.rank_high_water)} elements, max "
+            f"{lifetime.max_high_water_bytes} bytes, declared bound "
+            f"{self.plan.memory_bound_elements} elements"
         )
         lines.append(
             "verdict: "
@@ -123,99 +124,23 @@ def check_model(
     ``scheduler`` is a registered spec or a
     :class:`~repro.sched.base.Scheduler` instance.  ``detection_round``
     selects the fault-tolerant program (fig5 only) and, when no explicit
-    ``kill`` is given, auto-explores every crash-at-start scenario on top
-    of the fault-free one.  ``kill`` checks exactly one fault scenario (on
-    the plain program this is the MC306 demonstration; on the FT program
-    it exercises detection and adoption).
+    ``kill`` is given, auto-explores every crash-at-start scenario after
+    the fault-free one.  ``kill`` adds exactly one fault scenario (on the
+    plain program this is the MC306 demonstration; on the FT program it
+    exercises detection and adoption).
     """
-    from repro.sched import resolve_scheduler
-
-    sched = resolve_scheduler(scheduler)
-    shape = tuple(shape)
-    bits = tuple(bits)
-    sched.validate_shape(shape)
-    declared = sched.declared_memory_bound(shape, bits)
-    report = DiagnosticReport()
-
-    prog = sched.symbolic_ops(
-        shape, bits, detection_round=detection_round, kill=kill
-    )
-    graph = build_hb(prog)
-    report.extend(graph.diagnostics)
-
-    scenarios: list[tuple[str, ExploreResult]] = []
-    base_name = (
-        "fault-free"
-        if prog.kill is None
-        else f"kill rank {prog.kill[0]} at op {prog.kill[1]}"
-    )
-    base_explore = explore(prog, max_states=max_states)
-    scenarios.append((base_name, base_explore))
-    report.extend(base_explore.diagnostics)
-
-    if detection_round and kill is None:
-        # Auto fault sweep: each rank crashes before its first op.  The
-        # detection round must route every survivor around the death.
-        for dead in range(prog.num_ranks):
-            fprog = sched.symbolic_ops(
-                shape, bits, detection_round=True, kill=(dead, 0)
-            )
-            fres = explore(fprog, max_states=max_states)
-            scenarios.append((f"kill rank {dead} at op 0", fres))
-            report.extend(fres.diagnostics)
-
-    lifetime = analyze_lifetime(
-        prog,
-        declared_bound_elements=declared,
-        mem_cap_bytes=mem_cap_bytes,
-    )
-    report.extend(lifetime.diagnostics)
-
-    return ModelCheckResult(
-        scheduler=sched.spec,
-        shape=shape,
-        bits=bits,
-        report=report,
-        hb=graph,
-        exploration=base_explore,
-        lifetime=lifetime,
-        declared_bound_elements=declared,
-        scenarios=scenarios,
-    )
-
-
-def check_program(
-    prog: ModelProgram,
-    *,
-    declared_bound_elements: int | None = None,
-    mem_cap_bytes: int | None = None,
-    max_states: int = 200_000,
-) -> ModelCheckResult:
-    """Model-check an explicit :class:`ModelProgram` (tests, seeded defects)."""
-    report = DiagnosticReport()
-    graph = build_hb(prog)
-    report.extend(graph.diagnostics)
-    name = (
-        "fault-free"
-        if prog.kill is None
-        else f"kill rank {prog.kill[0]} at op {prog.kill[1]}"
-    )
-    res = explore(prog, max_states=max_states)
-    report.extend(res.diagnostics)
-    lifetime = analyze_lifetime(
-        prog,
-        declared_bound_elements=declared_bound_elements,
-        mem_cap_bytes=mem_cap_bytes,
-    )
-    report.extend(lifetime.diagnostics)
-    return ModelCheckResult(
-        scheduler=prog.scheduler,
-        shape=prog.shape,
-        bits=prog.bits,
-        report=report,
-        hb=graph,
-        exploration=res,
-        lifetime=lifetime,
-        declared_bound_elements=declared_bound_elements or 0,
-        scenarios=[(name, res)],
-    )
+    sched, plan = _record_and_verify(shape, bits, scheduler, detection_round, mem_cap_bytes)
+    prog = plan.schedule
+    if kill is not None:
+        kills = [kill]
+    elif detection_round:
+        kills = [(dead, 0) for dead in range(prog.num_ranks)]
+    else:
+        kills = []
+    scenarios = [("fault-free", explore(prog, max_states=max_states))]
+    for rank, op in kills:
+        killed = sched.symbolic_ops(
+            prog.shape, prog.bits, detection_round=detection_round, kill=(rank, op)
+        )
+        scenarios.append((f"kill rank {rank} at op {op}", explore(killed, max_states=max_states)))
+    return ModelCheckResult(plan=plan, scenarios=scenarios)

@@ -23,15 +23,15 @@ Vector clocks are computed along a topological order, giving an O(1)
   safety of FIFO pairing requires ``recv_i -> send_j`` for ``i < j``,
   otherwise which payload pairs with which receive is a race.
 
+The FIFO pairing here is the analyses' only one: the plan verifier reads
+its unpaired sends and receives (SPMD001/002) and its pairs (SPMD004).
 :func:`hb_from_trace` builds the same structure from a *recorded* run's
-``send``/``recv`` op spans and fault log, which is how the trace linter's
-TRACE101/102 channel accounting is cross-checked against an independent
-happens-before pairing (:func:`crosscheck_trace`).
+``send``/``recv`` op spans and fault log, and the trace linter reads its
+TRACE101/102 off that graph.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence, Union
@@ -47,13 +47,7 @@ from repro.analysis.model.ops import (
 from repro.cluster.metrics import RunMetrics
 from repro.obs.span import op_channel
 
-__all__ = [
-    "HBGraph",
-    "TraceParity",
-    "build_hb",
-    "crosscheck_trace",
-    "hb_from_trace",
-]
+__all__ = ["HBGraph", "build_hb", "hb_from_trace"]
 
 #: Event id: ``(rank, index)`` for stream events; barriers add synthetic
 #: ``(-1, episode)`` sync nodes.
@@ -83,6 +77,15 @@ class HBGraph:
     def num_events(self) -> int:
         return sum(len(s) for s in self.streams)
 
+    def unpaired_by_channel(self) -> dict[tuple[int, int, int], list[MSend]]:
+        """The sends no receive pairs with, per channel, in program order."""
+        out: dict[tuple[int, int, int], list[MSend]] = {}
+        for rank, i in self.unmatched_sends:
+            op = self.streams[rank][i]
+            assert isinstance(op, MSend)
+            out.setdefault((rank, op.dst, op.tag), []).append(op)
+        return out
+
     def happens_before(self, e1: EventId, e2: EventId) -> bool:
         """``e1 -> e2`` in the happens-before partial order."""
         if not self.acyclic:
@@ -94,34 +97,68 @@ class HBGraph:
         return c1[r1] <= c2[r1]
 
 
-def _succ_edges(
+def _vector_clocks(
     streams: Sequence[Sequence[MOp]],
     pairs: dict[tuple[int, int, int], list[tuple[int, int]]],
     episodes: list[list[EventId]],
-) -> dict[EventId, list[EventId]]:
-    """Adjacency of the happens-before DAG (program, message, barrier)."""
-    succ: dict[EventId, list[EventId]] = {}
+) -> tuple[dict[EventId, tuple[int, ...]], int]:
+    """Vector clocks of every event no causal cycle holds back.
 
-    def add(a: EventId, b: EventId) -> None:
-        succ.setdefault(a, []).append(b)
+    Each rank's stream is walked in program order; an event waits until
+    its other predecessors have clocks -- a receive its paired send, the
+    op after a barrier arrival the episode's sync point (every rank's
+    arrival; arrive/depart splitting, so a barrier is a clique without
+    2-cycles).  Returns the clocks and how many sync points were reached:
+    the relation is acyclic iff every event and sync point was.
+    """
+    num_ranks = len(streams)
+    sent_by = {
+        (dst, ri): (src, si) for (src, dst, _t), plist in pairs.items() for si, ri in plist
+    }
+    released_by = {
+        (rank, idx + 1): k for k, arrivals in enumerate(episodes) for rank, idx in arrivals
+    }
+    clocks: dict[EventId, tuple[int, ...]] = {}
+    sync: dict[int, tuple[int, ...]] = {}
 
-    for rank, stream in enumerate(streams):
-        for i in range(len(stream) - 1):
-            add((rank, i), (rank, i + 1))
-    for (src, dst, _tag), plist in pairs.items():
-        for si, ri in plist:
-            add((src, si), (dst, ri))
-    # Barrier episode k: every arrival -> sync node (-1, k) -> the arrival
-    # itself "departs", i.e. the sync node precedes each arrival's
-    # *successor*; routing through the arrival's program-order successor is
-    # equivalent to arrive/depart splitting.
-    for k, arrivals in enumerate(episodes):
-        sync = (-1, k)
-        for rank, idx in arrivals:
-            add((rank, idx), sync)
-            if idx + 1 < len(streams[rank]):
-                add(sync, (rank, idx + 1))
-    return succ
+    def sync_clock(k: int) -> tuple[int, ...] | None:
+        if k not in sync and all(a in clocks for a in episodes[k]):
+            sync[k] = tuple(map(max, zip(*(clocks[a] for a in episodes[k]))))
+        return sync.get(k)
+
+    def joined(event: EventId, vc: tuple[int, ...]) -> tuple[int, ...] | None:
+        """``vc`` joined with the event's message and barrier predecessors,
+        or ``None`` while one of them has no clock yet."""
+        if event in sent_by:
+            sent = clocks.get(sent_by[event])
+            if sent is None:
+                return None
+            vc = tuple(map(max, vc, sent))
+        if event in released_by:
+            released = sync_clock(released_by[event])
+            if released is None:
+                return None
+            vc = tuple(map(max, vc, released))
+        return vc
+
+    pos = [0] * num_ranks
+    last = [(0,) * num_ranks] * num_ranks
+    progress = True
+    while progress:
+        progress = False
+        for rank, stream in enumerate(streams):
+            i, vc = pos[rank], last[rank]
+            while i < len(stream):
+                ready = joined((rank, i), vc)
+                if ready is None:
+                    break
+                vc = ready[:rank] + (i + 1,) + ready[rank + 1 :]
+                clocks[rank, i] = vc
+                i += 1
+            if i > pos[rank]:
+                pos[rank], last[rank] = i, vc
+                progress = True
+    return clocks, sum(sync_clock(k) is not None for k in range(len(episodes)))
 
 
 def build_hb(prog: ModelProgram) -> HBGraph:
@@ -156,9 +193,7 @@ def build_hb(prog: ModelProgram) -> HBGraph:
         [i for i, op in enumerate(s) if isinstance(op, MBarrier)]
         for s in streams
     ]
-    counts = sorted({len(b) for b in barrier_idx})
-    episodes: list[list[EventId]] = []
-    if len(counts) > 1:
+    if len({len(b) for b in barrier_idx}) > 1:
         per_rank = ", ".join(
             f"rank {r}: {len(b)}" for r, b in enumerate(barrier_idx)
         )
@@ -172,38 +207,17 @@ def build_hb(prog: ModelProgram) -> HBGraph:
             )
         )
     n_episodes = min(len(b) for b in barrier_idx) if barrier_idx else 0
-    for k in range(n_episodes):
-        episodes.append(
-            [(rank, barrier_idx[rank][k]) for rank in range(prog.num_ranks)]
-        )
+    episodes = [[(rank, b[k]) for rank, b in enumerate(barrier_idx)] for k in range(n_episodes)]
 
-    succ = _succ_edges(streams, pairs, episodes)
-
-    # Kahn: detect cycles (MC304), produce a topological order.
-    indeg: dict[EventId, int] = {}
-    all_nodes: list[EventId] = [
-        (rank, i) for rank, s in enumerate(streams) for i in range(len(s))
-    ]
-    all_nodes.extend((-1, k) for k in range(n_episodes))
-    for node in all_nodes:
-        indeg.setdefault(node, 0)
-    for node, outs in succ.items():
-        for b in outs:
-            indeg[b] = indeg.get(b, 0) + 1
-    queue = [node for node in all_nodes if indeg[node] == 0]
-    topo: list[EventId] = []
-    while queue:
-        node = queue.pop()
-        topo.append(node)
-        for b in succ.get(node, []):
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                queue.append(b)
-    acyclic = len(topo) == len(all_nodes)
-    clocks: dict[EventId, tuple[int, ...]] = {}
+    clocks, n_synced = _vector_clocks(streams, pairs, episodes)
+    num_events = sum(len(s) for s in streams)
+    acyclic = len(clocks) == num_events and n_synced == n_episodes
     if not acyclic:
         stuck = sorted(
-            node for node in all_nodes if indeg[node] > 0 and node[0] >= 0
+            (rank, i)
+            for rank, s in enumerate(streams)
+            for i in range(len(s))
+            if (rank, i) not in clocks
         )[:6]
         sample = ", ".join(
             f"rank {r} op {i} ({type(streams[r][i]).__name__})"
@@ -213,31 +227,14 @@ def build_hb(prog: ModelProgram) -> HBGraph:
             Diagnostic(
                 "MC304",
                 f"the happens-before relation is cyclic; "
-                f"{len(all_nodes) - len(topo)} event(s) sit on causal "
-                f"cycles (e.g. {sample})",
+                f"{num_events - len(clocks) + n_episodes - n_synced} event(s) sit "
+                f"on causal cycles (e.g. {sample})",
                 hint="a chain of message and program-order edges requires "
                 "an event to precede itself; no interleaving can realize "
                 "this program",
             )
         )
-    else:
-        # Vector clocks along the topological order.
-        zero = (0,) * prog.num_ranks
-        pred: dict[EventId, list[EventId]] = {}
-        for a, outs in succ.items():
-            for b in outs:
-                pred.setdefault(b, []).append(a)
-        for node in topo:
-            vc = list(zero)
-            for p in pred.get(node, []):
-                pv = clocks[p]
-                for r in range(prog.num_ranks):
-                    if pv[r] > vc[r]:
-                        vc[r] = pv[r]
-            rank, idx = node
-            if rank >= 0:
-                vc[rank] = idx + 1
-            clocks[node] = tuple(vc)
+        clocks = {}
 
     graph = HBGraph(
         num_ranks=prog.num_ranks,
@@ -282,15 +279,7 @@ def build_hb(prog: ModelProgram) -> HBGraph:
     return graph
 
 
-# -- trace-side construction and the TRACE101/102 cross-check ---------------
-
-
-def _as_metrics(metrics: Union[RunMetrics, str, Path, Mapping]) -> RunMetrics:
-    if not isinstance(metrics, RunMetrics):
-        from repro.obs.export import load_run
-
-        metrics = load_run(metrics)
-    return metrics
+# -- trace-side construction --------------------------------------------------
 
 
 def hb_from_trace(metrics: Union[RunMetrics, str, Path, Mapping]) -> HBGraph:
@@ -301,11 +290,14 @@ def hb_from_trace(metrics: Union[RunMetrics, str, Path, Mapping]) -> HBGraph:
     ``send``/``recv`` op spans are projected per rank in trace order (each
     rank's ops are appended in its own program order by both backends);
     the fault log's dropped copies are removed from the sender's stream
-    and its duplicated copies re-posted -- the same fault accounting the
-    trace linter applies -- and FIFO pairing then proceeds exactly as on
-    symbolic programs.
+    and its duplicated copies re-posted, and FIFO pairing then proceeds
+    exactly as on symbolic programs.  An unpaired send is a message that
+    reached the network and was never received (TRACE101).
     """
-    metrics = _as_metrics(metrics)
+    if not isinstance(metrics, RunMetrics):
+        from repro.obs.export import load_run
+
+        metrics = load_run(metrics)
     if not metrics.trace:
         raise ValueError("run has no trace; pass record_trace=True / trace=True")
     num_ranks = metrics.num_ranks
@@ -322,16 +314,13 @@ def hb_from_trace(metrics: Union[RunMetrics, str, Path, Mapping]) -> HBGraph:
     # "duplicate" posts one more (delivered after the original, so
     # appending preserves FIFO pairing).
     for (src, dst, tag), k in metrics.faults.channel_counts("drop").items():
-        removed = 0
-        for i in range(len(streams[src]) - 1, -1, -1):
-            op = streams[src][i]
-            if (
-                removed < k
-                and isinstance(op, MSend)
-                and (op.dst, op.tag) == (dst, tag)
-            ):
-                del streams[src][i]
-                removed += 1
+        posted = [
+            i
+            for i, op in enumerate(streams[src])
+            if isinstance(op, MSend) and (op.dst, op.tag) == (dst, tag)
+        ]
+        for i in reversed(posted[max(0, len(posted) - k) :]):
+            del streams[src][i]
     for (src, dst, tag), k in metrics.faults.channel_counts("duplicate").items():
         for _ in range(k):
             streams[src].append(
@@ -345,103 +334,3 @@ def hb_from_trace(metrics: Union[RunMetrics, str, Path, Mapping]) -> HBGraph:
         scheduler=metrics.backend or "trace",
     )
     return build_hb(prog)
-
-
-@dataclass
-class TraceParity:
-    """Agreement between the trace linter and the model's happens-before.
-
-    Both sides classify the same run's channels independently: the linter
-    by per-channel multiset counting (TRACE101/102), the model by FIFO
-    pairing on the happens-before graph (an unpaired send is an
-    undelivered message; a receive beyond the sender's intentional posts
-    is a duplicate delivery).  ``agree`` is the parity the tests pin.
-    """
-
-    lint_undelivered: frozenset[tuple[int, int, int]]
-    lint_duplicate: frozenset[tuple[int, int, int]]
-    model_undelivered: frozenset[tuple[int, int, int]]
-    model_duplicate: frozenset[tuple[int, int, int]]
-
-    @property
-    def agree(self) -> bool:
-        return (
-            self.lint_undelivered == self.model_undelivered
-            and self.lint_duplicate == self.model_duplicate
-        )
-
-    def describe(self) -> str:
-        def fmt(channels: frozenset[tuple[int, int, int]]) -> str:
-            if not channels:
-                return "none"
-            return ", ".join(
-                f"{s}->{d} tag {t}" for s, d, t in sorted(channels)
-            )
-
-        lines = [
-            f"undelivered channels: lint {{{fmt(self.lint_undelivered)}}} "
-            f"vs model {{{fmt(self.model_undelivered)}}}",
-            f"duplicate channels:   lint {{{fmt(self.lint_duplicate)}}} "
-            f"vs model {{{fmt(self.model_duplicate)}}}",
-            "parity: " + ("agree" if self.agree else "DIVERGE"),
-        ]
-        return "\n".join(lines)
-
-
-#: The linter's channel phrasing; both rules name the channel this way.
-_CHANNEL_RE = re.compile(r"(\d+)->(\d+) tag (\d+)")
-
-
-def crosscheck_trace(
-    metrics: Union[RunMetrics, str, Path, Mapping],
-) -> TraceParity:
-    """Cross-check TRACE101/102 against the happens-before pairing."""
-    from repro.analysis.lint_trace import lint_trace
-
-    metrics = _as_metrics(metrics)
-    lint_undelivered: set[tuple[int, int, int]] = set()
-    lint_duplicate: set[tuple[int, int, int]] = set()
-    for diag in lint_trace(metrics):
-        if diag.rule not in ("TRACE101", "TRACE102"):
-            continue
-        m = _CHANNEL_RE.search(diag.message)
-        assert m is not None, f"unparseable channel in {diag.message!r}"
-        channel = (int(m.group(1)), int(m.group(2)), int(m.group(3)))
-        if diag.rule == "TRACE101":
-            lint_undelivered.add(channel)
-        else:
-            lint_duplicate.add(channel)
-
-    graph = hb_from_trace(metrics)
-    model_undelivered = {
-        (rank, idx)
-        for rank, idx in graph.unmatched_sends
-    }
-    undelivered_channels: set[tuple[int, int, int]] = set()
-    for rank, idx in model_undelivered:
-        op = graph.streams[rank][idx]
-        assert isinstance(op, MSend)
-        undelivered_channels.add((op.rank, op.dst, op.tag))
-    # Duplicate delivery: the receiver consumed more copies than the
-    # sender posted *intentionally* -- i.e. pairing needed the injected
-    # duplicates.  Reconstruct intentional counts from the HB streams
-    # (pairs + unmatched - injected duplicates are not distinguishable in
-    # the stream, so count recvs beyond sends-minus-duplicates directly).
-    dup_channels: set[tuple[int, int, int]] = set()
-    intentional: dict[tuple[int, int, int], int] = {}
-    consumed: dict[tuple[int, int, int], int] = {}
-    for ev in metrics.trace:
-        if ev.name == "send":
-            key = (ev.rank, *op_channel(ev))
-            intentional[key] = intentional.get(key, 0) + 1
-    for key, plist in graph.pairs.items():
-        consumed[key] = len(plist)
-    for key, got in consumed.items():
-        if got > intentional.get(key, 0):
-            dup_channels.add(key)
-    return TraceParity(
-        lint_undelivered=frozenset(lint_undelivered),
-        lint_duplicate=frozenset(lint_duplicate),
-        model_undelivered=frozenset(undelivered_channels),
-        model_duplicate=frozenset(dup_channels),
-    )

@@ -2,9 +2,9 @@
 
 A :class:`ModelProgram` holds, for every rank, the generator rank program
 as a straight-line stream of sends, receives, barriers, and memory-ledger
-events in **program order**.  :mod:`repro.analysis.verify_plan` checks the
-protocol and closed-form rules on it, :mod:`repro.analysis.model.hb`
-derives the happens-before relation from it,
+events in **program order**.  :mod:`repro.analysis.model.hb` pairs its
+messages once and derives the happens-before relation from it (the plan
+verifier's protocol rules read that pairing),
 :mod:`repro.analysis.model.explore` executes it under every relevant
 interleaving, and :mod:`repro.analysis.model.lifetime` scans it for the
 per-rank memory high-water.
@@ -196,19 +196,20 @@ def _delete_first(streams: list[list[MOp]], kind: type, missing: str) -> None:
 def seed_model_defect(prog: ModelProgram, kind: str) -> ModelProgram:
     """Return a copy of ``prog`` with one checkable defect injected.
 
-    Kinds (each named for the rule it must trip):
+    Kinds (each named for the rule it must trip -- one rule per defect):
 
     - ``dropped-recv``    (SPMD001): the first data send's receive is
       deleted, so the payload sits undelivered;
-    - ``tag-race`` / ``tag-collision`` (SPMD003, MC301, and MC302 under
+    - ``tag-race`` / ``tag-collision`` (MC301, and MC302 under
       exploration): a second send/recv pair is put on an already-used
       channel, so the two messages are happens-before unordered and can
       be in flight together;
     - ``wrong-lead``      (SPMD004, plus the SPMD001/002 fallout): the
       first data send is rerouted to a rank that is neither its sender
       nor its lead (needs at least 3 ranks);
-    - ``barrier-skip``    (SPMD005, MC303): one rank's barrier arrival is
-      deleted (record with ``detection_round=True`` to have a barrier);
+    - ``barrier-skip``    (MC303, and MC305 under exploration): one rank's
+      barrier arrival is deleted (record with ``detection_round=True`` to
+      have a barrier);
     - ``causal-cycle``    (MC304, and MC305 under exploration): two ranks
       gain a cross-posted recv-before-send pair whose message edges close
       a happens-before cycle (each waits for the other's *last* op first);
@@ -216,7 +217,7 @@ def seed_model_defect(prog: ModelProgram, kind: str) -> ModelProgram:
       deleted, so its receive blocks in every interleaving;
     - ``leak``            (MC307 under a tight ``--mem-cap``): the first
       free is deleted, so the block stays live to the end of the stream;
-    - ``inflated-alloc``  (SPMD007, MC307): the first allocation is
+    - ``inflated-alloc``  (MC307): the first allocation is
       inflated by the whole program's total allocation, guaranteeing the
       high-water exceeds any declared bound.
 
@@ -230,10 +231,9 @@ def seed_model_defect(prog: ModelProgram, kind: str) -> ModelProgram:
         del streams[rop.rank][j]
     elif kind in ("tag-race", "tag-collision"):
         # The duplicate send sits directly after the original, so both
-        # copies are in flight before the first receive can fire: the
-        # channel is used twice (SPMD003), the HB check reports the
-        # unordered pair (MC301) and the explorer the ambiguous match
-        # (MC302).
+        # copies are in flight before the first receive can fire: the HB
+        # check reports the unordered pair (MC301) and the explorer the
+        # ambiguous match (MC302).
         op, i, rop, j = _first_data_channel(prog)
         streams[op.rank].insert(i + 1, op)
         streams[rop.rank].insert(j + 1, rop)

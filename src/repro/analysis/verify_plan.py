@@ -5,41 +5,50 @@ program the backends would execute -- every send, receive, barrier, and
 ledger event, with exact element counts -- without running the simulator.
 The program is not transcribed: ``Scheduler.symbolic_ops`` *records* the
 real generator with shape-only inputs (:mod:`repro.analysis.model.record`)
-into a :class:`~repro.analysis.model.ops.ModelProgram`, and the rules run
-on those per-rank streams:
+into a :class:`~repro.analysis.model.ops.ModelProgram`.
 
-- every send has exactly one matching receive (SPMD001/002);
-- no ``(src, dst, tag)`` channel is used twice (SPMD003);
+One pairing, one static pass.  :func:`verify_schedule` builds the
+program's happens-before graph once (:func:`~repro.analysis.model.hb.build_hb`,
+the only place a send meets a receive) and scans its ledger once
+(:func:`~repro.analysis.model.lifetime.analyze_lifetime`); every static
+rule reads those two results:
+
+- every send is paired with a receive and vice versa (SPMD001/002);
 - reduction data goes to the lead of the sender's reduction group, which
-  holds the node when it posts the matching receive (SPMD004);
-- every barrier is rank-complete (SPMD005);
-- the recorded element volume equals the scheduler's declared closed form
-  exactly -- Theorem 3's ``V = sum_j (2^k_j - 1) c_j`` for ``fig5``
-  (SPMD006);
+  holds the node when it posts the paired receive (SPMD004);
+- messages sharing a channel are ordered, barriers are rank-complete and
+  the graph is acyclic (MC301/303/304);
 - the ledger's per-rank high-water stays within the declared memory bound
-  -- Theorem 1/4 for ``fig5`` (SPMD007).
+  -- Theorem 1/4 for ``fig5`` -- and the ledger is consistent (MC307).
+
+:func:`verify_plan` is that pass on a recorded plan, plus the one
+plan-only closed-form rule: the recorded element volume equals the
+scheduler's declared volume exactly -- Theorem 3's
+``V = sum_j (2^k_j - 1) c_j`` for ``fig5`` (SPMD006).  The model checker
+(:func:`~repro.analysis.model.checker.check_model`) reuses the same
+result and adds exploration.
 
 The same checks run on *mutated* programs
 (:func:`~repro.analysis.model.ops.seed_model_defect`), which is how the
-tests seed defect classes (dropped recv, tag collision, wrong lead,
-barrier skip) and prove each is caught.
+tests seed defect classes and prove each is caught.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable, Sequence
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
-from repro.analysis.model.lifetime import analyze_lifetime
-from repro.analysis.model.ops import MAlloc, MBarrier, MFree, MRecv, MSend, ModelProgram
+from repro.analysis.model.hb import EventId, HBGraph, build_hb
+from repro.analysis.model.lifetime import LifetimeResult, analyze_lifetime
+from repro.analysis.model.ops import MAlloc, MFree, MRecv, MSend, ModelProgram
 from repro.cluster.topology import ProcessorGrid
 from repro.core.lattice import Node
 
-__all__ = ["PlanVerification", "verify_plan", "verify_schedule"]
+if TYPE_CHECKING:
+    from repro.sched.base import Scheduler
 
-#: A channel: ``(src, dst, tag)``.
-_Channel = tuple[int, int, int]
+__all__ = ["PlanVerification", "ScheduleVerification", "verify_plan", "verify_schedule"]
 
 
 def _names_node(key: Hashable, node: Node) -> bool:
@@ -51,105 +60,77 @@ def _names_node(key: Hashable, node: Node) -> bool:
     return key == node or (isinstance(key, tuple) and bool(key) and key[-1] == node)
 
 
-def verify_schedule(prog: ModelProgram) -> list[Diagnostic]:
-    """Protocol checks on a (possibly mutated) recorded program.
-
-    Covers SPMD001-005; the closed-form checks (SPMD006/007) need the
-    scheduler's declared forms and live in :func:`verify_plan`.
-    """
-    grid = ProcessorGrid(prog.bits)
-    diags: list[Diagnostic] = []
-
-    # Per channel, in program order: the sends, and for each receive the
-    # ledger keys its rank holds live at the moment it is posted.
-    sends: dict[_Channel, list[MSend]] = {}
-    recvs: dict[_Channel, list[tuple[MRecv, frozenset[Hashable]]]] = {}
-    barriers = [0] * prog.num_ranks
+def _live_at(prog: ModelProgram, events: set[EventId]) -> dict[EventId, frozenset[Hashable]]:
+    """The ledger keys each event's rank holds live when it reaches it."""
+    out: dict[EventId, frozenset[Hashable]] = {}
     for rank, stream in enumerate(prog.streams):
         live: set[Hashable] = set()
-        for op in stream:
-            if isinstance(op, MSend):
-                sends.setdefault((op.rank, op.dst, op.tag), []).append(op)
-            elif isinstance(op, MRecv):
-                recvs.setdefault((op.src, op.rank, op.tag), []).append((op, frozenset(live)))
-            elif isinstance(op, MBarrier):
-                barriers[rank] += 1
-            elif isinstance(op, MAlloc):
+        for i, op in enumerate(stream):
+            if (rank, i) in events:
+                out[rank, i] = frozenset(live)
+            if isinstance(op, MAlloc):
                 live.add(op.key)
             elif isinstance(op, MFree):
                 live.discard(op.key)
+    return out
 
-    # 1. Multiset matching per channel: every send must have exactly one
-    # receive and vice versa.
-    for key in sorted(set(sends) | set(recvs)):
-        src, dst, tag = key
-        n_send = len(sends.get(key, []))
-        n_recv = len(recvs.get(key, []))
-        if n_send > n_recv:
-            op = sends[key][n_recv]
-            diags.append(
-                Diagnostic(
-                    "SPMD001",
-                    f"{n_send - n_recv} send(s) {src}->{dst} tag {tag} have no matching receive",
-                    rank=src,
-                    edge=op.edge,
-                    step=op.step,
-                    hint=f"rank {dst} must post {n_send - n_recv} more "
-                    f"recv(src={src}, tag={tag})",
-                )
-            )
-        elif n_recv > n_send:
-            rop = recvs[key][n_send][0]
-            diags.append(
-                Diagnostic(
-                    "SPMD002",
-                    f"{n_recv - n_send} recv(s) on rank {dst} from {src} tag "
-                    f"{tag} have no matching send; the rank deadlocks",
-                    rank=dst,
-                    step=rop.step,
-                    hint=f"rank {src} must post a send(dst={dst}, tag={tag}) "
-                    f"or the recv must be removed",
-                )
-            )
 
-    # 2. Channel reuse: every program tags a message with its schedule
-    # step (and, fault-tolerant, its virtual sender), so a channel carries
-    # one message per run.  Whether a reuse is an actual race depends on
-    # happens-before order -- that precise form is MC301.
-    for key in sorted(sends):
-        if len(sends[key]) > 1:
-            src, dst, tag = key
-            op = sends[key][1]
-            diags.append(
-                Diagnostic(
-                    "SPMD003",
-                    f"channel {src}->{dst} tag {tag} is used by "
-                    f"{len(sends[key])} messages",
-                    rank=src,
-                    edge=op.edge,
-                    step=op.step,
-                    hint="tag reduction messages with their step index so "
-                    "no two messages share a channel",
-                )
+def _pairing_rules(prog: ModelProgram, graph: HBGraph) -> list[Diagnostic]:
+    """SPMD001/002/004, read off the graph's FIFO pairing."""
+    diags: list[Diagnostic] = []
+    for (src, dst, tag), ops in sorted(graph.unpaired_by_channel().items()):
+        diags.append(
+            Diagnostic(
+                "SPMD001",
+                f"{len(ops)} send(s) {src}->{dst} tag {tag} have no matching receive",
+                rank=src,
+                edge=ops[0].edge,
+                step=ops[0].step,
+                hint=f"rank {dst} must post {len(ops)} more recv(src={src}, tag={tag})",
             )
+        )
+    unanswered: dict[tuple[int, int, int], list[MRecv]] = {}
+    for rank, i in graph.unmatched_recvs:
+        rop = prog.streams[rank][i]
+        assert isinstance(rop, MRecv)
+        unanswered.setdefault((rop.src, rop.rank, rop.tag), []).append(rop)
+    for (src, dst, tag), rops in sorted(unanswered.items()):
+        diags.append(
+            Diagnostic(
+                "SPMD002",
+                f"{len(rops)} recv(s) on rank {dst} from {src} tag "
+                f"{tag} have no matching send; the rank deadlocks",
+                rank=dst,
+                step=rops[0].step,
+                hint=f"rank {src} must post a send(dst={dst}, tag={tag}) "
+                f"or the recv must be removed",
+            )
+        )
 
-    # 3. Lead correctness: reduction data must go to the lead of the
-    # sender's reduction group -- labels identical except along exactly one
-    # dimension, where the destination sits at coordinate 0 -- and that lead
-    # must hold the node when it posts the matching receive (control
-    # traffic, elements == 0, is exempt; a send with no matching receive
-    # is SPMD001's, only its routing is judged here).
-    for key in sorted(sends):
-        matched = recvs.get(key, [])
-        for k, op in enumerate(sends[key]):
-            if op.elements == 0 or op.edge is None:
+    # Lead correctness: reduction data must go to the lead of the sender's
+    # reduction group -- labels identical except along exactly one
+    # dimension, where the destination sits at coordinate 0 -- and that
+    # lead must hold the node when it posts the paired receive (control
+    # traffic, elements == 0, is exempt; an unpaired send is SPMD001's,
+    # only its routing is judged here).
+    grid = ProcessorGrid(prog.bits)
+    paired_recv = {
+        (src, si): (dst, ri)
+        for (src, dst, _tag), plist in graph.pairs.items()
+        for si, ri in plist
+    }
+    live = _live_at(prog, set(paired_recv.values()))
+    for rank, stream in enumerate(prog.streams):
+        for i, op in enumerate(stream):
+            if not isinstance(op, MSend) or op.elements == 0 or op.edge is None:
                 continue
             src_label = grid.label(op.rank)
             dst_label = grid.label(op.dst)
             diff = [d for d, (a, b) in enumerate(zip(src_label, dst_label)) if a != b]
             to_lead = len(diff) == 1 and dst_label[diff[0]] == 0
-            if to_lead and k < len(matched):
-                to_lead = any(_names_node(held, op.edge) for held in matched[k][1])
+            recv = paired_recv.get((rank, i))
+            if to_lead and recv is not None:
+                to_lead = any(_names_node(held, op.edge) for held in live[recv])
             if not to_lead:
                 diags.append(
                     Diagnostic(
@@ -164,37 +145,68 @@ def verify_schedule(prog: ModelProgram) -> list[Diagnostic]:
                         "reduction group along the aggregated dimension",
                     )
                 )
-
-    # 4. Barrier completeness: every rank must join every episode.
-    for episode in range(max(barriers, default=0)):
-        missing = [r for r, count in enumerate(barriers) if count <= episode]
-        if missing:
-            diags.append(
-                Diagnostic(
-                    "SPMD005",
-                    f"barrier episode {episode} is missing rank(s) {missing}; "
-                    f"participants would wait forever",
-                    hint="every live rank must yield the barrier op",
-                )
-            )
     return diags
+
+
+@dataclass
+class ScheduleVerification:
+    """What the one static pass established about one recorded program."""
+
+    #: The happens-before graph: the program's one FIFO pairing.
+    hb: HBGraph
+    #: The ledger scan: per-rank high-water, leaks.
+    lifetime: LifetimeResult
+    #: SPMD001/002/004, then the graph's MC301/303/304, then MC307.
+    diagnostics: list[Diagnostic]
+
+
+def verify_schedule(
+    prog: ModelProgram,
+    *,
+    declared_bound_elements: int | None = None,
+    mem_cap_bytes: int | None = None,
+) -> ScheduleVerification:
+    """The one static pass over a (possibly mutated) recorded program.
+
+    Pairs every message once (:func:`~repro.analysis.model.hb.build_hb`)
+    and scans the ledger once; SPMD001/002/004 and MC301/303/304 read the
+    pairing, MC307 the scan (against ``declared_bound_elements`` and
+    ``mem_cap_bytes`` when given).  The closed-form volume check (SPMD006)
+    needs the scheduler's declared form and lives in :func:`verify_plan`.
+    """
+    graph = build_hb(prog)
+    lifetime = analyze_lifetime(
+        prog,
+        declared_bound_elements=declared_bound_elements,
+        mem_cap_bytes=mem_cap_bytes,
+    )
+    diags = _pairing_rules(prog, graph) + graph.diagnostics + lifetime.diagnostics
+    return ScheduleVerification(hb=graph, lifetime=lifetime, diagnostics=diags)
 
 
 @dataclass
 class PlanVerification:
     """Outcome of statically verifying one (shape, bits) plan."""
 
+    #: The recorded program (fault-free scenario).
     schedule: ModelProgram
     report: DiagnosticReport
     predicted_volume_elements: int
     closed_form_volume_elements: int
-    predicted_peak_memory_elements: int
     memory_bound_elements: int
     #: Spec of the scheduler whose program was verified.
-    scheduler: str = "fig5"
-    #: The ledger's per-rank high-water (elements); its max is
-    #: ``predicted_peak_memory_elements``.
-    rank_peak_memory_elements: tuple[int, ...] = ()
+    scheduler: str
+    hb: HBGraph
+    lifetime: LifetimeResult
+
+    @property
+    def rank_peak_memory_elements(self) -> tuple[int, ...]:
+        """The ledger's per-rank high-water (elements)."""
+        return self.lifetime.rank_high_water
+
+    @property
+    def predicted_peak_memory_elements(self) -> int:
+        return self.lifetime.max_high_water
 
     @property
     def ok(self) -> bool:
@@ -224,6 +236,49 @@ class PlanVerification:
         return head + "\n" + self.report.format()
 
 
+def _record_and_verify(
+    shape: Sequence[int],
+    bits: Sequence[int],
+    scheduler: object,
+    detection_round: bool,
+    mem_cap_bytes: int | None = None,
+) -> tuple["Scheduler", PlanVerification]:
+    """Record the plan's program once and run the static pass + SPMD006."""
+    from repro.sched import resolve_scheduler
+
+    shape = tuple(shape)
+    bits = tuple(bits)
+    sched = resolve_scheduler(scheduler)
+    sched.validate_shape(shape)
+    prog = sched.symbolic_ops(shape, bits, detection_round=detection_round)
+    bound = sched.declared_memory_bound(shape, bits)
+    static = verify_schedule(prog, declared_bound_elements=bound, mem_cap_bytes=mem_cap_bytes)
+    report = DiagnosticReport(static.diagnostics)
+
+    closed_form = sched.declared_volume(shape, bits)
+    volume = prog.total_elements
+    if volume != closed_form:
+        report.add(
+            Diagnostic(
+                "SPMD006",
+                f"recorded volume {volume} != scheduler {sched.spec!r}'s declared "
+                f"closed form {closed_form}",
+                hint="the scheduler's program and its declared_volume "
+                "disagree on some edge's portion size",
+            )
+        )
+    return sched, PlanVerification(
+        schedule=prog,
+        report=report,
+        predicted_volume_elements=volume,
+        closed_form_volume_elements=closed_form,
+        memory_bound_elements=bound,
+        scheduler=sched.spec,
+        hb=static.hb,
+        lifetime=static.lifetime,
+    )
+
+
 def verify_plan(
     shape: Sequence[int],
     bits: Sequence[int],
@@ -232,65 +287,16 @@ def verify_plan(
 ) -> PlanVerification:
     """Statically verify a partition + scheduler plan.
 
-    Records the scheduler's rank program (``Scheduler.symbolic_ops``), runs
-    every protocol check of :func:`verify_schedule` on it, then checks the
-    closed forms: the recorded element volume must equal the scheduler's
-    declared volume exactly -- Theorem 3 for the default ``fig5`` schedule
-    -- (SPMD006), and the ledger's per-rank high-water must stay within the
-    scheduler's declared memory bound -- Theorem 1/4 for ``fig5`` --
-    (SPMD007).
+    Records the scheduler's rank program (``Scheduler.symbolic_ops``),
+    runs the one static pass (:func:`verify_schedule`, holding the ledger
+    to the scheduler's ``declared_memory_bound`` -- Theorem 1/4 for
+    ``fig5``), then checks that the recorded element volume equals the
+    scheduler's declared volume exactly -- Theorem 3 for the default
+    ``fig5`` schedule -- (SPMD006).
 
     ``scheduler`` is a registered spec or a
     :class:`~repro.sched.base.Scheduler` instance.  ``detection_round``
     verifies the fault-tolerant program instead (barrier + heartbeats);
     schedulers without one reject it.
     """
-    from repro.sched import resolve_scheduler
-
-    shape = tuple(shape)
-    bits = tuple(bits)
-    sched_obj = resolve_scheduler(scheduler)
-    sched_obj.validate_shape(shape)
-    spec = sched_obj.spec
-    prog = sched_obj.symbolic_ops(shape, bits, detection_round=detection_round)
-    report = DiagnosticReport(verify_schedule(prog))
-
-    closed_form = sched_obj.declared_volume(shape, bits)
-    volume = prog.total_elements
-    if volume != closed_form:
-        report.add(
-            Diagnostic(
-                "SPMD006",
-                f"recorded volume {volume} != scheduler {spec!r}'s declared "
-                f"closed form {closed_form}",
-                hint="the scheduler's program and its declared_volume "
-                "disagree on some edge's portion size",
-            )
-        )
-
-    bound = sched_obj.declared_memory_bound(shape, bits)
-    peaks = analyze_lifetime(prog).rank_high_water
-    peak = max(peaks, default=0)
-    if peak > bound:
-        worst = peaks.index(peak)
-        report.add(
-            Diagnostic(
-                "SPMD007",
-                f"ledger peak {peak} elements on rank {worst} exceeds "
-                f"scheduler {spec!r}'s declared memory bound {bound}",
-                rank=worst,
-                hint="free partials as soon as they are shipped or "
-                "written back, or raise the declared bound",
-            )
-        )
-
-    return PlanVerification(
-        schedule=prog,
-        report=report,
-        predicted_volume_elements=volume,
-        closed_form_volume_elements=closed_form,
-        predicted_peak_memory_elements=peak,
-        memory_bound_elements=bound,
-        scheduler=spec,
-        rank_peak_memory_elements=peaks,
-    )
+    return _record_and_verify(shape, bits, scheduler, detection_round)[1]

@@ -435,30 +435,29 @@ def cmd_build(args: argparse.Namespace, out) -> int:
 
 def cmd_query(args: argparse.Namespace, out) -> int:
     """``query``: answer a group-by query from a saved cube."""
+    import numpy as np
+
     from repro.arrays.persist import load_cube
-    from repro.core.lattice import node_size
+    from repro.core.plan import plan_cube
+    from repro.olap.cube import DataCube
+    from repro.olap.query import GroupByQuery, QueryEngine
+    from repro.olap.schema import Schema
 
     aggregates, shape, measure = load_cube(args.cube)
     node = tuple(sorted(args.dims)) if args.dims else ()
     if node and (min(node) < 0 or max(node) >= len(shape)):
         print(f"error: dims out of range for {len(shape)} dimensions", file=out)
         return 2
-    # Smallest materialized cover.
-    best = None
-    for v in aggregates:
-        if set(node) <= set(v):
-            if best is None or node_size(v, shape) < node_size(best, shape):
-                best = v
-    if best is None:
+    schema = Schema.simple(**{f"d{i}": s for i, s in enumerate(shape)})
+    cube = DataCube(schema, plan_cube(shape), aggregates, measure_name=measure)
+    try:
+        result = QueryEngine(cube).execute(GroupByQuery(schema.names_of(node)))
+    except (LookupError, ValueError):
         print("error: no materialized view covers this query", file=out)
         return 2
-    arr = aggregates[best]
-    data = arr.data
-    drop = tuple(i for i, d in enumerate(best) if d not in node)
-    if drop:
-        data = data.sum(axis=drop)
     print(f"group-by over dims {node} (measure={measure}, "
-          f"served from {best}):", file=out)
+          f"served from {schema.node_of(result.served_by)}):", file=out)
+    data = np.asarray(result.values)
     if data.ndim == 0:
         print(f"  {float(data):.4f}", file=out)
     else:
@@ -687,7 +686,7 @@ def cmd_slo(args: argparse.Namespace, out) -> int:
 
 def cmd_check(args: argparse.Namespace, out) -> int:
     """``check``: static plan verification (and optional run lint / gate)."""
-    from repro.analysis import lint_trace, run_gate, verify_plan
+    from repro.analysis import check_model, lint_trace, parse_kill, run_gate, verify_plan
     from repro.core.ordering import apply_order, canonical_order
     from repro.core.partition import greedy_partition
 
@@ -700,13 +699,26 @@ def cmd_check(args: argparse.Namespace, out) -> int:
     else:
         k = args.procs.bit_length() - 1
         bits = greedy_partition(shape, k)
+    # --model records each scenario once: its static result *is* the plan
+    # verification, so the plan is never recorded or checked twice.
     try:
-        verification = verify_plan(
-            shape,
-            bits,
-            detection_round=args.detection_round,
-            scheduler=args.scheduler,
-        )
+        if args.model:
+            result = check_model(
+                shape,
+                bits,
+                scheduler=args.scheduler,
+                detection_round=args.detection_round,
+                kill=parse_kill(args.kill) if args.kill else None,
+                mem_cap_bytes=args.mem_cap,
+            )
+            verification = result.plan
+        else:
+            verification = verify_plan(
+                shape,
+                bits,
+                detection_round=args.detection_round,
+                scheduler=args.scheduler,
+            )
     except ValueError as exc:
         print(f"error: {exc}", file=out)
         return 2
@@ -727,13 +739,7 @@ def cmd_check(args: argparse.Namespace, out) -> int:
                 data, bits, trace=True, collect_results=False,
                 backend=backend, scheduler=args.scheduler,
             )
-        # The trace linter's memory rule checks the Theorem 4 bound, which
-        # is only claimed for the fig5 schedule; other schedulers get the
-        # protocol/timing rules plus verify_plan's declared-bound check.
-        if args.scheduler == "fig5":
-            report = lint_trace(run.metrics, shape=shape, bits=bits)
-        else:
-            report = lint_trace(run.metrics)
+        report = lint_trace(run.metrics, shape=shape, bits=bits, scheduler=args.scheduler)
         measured = run.metrics.comm.total_elements
         match = measured == verification.predicted_volume_elements
         print(
@@ -746,40 +752,16 @@ def cmd_check(args: argparse.Namespace, out) -> int:
         ok = ok and match and report.ok
 
     if args.model:
-        from repro.analysis import check_model, parse_kill
-
-        try:
-            kill = parse_kill(args.kill) if args.kill else None
-            result = check_model(
-                shape,
-                bits,
-                scheduler=args.scheduler,
-                detection_round=args.detection_round,
-                kill=kill,
-                mem_cap_bytes=args.mem_cap,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=out)
-            return 2
+        # The plan's findings were printed above; only exploration is new.
         print(result.certificate(), file=out)
-        print(result.report.format(), file=out)
-        ok = ok and result.report.ok and result.certified
+        print(result.exploration_report.format(), file=out)
+        ok = ok and result.certified
 
     if args.run_trace:
-        report = lint_trace(args.run_trace, shape=shape, bits=bits)
+        report = lint_trace(args.run_trace, shape=shape, bits=bits, scheduler=args.scheduler)
         print(f"lint of exported trace {args.run_trace}:", file=out)
         print(report.format(), file=out)
         ok = ok and report.ok
-        if args.model:
-            from repro.analysis import crosscheck_trace
-
-            parity = crosscheck_trace(args.run_trace)
-            print(
-                f"lint vs model happens-before on {args.run_trace}:",
-                file=out,
-            )
-            print(parity.describe(), file=out)
-            ok = ok and parity.agree
 
     if args.gate:
         from pathlib import Path
@@ -1070,8 +1052,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --model: also require every rank's static "
                         "memory high-water to fit in BYTES")
     p.add_argument("--kill", default=None, metavar="RANK@OP",
-                   help="with --model: check one fault scenario (crash RANK "
-                        "before its OP-th model op) instead of the "
+                   help="with --model: also explore one fault scenario "
+                        "(crash RANK before its OP-th model op) after the "
                         "fault-free program")
     p.add_argument("--gate", action="store_true",
                    help="also run the in-repo static-analysis gate over src")

@@ -15,8 +15,8 @@ which a deterministic simulator measures directly.
   groups.
 - :mod:`repro.cluster.network` -- message transport with byte accounting.
 - :mod:`repro.cluster.runtime` -- the deterministic SPMD scheduler.
-- :mod:`repro.cluster.collectives` -- reduce-to-lead / gather / bcast /
-  barrier built on point-to-point sends.
+- :mod:`repro.cluster.collectives` -- reduce-to-lead (flat, binomial,
+  chunked, reliable) built on point-to-point sends.
 - :mod:`repro.cluster.metrics` -- per-run measurement containers.
 - :mod:`repro.cluster.faults` -- deterministic fault injection
   (crashes, drops/duplications, NIC degradation, stragglers).

@@ -4,8 +4,9 @@ The paper's parallel algorithm needs one collective: combine the partial
 results of a reduction group onto its *lead* processor.  Two implementations
 are provided -- the flat gather-to-lead the paper describes, and a
 binomial-tree reduction with the same total volume but logarithmic depth
-(the T-comm ablation compares them).  ``bcast`` / ``gather`` / ``allgather``
-round out the substrate for tests and examples.
+(the T-comm ablation compares them) -- plus two variants of the flat one:
+a slab-chunked reduction (the paper's buffer-size tradeoff) and an
+acknowledged, retrying one that survives dropped payloads.
 
 All of these are generator helpers: call them with ``yield from`` inside a
 rank program.  Numeric payloads are numpy arrays (or objects with
@@ -201,57 +202,6 @@ def reduce_binomial(
     return acc if me == 0 else None
 
 
-def bcast(
-    env: RankEnv, group: Sequence[int], value: Any, tag: int
-) -> Generator[Op, Any, Any]:
-    """Flat broadcast from ``group[0]``; returns the value everywhere."""
-    group = list(group)
-    root = group[0]
-    if env.rank == root:
-        for dst in group[1:]:
-            if env.tracer.enabled:
-                _note_send(env, dst, tag, value)
-            yield env.send(dst, value, tag)
-        return value
-    return (yield env.recv(root, tag))
-
-
-def gather(
-    env: RankEnv, group: Sequence[int], value: Any, tag: int
-) -> Generator[Op, Any, Any]:
-    """Gather values to ``group[0]``; returns the list there, None elsewhere."""
-    group = list(group)
-    root = group[0]
-    if env.rank != root:
-        if env.tracer.enabled:
-            _note_send(env, root, tag, value)
-        yield env.send(root, value, tag)
-        return None
-    out = [value]
-    for src in group[1:]:
-        out.append((yield env.recv(src, tag)))
-    return out
-
-
-def allgather(
-    env: RankEnv, group: Sequence[int], value: Any, tag: int
-) -> Generator[Op, Any, Any]:
-    """Gather to the group's first rank then broadcast the list back."""
-    gathered = yield from gather(env, group, value, tag)
-    if env.rank == group[0]:
-        # Lists have no nbytes; ship as a tuple of arrays via repeated sends.
-        for dst in list(group)[1:]:
-            for item in gathered:
-                if env.tracer.enabled:
-                    _note_send(env, dst, tag + 1, item)
-                yield env.send(dst, item, tag + 1)
-        return gathered
-    out = []
-    for _ in group:
-        out.append((yield env.recv(group[0], tag + 1)))
-    return out
-
-
 def reduce_to_lead_chunked(
     env: RankEnv,
     group: Sequence[int],
@@ -314,13 +264,3 @@ def reduce_to_lead_chunked(
     finally:
         env.free(("recvbuf", tag))
     return value
-
-
-def reduce_scalar_sum(
-    env: RankEnv, group: Sequence[int], value: float, tag: int
-) -> Generator[Op, Any, Any]:
-    """Sum a scalar across a group onto the lead (wraps it in a 1-element
-    array so byte accounting stays uniform)."""
-    arr = np.array([value], dtype=np.float64)
-    out = yield from reduce_to_lead(env, group, arr, tag)
-    return None if out is None else float(out[0])

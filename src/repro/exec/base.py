@@ -1,17 +1,14 @@
 """The :class:`Backend` protocol every executor implements.
 
 A backend is an interpreter for SPMD rank programs -- generator functions
-yielding the op vocabulary of :mod:`repro.cluster.runtime`.  The protocol
-has two halves:
-
-- the *op vocabulary* (:meth:`Backend.send`, :meth:`Backend.recv`,
-  :meth:`Backend.barrier`, :meth:`Backend.reduce_to_lead`): backend-neutral
-  constructors programs use to describe communication;
-- the *executor* (:meth:`Backend.spawn_ranks`): runs one program factory on
-  ``num_ranks`` ranks and returns :class:`~repro.cluster.metrics.RunMetrics`
-  in the shared vocabulary (comm counters, per-rank clocks, trace events),
-  so analyzers like :func:`repro.analysis.lint_trace.lint_trace` work on
-  any backend's runs.
+yielding the op vocabulary of :mod:`repro.cluster.runtime`, which programs
+build through their :class:`~repro.cluster.runtime.RankEnv` (``env.send``,
+``env.recv``, ...) and the collectives of :mod:`repro.cluster.collectives`.
+Its executor, :meth:`Backend.spawn_ranks`, runs one program factory on
+``num_ranks`` ranks and returns :class:`~repro.cluster.metrics.RunMetrics`
+in the shared vocabulary (comm counters, per-rank clocks, trace events),
+so analyzers like :func:`repro.analysis.lint_trace.lint_trace` work on any
+backend's runs.
 
 Hooks with sensible defaults: :attr:`Backend.timeouts` tells rank programs
 which :class:`~repro.cluster.runtime.TimeoutPolicy` to shape their receive
@@ -37,19 +34,10 @@ from __future__ import annotations
 import abc
 from typing import TYPE_CHECKING, Any, Callable, Generator, Sequence
 
-from repro.cluster import collectives
 from repro.cluster.faults import FaultPlan
 from repro.cluster.machine import MachineModel
 from repro.cluster.metrics import RunMetrics
-from repro.cluster.runtime import (
-    BarrierOp,
-    Op,
-    RankEnv,
-    RecvOp,
-    SendOp,
-    SIMULATED_TIMEOUTS,
-    TimeoutPolicy,
-)
+from repro.cluster.runtime import Op, RankEnv, SIMULATED_TIMEOUTS, TimeoutPolicy
 from repro.obs.live import LiveRunView
 
 if TYPE_CHECKING:
@@ -64,8 +52,8 @@ class Backend(abc.ABC):
     """One way of executing SPMD rank programs.
 
     Subclasses implement :meth:`spawn_ranks` (and usually override
-    :attr:`timeouts`); the op-vocabulary constructors are shared, which is
-    what keeps programs backend-portable.
+    :attr:`timeouts`); every backend interprets the same op vocabulary,
+    which is what keeps programs backend-portable.
 
     Robustness options are **capability-declared**, not policy-hard-coded:
     a backend states which :class:`~repro.cluster.faults.FaultPlan` kinds
@@ -98,50 +86,6 @@ class Backend(abc.ABC):
     def unsupported_fault_kinds(self, plan: FaultPlan) -> tuple[str, ...]:
         """Fault kinds ``plan`` uses that this backend cannot honor."""
         return tuple(sorted(plan.kinds() - self.fault_capabilities))
-
-    # -- op vocabulary -------------------------------------------------------
-
-    @staticmethod
-    def send(dst: int, payload: Any, tag: int = 0) -> SendOp:
-        """Op: ship ``payload`` to rank ``dst`` under ``tag``."""
-        return SendOp(dst=dst, tag=tag, payload=payload)
-
-    @staticmethod
-    def recv(src: int, tag: int = 0, timeout: float | None = None) -> RecvOp:
-        """Op: receive the next ``(src, tag)`` message (optional timeout)."""
-        return RecvOp(src=src, tag=tag, timeout=timeout)
-
-    @staticmethod
-    def barrier() -> BarrierOp:
-        """Op: wait until every live rank reaches the barrier."""
-        return BarrierOp()
-
-    @staticmethod
-    def reduce_to_lead(
-        env: RankEnv,
-        group: Sequence[int],
-        value: Any,
-        tag: int,
-        combine: Callable[[Any, Any], Any] | None = None,
-        element_ops: float | None = None,
-    ) -> Generator[Op, Any, Any]:
-        """The paper's collective: combine a reduction group onto its lead.
-
-        A generator helper (``yield from`` it inside a rank program); the
-        flat gather-to-lead of :func:`repro.cluster.collectives.reduce_to_lead`
-        with the same deterministic combine order on every backend.
-        """
-        if combine is None:
-            return (
-                yield from collectives.reduce_to_lead(
-                    env, group, value, tag, element_ops=element_ops
-                )
-            )
-        return (
-            yield from collectives.reduce_to_lead(
-                env, group, value, tag, combine=combine, element_ops=element_ops
-            )
-        )
 
     # -- executor ------------------------------------------------------------
 

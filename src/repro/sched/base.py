@@ -188,8 +188,9 @@ class Scheduler(abc.ABC):
         Runs :meth:`rank_program` under the clockless recorder
         (:func:`repro.analysis.model.record.record_program`): every send,
         receive, barrier, and alloc/free the real generator performs, per
-        rank and in program order.  ``verify_plan`` (SPMD001-007) and the
-        model checker (MC301-307) both consume the result, so a scheduler
+        rank and in program order.  ``verify_plan`` (one static pass plus
+        SPMD006) and the model checker (that pass plus exploration) both
+        consume the result, so a scheduler
         that implements :meth:`rank_program` is verified with no further
         code.  ``kill`` crashes one rank at a model-op index;
         ``detection_round`` records :meth:`rank_program_ft` instead

@@ -28,11 +28,12 @@ import numpy as np
 from repro.core.lattice import Node
 from repro.olap.query import (
     BASE,
+    AxisReduce,
     CanonicalQuery,
     QueryEngine,
     QueryResult,
+    finish_from_partial,
     scan_cells_after_reduce,
-    sum_axes_descending,
 )
 
 
@@ -58,6 +59,7 @@ def _finish_group(
     data: np.ndarray,
     mentioned: Node,
     group: list[CanonicalQuery],
+    reduce: AxisReduce,
 ) -> tuple[list[np.ndarray | float], int]:
     """Answer a point-vectorizable group in one gather.
 
@@ -92,7 +94,7 @@ def _finish_group(
             rest_index.append(slice(None))
     block = gathered[tuple(rest_index)]
     cells = int(block.size)
-    block = sum_axes_descending(block, sum_axes)
+    block = reduce(block, sum_axes)
     values: list[np.ndarray | float] = []
     for g in range(len(group)):
         out = block[g]
@@ -116,8 +118,6 @@ def run_batch(
     to what :meth:`QueryEngine.execute` reports for the same query -- while
     the report's ``cells_scanned_actual`` reflects the sharing.
     """
-    from repro.olap.query import finish_from_partial
-
     resolve = resolve_cover or engine.resolve_cover
     schema = engine.cube.schema
     report = BatchReport(queries=len(canonical))
@@ -167,7 +167,7 @@ def run_batch(
         if len(members) > 1 and point_dims:
             report.vectorized_groups += 1
             group = [order[i] for i in members]
-            values, cells = _finish_group(data, mentioned, group)
+            values, cells = _finish_group(data, mentioned, group, engine.reduce_axes)
             report.cells_scanned_actual += cells
             for i, val in zip(members, values):
                 standalone = reduce_cells + scan_cells_after_reduce(
@@ -176,7 +176,9 @@ def run_batch(
                 answers[i] = QueryResult(val, served, standalone, fallback)
         else:
             for i in members:
-                val, cells = finish_from_partial(data, mentioned, order[i])
+                val, cells = finish_from_partial(
+                    data, mentioned, order[i], engine.reduce_axes
+                )
                 report.cells_scanned_actual += cells
                 answers[i] = QueryResult(
                     val, served, reduce_cells + cells, fallback

@@ -164,6 +164,46 @@ class TestMemoryRule:
         report = lint_trace(clean_metrics)
         assert all(d.rule != "TRACE104" for d in report)
 
+    def test_each_scheduler_is_held_to_its_own_bound(self, tmp_path):
+        # Regression: every run was held to fig5's Theorem 4 bound, so a
+        # shuffle build -- whose map phase legitimately holds every
+        # target's portion -- failed with one TRACE104 per rank.
+        import io
+
+        from repro.cli import main
+        from repro.core.memory_model import parallel_memory_bound_exact
+        from repro.obs import write_chrome_trace
+
+        shape, bits = (16, 12, 8, 8), (2, 1, 0, 0)
+        run = construct_cube_parallel(
+            np.arange(np.prod(shape), dtype=float).reshape(shape), bits,
+            scheduler="shuffle", trace=True, collect_results=False,
+        )
+        assert max(run.metrics.rank_peak_memory_elements) > (
+            parallel_memory_bound_exact(shape, bits)
+        )
+        path = write_chrome_trace(run.metrics, tmp_path / "shuffle.json")
+        out = io.StringIO()
+        code = main(
+            ["check", "--shape", "16,12,8,8", "--procs", "8",
+             "--scheduler", "shuffle", "--run-trace", str(path)],
+            out=out,
+        )
+        assert code == 0, out.getvalue()
+        assert "TRACE104" not in out.getvalue()
+
+    def test_fig5_run_above_its_bound_still_fires(self, clean_metrics, monkeypatch):
+        from repro.sched import Fig5Scheduler
+
+        peak = max(clean_metrics.rank_peak_memory_elements)
+        monkeypatch.setattr(
+            Fig5Scheduler, "declared_memory_bound", lambda self, shape, bits: peak - 1
+        )
+        hits = [d for d in lint_trace(clean_metrics, shape=SHAPE, bits=BITS)
+                if d.rule == "TRACE104"]
+        assert hits
+        assert all(f"the Theorem 1/4 bound of {peak - 1}" in d.message for d in hits)
+
 
 class TestRecoveryRules:
     def test_unrecovered_crash_fires_trace106(self):

@@ -106,24 +106,25 @@ class TestSeededDefects:
         return ft_program((4, 4, 2), (1, 1, 0))
 
     def test_clean_schedule_has_zero_diagnostics(self, sched):
-        assert verify_schedule(sched) == []
+        assert verify_schedule(sched).diagnostics == []
 
     @pytest.mark.parametrize(
         "kind,rule",
         [
             ("dropped-recv", "SPMD001"),
-            ("tag-collision", "SPMD003"),
+            ("tag-collision", "MC301"),
             ("wrong-lead", "SPMD004"),
-            ("barrier-skip", "SPMD005"),
+            ("barrier-skip", "MC303"),
         ],
     )
     def test_each_defect_class_is_flagged(self, sched, kind, rule):
-        diags = verify_schedule(seed_model_defect(sched, kind))
+        # One rule per defect: the static pass proves each property once.
+        diags = verify_schedule(seed_model_defect(sched, kind)).diagnostics
         assert diags, kind
         assert any(d.rule == rule for d in diags), (kind, [d.format() for d in diags])
 
     def test_dropped_recv_points_at_the_channel(self, sched):
-        diags = verify_schedule(seed_model_defect(sched, "dropped-recv"))
+        diags = verify_schedule(seed_model_defect(sched, "dropped-recv")).diagnostics
         d = next(d for d in diags if d.rule == "SPMD001")
         assert d.severity == "error"
         assert d.edge is not None
@@ -146,7 +147,7 @@ class TestSeededDefects:
             for op in streams[send.dst]
             if not (isinstance(op, (MAlloc, MFree)) and op.key == send.edge)
         )
-        diags = verify_schedule(replace(clean, streams=tuple(streams)))
+        diags = verify_schedule(replace(clean, streams=tuple(streams))).diagnostics
         assert [d.rule for d in diags] == ["SPMD004"]
         assert (diags[0].rank, diags[0].edge) == (send.dst, send.edge)
 
@@ -186,12 +187,12 @@ class TestDefectProperty:
         shape, bits = case
         assume(not (kind == "wrong-lead" and 2 ** sum(bits) < 3))
         sched = ft_program(shape, bits)
-        assert verify_schedule(sched) == []
+        assert verify_schedule(sched).diagnostics == []
         # The full plan check also proves Theorem 3 / Theorem 4 hold.
         assert verify_plan(shape, bits, detection_round=True).ok
-        diags = verify_schedule(seed_model_defect(sched, kind))
+        diags = verify_schedule(seed_model_defect(sched, kind)).diagnostics
         assert diags, (shape, bits, kind)
-        assert all(d.rule.startswith("SPMD") for d in diags)
+        assert all(d.rule.startswith(("SPMD", "MC")) for d in diags)
         assert all(d.severity == "error" for d in diags)
 
 
@@ -202,25 +203,25 @@ class TestClosedFormRules:
         assert not v.ok
         assert [d.rule for d in v.report.errors] == ["SPMD006"]
 
-    def test_memory_bound_excess_fires_spmd007(self, monkeypatch):
+    def test_memory_bound_excess_fires_mc307(self, monkeypatch):
         monkeypatch.setattr(
             Fig5Scheduler, "declared_memory_bound", lambda self, shape, bits: 0
         )
         v = verify_plan((4, 4), (1, 1))
         assert not v.ok
-        assert [d.rule for d in v.report.errors] == ["SPMD007"]
-        assert v.report.errors[0].rank is not None
+        # One MC307 per rank over the bound, each naming its rank.
+        assert [d.rule for d in v.report.errors] == ["MC307"] * v.schedule.num_ranks
+        assert [d.rank for d in v.report.errors] == list(range(v.schedule.num_ranks))
 
-    def test_inflated_alloc_fires_spmd007_through_the_ledger(self):
-        # SPMD007 reads the same ledger MC307 does: a seeded inflation
-        # pushes the recorded high-water past the Theorem 4 bound.
-        from repro.analysis.model import analyze_lifetime
-
+    def test_inflated_alloc_fires_mc307_through_the_ledger(self):
+        # The static pass holds the ledger to the declared bound: a seeded
+        # inflation pushes the recorded high-water past Theorem 4.
         prog = get_scheduler("fig5").symbolic_ops((4, 4), (1, 1))
         bad = seed_model_defect(prog, "inflated-alloc")
         bound = parallel_memory_bound_exact((4, 4), (1, 1))
-        assert max(analyze_lifetime(prog).rank_high_water) <= bound
-        assert max(analyze_lifetime(bad).rank_high_water) > bound
+        assert verify_schedule(prog, declared_bound_elements=bound).diagnostics == []
+        diags = verify_schedule(bad, declared_bound_elements=bound).diagnostics
+        assert {d.rule for d in diags} == {"MC307"}
 
 
 class TestScheduleShape:

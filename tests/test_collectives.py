@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.cluster.collectives import (
-    allgather,
-    bcast,
-    gather,
-    reduce_binomial,
-    reduce_scalar_sum,
-    reduce_to_lead,
-)
+from repro.cluster.collectives import reduce_binomial, reduce_to_lead
 from repro.cluster.runtime import run_spmd
 
 
@@ -125,43 +118,3 @@ class TestReduceBinomial:
         t_flat = run_collective(n, flat).makespan_s
         t_binom = run_collective(n, binom).makespan_s
         assert t_binom < t_flat
-
-
-class TestBcastGather:
-    def test_bcast(self):
-        def body(env):
-            value = np.array([99.0]) if env.rank == 0 else None
-            out = yield from bcast(env, [0, 1, 2], value, tag=0)
-            return float(out[0])
-
-        metrics = run_collective(3, body)
-        assert metrics.rank_results == [99.0, 99.0, 99.0]
-
-    def test_gather(self):
-        def body(env):
-            out = yield from gather(env, [0, 1, 2], np.array([float(env.rank)]), tag=0)
-            return None if out is None else [float(x[0]) for x in out]
-
-        metrics = run_collective(3, body)
-        assert metrics.rank_results[0] == [0.0, 1.0, 2.0]
-        assert metrics.rank_results[1] is None
-
-    def test_allgather(self):
-        def body(env):
-            out = yield from allgather(
-                env, [0, 1, 2], np.array([float(env.rank)]), tag=0
-            )
-            return [float(x[0]) for x in out]
-
-        metrics = run_collective(3, body)
-        for r in range(3):
-            assert metrics.rank_results[r] == [0.0, 1.0, 2.0]
-
-    def test_reduce_scalar_sum(self):
-        def body(env):
-            out = yield from reduce_scalar_sum(env, [0, 1, 2, 3], env.rank + 0.5, tag=0)
-            return out
-
-        metrics = run_collective(4, body)
-        assert metrics.rank_results[0] == pytest.approx(8.0)
-        assert metrics.rank_results[1] is None

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import lint_trace
-from repro.analysis.model.hb import crosscheck_trace
+from repro.analysis.model.hb import hb_from_trace
 from repro.cluster.faults import FaultPlan
 from repro.cluster.runtime import run_spmd
 from repro.core.config import BuildConfig
@@ -171,7 +171,10 @@ class TestLoadRun:
         live = lint_trace(metrics)
         assert [d.rule for d in live if d.severity != "info"] == fires
         assert lint_trace(path).diagnostics == live.diagnostics
-        assert crosscheck_trace(path) == crosscheck_trace(metrics)
+        # ... because the export preserves the pairing TRACE101/102 read.
+        exported, recorded = hb_from_trace(path), hb_from_trace(metrics)
+        assert exported.pairs == recorded.pairs
+        assert exported.unmatched_sends == recorded.unmatched_sends
 
     @pytest.mark.parametrize("write", WRITERS)
     def test_a_v1_export_is_rejected_naming_both_versions(

@@ -289,10 +289,10 @@ class TestVerifyPlanSchedulerMode:
         from repro.analysis import seed_model_defect, verify_schedule
 
         sym = get_scheduler("shuffle").symbolic_ops((8, 6, 4), (1, 1, 0))
-        assert not verify_schedule(sym)
+        assert not verify_schedule(sym).diagnostics
         for kind in ("dropped-recv", "tag-collision", "wrong-lead"):
             mutated = seed_model_defect(sym, kind)
-            assert verify_schedule(mutated), f"{kind} not caught"
+            assert verify_schedule(mutated).diagnostics, f"{kind} not caught"
 
     def test_shuffle_intermediate_rounds_are_lead_checked(self):
         # Every data send of a multi-round shuffle reduction -- not only
@@ -304,7 +304,7 @@ class TestVerifyPlanSchedulerMode:
         prog = get_scheduler("shuffle").symbolic_ops((4, 4, 4), (1, 1, 0))
         data = [op for s in prog.streams for op in s if isinstance(op, MSend)]
         assert data and all(op.edge is not None for op in data)
-        assert not verify_schedule(prog)
+        assert not verify_schedule(prog).diagnostics
 
     def test_check_model_accepts_a_scheduler_instance(self):
         # Regression: check_model resolved its scheduler with
