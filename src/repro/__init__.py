@@ -132,7 +132,7 @@ def _version() -> str:
 
         return version("repro")
     except Exception:
-        return "6.0.0"
+        return "6.0.1"
 
 
 __version__ = _version()

@@ -71,8 +71,10 @@ def _shape_only_reduce(data: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     return np.broadcast_to(0.0, kept)
 
 
-def _no_scatter(flat: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    return None
+def _no_scatter(
+    acc: np.ndarray | None, idx: np.ndarray, values: np.ndarray, size: int
+) -> np.ndarray:
+    return np.broadcast_to(0.0, (size,))
 
 
 def _no_combine(acc: np.ndarray, other: np.ndarray) -> np.ndarray:

@@ -3,26 +3,28 @@
 These are the inner loops of cube construction.  Two paths:
 
 - dense -> dense: plain ``numpy.sum`` over the dropped axes;
-- sparse -> dense: decode each chunk's non-zeros to coordinates, project out
-  the aggregated dimensions, and scatter-add with ``numpy.bincount`` (the
-  vectorized equivalent of the per-element update loop in the paper's
-  middleware).
+- sparse -> dense: decode a slab of each chunk's non-zeros to coordinates,
+  project out the aggregated dimensions, and scatter-add with
+  ``numpy.bincount`` (the vectorized equivalent of the per-element update
+  loop in the paper's middleware).
 
 The paper's first aggregation level reads the sparse initial array once and
 updates *all* first-level children simultaneously; :func:`aggregate_sparse_multi`
-supports that access pattern by decoding coordinates once per chunk and
-reusing them for every target.
+supports that access pattern by decoding coordinates once per slab and
+reusing them for every target.  No ``(nnz, ndim)`` coordinate matrix of a
+whole chunk is ever built, so the kernel's temporaries stay bounded per rank.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
 from repro.arrays.dense import DenseArray, DEFAULT_DTYPE
 from repro.arrays.measures import Measure, SUM, get_measure
-from repro.arrays.sparse import SparseArray
+from repro.arrays.sparse import SparseArray, SparseChunk
 
 
 def project_axes(dims: Sequence[int], keep: Sequence[int]) -> tuple[int, ...]:
@@ -57,6 +59,51 @@ def aggregate_dense(
     return DenseArray(np.asarray(out), target_dims)
 
 
+#: Facts decoded per slab by the sparse kernel: its coordinate and index
+#: temporaries are bounded by this, never by a chunk's nnz.
+_SLAB = 1 << 18
+
+
+def _aggregate_sparse(
+    arr: SparseArray,
+    dims: Sequence[int],
+    targets: Sequence[Sequence[int]],
+    out_shapes: Sequence[Sequence[int]],
+    dtype,
+    measure: Measure | str,
+) -> list[DenseArray]:
+    """The sparse kernel: every target's aggregate from one scan of ``arr``.
+
+    Each chunk is decoded in slabs of :data:`_SLAB` facts, and every target
+    folds a slab in before the next is decoded.  For SUM and COUNT a
+    target's first ``bincount`` is its output array and later slabs add
+    into it; a target no fact reaches comes back identity-filled.
+    """
+    measure = get_measure(measure)
+    keep = [project_axes(dims, t) for t in targets]
+    sizes = [math.prod(shape) for shape in out_shapes]
+    accs: list[np.ndarray | None] = [None] * len(targets)
+    for chunk in arr.iter_chunks():
+        origin = np.asarray(chunk.origin, dtype=np.int64)
+        for lo in range(0, chunk.nnz, _SLAB):
+            sl = slice(lo, lo + _SLAB)
+            slab = SparseChunk(chunk.origin, chunk.shape, chunk.offsets[sl], chunk.values[sl])
+            coords = slab.local_coords()
+            coords += origin
+            for i, (axes, shape) in enumerate(zip(keep, out_shapes)):
+                # In place: the slab's only per-target temporary is ``idx``.
+                idx = np.zeros(slab.nnz, dtype=np.int64)
+                for axis, s in zip(axes, shape, strict=True):
+                    idx *= s
+                    idx += coords[:, axis]
+                accs[i] = measure.scatter(accs[i], idx, slab.values, sizes[i])
+    outs = []
+    for t, shape, size, acc in zip(targets, out_shapes, sizes, accs):
+        acc = measure.new_accumulator(size, dtype) if acc is None else acc.astype(dtype, copy=False)
+        outs.append(DenseArray(acc.reshape(shape), t))
+    return outs
+
+
 def aggregate_sparse_to_dense(
     arr: SparseArray,
     dims: Sequence[int],
@@ -83,29 +130,9 @@ def aggregate_sparse_to_dense(
         Any distributive measure (default SUM).  Aggregation ranges over
         the stored facts; empty groups take the measure's identity.
     """
-    measure = get_measure(measure)
-    dims = tuple(dims)
-    target_dims = tuple(target_dims)
-    keep_axes = project_axes(dims, target_dims)
     if dim_sizes is None:
-        out_shape = tuple(arr.shape[a] for a in keep_axes)
-    else:
-        out_shape = tuple(dim_sizes)
-    out_size = 1
-    for s in out_shape:
-        out_size *= s
-    flat = measure.new_accumulator(out_size, dtype=dtype)
-    for chunk in arr.iter_chunks():
-        if chunk.nnz == 0:
-            continue
-        coords = chunk.global_coords()
-        idx = np.zeros(chunk.nnz, dtype=np.int64)
-        for axis, s in zip(keep_axes, out_shape, strict=True):
-            idx = idx * s + coords[:, axis]
-        measure.scatter(flat, idx, chunk.values)
-    if not out_shape:
-        return DenseArray(flat.reshape(()), ())
-    return DenseArray(flat.reshape(out_shape), target_dims)
+        dim_sizes = [arr.shape[a] for a in project_axes(dims, target_dims)]
+    return _aggregate_sparse(arr, dims, [target_dims], [tuple(dim_sizes)], dtype, measure)[0]
 
 
 def aggregate_sparse_multi(
@@ -117,35 +144,8 @@ def aggregate_sparse_multi(
 ) -> list[DenseArray]:
     """Aggregate a sparse array onto several target dimension sets at once.
 
-    This mirrors the paper's cache-reuse discipline: each chunk of the input
+    This mirrors the paper's cache-reuse discipline: each slab of the input
     is decoded once and all children are updated from it before moving on.
     """
-    measure = get_measure(measure)
-    dims = tuple(dims)
-    targets = [tuple(t) for t in targets]
-    plans = []
-    for t in targets:
-        keep_axes = project_axes(dims, t)
-        out_shape = tuple(arr.shape[a] for a in keep_axes)
-        out_size = 1
-        for s in out_shape:
-            out_size *= s
-        plans.append(
-            (t, keep_axes, out_shape, measure.new_accumulator(out_size, dtype=dtype))
-        )
-    for chunk in arr.iter_chunks():
-        if chunk.nnz == 0:
-            continue
-        coords = chunk.global_coords()
-        for t, keep_axes, out_shape, flat in plans:
-            idx = np.zeros(chunk.nnz, dtype=np.int64)
-            for axis, s in zip(keep_axes, out_shape, strict=True):
-                idx = idx * s + coords[:, axis]
-            measure.scatter(flat, idx, chunk.values)
-    results = []
-    for t, _keep, out_shape, flat in plans:
-        if not out_shape:
-            results.append(DenseArray(flat.reshape(()), ()))
-        else:
-            results.append(DenseArray(flat.reshape(out_shape), t))
-    return results
+    out_shapes = [tuple(arr.shape[a] for a in project_axes(dims, t)) for t in targets]
+    return _aggregate_sparse(arr, dims, targets, out_shapes, dtype, measure)

@@ -37,8 +37,11 @@ class Measure:
         ``(data, axes) -> ndarray``: aggregate a dense array over ``axes``
         (empty ``axes`` returns a copy).
     scatter:
-        ``(flat_out, idx, values) -> None``: fold fact ``values`` into the
-        1-d ``flat_out`` at positions ``idx`` (repeats allowed).
+        ``(acc, idx, values, size) -> acc``: fold fact ``values`` into the
+        1-d accumulator of ``size`` cells at positions ``idx`` (repeats
+        allowed) and return it.  ``acc`` is ``None`` before the first fold:
+        SUM and COUNT then return their ``bincount`` itself, MIN and MAX an
+        identity-filled array updated in place.
     combine:
         ``(acc, other) -> acc``: elementwise in-place merge of two partial
         arrays of identical shape.
@@ -50,7 +53,7 @@ class Measure:
     name: str
     identity: float
     reduce_dense: Callable[[np.ndarray, tuple], np.ndarray]
-    scatter: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+    scatter: Callable[[np.ndarray | None, np.ndarray, np.ndarray, int], np.ndarray]
     combine: Callable[[np.ndarray, np.ndarray], np.ndarray]
     transform_values: Callable[[np.ndarray], np.ndarray] | None = None
     rollup_name: str | None = None
@@ -74,13 +77,14 @@ def _sum_reduce(data: np.ndarray, axes: tuple) -> np.ndarray:
     return data.sum(axis=axes) if axes else data.copy()
 
 
-def _sum_scatter(flat: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    flat += np.bincount(idx, weights=values, minlength=flat.size)
-
-
 def _sum_combine(acc: np.ndarray, other: np.ndarray) -> np.ndarray:
     acc += other
     return acc
+
+
+def _sum_scatter(acc, idx: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    part = np.bincount(idx, weights=values, minlength=size)
+    return part if acc is None else _sum_combine(acc, part)
 
 
 def _count_reduce(data: np.ndarray, axes: tuple) -> np.ndarray:
@@ -89,16 +93,19 @@ def _count_reduce(data: np.ndarray, axes: tuple) -> np.ndarray:
     return ones.sum(axis=axes) if axes else ones
 
 
-def _count_scatter(flat: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    flat += np.bincount(idx, minlength=flat.size)
+def _count_scatter(acc, idx: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    part = np.bincount(idx, minlength=size)
+    return part.astype(np.float64) if acc is None else _sum_combine(acc, part)
 
 
 def _min_reduce(data: np.ndarray, axes: tuple) -> np.ndarray:
     return data.min(axis=axes) if axes else data.copy()
 
 
-def _min_scatter(flat: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    np.minimum.at(flat, idx, values)
+def _min_scatter(acc, idx: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    acc = MIN.new_accumulator(size) if acc is None else acc
+    np.minimum.at(acc, idx, values)
+    return acc
 
 
 def _min_combine(acc: np.ndarray, other: np.ndarray) -> np.ndarray:
@@ -110,8 +117,10 @@ def _max_reduce(data: np.ndarray, axes: tuple) -> np.ndarray:
     return data.max(axis=axes) if axes else data.copy()
 
 
-def _max_scatter(flat: np.ndarray, idx: np.ndarray, values: np.ndarray) -> None:
-    np.maximum.at(flat, idx, values)
+def _max_scatter(acc, idx: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    acc = MAX.new_accumulator(size) if acc is None else acc
+    np.maximum.at(acc, idx, values)
+    return acc
 
 
 def _max_combine(acc: np.ndarray, other: np.ndarray) -> np.ndarray:

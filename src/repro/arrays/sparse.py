@@ -124,6 +124,44 @@ def _sorted_summed(
     return keys, values
 
 
+def _merge_runs(
+    runs: list[np.ndarray], kept: list[tuple[np.ndarray, np.ndarray | None]]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Merge sorted per-chunk offset runs and their values into one run.
+
+    ``runs[i]`` is a chunk's re-based offsets, already masked by ``keep`` in
+    ``kept[i] = (values, keep)`` (``None`` keeps every value), so masked
+    values are gathered only when placed.  Each run is tagged in place with
+    its index in the low bits; the runs are concatenated, released and
+    sorted, and a stable argsort of the tags lists each run's sorted
+    positions in run order.  The result is :func:`_sorted_summed` of the
+    concatenated runs (equal offsets summed in run order) at half its
+    transient memory.  Both lists are consumed.
+    """
+    if len(runs) < 2:
+        values, keep = kept.pop() if kept else (np.empty(0, dtype=VALUE_DTYPE), None)
+        offsets = runs.pop() if runs else np.empty(0, dtype=OFFSET_DTYPE)
+        return _sorted_summed(offsets, values if keep is None else values[keep])
+    bits = (len(runs) - 1).bit_length()
+    bounds = np.cumsum([run.size for run in runs[:-1]])
+    for i in range(len(runs)):
+        runs[i] <<= bits
+        runs[i] |= i
+    keys = np.concatenate(runs)
+    runs.clear()
+    keys.sort(kind="stable")
+    tags = (keys & ((1 << bits) - 1)).astype(np.min_scalar_type(len(kept) - 1))
+    order = np.argsort(tags, kind="stable")
+    del tags
+    keys >>= bits
+    merged = np.empty(keys.size, dtype=kept[0][0].dtype)
+    for at, (values, keep) in zip(np.split(order, bounds), kept):
+        merged[at] = values if keep is None else values[keep]
+    kept.clear()
+    del order, at
+    return _sorted_summed(keys, merged)
+
+
 def _quotient(chunk: SparseChunk, step: int) -> np.ndarray:
     return chunk.offsets if step == 1 else chunk.offsets // step
 
@@ -354,7 +392,7 @@ class SparseArray:
         empty) with strictly increasing offsets: each intersecting chunk's
         offsets are re-based into the block frame (only chunks that
         straddle the block boundary are masked) and the per-chunk runs are
-        merged by one stable sort.  A block covered by a single chunk
+        merged by :func:`_merge_runs`.  A block covered by a single chunk
         shares that chunk's ``values``; inputs are immutable by contract.
         """
         lows = []
@@ -371,8 +409,8 @@ class SparseArray:
             # Empty block: no chunks, zero nnz.
             return SparseArray(sub_shape, [])
         strides = _row_major_strides(sub_shape)
-        runs_offsets = []
-        runs_values = []
+        runs: list[np.ndarray] = []
+        kept: list[tuple[np.ndarray, np.ndarray | None]] = []
         for c in self.chunks:
             # In-chunk coordinate window that falls inside the block.
             window = [
@@ -383,20 +421,10 @@ class SparseArray:
                 continue
             offsets = _rebased_offsets(c, strides)
             offsets += sum(-lo * st for (lo, _), st in zip(window, strides))
-            values = c.values
             keep = _inside(c, window)
-            if keep is not None:
-                offsets, values = offsets[keep], values[keep]
-            runs_offsets.append(offsets)
-            runs_values.append(values)
-        if len(runs_offsets) == 1:
-            offsets, values = runs_offsets[0], runs_values[0]
-        elif runs_offsets:
-            offsets = np.concatenate(runs_offsets)
-            values = np.concatenate(runs_values)
-        else:
-            offsets = np.empty(0, dtype=OFFSET_DTYPE)
-            values = np.empty(0, dtype=VALUE_DTYPE)
-        offsets, values = _sorted_summed(offsets, values)
+            runs.append(offsets if keep is None else offsets[keep])
+            kept.append((c.values, keep))
+            del offsets
+        offsets, values = _merge_runs(runs, kept)
         origin = (0,) * self.ndim
         return SparseArray(sub_shape, [SparseChunk(origin, sub_shape, offsets, values)])

@@ -76,10 +76,9 @@ def buc_iceberg(
     out = IcebergCube(shape=shape, minsup=minsup, measure_name=measure.name)
 
     def aggregate(vals: np.ndarray) -> float:
-        acc = measure.new_accumulator(1)
-        if vals.size:
-            measure.scatter(acc, np.zeros(vals.size, dtype=np.int64), vals)
-        return float(acc[0])
+        if not vals.size:
+            return measure.identity
+        return float(measure.scatter(None, np.zeros(vals.size, dtype=np.int64), vals, 1)[0])
 
     def emit(node: Node, cell: tuple[int, ...], rows: np.ndarray) -> None:
         out.cells.setdefault(node, {})[cell] = (

@@ -1,8 +1,12 @@
 """Unit tests for aggregation kernels."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.arrays import aggregate
 from repro.arrays.aggregate import (
     aggregate_dense,
     aggregate_sparse_multi,
@@ -10,7 +14,9 @@ from repro.arrays.aggregate import (
     project_axes,
 )
 from repro.arrays.dense import DenseArray
+from repro.arrays.measures import get_measure
 from repro.arrays.sparse import SparseArray
+from repro.core.sequential import cube_reference
 
 
 def rand_dense(shape, seed=0):
@@ -121,3 +127,99 @@ class TestAggregateSparseMulti:
     def test_no_targets(self):
         sp = SparseArray.from_dense(np.ones((2, 2)))
         assert aggregate_sparse_multi(sp, (0, 1), []) == []
+
+
+MEASURE_NAMES = ["sum", "count", "min", "max"]
+
+
+def int_facts(shape, chunk_shape, density, seed):
+    """Integer-valued facts (exact under any summation order), stored sparse."""
+    rng = np.random.default_rng(seed)
+    values = rng.integers(1, 100, size=shape).astype(float)
+    dense = np.where(rng.uniform(size=shape) < density, values, 0.0)
+    return dense, SparseArray.from_dense(dense, chunk_shape=chunk_shape)
+
+
+def first_level(n):
+    return [tuple(d for d in range(n) if d != drop) for drop in range(n)]
+
+
+class TestSlabbedKernel:
+    """The sparse kernel decodes each chunk in slabs of ``_SLAB`` facts."""
+
+    @pytest.mark.parametrize("measure", MEASURE_NAMES)
+    def test_many_slabs_match_the_dense_reference(self, monkeypatch, measure):
+        # Every cell is a fact, so the dense oracle (which counts and takes
+        # extrema over every cell) is the reference for all four measures.
+        dense, sp = int_facts((6, 5, 4, 3), (3, 5, 2, 3), 1.0, seed=21)
+        targets = first_level(4) + [(0, 2), ()]
+        ref = cube_reference(dense, measure=measure, targets=targets)
+        monkeypatch.setattr(aggregate, "_SLAB", 7)
+        assert max(c.nnz for c in sp.chunks) > 4 * 7
+        outs = aggregate_sparse_multi(sp, (0, 1, 2, 3), targets, measure=measure)
+        for t, out in zip(targets, outs):
+            assert out.dims == t
+            assert out.data.tobytes() == ref[t].data.tobytes(), t
+        single = aggregate_sparse_to_dense(sp, (0, 1, 2, 3), (0, 2), measure=measure)
+        assert single.data.tobytes() == ref[(0, 2)].data.tobytes()
+
+    @pytest.mark.parametrize("measure", MEASURE_NAMES)
+    def test_slab_length_does_not_change_the_result(self, monkeypatch, measure):
+        # Sparse facts with whole chunks empty: cells no fact reaches keep
+        # the measure's identity whatever the slab length.
+        dense, sp = int_facts((8, 6, 4), (4, 3, 2), 0.3, seed=22)
+        dense[:4] = 0.0
+        sp = SparseArray.from_dense(dense, chunk_shape=(4, 3, 2))
+        assert any(c.nnz == 0 for c in sp.chunks)
+        ref = cube_reference(sp, measure=measure)
+        monkeypatch.setattr(aggregate, "_SLAB", 3)
+        got = cube_reference(sp, measure=measure)
+        for node, arr in ref.items():
+            assert got[node].data.tobytes() == arr.data.tobytes(), node
+        identity = get_measure(measure).identity
+        assert (got[(0,)].data[:4] == identity).all()
+
+    @pytest.mark.parametrize("measure", MEASURE_NAMES)
+    @pytest.mark.parametrize("empty", ["no chunks", "empty chunks", "zero-nnz block"])
+    def test_targets_no_fact_reaches_are_identity_filled(self, measure, empty):
+        shape = (4, 3, 2)
+        if empty == "no chunks":
+            sp = SparseArray(shape, [])
+        elif empty == "empty chunks":
+            sp = SparseArray.from_dense(np.zeros(shape), chunk_shape=(2, 3, 1))
+        else:
+            # A rank block that holds one chunk with no facts in it.
+            dense = np.zeros((8, 3, 2))
+            dense[4:] = 1.0
+            sp = SparseArray.from_dense(dense, chunk_shape=(2, 3, 1)).extract_block(
+                (slice(0, 4), slice(0, 3), slice(0, 2))
+            )
+            assert len(sp.chunks) == 1 and sp.nnz == 0
+        targets = first_level(3) + [()]
+        outs = aggregate_sparse_multi(sp, (0, 1, 2), targets, measure=measure)
+        identity = get_measure(measure).identity
+        for t, out in zip(targets, outs):
+            assert out.dims == t
+            assert out.shape == tuple(shape[d] for d in t)
+            assert out.data.dtype == np.float64
+            assert (out.data == identity).all()
+
+    def test_temporaries_are_bounded_per_slab(self, monkeypatch):
+        # >= 4 slabs per chunk.  A whole-chunk (nnz, ndim) coordinate
+        # matrix alone (8 * ndim bytes per fact) would break the bound.
+        slab, ndim = 1024, 4
+        monkeypatch.setattr(aggregate, "_SLAB", slab)
+        for shape in [(16, 16, 16, 8), (16, 16, 16, 16)]:
+            _, sp = int_facts(shape, shape, 0.6, seed=23)
+            assert sp.nnz >= 4 * slab
+            targets = first_level(ndim)
+            out_bytes = [8 * math.prod(shape[d] for d in t) for t in targets]
+            tracemalloc.start()
+            aggregate_sparse_multi(sp, tuple(range(ndim)), targets)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            # Outputs, one target's bincount partial, and the slab's
+            # coordinates, remainders and index temporaries.
+            bound = sum(out_bytes) + max(out_bytes) + slab * 8 * (ndim + 6)
+            assert peak <= bound, (shape, peak, bound)
+            assert sp.nnz * 8 * ndim > slab * 8 * (ndim + 6)

@@ -1,5 +1,7 @@
 """Unit tests for the chunk-offset compressed sparse format."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -295,6 +297,27 @@ class TestExtractBlockProperties:
         (block_chunk,) = arr.extract_block(sl).chunks
         assert np.shares_memory(block_chunk.values, chunk.values)
         assert np.array_equal(block_chunk.offsets, chunk.offsets)
+
+    @pytest.mark.parametrize(
+        "chunk_shape, parts, ratio",
+        [
+            ((16, 16, 16), (2, 2, 1), 1.25),  # four runs per block, as Fig 7's grid
+            ((24, 20, 16), (2, 2, 1), 1.25),  # straddling chunks are masked
+            ((16, 16, 16), (1, 1, 1), 1.6),  # one block merges all 16 runs
+        ],
+    )
+    def test_partition_transients_are_bounded(self, chunk_shape, parts, ratio):
+        # The merge releases each run once the next stage exists: the peak
+        # above what the blocks keep is at most half of one block's bytes.
+        dense = make_dense((64, 64, 16), seed=13, density=0.5)
+        arr = SparseArray.from_dense(dense, chunk_shape=chunk_shape)
+        grid = BlockPartition(dense.shape, parts)
+        tracemalloc.start()
+        blocks = [arr.extract_block(grid.slices(b)) for b in grid.iter_blocks()]
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert sum(b.nnz for b in blocks) == arr.nnz
+        assert peak <= ratio * kept, (peak, kept)
 
 
 class TestTranspose:
