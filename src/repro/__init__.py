@@ -132,7 +132,7 @@ def _version() -> str:
 
         return version("repro")
     except Exception:
-        return "6.0.1"
+        return "6.0.2"
 
 
 __version__ = _version()

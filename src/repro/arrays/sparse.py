@@ -90,9 +90,13 @@ def _chunk_grid(shape: Sequence[int], chunk_shape: Sequence[int]) -> BlockPartit
     Note: chunks produced this way are *balanced*, not fixed-size; with
     ``chunk_shape`` dividing ``shape`` (the common case) they coincide.
     """
-    parts = tuple(
-        -(-s // c) for s, c in zip(shape, chunk_shape, strict=True)
-    )
+    chunk_shape = tuple(chunk_shape)
+    if len(chunk_shape) != len(shape) or any(c < 1 for c in chunk_shape):
+        raise ValueError(
+            f"chunk_shape {chunk_shape} must hold one positive extent per "
+            f"axis of shape {tuple(shape)}"
+        )
+    parts = tuple(-(-s // c) for s, c in zip(shape, chunk_shape))
     return BlockPartition(tuple(shape), parts)
 
 
@@ -104,22 +108,46 @@ def _row_major_strides(shape: Sequence[int]) -> list[int]:
 
 
 def _sorted_summed(
-    keys: np.ndarray, values: np.ndarray
+    keys: np.ndarray, values: np.ndarray, bound: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(keys, values)`` with keys strictly increasing, equal keys summed.
 
-    The sort is stable and the sum sequential, so each duplicate group is
-    accumulated in input order (bit-identical to ``np.add.at`` on zeros).
-    Input that is already strictly increasing is returned as is.
+    ``keys`` are non-negative and below ``bound`` (default: their maximum
+    plus one); the caller hands them over, and they may be overwritten.
+    Each key is packed with its input position into one word, ``key <<
+    shift | position``, and the words are sorted with numpy's default
+    (SIMD) sort.  The words are unique, so any sort puts them in the stable
+    order of ``keys``; the positions read back give the values' order.
+    Keys too wide to share a word with a position fall back to a stable
+    argsort, which yields the same order.  The sum is sequential, so each
+    duplicate group is accumulated in input order (bit-identical to
+    ``np.add.at`` on zeros).  Input that is already strictly increasing is
+    returned as is; otherwise the returned values are a fresh array.
     """
-    if keys.size < 2 or bool((keys[1:] > keys[:-1]).all()):
+    n = keys.size
+    if n < 2 or bool((keys[1:] > keys[:-1]).all()):
         return keys, values
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    first = np.ones(keys.size, dtype=bool)
+    shift = (n - 1).bit_length()
+    if bound is None:
+        bound = int(keys.max()) + 1
+    if bound - 1 < 1 << (63 - shift):
+        keys <<= shift
+        keys |= np.arange(n, dtype=keys.dtype)
+        keys.sort()
+        order = keys & ((1 << shift) - 1)
+        keys >>= shift
+    else:
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+    values = values[order]
+    del order
+    first = np.ones(n, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     if not first.all():
-        values = np.bincount(np.cumsum(first) - 1, weights=values)
+        group = np.cumsum(first)
+        group -= 1
+        values = np.bincount(group, weights=values)
+        del group
         keys = keys[first]
     return keys, values
 
@@ -253,27 +281,32 @@ class SparseArray:
         Duplicate coordinates are summed in input order.  Coordinates must
         be integers (any dtype holding whole numbers) and in range.  Every
         fact is encoded once: one linearised key ``chunk_id * max_chunk_size
-        + in_chunk_offset`` per fact, one stable sort, one slice per chunk.
-        The result has one chunk per grid block, in ``iter_blocks`` order.
+        + in_chunk_offset`` per fact, one sort, one slice per chunk.  The
+        result has one chunk per grid block, in ``iter_blocks`` order; the
+        chunks' ``values`` are views of one array the result owns.
         """
         shape = tuple(shape)
         coords = np.asarray(coords)
-        if coords.dtype.kind == "f" and (coords != np.floor(coords)).any():
-            raise ValueError("coordinates must be integers")
-        coords = coords.astype(OFFSET_DTYPE, copy=False)
         values = np.asarray(values, dtype=VALUE_DTYPE)
         if coords.ndim != 2 or coords.shape[1] != len(shape):
             raise ValueError("coords must be (nnz, ndim)")
         if coords.shape[0] != values.shape[0]:
             raise ValueError("coords/values length mismatch")
-        if coords.size and (
-            (coords < 0).any()
-            or (coords >= np.asarray(shape, dtype=OFFSET_DTYPE)).any()
-        ):
-            raise ValueError("coordinates out of range")
         if chunk_shape is None:
             chunk_shape = shape
         grid = _chunk_grid(shape, chunk_shape)
+        if coords.dtype.kind == "f" and coords.size:
+            if (coords != np.floor(coords)).any():
+                raise ValueError("coordinates must be integers")
+            # Bounded before the cast, so an infinite or huge float never
+            # reaches int64; the per-axis lookups below check each extent.
+            if coords.min() < 0 or coords.max() >= max(shape):
+                raise ValueError("coordinates out of range")
+        coords = coords.astype(OFFSET_DTYPE, copy=False)
+        # Lower bound here (unsigned input past int64 wraps negative); an
+        # index past an axis' extent fails that axis' table lookup below.
+        if coords.size and coords.min() < 0:
+            raise ValueError("coordinates out of range")
         # Keys order facts by chunk, then row-major inside a frame of the
         # largest chunk extents (balanced chunks differ by at most one cell
         # per axis), so each axis contributes one table lookup per fact.
@@ -286,10 +319,15 @@ class SparseArray:
             index = np.arange(s, dtype=OFFSET_DTYPE)
             owner = ((index + 1) * m - 1) // s  # block_of_index, vectorised
             local = index - np.asarray(split_points(s, m), dtype=OFFSET_DTYPE)[owner]
-            keys += (owner * chunk_step + local * cell_step)[coords[:, axis]]
+            try:
+                keys += (owner * chunk_step + local * cell_step)[coords[:, axis]]
+            except IndexError:
+                raise ValueError("coordinates out of range") from None
             chunk_step *= m
             cell_step *= padded[axis]
-        keys, values = _sorted_summed(keys, values)
+        keys, summed = _sorted_summed(keys, values, grid.num_blocks * max_chunk_size)
+        if summed is values:  # already sorted: possibly the caller's array
+            summed = summed.copy()
         starts = np.searchsorted(
             keys, np.arange(grid.num_blocks + 1, dtype=OFFSET_DTYPE) * max_chunk_size
         )
@@ -299,7 +337,7 @@ class SparseArray:
             cshape = grid.local_shape(blocks)
             lo, hi = starts[b], starts[b + 1]
             chunk = SparseChunk(
-                origin, padded, keys[lo:hi] - b * max_chunk_size, values[lo:hi].copy()
+                origin, padded, keys[lo:hi] - b * max_chunk_size, summed[lo:hi]
             )
             if cshape != padded:
                 offsets = _rebased_offsets(chunk, _row_major_strides(cshape))
@@ -377,7 +415,9 @@ class SparseArray:
             strides = [0] * self.ndim
             for pos, step in enumerate(_row_major_strides(shape)):
                 strides[order[pos]] = step
-            offsets, values = _sorted_summed(_rebased_offsets(c, strides), c.values)
+            offsets, values = _sorted_summed(
+                _rebased_offsets(c, strides), c.values, c.size
+            )
             origin = tuple(c.origin[a] for a in order)
             chunks.append(SparseChunk(origin, shape, offsets, values))
         chunks.sort(key=lambda c: c.origin)

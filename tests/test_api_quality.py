@@ -203,4 +203,4 @@ def test_version():
     pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
     match = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
     assert match is not None
-    assert repro.__version__ == match.group(1) == "6.0.1"
+    assert repro.__version__ == match.group(1) == "6.0.2"

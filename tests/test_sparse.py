@@ -243,11 +243,127 @@ class TestFromCoordsProperties:
             assert_sorted_chunk(chunk)
 
     def test_does_not_alias_the_callers_arrays(self):
-        coords = np.array([[0, 0], [0, 1], [1, 1]])
-        values = np.array([1.0, 2.0, 3.0])  # already sorted: no gather needed
-        arr = SparseArray.from_coords((2, 2), coords, values)
-        values[:] = -1.0
-        assert arr.to_dense().tolist() == [[1.0, 2.0], [0.0, 3.0]]
+        for coords, values in (
+            ([[0, 0], [0, 1], [1, 1]], [1.0, 2.0, 3.0]),  # sorted: returned as is
+            ([[1, 1], [0, 0], [0, 1]], [3.0, 1.0, 2.0]),  # gathered by the sort
+        ):
+            coords, values = np.array(coords), np.array(values)
+            arr = SparseArray.from_coords((2, 2), coords, values, chunk_shape=(1, 2))
+            assert not any(np.shares_memory(c.values, values) for c in arr.chunks)
+            values[:] = -1.0
+            coords[:] = 0
+            assert arr.to_dense().tolist() == [[1.0, 2.0], [0.0, 3.0]]
+
+    def test_chunk_values_are_views_of_one_array(self):
+        coords = np.array([[3, 3], [0, 0], [3, 0], [0, 3], [0, 0]])
+        arr = SparseArray.from_coords((4, 4), coords, np.ones(5), chunk_shape=(2, 2))
+        (base,) = {id(c.values.base) for c in arr.chunks}
+        assert base != id(None)
+
+
+def _argsort_calls(monkeypatch):
+    """Count ``np.argsort`` calls while the test runs."""
+    calls = []
+    argsort = np.argsort
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    return calls
+
+
+class TestFromCoordsSortPaths:
+    """Keys are sorted packed with their positions into one word; keys too
+    wide for that take a stable argsort.  Both give the same chunks."""
+
+    @pytest.mark.parametrize(
+        "extent, argsorts", [(2**20, ["stable"]), (2**19, [])]
+    )
+    def test_wide_keys_fall_back_to_a_stable_argsort(self, monkeypatch, extent, argsorts):
+        # 64 facts pack their positions into 6 bits: a single chunk of
+        # 2**60 cells leaves too few, one of 2**57 cells just fits.
+        rng = np.random.default_rng(17)
+        coords = rng.integers(0, extent, size=(64, 3))
+        coords[rng.integers(0, 64, 24)] = coords[:24]  # duplicates
+        values = rng.uniform(-1.0, 1.0, 64)
+        calls = _argsort_calls(monkeypatch)
+        arr = SparseArray.from_coords((extent,) * 3, coords, values)
+        assert calls == argsorts
+        (chunk,) = arr.chunks
+        assert_sorted_chunk(chunk)
+        want: dict[tuple[int, ...], float] = {}
+        for cell, value in zip(map(tuple, coords.tolist()), values.tolist()):
+            want[cell] = want.get(cell, 0.0) + value  # input order
+        got_coords, got_values = arr.all_coords_values()
+        cells = list(map(tuple, got_coords.tolist()))
+        assert cells == sorted(want)
+        assert got_values.tobytes() == np.array([want[c] for c in cells]).tobytes()
+
+    def test_wide_shift_with_heavy_duplicates_matches_add_at(self, monkeypatch):
+        # 2**17 facts need a 17-bit position field: wider than any table the
+        # property tests draw.
+        rng = np.random.default_rng(19)
+        shape = (16, 12, 10)
+        coords = np.stack([rng.integers(0, s, 2**17) for s in shape], axis=1)
+        values = rng.standard_normal(2**17) * 1e3
+        calls = _argsort_calls(monkeypatch)
+        arr = SparseArray.from_coords(shape, coords, values, chunk_shape=(5, 12, 4))
+        assert calls == []
+        oracle = np.zeros(shape)
+        np.add.at(oracle, tuple(coords.T), values)
+        assert arr.to_dense().tobytes() == oracle.tobytes()
+        for chunk in arr.chunks:
+            assert_sorted_chunk(chunk)
+
+    @pytest.mark.parametrize("facts, limit", [("distinct", 24), ("zipf", 48)])
+    def test_ingest_transients_are_bounded(self, facts, limit):
+        # Bytes allocated above what the result keeps, per raw fact.
+        rng = np.random.default_rng(23)
+        shape, n = (32,) * 4, 2**18
+        if facts == "distinct":
+            cells = rng.choice(32**4, n, replace=False)
+            coords = np.stack(np.unravel_index(cells, shape), axis=1)
+        else:
+            coords = np.minimum(rng.zipf(1.2, size=(n, 4)) - 1, 31)
+        coords = coords.astype(np.int64)
+        values = rng.uniform(1.0, 2.0, n)
+        tracemalloc.start()
+        arr = SparseArray.from_coords(shape, coords, values, chunk_shape=(16,) * 4)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert arr.nnz <= n
+        assert (peak - kept) / n <= limit, ((peak - kept) / n, kept)
+
+
+class TestFromCoordsValidation:
+    SHAPE = (4, 3, 5)
+
+    @pytest.mark.parametrize("chunk_shape", [(0, 3, 5), (2, 3), (-2, 3, 5)])
+    def test_rejects_bad_chunk_shapes(self, chunk_shape):
+        with pytest.raises(ValueError, match="chunk_shape"):
+            SparseArray.from_coords(
+                self.SHAPE, np.zeros((1, 3), dtype=np.int64), [1.0], chunk_shape
+            )
+        with pytest.raises(ValueError, match="chunk_shape"):
+            SparseArray.from_dense(np.ones(self.SHAPE), chunk_shape)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("axis", range(3))
+    @pytest.mark.parametrize("bad", ["-1", "extent", "uint64", "inf", "-inf"])
+    def test_rejects_out_of_range_coordinates(self, axis, bad):
+        coords = np.array([[0, 0, 0], [3, 2, 4]], dtype=np.int64)
+        if bad == "uint64":
+            coords = coords.astype(np.uint64)
+            coords[1, axis] = 2**63
+        elif bad in ("inf", "-inf"):
+            coords = coords.astype(np.float64)
+            coords[1, axis] = float(bad)
+        else:
+            coords[1, axis] = -1 if bad == "-1" else self.SHAPE[axis]
+        with pytest.raises(ValueError, match="coordinates out of range"):
+            SparseArray.from_coords(self.SHAPE, coords, [1.0, 2.0], (2, 2, 2))
 
 
 class TestExtractBlockProperties:
