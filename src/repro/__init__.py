@@ -15,8 +15,9 @@ serving layer with result caching and batched execution
 (:mod:`repro.serve`).  Construction runs on a pluggable execution
 backend (:mod:`repro.exec`): ``"sim"`` interprets the rank programs on
 the deterministic cluster simulator, ``"process"`` runs them on real OS
-processes over shared memory, and ``"thread"`` on GIL-releasing threads
-with a persistent worker pool -- all producing bit-identical aggregates.
+processes forked after the partition, and ``"thread"`` on GIL-releasing
+threads with a persistent worker pool -- all producing bit-identical
+aggregates.
 The *planner* half of a build is pluggable too (:mod:`repro.sched`):
 ``"fig5"`` runs the paper's communication/memory-optimal schedule,
 ``"shuffle"`` the MapReduce-style batch shuffle, and ``"marginals-<k>"``
@@ -132,7 +133,7 @@ def _version() -> str:
 
         return version("repro")
     except Exception:
-        return "6.0.2"
+        return "7.0.0"
 
 
 __version__ = _version()

@@ -30,9 +30,11 @@ class SparseChunk:
     """One compressed chunk: non-zero offsets and values.
 
     ``origin`` is the global coordinate of the chunk's ``[0, 0, ..., 0]``
-    corner; ``shape`` is the chunk's extent.  ``offsets`` are row-major
-    linear offsets within the chunk, strictly increasing; ``values`` are the
-    corresponding non-zero values.
+    corner; ``shape`` is the chunk's extent.  ``offsets`` are unique
+    row-major linear offsets within the chunk; ``values`` are the
+    corresponding non-zero values.  Ingest, ``from_dense`` and ``transpose``
+    keep offsets strictly increasing; a rank block from
+    :meth:`SparseArray.extract_block` lists them by source chunk instead.
     """
 
     origin: tuple[int, ...]
@@ -152,49 +154,13 @@ def _sorted_summed(
     return keys, values
 
 
-def _merge_runs(
-    runs: list[np.ndarray], kept: list[tuple[np.ndarray, np.ndarray | None]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge sorted per-chunk offset runs and their values into one run.
-
-    ``runs[i]`` is a chunk's re-based offsets, already masked by ``keep`` in
-    ``kept[i] = (values, keep)`` (``None`` keeps every value), so masked
-    values are gathered only when placed.  Each run is tagged in place with
-    its index in the low bits; the runs are concatenated, released and
-    sorted, and a stable argsort of the tags lists each run's sorted
-    positions in run order.  The result is :func:`_sorted_summed` of the
-    concatenated runs (equal offsets summed in run order) at half its
-    transient memory.  Both lists are consumed.
-    """
-    if len(runs) < 2:
-        values, keep = kept.pop() if kept else (np.empty(0, dtype=VALUE_DTYPE), None)
-        offsets = runs.pop() if runs else np.empty(0, dtype=OFFSET_DTYPE)
-        return _sorted_summed(offsets, values if keep is None else values[keep])
-    bits = (len(runs) - 1).bit_length()
-    bounds = np.cumsum([run.size for run in runs[:-1]])
-    for i in range(len(runs)):
-        runs[i] <<= bits
-        runs[i] |= i
-    keys = np.concatenate(runs)
-    runs.clear()
-    keys.sort(kind="stable")
-    tags = (keys & ((1 << bits) - 1)).astype(np.min_scalar_type(len(kept) - 1))
-    order = np.argsort(tags, kind="stable")
-    del tags
-    keys >>= bits
-    merged = np.empty(keys.size, dtype=kept[0][0].dtype)
-    for at, (values, keep) in zip(np.split(order, bounds), kept):
-        merged[at] = values if keep is None else values[keep]
-    kept.clear()
-    del order, at
-    return _sorted_summed(keys, merged)
-
-
 def _quotient(chunk: SparseChunk, step: int) -> np.ndarray:
     return chunk.offsets if step == 1 else chunk.offsets // step
 
 
-def _rebased_offsets(chunk: SparseChunk, strides: Sequence[int]) -> np.ndarray:
+def _rebased_offsets(
+    chunk: SparseChunk, strides: Sequence[int], out: np.ndarray | None = None
+) -> np.ndarray:
     """The chunk's offsets re-linearised for a frame with other strides.
 
     ``strides[a]`` is the target frame's stride along chunk axis ``a``; the
@@ -203,16 +169,29 @@ def _rebased_offsets(chunk: SparseChunk, strides: Sequence[int]) -> np.ndarray:
     shape[a]``, so ``sum(coord[a] * strides[a])`` regroups into one
     multiply-add per axis whose stride differs from the chunk-extended one
     (``shape[a+1] * strides[a+1]``) -- no coordinate matrix, no ``divmod``.
+    The result is written into ``out`` (``nnz`` int64 cells) when given.
     """
-    out = np.zeros(chunk.nnz, dtype=OFFSET_DTYPE)
+    if out is None:
+        out = np.empty(chunk.nnz, dtype=OFFSET_DTYPE)
     steps = _row_major_strides(chunk.shape)
     extended = 0
+    first = True
     for axis in range(len(steps) - 1, -1, -1):
         weight = strides[axis] - extended
         if weight:
             quotient = _quotient(chunk, steps[axis])
-            out += quotient if weight == 1 else quotient * weight
+            if weight != 1 and steps[axis] == 1:
+                quotient = quotient * weight  # never scale the chunk's own array
+            elif weight != 1:
+                quotient *= weight
+            if first:
+                out[...] = quotient
+            else:
+                out += quotient
+            first = False
         extended = chunk.shape[axis] * strides[axis]
+    if first:
+        out[...] = 0
     return out
 
 
@@ -424,16 +403,20 @@ class SparseArray:
         return SparseArray(tuple(self.shape[a] for a in order), chunks)
 
     def extract_block(self, slices: Sequence[slice]) -> "SparseArray":
-        """Sub-array covered by per-dimension slices, as one sorted chunk.
+        """Sub-array covered by per-dimension slices, as one chunk.
 
         Used to hand each simulated processor its partition of the initial
         array.  Slices must have unit step and explicit bounds.  The result
         holds exactly one chunk spanning the block (none if the block is
-        empty) with strictly increasing offsets: each intersecting chunk's
-        offsets are re-based into the block frame (only chunks that
-        straddle the block boundary are masked) and the per-chunk runs are
-        merged by :func:`_merge_runs`.  A block covered by a single chunk
-        shares that chunk's ``values``; inputs are immutable by contract.
+        empty).  A first pass over the intersecting chunks masks the ones
+        that straddle the block boundary and counts the facts; the block's
+        ``offsets`` / ``values`` are then allocated once, and a second pass
+        writes each chunk's offsets, re-based into the block frame, and its
+        values into that chunk's slice.  Facts are therefore ordered by
+        source chunk (in ``chunks`` order), then as in the chunk: offsets
+        are unique and in range but not globally increasing.  A block that
+        is exactly one chunk shares that chunk's arrays; inputs are
+        immutable by contract.
         """
         lows = []
         highs = []
@@ -448,9 +431,11 @@ class SparseArray:
         if any(s == 0 for s in sub_shape):
             # Empty block: no chunks, zero nnz.
             return SparseArray(sub_shape, [])
+        origin = (0,) * self.ndim
         strides = _row_major_strides(sub_shape)
-        runs: list[np.ndarray] = []
-        kept: list[tuple[np.ndarray, np.ndarray | None]] = []
+        # Pass 1: the intersecting chunks, their masks and fact counts.
+        parts: list[tuple[SparseChunk, int, np.ndarray | None, int]] = []
+        total = 0
         for c in self.chunks:
             # In-chunk coordinate window that falls inside the block.
             window = [
@@ -459,12 +444,27 @@ class SparseArray:
             ]
             if any(lo >= e or hi <= 0 for (lo, hi), e in zip(window, c.shape)):
                 continue
-            offsets = _rebased_offsets(c, strides)
-            offsets += sum(-lo * st for (lo, _), st in zip(window, strides))
             keep = _inside(c, window)
-            runs.append(offsets if keep is None else offsets[keep])
-            kept.append((c.values, keep))
-            del offsets
-        offsets, values = _merge_runs(runs, kept)
-        origin = (0,) * self.ndim
+            count = c.nnz if keep is None else int(np.count_nonzero(keep))
+            shift = sum(-lo * st for (lo, _), st in zip(window, strides))
+            parts.append((c, shift, keep, count))
+            total += count
+        if len(parts) == 1 and parts[0][2] is None and parts[0][0].shape == sub_shape:
+            c = parts[0][0]  # the block is exactly this chunk: share its arrays
+            return SparseArray(sub_shape, [SparseChunk(origin, sub_shape, c.offsets, c.values)])
+        # Pass 2: each chunk fills its slice of the once-allocated block.
+        dtype = parts[0][0].values.dtype if parts else VALUE_DTYPE
+        offsets = np.empty(total, dtype=OFFSET_DTYPE)
+        values = np.empty(total, dtype=dtype)
+        at = 0
+        for c, shift, keep, count in parts:
+            dest = slice(at, at + count)
+            if keep is None:
+                _rebased_offsets(c, strides, out=offsets[dest])
+                values[dest] = c.values
+            else:
+                np.compress(keep, _rebased_offsets(c, strides), out=offsets[dest])
+                np.compress(keep, c.values, out=values[dest])
+            offsets[dest] += shift
+            at += count
         return SparseArray(sub_shape, [SparseChunk(origin, sub_shape, offsets, values)])

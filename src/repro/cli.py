@@ -100,7 +100,7 @@ def _add_backend_arg(p: argparse.ArgumentParser) -> None:
         choices=list(available_backends()),
         default="sim",
         help="execution backend: 'sim' (deterministic simulator, default), "
-             "'process' (real OS processes over shared memory), or "
+             "'process' (real OS processes, forked after partition), or "
              "'thread' (GIL-releasing threads in this process); "
              "see 'backends list'",
     )

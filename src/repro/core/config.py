@@ -59,10 +59,11 @@ class BuildConfig:
         (simulated seconds on ``"sim"``, wall-clock on ``"process"``).
     backend:
         Execution backend: a registered name (``"sim"`` runs the
-        deterministic simulator, ``"process"`` real OS processes with
-        shared-memory input/output arenas, ``"thread"`` GIL-releasing
-        threads in this process) or a :class:`~repro.exec.base.Backend`
-        instance.  Results are bit-identical across backends.
+        deterministic simulator, ``"process"`` real OS processes that
+        read their inputs through the fork and write a shared output
+        arena, ``"thread"`` GIL-releasing threads in this process) or a
+        :class:`~repro.exec.base.Backend` instance.  Results are
+        bit-identical across backends.
     scheduler:
         Construction scheduler: a registered spec (``"fig5"`` default,
         ``"shuffle"``, ``"marginals-<k>"``, ``"marginals-<k>-shuffle"``)

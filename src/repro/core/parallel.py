@@ -103,9 +103,12 @@ def _extract_local_inputs(
 ) -> list[SparseArray | DenseArray]:
     """Hand each rank its block of the initial array.
 
-    A sparse block is one sorted chunk whose offsets were re-based from the
-    source chunks (:meth:`SparseArray.extract_block`); facts are not
-    re-encoded and a block may share ``values`` with the input.
+    A sparse block is one chunk holding the source chunks' facts in chunk
+    order, their offsets re-based into the block
+    (:meth:`SparseArray.extract_block`); facts are not re-encoded or
+    sorted, and a block may share arrays with the input.  Every backend's
+    ranks read these blocks as they are: threads share the host's memory,
+    and process workers are forked after this call.
     """
     shape = tuple(array.shape)
     out: list[SparseArray | DenseArray] = []
@@ -205,7 +208,7 @@ def construct_cube_parallel(
     # perturb the backend's makespan accounting.
     host_tr = Tracer(rank=-1) if trace else NULL_TRACER
     with host_tr.span("build.partition", ranks=grid.size):
-        local_inputs = backend_obj.prepare_inputs(_extract_local_inputs(array, grid))
+        local_inputs = _extract_local_inputs(array, grid)
 
     tmpdir = None
     out_arena = None

@@ -8,10 +8,10 @@ vocabulary.  Three ship with the package:
 - :class:`SimBackend` (``"sim"``) -- the deterministic discrete-event
   simulator; clocks are simulated seconds under a machine cost model.
 - :class:`ProcessBackend` (``"process"``) -- real OS processes via
-  :mod:`multiprocessing`, with the per-rank input blocks placed in
-  :mod:`multiprocessing.shared_memory` so local partitions are zero-copy
-  (:class:`SharedInputArena`), and finalized aggregates written back
-  through a :class:`SharedOutputArena` instead of pickled result queues.
+  :mod:`multiprocessing`, forked after the partition so each worker reads
+  the host's input blocks through the fork (copy-on-write, and the blocks
+  are never written), with finalized aggregates written back through a
+  :class:`SharedOutputArena` instead of pickled result queues.
   Clocks are wall-clock seconds.  Every run is overseen by a
   :class:`Supervisor` that detects worker death, respawns crashed ranks
   from the checkpoint store, and turns unrecoverable failures into an
@@ -60,7 +60,6 @@ from repro.exec.shm import (
     OutputArena,
     OutputLayout,
     PrivateOutputArena,
-    SharedInputArena,
     SharedOutputArena,
     StagedResult,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "ChaosAgent",
     "PROCESS_FAULT_KINDS",
     "THREAD_FAULT_KINDS",
-    "SharedInputArena",
     "OutputArena",
     "PrivateOutputArena",
     "SharedOutputArena",

@@ -12,16 +12,16 @@ backend's runs.
 
 Hooks with sensible defaults: :attr:`Backend.timeouts` tells rank programs
 which :class:`~repro.cluster.runtime.TimeoutPolicy` to shape their receive
-windows with, :meth:`Backend.prepare_inputs` lets a backend stage per-rank
-input blocks (shared memory for real processes), and
-:meth:`Backend.prepare_outputs` lets it stage a writeback arena so results
-come back without a pickle round-trip.
+windows with, and :meth:`Backend.prepare_outputs` lets a backend stage a
+writeback arena so results come back without a pickle round-trip.  Inputs
+have no hook: every backend's ranks read the host's blocks, the process
+backend's through the fork.
 
 Backends also have a **lifecycle**: :meth:`Backend.open` acquires
 long-lived resources (a persistent worker pool, for backends with
 :attr:`Backend.supports_pooling`) so repeated :meth:`Backend.spawn_ranks`
 calls reuse live workers; :meth:`Backend.end_run` releases the resources
-of one run (input/output arenas) while keeping the pool warm; and
+of one run (its output arena) while keeping the pool warm; and
 :meth:`Backend.close` is full shutdown.  ``with backend:`` is
 ``open()``/``close()``.  Callers that *create* a backend own its close;
 callers handed a backend instance call only ``end_run()`` --
@@ -94,16 +94,6 @@ class Backend(abc.ABC):
         """Timeout source rank programs should shape their windows with."""
         return SIMULATED_TIMEOUTS
 
-    def prepare_inputs(self, local_inputs: list[Any]) -> list[Any]:
-        """Stage per-rank input blocks for execution.
-
-        The default is a no-op; :class:`~repro.exec.process.ProcessBackend`
-        copies the blocks into shared memory here so worker processes read
-        them zero-copy.  Resources claimed by this hook are released by
-        :meth:`end_run` (and therefore also by :meth:`close`).
-        """
-        return local_inputs
-
     def prepare_outputs(self, layout: OutputLayout) -> OutputArena | None:
         """Stage an arena for cube writeback, or ``None``.
 
@@ -158,7 +148,7 @@ class Backend(abc.ABC):
         return self
 
     def end_run(self) -> None:
-        """Release the resources of one run (input/output arenas).
+        """Release the resources of one run (its output arena).
 
         Keeps long-lived resources (worker pools) warm; called by
         :func:`repro.core.parallel.construct_cube_parallel` after every

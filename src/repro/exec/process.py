@@ -1,12 +1,15 @@
-"""Real shared-memory execution of SPMD rank programs, supervised.
+"""Real multi-process execution of SPMD rank programs, supervised.
 
 :class:`ProcessBackend` runs the same generator rank programs the
 simulator runs, but on real OS processes: one forked worker per rank, each
 calling :func:`~repro.exec.driver.drive_rank` over per-rank
-:class:`multiprocessing.Queue` inboxes, and input blocks staged in shared
-memory by :class:`~repro.exec.shm.SharedInputArena` (the fork inherits the
-mapping, so local partitions are read zero-copy; only cross-rank partials
-travel through pickled queue messages).
+:class:`multiprocessing.Queue` inboxes.  Every worker -- a respawned
+incarnation too -- is forked from the host after the partition, and the
+program closure holds the host's input blocks, so a worker reads its local
+partition through the fork: the blocks are never written, and
+copy-on-write copies none of their pages.  Only cross-rank partials travel
+through pickled queue messages, and finalized aggregates are written into
+a :class:`~repro.exec.shm.SharedOutputArena`.
 
 Because the *program* is identical -- same numpy kernels, same flat
 reduce-to-lead combine order -- results are bit-for-bit identical to the
@@ -46,7 +49,7 @@ from repro.cluster.runtime import MONOTONIC_TIMEOUTS, TimeoutPolicy
 from repro.exec.base import Backend, ProgramFactory, check_backend_options
 from repro.exec.chaos import PROCESS_FAULT_KINDS
 from repro.exec.driver import AwaitMessage, WorkerError, drive_rank
-from repro.exec.shm import OutputLayout, SharedInputArena, SharedOutputArena
+from repro.exec.shm import OutputLayout, SharedOutputArena
 from repro.exec.stats import empty_metrics, merge_rank_stats
 from repro.exec.supervisor import (
     BARRIER_TAG_BASE,
@@ -137,7 +140,7 @@ def _worker(
 
 
 class ProcessBackend(Backend):
-    """Execute rank programs on real OS processes with shared-memory inputs.
+    """Execute rank programs on real OS processes, one forked worker per rank.
 
     ``watchdog_s`` bounds every blocking wait (receives with no timeout,
     barriers, the supervisor's wait for control-queue progress); exceeding
@@ -147,7 +150,7 @@ class ProcessBackend(Backend):
     how many times one rank may be rebuilt from the checkpoint store
     before it is declared dead and the program-level buddy protocol takes
     over.  Requires the ``fork`` start method (program factories are
-    closures; the fork inherits them and the shared-memory input mapping
+    closures; the fork inherits them, and the input blocks they hold,
     without pickling).
     """
 
@@ -166,18 +169,12 @@ class ProcessBackend(Backend):
             raise ValueError("max_respawns must be non-negative")
         self.watchdog_s = watchdog_s
         self.max_respawns = max_respawns
-        self._arena: SharedInputArena | None = None
         self._out_arena: SharedOutputArena | None = None
 
     @property
     def timeouts(self) -> TimeoutPolicy:
         """Wall-clock windows with jitter-proof floors."""
         return MONOTONIC_TIMEOUTS
-
-    def prepare_inputs(self, local_inputs: list[Any]) -> list[Any]:
-        """Stage the blocks in one shared-memory segment (zero-copy reads)."""
-        self._arena = SharedInputArena(local_inputs)
-        return self._arena.blocks
 
     def prepare_outputs(self, layout: OutputLayout) -> SharedOutputArena:
         """Stage a writeback arena; forked workers inherit the mapping.
@@ -273,10 +270,7 @@ class ProcessBackend(Backend):
         )
 
     def end_run(self) -> None:
-        """Release the shared-memory arenas of the finished run."""
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
+        """Release the shared-memory output arena of the finished run."""
         if self._out_arena is not None:
             self._out_arena.close()
             self._out_arena = None

@@ -83,7 +83,7 @@ register_backend(
     ProcessBackend,
     metadata=_capabilities(
         ProcessBackend,
-        "real OS processes; shared-memory input/output arenas, supervised respawn",
+        "real OS processes forked after partition; shared output arena, supervised respawn",
     ),
 )
 register_backend(

@@ -1,17 +1,15 @@
-"""Staging of per-rank input blocks and cube outputs.
+"""Staging of cube outputs in one buffer every rank can write.
 
-:class:`SharedInputArena` copies every rank's block of the initial array
-(dense or chunk-offset sparse) into one
-:class:`multiprocessing.shared_memory.SharedMemory` segment and rebuilds
-the blocks as numpy views over that segment.  Worker processes forked
-afterwards inherit the mapping, so first-level aggregation -- ~98 % of the
-paper's work -- reads its local partition zero-copy; only the (much
-smaller) cross-rank partial results are ever pickled.
+Inputs need no staging: every backend hands its ranks the host's blocks of
+the initial array.  Threads share the host's address space, and the
+process backend forks its workers after the partition, so they read the
+same pages copy-on-write and, since input blocks are never written, no
+page is copied.
 
-:class:`OutputArena` is the same idea pointed the other way: one buffer
-holding a *global-shaped* slot per written cube node.  At writeback each
-lead writes its finalized portion directly into its slice of the node's
-slot (:meth:`OutputArena.stage`) and returns a tiny :class:`StagedResult`
+Outputs do: :class:`OutputArena` is one buffer holding a *global-shaped*
+slot per written cube node.  At writeback each lead writes its finalized
+portion directly into its slice of the node's slot
+(:meth:`OutputArena.stage`) and returns a tiny :class:`StagedResult`
 marker instead of the aggregate; the host takes the finished arrays from
 the buffer (:meth:`OutputArena.collect`).  Because each lead's portion
 occupies disjoint slices of the node array, the writes need no locking,
@@ -30,7 +28,7 @@ in ``prepare_outputs``:
 Neither buffer is zero-filled by hand: a fresh anonymous mapping and a
 freshly truncated POSIX segment both read as zero.
 
-The segment arenas own their segment: the host must keep it alive for the
+The shared arena owns its segment: the host must keep it alive for the
 duration of the run and call ``close()`` afterwards (the
 :class:`~repro.exec.process.ProcessBackend` does both, in ``end_run``).
 """
@@ -41,110 +39,21 @@ import mmap
 import sys
 from dataclasses import dataclass, field
 from multiprocessing import shared_memory
-from typing import Any, Iterator, Sequence, Union
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.arrays.dense import DEFAULT_DTYPE, DenseArray
-from repro.arrays.sparse import SparseArray, SparseChunk
 from repro.cluster.topology import ProcessorGrid
 from repro.core.aggregation_tree import rank_slices
 from repro.core.lattice import Node, node_size
 
-Block = Union[SparseArray, DenseArray]
-
-#: Cache-line alignment for every array placed in the segment.
+#: Cache-line alignment for every node slot in the buffer.
 _ALIGN = 64
 
 
 def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-class SharedInputArena:
-    """Per-rank input blocks backed by one shared-memory segment.
-
-    Indexing (``arena[rank]`` / ``len(arena)``) mirrors the plain list of
-    blocks the constructor was given, so rank programs are oblivious to
-    the staging.  The rebuilt arrays are marked read-only: input blocks
-    are immutable by contract, and a stray in-place write from one worker
-    must not silently corrupt another's input.
-    """
-
-    def __init__(self, local_inputs: list[Block]) -> None:
-        arrays: list[np.ndarray] = []
-        for block in local_inputs:
-            if isinstance(block, SparseArray):
-                for chunk in block.chunks:
-                    arrays.append(np.ascontiguousarray(chunk.offsets))
-                    arrays.append(np.ascontiguousarray(chunk.values))
-            elif isinstance(block, DenseArray):
-                arrays.append(np.ascontiguousarray(block.data))
-            else:
-                raise TypeError(
-                    f"cannot stage input block of type {type(block).__name__}"
-                )
-        offsets: list[int] = []
-        total = 0
-        for arr in arrays:
-            total = _aligned(total)
-            offsets.append(total)
-            total += arr.nbytes
-        self._shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        self._closed = False
-
-        views = iter(self._views(arrays, offsets))
-        blocks: list[Block] = []
-        for block in local_inputs:
-            if isinstance(block, SparseArray):
-                chunks = [
-                    SparseChunk(c.origin, c.shape, next(views), next(views))
-                    for c in block.chunks
-                ]
-                blocks.append(SparseArray(block.shape, chunks))
-            else:
-                assert isinstance(block, DenseArray)
-                blocks.append(DenseArray(next(views), block.dims))
-        self.blocks = blocks
-
-    def _views(
-        self, arrays: list[np.ndarray], offsets: list[int]
-    ) -> Iterator[np.ndarray]:
-        """Copy each array into the segment; yield the shared view."""
-        for arr, off in zip(arrays, offsets):
-            view: np.ndarray = np.ndarray(
-                arr.shape, dtype=arr.dtype, buffer=self._shm.buf, offset=off
-            )
-            view[...] = arr
-            view.flags.writeable = False
-            yield view
-
-    @property
-    def nbytes(self) -> int:
-        """Size of the backing segment in bytes."""
-        return int(self._shm.size)
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __getitem__(self, rank: int) -> Block:
-        return self.blocks[rank]
-
-    def close(self) -> None:
-        """Release the segment (host side; idempotent).
-
-        The shared views die with the mapping -- callers must not touch
-        ``arena[rank]`` afterwards.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self.blocks = []
-        self._shm.close()
-        self._shm.unlink()
-
-
-# -- output staging ------------------------------------------------------------
 
 
 @dataclass(frozen=True)

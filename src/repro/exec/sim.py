@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+from typing import Sequence
 
 from repro.cluster.faults import ALL_FAULT_KINDS, FaultPlan
 from repro.cluster.machine import MachineModel
@@ -29,10 +29,6 @@ class SimBackend(Backend):
     def timeouts(self) -> TimeoutPolicy:
         """Simulated-clock windows, used verbatim."""
         return SIMULATED_TIMEOUTS
-
-    def prepare_inputs(self, local_inputs: list[Any]) -> list[Any]:
-        """No staging needed: every rank shares the host address space."""
-        return local_inputs
 
     def spawn_ranks(
         self,

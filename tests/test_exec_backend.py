@@ -2,12 +2,13 @@
 
 Covers the registry, the deprecation shim on direct ``run_spmd`` cube
 builds, the :class:`TimeoutPolicy` abstraction, construction-time
-``BuildConfig`` validation, the shared-memory input arena, and the
-process backend's guard rails.  Cross-backend result parity lives in
+``BuildConfig`` validation, the process backend's input path (the fork,
+no staging segment), and its guard rails.  Cross-backend result parity lives in
 ``test_backend_parity.py``.
 """
 
 import warnings
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from repro.core.parallel import construct_cube_parallel
 from repro.exec import (
     Backend,
     ProcessBackend,
-    SharedInputArena,
     SimBackend,
     available_backends,
     get_backend,
@@ -198,40 +198,30 @@ class TestBuildConfigValidation:
             construct_cube_parallel(data, (1, 0), backend="mpi")
 
 
-# -- shared-memory arena ---------------------------------------------------------------
+# -- process inputs are read through the fork ------------------------------------------
 
 
-class TestSharedInputArena:
-    def test_dense_round_trip(self):
-        block = DenseArray(np.arange(12, dtype=float).reshape(3, 4), (0, 1))
-        arena = SharedInputArena([block])
-        try:
-            out = arena[0]
-            assert isinstance(out, DenseArray)
-            assert out.dims == (0, 1)
-            np.testing.assert_array_equal(out.data, block.data)
-            assert not out.data.flags.writeable
-        finally:
-            arena.close()
+class TestProcessInputs:
+    @pytest.mark.parametrize("scheduler, segments", [("fig5", 1), ("shuffle", 0)])
+    def test_build_creates_no_input_segment(self, monkeypatch, scheduler, segments):
+        # Workers are forked after the partition and read the host's blocks;
+        # the only segment is fig5's output arena (shuffle stages none).
+        created = []
+        real = shared_memory.SharedMemory
 
-    def test_sparse_round_trip(self):
-        rng = np.random.default_rng(0)
-        dense = np.where(rng.random((8, 4)) < 0.3, rng.random((8, 4)), 0.0)
-        block = SparseArray.from_dense(dense)
-        arena = SharedInputArena([block])
-        try:
-            out = arena[0]
-            assert isinstance(out, SparseArray)
-            np.testing.assert_array_equal(out.to_dense(), dense)
-        finally:
-            arena.close()
+        def counting(*args, **kwargs):
+            if kwargs.get("create") or args[1:2] == (True,):
+                created.append(kwargs.get("size"))
+            return real(*args, **kwargs)
 
-    def test_close_is_idempotent(self):
-        arena = SharedInputArena(
-            [DenseArray(np.ones(3), (0,))]
-        )
-        arena.close()
-        arena.close()
+        monkeypatch.setattr(shared_memory, "SharedMemory", counting)
+        rng = np.random.default_rng(5)
+        dense = np.where(rng.random((8, 6, 4)) < 0.4, rng.integers(1, 9, (8, 6, 4)), 0)
+        data = SparseArray.from_dense(dense.astype(float), chunk_shape=(3, 4, 2))
+        res = construct_cube_parallel(data, (1, 1, 0), backend="process", scheduler=scheduler)
+        assert len(created) == segments
+        np.testing.assert_array_equal(res.results[()].data, dense.sum())
+        np.testing.assert_array_equal(res.results[(0, 2)].data, dense.sum(axis=1))
 
 
 # -- process backend guard rails -------------------------------------------------------
