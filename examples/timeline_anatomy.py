@@ -11,9 +11,9 @@ Run:  python examples/timeline_anatomy.py
 """
 
 from repro.arrays.dataset import random_sparse
-from repro.cluster.trace import ascii_gantt, summarize, utilization
 from repro.core.parallel import construct_cube_parallel
 from repro.core.partition import describe_partition
+from repro.obs.report import ascii_gantt, summarize, utilization
 
 
 def show(data, bits) -> float:

@@ -44,13 +44,14 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
 from repro.analysis.model.hb import hb_from_trace
 from repro.cluster.faults import FaultStats
 from repro.cluster.metrics import RunMetrics
+from repro.obs.export import RunSource, load_run
+from repro.obs.report import idle_fractions
 from repro.obs.span import Span, op_channel
 
 __all__ = ["lint_trace"]
@@ -211,11 +212,9 @@ def _recovery_checks(faults: FaultStats) -> list[Diagnostic]:
 
 def _idle_skew_check(metrics: RunMetrics) -> list[Diagnostic]:
     """TRACE105: spread of per-rank idle fractions."""
-    from repro.cluster.trace import breakdown
-
-    if metrics.makespan_s <= 0.0 or metrics.num_ranks < 2:
+    fractions = idle_fractions(metrics)
+    if len(fractions) < 2:
         return []
-    fractions = [b.idle / b.makespan for b in breakdown(metrics)]
     spread = max(fractions) - min(fractions)
     if spread <= IDLE_SKEW_THRESHOLD:
         return []
@@ -234,7 +233,7 @@ def _idle_skew_check(metrics: RunMetrics) -> list[Diagnostic]:
 
 
 def lint_trace(
-    metrics: Union[RunMetrics, str, Path, Mapping],
+    metrics: RunSource,
     shape: Sequence[int] | None = None,
     bits: Sequence[int] | None = None,
     scheduler: object = "fig5",
@@ -256,10 +255,7 @@ def lint_trace(
     default ``fig5``.  Without them only the protocol- and timing-level
     rules run.  Raises ``ValueError`` if the run was not traced.
     """
-    if not isinstance(metrics, RunMetrics):
-        from repro.obs.export import load_run
-
-        metrics = load_run(metrics)
+    metrics = load_run(metrics)
     if not metrics.trace:
         raise ValueError("run has no trace; pass record_trace=True / trace=True")
     report = DiagnosticReport()

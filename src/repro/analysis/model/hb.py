@@ -33,8 +33,7 @@ TRACE101/102 off that graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Sequence
 
 from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.model.ops import (
@@ -44,7 +43,7 @@ from repro.analysis.model.ops import (
     MSend,
     ModelProgram,
 )
-from repro.cluster.metrics import RunMetrics
+from repro.obs.export import RunSource, load_run
 from repro.obs.span import op_channel
 
 __all__ = ["HBGraph", "build_hb", "hb_from_trace"]
@@ -282,7 +281,7 @@ def build_hb(prog: ModelProgram) -> HBGraph:
 # -- trace-side construction --------------------------------------------------
 
 
-def hb_from_trace(metrics: Union[RunMetrics, str, Path, Mapping]) -> HBGraph:
+def hb_from_trace(metrics: RunSource) -> HBGraph:
     """Build the happens-before graph of a *recorded* run.
 
     ``metrics`` is an in-memory :class:`RunMetrics` or an exported run
@@ -294,10 +293,7 @@ def hb_from_trace(metrics: Union[RunMetrics, str, Path, Mapping]) -> HBGraph:
     exactly as on symbolic programs.  An unpaired send is a message that
     reached the network and was never received (TRACE101).
     """
-    if not isinstance(metrics, RunMetrics):
-        from repro.obs.export import load_run
-
-        metrics = load_run(metrics)
+    metrics = load_run(metrics)
     if not metrics.trace:
         raise ValueError("run has no trace; pass record_trace=True / trace=True")
     num_ranks = metrics.num_ranks

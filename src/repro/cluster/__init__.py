@@ -17,7 +17,7 @@ which a deterministic simulator measures directly.
 - :mod:`repro.cluster.runtime` -- the deterministic SPMD scheduler.
 - :mod:`repro.cluster.collectives` -- reduce-to-lead (flat, binomial,
   chunked, reliable) built on point-to-point sends.
-- :mod:`repro.cluster.metrics` -- per-run measurement containers.
+- :mod:`repro.cluster.metrics` -- the run record and its one builder.
 - :mod:`repro.cluster.faults` -- deterministic fault injection
   (crashes, drops/duplications, NIC degradation, stragglers).
 """
@@ -35,7 +35,6 @@ from repro.cluster.runtime import (
     RECV_TIMEOUT,
 )
 from repro.cluster.faults import FaultPlan, FaultStats
-from repro.cluster.trace import ascii_gantt, breakdown, summarize, utilization
 from repro.cluster.metrics import RunMetrics, CommStats
 from repro.cluster import collectives
 
@@ -54,10 +53,6 @@ __all__ = [
     "RECV_TIMEOUT",
     "FaultPlan",
     "FaultStats",
-    "ascii_gantt",
-    "breakdown",
-    "summarize",
-    "utilization",
     "RunMetrics",
     "CommStats",
     "collectives",

@@ -42,7 +42,7 @@ from typing import Any, Callable, Generator
 
 from repro.cluster.faults import FaultPlan, FaultStats, NULL_CONTROLLER
 from repro.cluster.machine import MachineModel
-from repro.cluster.metrics import RunMetrics
+from repro.cluster.metrics import RunMetrics, build_run, rank_record
 from repro.cluster.network import CONTROL_NBYTES, Network, payload_nbytes
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.span import NULL_TRACER, Span, Tracer, op_span
@@ -349,24 +349,9 @@ def run_spmd(
     results: list[Any] = [None] * num_ranks
     trace: list[Span] = []
 
-    def record(
-        rank: int,
-        kind: str,
-        start: float,
-        end: float,
-        detail: str | None = None,
-        *,
-        peer: int | None = None,
-        tag: int | None = None,
-        nbytes: int | None = None,
-    ) -> None:
+    def record(rank: int, kind: str, start: float, end: float, **attrs: Any) -> None:
         if record_trace and end > start:
-            trace.append(
-                op_span(
-                    rank, kind, start, end,
-                    peer=peer, tag=tag, nbytes=nbytes, detail=detail,
-                )
-            )
+            trace.append(op_span(rank, kind, start, end, **attrs))
 
     def kill(r: int, t: float) -> None:
         """Rank ``r`` dies at simulated time ``t``; its generator is closed."""
@@ -385,7 +370,7 @@ def run_spmd(
     def fire_timeout(r: int, deadline: float, op: RecvOp) -> Any:
         """Resume a timed-out receive at its deadline with the sentinel."""
         env = envs[r]
-        record(r, "wait", env.clock, deadline, "timeout", peer=op.src, tag=op.tag)
+        record(r, "wait", env.clock, deadline, detail="timeout", peer=op.src, tag=op.tag)
         env.clock = max(env.clock, deadline)
         fstats.note(
             "timeout", env.clock, r, f"recv from {op.src} tag {op.tag}",
@@ -499,7 +484,7 @@ def run_spmd(
                     return
                 env.clock = t0 + dur
                 env.disk_bytes_written += op.nbytes
-                record(r, "disk", t0, env.clock, "write")
+                record(r, "disk", t0, env.clock, detail="write")
             elif isinstance(op, DiskReadOp):
                 t0 = env.clock
                 dur = env.machine.disk_time(op.nbytes)
@@ -508,14 +493,14 @@ def run_spmd(
                     return
                 env.clock = t0 + dur
                 env.disk_bytes_read += op.nbytes
-                record(r, "disk", t0, env.clock, "read")
+                record(r, "disk", t0, env.clock, detail="read")
             elif isinstance(op, SleepOp):
                 t0 = env.clock
                 if crashes_by(r, t0 + op.seconds):
                     kill(r, max(t0, crash_at[r]))
                     return
                 env.clock = t0 + op.seconds
-                record(r, "wait", t0, env.clock, "sleep")
+                record(r, "wait", t0, env.clock, detail="sleep")
             elif isinstance(op, BarrierOp):
                 state[r] = _BARRIER
                 return
@@ -593,28 +578,13 @@ def run_spmd(
                 _deadlock_report(num_ranks, state, blocked_on, envs, network, fstats)
             )
 
-    spans = sorted(
-        (s for env in envs for s in env.tracer.spans),
-        key=lambda s: (s.t_start, s.t_end, s.rank),
-    )
-    samples = sorted(
-        (s for env in envs for s in env.tracer.samples),
-        key=lambda s: (s.t, s.rank),
-    )
-    return RunMetrics(
-        makespan_s=max((env.clock for env in envs), default=0.0),
-        rank_clocks=[env.clock for env in envs],
-        comm=network.stats,
-        rank_peak_memory_elements=[env.peak_memory_elements for env in envs],
-        rank_compute_ops=[env.compute_ops for env in envs],
-        rank_disk_bytes_written=[env.disk_bytes_written for env in envs],
-        rank_disk_bytes_read=[env.disk_bytes_read for env in envs],
-        rank_results=results,
-        trace=trace,
-        faults=fstats,
-        spans=spans,
-        samples=samples,
+    return build_run(
+        [rank_record(env, result) for env, result in zip(envs, results)],
+        backend="sim",
         registry=obsreg,
+        comm=network.stats,
+        faults=fstats,
+        trace=trace,
     )
 
 

@@ -11,8 +11,8 @@ The driver owns everything the real backends share: the ``gen.send``
 loop, the mailbox and its receive deadline / watchdog logic, the chaos
 boundary (:class:`~repro.exec.chaos.ChaosAgent` kills, straggler and NIC
 delays, duplicate deliveries), per-op accounting, op-span emission
-(:func:`~repro.obs.span.op_span`), fault notes, and the stats dict
-:func:`~repro.exec.stats.merge_rank_stats` folds.  A backend supplies only
+(:func:`~repro.obs.span.op_span`), fault notes, and the rank record
+:func:`~repro.cluster.metrics.build_run` reads.  A backend supplies only
 what genuinely differs:
 
 - the **inboxes** -- one queue per rank with ``put`` and
@@ -42,7 +42,7 @@ from typing import Any, Callable, Sequence
 
 from repro.cluster.faults import FaultPlan, FaultStats
 from repro.cluster.machine import MachineModel
-from repro.cluster.metrics import CommStats
+from repro.cluster.metrics import CommStats, rank_record
 from repro.cluster.network import payload_elements, payload_nbytes
 from repro.cluster.runtime import (
     BarrierOp,
@@ -119,7 +119,7 @@ def drive_rank(
     probe: RankProbe | None = None,
     tick: Callable[[int, str, float], None] | None = None,
 ) -> dict[str, Any]:
-    """Interpret one rank's program in real time; returns its stats dict.
+    """Interpret one rank's program in real time; returns its rank record.
 
     ``barrier(await_message)`` is called once before the program starts
     (the start barrier) and once per yielded ``BarrierOp``; ``run_epoch()``
@@ -155,7 +155,7 @@ def drive_rank(
 
     if record_trace:
         # Per-rank tracer on the shared monotonic epoch and a per-rank
-        # registry; the host merges both when the stats come back.
+        # registry; the host merges both when the record comes back.
         env.tracer = Tracer(rank=rank, clock=now)
         env.obs = MetricsRegistry()
 
@@ -308,17 +308,7 @@ def drive_rank(
         probe.op_index = op_index
         probe.op_kind = "done"
         probe.done = True
-    return {
-        "result": result,
-        "clock": env.clock,
-        "peak_memory_elements": env.peak_memory_elements,
-        "compute_ops": env.compute_ops,
-        "disk_bytes_written": env.disk_bytes_written,
-        "disk_bytes_read": env.disk_bytes_read,
-        "comm": comm,
-        "trace": trace,
-        "faults": fstats,
-        "spans": env.tracer.spans if record_trace else [],
-        "samples": env.tracer.samples if record_trace else [],
-        "registry": env.obs if record_trace else None,
-    }
+    return rank_record(
+        env, result, comm=comm, trace=trace, faults=fstats,
+        registry=env.obs if record_trace else None,
+    )

@@ -44,13 +44,12 @@ from typing import Any, Sequence
 
 from repro.cluster.faults import FaultPlan
 from repro.cluster.machine import MachineModel
-from repro.cluster.metrics import RunMetrics
+from repro.cluster.metrics import RunMetrics, build_run
 from repro.cluster.runtime import MONOTONIC_TIMEOUTS, TimeoutPolicy
 from repro.exec.base import Backend, ProgramFactory, check_backend_options
 from repro.exec.chaos import PROCESS_FAULT_KINDS
 from repro.exec.driver import AwaitMessage, WorkerError, drive_rank
 from repro.exec.shm import OutputLayout, SharedOutputArena
-from repro.exec.stats import empty_metrics, merge_rank_stats
 from repro.exec.supervisor import (
     BARRIER_TAG_BASE,
     DEFAULT_MAX_RESPAWNS,
@@ -59,6 +58,7 @@ from repro.exec.supervisor import (
     _FatalFailure,
 )
 from repro.obs.live import LiveRunView, RankProbe
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 
 #: Minimum spacing of the heartbeats workers piggyback on the control
 #: queue at op boundaries (diagnostic context for post-mortems; liveness
@@ -206,7 +206,7 @@ class ProcessBackend(Backend):
             )
         mach = machine or MachineModel.paper_cluster()
         if num_ranks == 0:
-            return empty_metrics(self.name)
+            return build_run([], backend=self.name)
 
         ctx = multiprocessing.get_context("fork")
         inboxes = [ctx.Queue() for _ in range(num_ranks)]
@@ -262,11 +262,11 @@ class ProcessBackend(Backend):
             if live is not None:
                 live.finish()
 
-        return merge_rank_stats(
+        return build_run(
             stats,
             backend=self.name,
-            record_trace=record_trace,
-            extra_faults=sup.fstats,
+            registry=MetricsRegistry() if record_trace else NULL_REGISTRY,
+            faults=sup.fstats,
         )
 
     def end_run(self) -> None:

@@ -47,15 +47,15 @@ from typing import Any, Sequence
 
 from repro.cluster.faults import FaultPlan
 from repro.cluster.machine import MachineModel
-from repro.cluster.metrics import RunMetrics
+from repro.cluster.metrics import RunMetrics, build_run
 from repro.cluster.runtime import MONOTONIC_TIMEOUTS, TimeoutPolicy
 from repro.exec.base import Backend, ProgramFactory, check_backend_options
 from repro.exec.chaos import THREAD_FAULT_KINDS
 from repro.exec.driver import AwaitMessage, WorkerError, drive_rank
 from repro.exec.pool import WorkerPool
 from repro.exec.shm import OutputLayout, PrivateOutputArena
-from repro.exec.stats import empty_metrics, merge_rank_stats
 from repro.obs.live import LiveRunView, RankProbe
+from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 
 
 class _LiveSampler:
@@ -192,7 +192,7 @@ class ThreadBackend(Backend):
         check_backend_options(self, faults, machines)
         mach = machine or MachineModel.paper_cluster()
         if num_ranks == 0:
-            return empty_metrics(self.name)
+            return build_run([], backend=self.name)
 
         inboxes: list[queue_mod.SimpleQueue[tuple[int, int, Any]]] = [
             queue_mod.SimpleQueue() for _ in range(num_ranks)
@@ -301,8 +301,10 @@ class ThreadBackend(Backend):
                 live.finish()
             if ephemeral:
                 pool.close()
-        metrics = merge_rank_stats(
-            stats, backend=self.name, record_trace=record_trace
+        metrics = build_run(
+            stats,
+            backend=self.name,
+            registry=MetricsRegistry() if record_trace else NULL_REGISTRY,
         )
         if record_trace:
             metrics.registry.counter(

@@ -13,9 +13,9 @@ Zero-dependency instrumentation wired through the whole stack:
   (open it in Perfetto / ``chrome://tracing``) or a JSONL stream, and
   :func:`load_run` reconstructs a ``RunMetrics`` from either file so the
   trace linters run on exports unchanged;
-- :mod:`repro.obs.report` turns a run into per-phase makespan
-  attribution, idle-skew, and memory timelines (``repro-cube trace
-  summarize`` / ``diff``);
+- :mod:`repro.obs.report` reads a finished run through one span fold:
+  per-rank activity breakdowns and Gantt charts, per-phase makespan
+  attribution and idle skew (``repro-cube trace summarize`` / ``diff``);
 - :mod:`repro.obs.live` is the snapshot bus: backends publish per-rank
   :class:`RankSnapshot` streams merged into a monotonic
   :class:`LiveRunView` readable *while the build runs* (``repro-cube
@@ -53,10 +53,9 @@ from repro.obs.export import (
 from repro.obs.expo import ObsEndpoint, render_prometheus, sanitize_metric_name
 from repro.obs.live import LiveRunView, RankProbe, RankSnapshot
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.profile import ProfileResult, merge_profiles, write_collapsed
+from repro.obs.profile import ProfileResult, write_collapsed
 from repro.obs.report import (
     diff_runs,
-    memory_timeline,
     phase_coverage,
     phase_totals,
     summarize_run,
@@ -99,8 +98,6 @@ __all__ = [
     "diff_runs",
     "evaluate_slo",
     "load_run",
-    "memory_timeline",
-    "merge_profiles",
     "phase_coverage",
     "phase_totals",
     "render_prometheus",

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Union
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import Sample, Span, op_span
@@ -63,41 +63,19 @@ def _host_pid(num_ranks: int) -> int:
 
 
 def _meta_events(num_ranks: int, have_host: bool) -> list[dict[str, Any]]:
-    events: list[dict[str, Any]] = []
-    for rank in range(num_ranks):
-        events.append(
-            {
-                "ph": "M",
-                "name": "process_name",
-                "pid": rank,
-                "tid": 0,
-                "args": {"name": f"rank {rank}"},
-            }
-        )
-        events.append(
-            {"ph": "M", "name": "process_sort_index", "pid": rank, "tid": 0,
-             "args": {"sort_index": rank}}
-        )
+    lanes = [(rank, f"rank {rank}") for rank in range(num_ranks)]
     if have_host:
-        pid = _host_pid(num_ranks)
-        events.append(
-            {"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-             "args": {"name": "host"}}
-        )
-        events.append(
-            {"ph": "M", "name": "process_sort_index", "pid": pid, "tid": 0,
-             "args": {"sort_index": pid}}
-        )
-    pids = list(range(num_ranks)) + ([_host_pid(num_ranks)] if have_host else [])
-    for pid in pids:
-        events.append(
-            {"ph": "M", "name": "thread_name", "pid": pid, "tid": 0,
-             "args": {"name": "phases"}}
-        )
-        events.append(
-            {"ph": "M", "name": "thread_name", "pid": pid, "tid": 1,
-             "args": {"name": "ops"}}
-        )
+        lanes.append((_host_pid(num_ranks), "host"))
+    events: list[dict[str, Any]] = []
+    for pid, name in lanes:
+        events.append({"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
+                       "args": {"name": name}})
+        events.append({"ph": "M", "name": "process_sort_index", "pid": pid,
+                       "tid": 0, "args": {"sort_index": pid}})
+    for pid, _ in lanes:
+        for tid, thread in enumerate(("phases", "ops")):
+            events.append({"ph": "M", "name": "thread_name", "pid": pid,
+                           "tid": tid, "args": {"name": thread}})
     return events
 
 
@@ -146,17 +124,14 @@ def _sample_event(sample: Sample, num_ranks: int) -> dict[str, Any]:
 
 
 def _other_data(metrics: "RunMetrics") -> dict[str, Any]:
-    registry = getattr(metrics, "registry", None)
+    from repro.cluster.metrics import RANK_COLUMNS
+
     return {
         "format": FORMAT_NAME,
         "backend": metrics.backend,
         "num_ranks": metrics.num_ranks,
         "makespan_s": metrics.makespan_s,
-        "rank_clocks": list(metrics.rank_clocks),
-        "rank_peak_memory_elements": list(metrics.rank_peak_memory_elements),
-        "rank_compute_ops": list(metrics.rank_compute_ops),
-        "rank_disk_bytes_written": list(metrics.rank_disk_bytes_written),
-        "rank_disk_bytes_read": list(metrics.rank_disk_bytes_read),
+        **{name: list(getattr(metrics, name)) for name, _, _ in RANK_COLUMNS},
         "comm": {
             "total_bytes": metrics.comm.total_bytes,
             "total_elements": metrics.comm.total_elements,
@@ -172,7 +147,7 @@ def _other_data(metrics: "RunMetrics") -> dict[str, Any]:
                 for ev in metrics.faults.events
             ],
         },
-        "registry": registry.snapshot() if registry is not None else None,
+        "registry": metrics.registry.snapshot(),
     }
 
 
@@ -183,18 +158,14 @@ def to_chrome_trace(metrics: "RunMetrics") -> dict[str, Any]:
     op trace): an empty timeline is almost always a forgotten
     ``trace=True``, not a real run.
     """
-    spans = list(getattr(metrics, "spans", []))
+    spans = list(metrics.spans)
     if not metrics.trace and not spans:
         raise ValueError("run has no trace; pass record_trace=True / trace=True")
     num_ranks = metrics.num_ranks
     have_host = any(s.rank < 0 for s in spans)
-    events: list[dict[str, Any]] = []
-    for span in (*spans, *metrics.trace):
-        events.append(_span_event(span, num_ranks))
-    for fault in metrics.faults.events:
-        events.append(_fault_event(fault))
-    for sample in getattr(metrics, "samples", []):
-        events.append(_sample_event(sample, num_ranks))
+    events = [_span_event(span, num_ranks) for span in (*spans, *metrics.trace)]
+    events += [_fault_event(fault) for fault in metrics.faults.events]
+    events += [_sample_event(sample, num_ranks) for sample in metrics.samples]
     events.sort(key=lambda e: (e["ts"], e["pid"], e["tid"]))
     return {
         "traceEvents": _meta_events(num_ranks, have_host) + events,
@@ -221,7 +192,7 @@ def to_jsonl_records(metrics: "RunMetrics") -> Iterator[dict[str, Any]]:
     timeline UI.
     """
     yield {"type": "meta", **_other_data(metrics)}
-    for span in (*getattr(metrics, "spans", []), *metrics.trace):
+    for span in (*metrics.spans, *metrics.trace):
         yield {
             "type": "span",
             "name": span.name,
@@ -232,7 +203,7 @@ def to_jsonl_records(metrics: "RunMetrics") -> Iterator[dict[str, Any]]:
             "parent": span.parent,
             "attrs": dict(span.attrs),
         }
-    for sample in getattr(metrics, "samples", []):
+    for sample in metrics.samples:
         yield {
             "type": "sample",
             "name": sample.name,
@@ -322,7 +293,8 @@ def load_run(source: RunSource) -> "RunMetrics":
     """Reconstruct a :class:`RunMetrics` from an exported run.
 
     ``source`` is a path to a Chrome trace or JSONL export (either format
-    is auto-detected), or an already-parsed Chrome trace dict.  The
+    is auto-detected), an already-parsed Chrome trace dict, or a
+    :class:`RunMetrics`, returned as is.  The
     reconstruction is exact for everything the linters and reports consume
     -- op trace, spans, samples, comm totals and per-pair bytes, per-rank
     clocks/memory/compute/disk, fault log, counters and gauges --
@@ -332,17 +304,16 @@ def load_run(source: RunSource) -> "RunMetrics":
     are not serialized at all (``rank_results`` loads as ``None`` per rank).
     """
     from repro.cluster.faults import FaultStats
-    from repro.cluster.metrics import CommStats, RunMetrics
+    from repro.cluster.metrics import RANK_COLUMNS, CommStats, RunMetrics, build_run
 
+    if isinstance(source, RunMetrics):
+        return source
     meta, records = _read_source(source)
+    counts = meta["comm"]
     comm = CommStats(
-        total_bytes=int(meta["comm"]["total_bytes"]),
-        total_elements=int(meta["comm"]["total_elements"]),
-        total_messages=int(meta["comm"]["total_messages"]),
-        per_pair={
-            (int(src), int(dst)): int(nbytes)
-            for src, dst, nbytes in meta["comm"]["per_pair"]
-        },
+        int(counts["total_bytes"]), int(counts["total_elements"]),
+        int(counts["total_messages"]),
+        {(int(src), int(dst)): int(nbytes) for src, dst, nbytes in counts["per_pair"]},
     )
     faults = FaultStats()
     for kind, t, rank, detail, peer, tag in meta["faults"]["events"]:
@@ -361,9 +332,12 @@ def load_run(source: RunSource) -> "RunMetrics":
     spans: list[Span] = []
     samples: list[Sample] = []
     for record in records:
-        kind = record["type"]
-        if kind == "span":
-            name, rank = str(record["name"]), int(record["rank"])
+        if record["type"] not in ("span", "sample"):
+            continue
+        name, rank = str(record["name"]), int(record["rank"])
+        if record["type"] == "sample":
+            samples.append(Sample(name, rank, float(record["t"]), float(record["value"])))
+        else:
             t_start, t_end = float(record["t_start"]), float(record["t_end"])
             attrs = dict(record.get("attrs") or {})
             if record.get("cat") == "op":
@@ -371,43 +345,21 @@ def load_run(source: RunSource) -> "RunMetrics":
                 # channel is rejected here and not inside a lint rule.
                 trace.append(op_span(rank, name, t_start, t_end, **attrs))
             else:
-                spans.append(
-                    Span(
-                        name=name,
-                        rank=rank,
-                        t_start=t_start,
-                        t_end=t_end,
-                        cat=str(record.get("cat") or "phase"),
-                        parent=record.get("parent"),
-                        attrs=attrs,
-                    )
-                )
-        elif kind == "sample":
-            samples.append(
-                Sample(
-                    name=str(record["name"]),
-                    rank=int(record["rank"]),
-                    t=float(record["t"]),
-                    value=float(record["value"]),
-                )
-            )
-    trace.sort(key=lambda ev: (ev.t_start, ev.t_end, ev.rank))
-    num_ranks = int(meta["num_ranks"])
-    return RunMetrics(
-        makespan_s=float(meta["makespan_s"]),
-        rank_clocks=[float(v) for v in meta["rank_clocks"]],
-        comm=comm,
-        rank_peak_memory_elements=[int(v) for v in meta["rank_peak_memory_elements"]],
-        rank_compute_ops=[float(v) for v in meta["rank_compute_ops"]],
-        rank_disk_bytes_written=[int(v) for v in meta["rank_disk_bytes_written"]],
-        rank_disk_bytes_read=[int(v) for v in meta["rank_disk_bytes_read"]],
-        rank_results=[None] * num_ranks,
-        trace=trace,
-        faults=faults,
+                cat = str(record.get("cat") or "phase")
+                spans.append(Span(name, rank, t_start, t_end, cat, record.get("parent"), attrs))
+    ranks = [
+        {attr: type(dead)(meta[name][r]) for name, attr, dead in RANK_COLUMNS}
+        for r in range(int(meta["num_ranks"]))
+    ]
+    return build_run(
+        ranks,
         backend=str(meta["backend"]),
+        registry=registry,
+        comm=comm,
+        faults=faults,
+        trace=trace,
         spans=spans,
         samples=samples,
-        registry=registry,
     )
 
 
@@ -416,16 +368,5 @@ def _parse_full_name(name: str) -> tuple[str, dict[str, str]]:
     if not name.endswith("}") or "{" not in name:
         return name, {}
     base, _, inner = name.partition("{")
-    labels: dict[str, str] = {}
-    for part in inner[:-1].split(","):
-        if not part:
-            continue
-        k, _, v = part.partition("=")
-        labels[k] = v
-    return base, labels
-
-
-def dump(metrics: "RunMetrics", fh: IO[str]) -> None:
-    """Write the Chrome trace JSON for ``metrics`` to an open text stream."""
-    json.dump(to_chrome_trace(metrics), fh, indent=1)
-    fh.write("\n")
+    pairs = (part.partition("=") for part in inner[:-1].split(",") if part)
+    return base, {k: v for k, _, v in pairs}

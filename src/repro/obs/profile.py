@@ -28,31 +28,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from repro.obs.live import LiveRunView
-from repro.obs.span import Span
+from repro.obs.report import Interval, fold_spans
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cluster.metrics import RunMetrics
 
-__all__ = ["ProfileResult", "merge_profiles", "write_collapsed"]
+__all__ = ["ProfileResult", "write_collapsed"]
 
 #: Default resampling grid of :meth:`ProfileResult.from_run` -- 1 ms is
 #: far below any phase duration on real backends, and on the simulator
 #: spans are in simulated seconds where 1 ms is equally comfortable.
 DEFAULT_INTERVAL_S = 0.001
-
-
-def _innermost_stack(spans: list[Span], t: float) -> tuple[str, ...]:
-    """The covering spans at instant ``t``, outermost first.
-
-    Covering spans sort outer-to-inner by (earlier start, later end):
-    a nested span starts no earlier and ends no later than its parent.
-    """
-    covering = [s for s in spans if s.t_start <= t < s.t_end]
-    covering.sort(key=lambda s: (s.t_start, -s.t_end))
-    return tuple(s.name for s in covering)
 
 
 @dataclass(frozen=True)
@@ -126,23 +117,28 @@ class ProfileResult:
         """
         if interval_s <= 0:
             raise ValueError("interval_s must be positive")
-        by_rank: dict[int, list[Span]] = {}
-        for s in getattr(metrics, "spans", []):
-            if s.rank >= 0:
-                by_rank.setdefault(s.rank, []).append(s)
-        clocks = list(getattr(metrics, "rank_clocks", []))
+        spans = [s for s in metrics.spans if s.rank >= 0]
+        by_rank: dict[int, list[Interval]] = {s.rank: [] for s in spans}
+        for iv in fold_spans(spans):
+            by_rank[iv[0]].append(iv)
+        clocks = metrics.rank_clocks
         stacks: dict[tuple[int, tuple[str, ...]], int] = {}
-        for rank, spans in sorted(by_rank.items()):
+        for rank, ivs in sorted(by_rank.items()):
             clock = (
                 clocks[rank]
                 if rank < len(clocks)
-                else max(s.t_end for s in spans)
+                else max(s.t_end for s in spans if s.rank == rank)
             )
-            n_samples = int(clock / interval_s)
-            for k in range(n_samples):
-                t = (k + 0.5) * interval_s
-                key = (rank, _innermost_stack(spans, t))
-                stacks[key] = stacks.get(key, 0) + 1
+            instants = (np.arange(int(clock / interval_s)) + 0.5) * interval_s
+            # The interval holding each instant; one before the first span
+            # or past the last is busy clock outside every span.
+            at = np.searchsorted([iv[1] for iv in ivs], instants, side="right") - 1
+            inside = (at >= 0) & (instants < (ivs[-1][2] if ivs else 0.0))
+            counts = np.bincount(at[inside], minlength=len(ivs)).tolist()
+            keys = [iv[3] for iv in ivs] + [()]
+            for stack, n in zip(keys, counts + [int((~inside).sum())]):
+                if n:
+                    stacks[rank, stack] = stacks.get((rank, stack), 0) + n
         return cls(stacks=stacks, interval_s=interval_s)
 
     @classmethod
@@ -158,14 +154,3 @@ def write_collapsed(
     out = Path(path)
     out.write_text(result.collapsed(), encoding="utf-8")
     return out
-
-
-def merge_profiles(parts: Iterable[ProfileResult]) -> ProfileResult:
-    """Sum several profiles' sample counts (e.g. repeated runs)."""
-    stacks: dict[tuple[int, tuple[str, ...]], int] = {}
-    interval = 0.0
-    for part in parts:
-        interval = interval or part.interval_s
-        for key, n in part.stacks.items():
-            stacks[key] = stacks.get(key, 0) + n
-    return ProfileResult(stacks=stacks, interval_s=interval)

@@ -1,20 +1,24 @@
-"""Human-readable run reports: per-phase attribution, skew, memory, diffs.
+"""Reading a finished run: timelines, phase attribution, skew, diffs.
 
-Works on any traced :class:`~repro.cluster.metrics.RunMetrics` -- live from
-a backend or reloaded from an export via :func:`repro.obs.export.load_run`.
-The headline number is *phase coverage*: the fraction of every rank's busy
-clock that falls inside a named top-level span.  Instrumented builds keep
-this >= 95%, which is what makes the per-phase makespan attribution
-trustworthy -- if a third of the time were unattributed, the table would
-be decoration, not measurement.
+Works on any traced :class:`~repro.cluster.metrics.RunMetrics`, live from
+a backend or reloaded by :func:`repro.obs.export.load_run`.  Every
+time-based reading goes through one fold, :func:`fold_spans`, which cuts
+spans into elementary intervals keyed by ``(rank, stack)``.  Over the op
+spans it gives the per-rank :func:`breakdown` (Figure 7's 1-d partition
+shows as leads receiving while everyone else idles), the idle fractions
+behind ``trace summarize`` and lint rule TRACE105, and the Gantt chart's
+utilization; over the named spans, :func:`phase_totals`,
+:func:`phase_coverage` (instrumented builds keep >= 95% of rank clock in
+named phases, which is what makes the attribution trustworthy) and
+:meth:`repro.obs.profile.ProfileResult.from_run`.
 
-Cluster imports are function-local (``cluster.runtime`` imports
-``repro.obs``; see :mod:`repro.obs.export`).
+Cluster imports are type-only (``cluster.runtime`` imports ``repro.obs``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.obs.span import Span
 from repro.util import human_bytes, human_count
@@ -23,31 +27,188 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cluster.metrics import RunMetrics
 
 __all__ = [
+    "KINDS",
+    "TimeBreakdown",
+    "ascii_gantt",
+    "breakdown",
+    "critical_rank",
     "diff_runs",
-    "memory_timeline",
+    "fold_spans",
+    "idle_fractions",
     "phase_coverage",
     "phase_totals",
+    "summarize",
     "summarize_run",
+    "utilization",
 ]
 
+#: One elementary interval of a folded span list: ``(rank, lo, hi, stack)``.
+Interval = tuple[int, float, float, tuple[str, ...]]
 
-def _rank_spans(metrics: "RunMetrics") -> list[Span]:
-    """Top-level spans recorded on SPMD ranks (host spans excluded)."""
+KINDS = ("compute", "send", "recv", "wait", "disk", "barrier")
+
+#: Gantt glyph per op kind, in :data:`KINDS` order.
+_GLYPH = dict(zip(KINDS, "#><.D|"))
+
+
+def fold_spans(spans: Iterable[Span]) -> list[Interval]:
+    """Cut each rank's spans at every span endpoint: the one fold.
+
+    Between consecutive endpoints on a rank the spans covering an instant
+    (``t_start <= t < t_end``) do not change; each such interval's
+    ``stack`` names them outermost first (earlier start, then later end,
+    then recorded order), empty where no span covers.  Intervals sort by
+    ``(lo, hi, rank)``: on spans disjoint within each rank, each interval
+    is one whole span in time-sorted span order, so sums over the fold
+    add the same terms in the same order as a pass over the spans.
+    """
+    by_rank: dict[int, list[Span]] = {}
+    for s in spans:
+        by_rank.setdefault(s.rank, []).append(s)
+    out: list[Interval] = []
+    for rank, rank_spans in by_rank.items():
+        keyed = sorted(
+            ((s.t_start, -s.t_end, i), s.name) for i, s in enumerate(rank_spans)
+        )
+        bounds = sorted({t for s in rank_spans for t in (s.t_start, s.t_end)})
+        active: list[tuple[tuple[float, float, int], str]] = []
+        nxt = 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            while nxt < len(keyed) and keyed[nxt][0][0] <= lo:
+                active.append(keyed[nxt])
+                nxt += 1
+            active = [a for a in active if -a[0][1] > lo]
+            out.append((rank, lo, hi, tuple(name for _, name in active)))
+    out.sort(key=lambda iv: (iv[1], iv[2], iv[0]))
+    return out
+
+
+@dataclass
+class TimeBreakdown:
+    """Seconds per activity for one rank (idle = makespan - accounted)."""
+
+    rank: int
+    seconds: dict[str, float]
+    makespan: float
+
+    @property
+    def busy(self) -> float:
+        return sum(self.seconds.values())
+
+    @property
+    def idle(self) -> float:
+        return max(0.0, self.makespan - self.busy)
+
+    @property
+    def compute_fraction(self) -> float:
+        return self.seconds.get("compute", 0.0) / self.makespan if self.makespan else 0.0
+
+
+def breakdown(metrics: "RunMetrics") -> list[TimeBreakdown]:
+    """Per-rank activity totals from a traced run's op spans."""
+    if not metrics.trace:
+        raise ValueError("run has no trace; pass record_trace=True / trace=True")
+    per_rank: dict[int, dict[str, float]] = {
+        r: {k: 0.0 for k in KINDS} for r in range(metrics.num_ranks)
+    }
+    for rank, lo, hi, stack in fold_spans(metrics.trace):
+        # Unknown op names in a loaded file accumulate too, but only the
+        # canonical KINDS are tabulated by summarize().
+        for name in stack:
+            per_rank[rank][name] = per_rank[rank].get(name, 0.0) + (hi - lo)
     return [
-        s for s in getattr(metrics, "spans", [])
-        if s.rank >= 0 and s.parent is None
+        TimeBreakdown(rank=r, seconds=per_rank[r], makespan=metrics.makespan_s)
+        for r in range(metrics.num_ranks)
+    ]
+
+
+def idle_fractions(metrics: "RunMetrics") -> list[float]:
+    """Each rank's idle share of the makespan (empty for an untraced or
+    zero-length run)."""
+    if not metrics.trace or metrics.makespan_s <= 0.0:
+        return []
+    return [b.idle / b.makespan for b in breakdown(metrics)]
+
+
+def utilization(metrics: "RunMetrics") -> float:
+    """Mean compute fraction across ranks (1.0 = perfectly busy)."""
+    downs = breakdown(metrics)
+    if not downs:
+        return 0.0
+    return sum(b.compute_fraction for b in downs) / len(downs)
+
+
+def summarize(metrics: "RunMetrics") -> str:
+    """Multi-line per-rank breakdown table (seconds and percentages)."""
+    downs = breakdown(metrics)
+    header = "rank " + " ".join(f"{k:>9}" for k in KINDS) + f" {'idle':>9} {'busy%':>6}"
+    lines = [header, "-" * len(header)]
+    for b in downs:
+        cells = " ".join(f"{b.seconds[k]:9.4f}" for k in KINDS)
+        busy_pct = 100.0 * b.busy / b.makespan if b.makespan else 0.0
+        lines.append(f"{b.rank:>4} {cells} {b.idle:9.4f} {busy_pct:5.1f}%")
+    lines.append(f"makespan {metrics.makespan_s:.4f}s, "
+                 f"mean compute utilization {utilization(metrics):.1%}")
+    return "\n".join(lines)
+
+
+def ascii_gantt(
+    metrics: "RunMetrics",
+    width: int = 80,
+    ranks: Sequence[int] | None = None,
+) -> str:
+    """Terminal Gantt chart: one row per rank, one glyph per time slot.
+
+    Glyphs: ``#`` compute, ``>`` send, ``<`` receive, ``.`` waiting,
+    ``D`` disk, ``|`` barrier, ``X`` an entry of the run's fault log, space
+    idle.  Later events overwrite earlier ones within a slot (slots are
+    makespan/width wide); fault marks are drawn last.
+    """
+    if width < 1:
+        raise ValueError("width must be positive")
+    if not metrics.trace:
+        raise ValueError("run has no trace; pass record_trace=True / trace=True")
+    span = metrics.makespan_s or 1.0
+    chosen = ranks if ranks is not None else range(metrics.num_ranks)
+    rows = {r: [" "] * width for r in chosen}
+    for ev in metrics.trace:
+        if ev.rank not in rows:
+            continue
+        lo = min(width - 1, int(ev.t_start / span * width))
+        hi = min(width, max(lo + 1, int(ev.t_end / span * width)))
+        glyph = _GLYPH.get(ev.name, "?")
+        for i in range(lo, hi):
+            rows[ev.rank][i] = glyph
+    for fault in metrics.faults.events:
+        if fault.rank in rows:
+            rows[fault.rank][min(width - 1, int(fault.time / span * width))] = "X"
+    lines = [f"{r:>4} |{''.join(rows[r])}|" for r in rows]
+    legend = "      # compute  > send  < recv  . wait  D disk  | barrier  X fault"
+    return "\n".join(lines + [legend])
+
+
+def critical_rank(metrics: "RunMetrics") -> int:
+    """The rank whose clock defines the makespan."""
+    return max(range(metrics.num_ranks), key=lambda r: metrics.rank_clocks[r])
+
+
+def _phase_intervals(metrics: "RunMetrics") -> list[Interval]:
+    """The fold of the rank spans (host spans, ``rank == -1``, excluded)."""
+    return [
+        iv for iv in fold_spans(s for s in metrics.spans if s.rank >= 0)
+        if iv[3]
     ]
 
 
 def phase_totals(metrics: "RunMetrics") -> dict[str, float]:
     """Summed seconds per top-level phase name across all ranks.
 
-    Only top-level spans count, so nested sub-spans never double-bill
-    their parent phase.
+    Each stretch of a rank's clock is billed once, to its outermost span,
+    so nested sub-spans never double-bill their parent phase.
     """
     totals: dict[str, float] = {}
-    for s in _rank_spans(metrics):
-        totals[s.name] = totals.get(s.name, 0.0) + s.duration
+    for _, lo, hi, stack in _phase_intervals(metrics):
+        totals[stack[0]] = totals.get(stack[0], 0.0) + (hi - lo)
     return totals
 
 
@@ -61,32 +222,8 @@ def phase_coverage(metrics: "RunMetrics") -> float:
     total_clock = sum(metrics.rank_clocks)
     if total_clock <= 0.0:
         return 1.0
-    covered = sum(s.duration for s in _rank_spans(metrics))
+    covered = sum(hi - lo for _, lo, hi, _ in _phase_intervals(metrics))
     return min(1.0, covered / total_clock)
-
-
-def memory_timeline(metrics: "RunMetrics") -> dict[int, list[tuple[float, float]]]:
-    """Per-rank ``(t, held_elements)`` series from ``memory_elements`` samples.
-
-    Empty when the run was not traced with memory sampling; the peak of
-    each series matches ``rank_peak_memory_elements`` for that rank.
-    """
-    series: dict[int, list[tuple[float, float]]] = {}
-    for sample in getattr(metrics, "samples", []):
-        if sample.name != "memory_elements":
-            continue
-        series.setdefault(sample.rank, []).append((sample.t, sample.value))
-    for points in series.values():
-        points.sort(key=lambda p: p[0])
-    return series
-
-
-def _idle_fractions(metrics: "RunMetrics") -> list[float]:
-    from repro.cluster.trace import breakdown
-
-    if not metrics.trace or metrics.makespan_s <= 0.0:
-        return []
-    return [b.idle / b.makespan if b.makespan else 0.0 for b in breakdown(metrics)]
 
 
 def summarize_run(metrics: "RunMetrics") -> str:
@@ -96,15 +233,14 @@ def summarize_run(metrics: "RunMetrics") -> str:
     with coverage), idle-skew across ranks, per-rank peak memory, comm
     totals, fault log summary, and the metrics-registry counters.
     """
-    lines: list[str] = []
-    lines.append(
+    lines = [
         f"run      backend={metrics.backend} ranks={metrics.num_ranks} "
-        f"makespan={metrics.makespan_s:.6f}s"
-    )
+        f"makespan={metrics.makespan_s:.6f}s",
+        "",
+        "phase attribution (top-level spans, all ranks)",
+    ]
     total_clock = sum(metrics.rank_clocks)
     totals = phase_totals(metrics)
-    lines.append("")
-    lines.append("phase attribution (top-level spans, all ranks)")
     if totals:
         width = max(len(name) for name in totals)
         for name, seconds in sorted(totals.items(), key=lambda kv: -kv[1]):
@@ -114,22 +250,21 @@ def summarize_run(metrics: "RunMetrics") -> str:
     else:
         lines.append("  (no spans recorded; op-level trace only)")
 
-    host_spans = [s for s in getattr(metrics, "spans", []) if s.rank < 0]
+    host_spans = [s for s in metrics.spans if s.rank < 0]
     if host_spans:
-        lines.append("")
-        lines.append("host phases (wall clock, outside rank timelines)")
+        lines += ["", "host phases (wall clock, outside rank timelines)"]
         width = max(len(s.name) for s in host_spans)
         for s in host_spans:
             lines.append(f"  {s.name:<{width}}  {s.duration * 1e3:10.3f} ms")
 
-    fractions = _idle_fractions(metrics)
+    fractions = idle_fractions(metrics)
     if fractions:
-        lines.append("")
         spread = max(fractions) - min(fractions)
-        lines.append(
+        lines += [
+            "",
             f"idle     min={min(fractions):.1%} max={max(fractions):.1%} "
-            f"skew={spread:.1%} across ranks"
-        )
+            f"skew={spread:.1%} across ranks",
+        ]
 
     peaks = metrics.rank_peak_memory_elements
     if peaks:
@@ -146,10 +281,9 @@ def summarize_run(metrics: "RunMetrics") -> str:
     if metrics.faults.any:
         lines.append(f"faults   {metrics.faults.summary()}")
 
-    registry = getattr(metrics, "registry", None)
-    if registry is not None and len(registry):
-        lines.append("")
-        lines.append("counters")
+    registry = metrics.registry
+    if len(registry):
+        lines += ["", "counters"]
         for counter in registry.counters():
             lines.append(f"  {counter.full_name} = {counter.value}")
         for gauge in registry.gauges():

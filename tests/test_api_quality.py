@@ -58,7 +58,6 @@ MODULES = [
     "repro.cluster.network",
     "repro.cluster.runtime",
     "repro.cluster.topology",
-    "repro.cluster.trace",
     "repro.core",
     "repro.core.aggregation_tree",
     "repro.core.comm_model",
@@ -83,7 +82,6 @@ MODULES = [
     "repro.exec.registry",
     "repro.exec.shm",
     "repro.exec.sim",
-    "repro.exec.stats",
     "repro.exec.supervisor",
     "repro.exec.thread",
     "repro.olap",
@@ -203,4 +201,4 @@ def test_version():
     pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
     match = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
     assert match is not None
-    assert repro.__version__ == match.group(1) == "7.0.0"
+    assert repro.__version__ == match.group(1) == "8.0.0"

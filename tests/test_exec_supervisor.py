@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.lint_trace import lint_trace
 from repro.arrays.dataset import random_sparse
 from repro.cluster.faults import ALL_FAULT_KINDS, FaultPlan
-from repro.cluster.trace import breakdown
+from repro.obs.report import breakdown
 from repro.core.config import BuildConfig
 from repro.core.parallel import construct_cube_parallel
 from repro.exec import PROCESS_FAULT_KINDS, ProcessBackend, SimBackend, WorkerError

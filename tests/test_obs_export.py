@@ -8,6 +8,7 @@ import pytest
 from repro.analysis import lint_trace
 from repro.analysis.model.hb import hb_from_trace
 from repro.cluster.faults import FaultPlan
+from repro.cluster.metrics import RANK_COLUMNS
 from repro.cluster.runtime import run_spmd
 from repro.core.config import BuildConfig
 from repro.core.parallel import construct_cube_parallel
@@ -78,6 +79,23 @@ LINT_RUNS = {
 }
 
 
+#: Runs every exporter must round-trip whole: sim, thread, a faulted sim
+#: run and the process kill/respawn drive.
+ROUNDTRIP_RUNS = {
+    "sim": LINT_RUNS["fig7"][0],
+    "thread": lambda: construct_cube_parallel(
+        np.arange(np.prod(SHAPE), dtype=float).reshape(SHAPE), BITS,
+        backend="thread", trace=True, collect_results=False,
+    ).metrics,
+    "faulted": _faulted_run,
+    "process_kill": _process_kill_run,
+}
+
+
+def _by_time(span):
+    return (span.t_start, span.t_end, span.rank, span.name)
+
+
 class TestChromeTrace:
     def test_untraced_run_is_rejected(self):
         data = np.arange(np.prod(SHAPE), dtype=float).reshape(SHAPE)
@@ -139,6 +157,23 @@ class TestLoadRun:
         assert len(loaded.spans) == len(m.spans)
         assert loaded.registry.snapshot()["counters"] == (
             m.registry.snapshot()["counters"]
+        )
+
+    @pytest.mark.parametrize("write", WRITERS)
+    @pytest.mark.parametrize("run", sorted(ROUNDTRIP_RUNS))
+    def test_roundtrip_preserves_the_whole_run_record(self, run, write, tmp_path):
+        metrics = ROUNDTRIP_RUNS[run]()
+        loaded = load_run(write(metrics, tmp_path / "run.out"))
+        for name, _, _ in RANK_COLUMNS:
+            assert getattr(loaded, name) == getattr(metrics, name), name
+        assert (loaded.backend, loaded.makespan_s) == (metrics.backend, metrics.makespan_s)
+        assert loaded.comm == metrics.comm  # totals and every per-pair count
+        assert loaded.faults == metrics.faults  # the fault log and its counters
+        assert loaded.trace == metrics.trace
+        assert sorted(loaded.spans, key=_by_time) == sorted(metrics.spans, key=_by_time)
+        assert loaded.samples == metrics.samples
+        assert loaded.registry.snapshot()["counters"] == (
+            metrics.registry.snapshot()["counters"]
         )
 
     def test_jsonl_roundtrip(self, traced_run, tmp_path):

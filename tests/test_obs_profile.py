@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.obs.live import LiveRunView, RankSnapshot
-from repro.obs.profile import ProfileResult, merge_profiles, write_collapsed
+from repro.obs.profile import ProfileResult, write_collapsed
 from repro.obs.span import Span
 
 
@@ -137,22 +137,6 @@ class TestFromView:
         assert result.phase_fractions() == pytest.approx(
             {"build.first_level": 2 / 3, "build.reduce": 1 / 3}
         )
-
-
-class TestMerge:
-    def test_merge_sums_counts_and_keeps_interval(self):
-        a = ProfileResult(stacks={(0, ("x",)): 1}, interval_s=0.001)
-        b = ProfileResult(
-            stacks={(0, ("x",)): 2, (1, ("y",)): 3}, interval_s=0.001
-        )
-        merged = merge_profiles([a, b])
-        assert merged.stacks == {(0, ("x",)): 3, (1, ("y",)): 3}
-        assert merged.interval_s == 0.001
-
-    def test_merge_empty(self):
-        merged = merge_profiles([])
-        assert merged.stacks == {}
-        assert merged.samples_total == 0
 
 
 class TestEndToEnd:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.arrays.dataset import random_sparse
 from repro.cluster.runtime import run_spmd
-from repro.cluster.trace import (
+from repro.obs.report import (
     ascii_gantt,
     breakdown,
     critical_rank,
