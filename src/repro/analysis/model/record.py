@@ -77,18 +77,21 @@ def _no_scatter(
     return np.broadcast_to(0.0, (size,))
 
 
-def _no_combine(acc: np.ndarray, other: np.ndarray) -> np.ndarray:
-    return acc
+class _ShapeOnly(Measure):
+    """Exact shapes, no values: nothing to combine into read-only zeros."""
+
+    def combine(self, acc: np.ndarray, other: np.ndarray) -> np.ndarray:
+        return acc
 
 
-#: The recorder's measure: exact shapes, no values.  Deliberately not in
-#: ``MEASURES`` -- no cube can be built with it.
-_SHAPE_ONLY = Measure(
+#: The recorder's measure.  Deliberately not in ``MEASURES`` -- no cube can
+#: be built with it.
+_SHAPE_ONLY = _ShapeOnly(
     name="shape-only",
     identity=0.0,
+    op=np.add,
     reduce_dense=_shape_only_reduce,
     scatter=_no_scatter,
-    combine=_no_combine,
 )
 
 

@@ -33,6 +33,10 @@ class Measure:
         Registry key (``"sum"``, ``"count"``, ...).
     identity:
         Value of an empty group; also the fill for fresh partials.
+    op:
+        The element-wise binary ufunc that folds one value into a cell
+        (``np.add`` for SUM and COUNT, ``np.minimum`` / ``np.maximum``);
+        ``op.at`` folds facts in place in index order.
     reduce_dense:
         ``(data, axes) -> ndarray``: aggregate a dense array over ``axes``
         (empty ``axes`` returns a copy).
@@ -42,9 +46,6 @@ class Measure:
         allowed) and return it.  ``acc`` is ``None`` before the first fold:
         SUM and COUNT then return their ``bincount`` itself, MIN and MAX an
         identity-filled array updated in place.
-    combine:
-        ``(acc, other) -> acc``: elementwise in-place merge of two partial
-        arrays of identical shape.
     transform_values:
         Optional map applied to fact values before scattering (COUNT maps
         everything to 1).
@@ -52,14 +53,19 @@ class Measure:
 
     name: str
     identity: float
+    op: np.ufunc
     reduce_dense: Callable[[np.ndarray, tuple], np.ndarray]
     scatter: Callable[[np.ndarray | None, np.ndarray, np.ndarray, int], np.ndarray]
-    combine: Callable[[np.ndarray, np.ndarray], np.ndarray]
     transform_values: Callable[[np.ndarray], np.ndarray] | None = None
     rollup_name: str | None = None
 
     def new_accumulator(self, size: int, dtype=np.float64) -> np.ndarray:
         return np.full(size, self.identity, dtype=dtype)
+
+    def combine(self, acc: np.ndarray, other: np.ndarray) -> np.ndarray:
+        """Merge partial ``other`` into ``acc`` in place with ``op``; return ``acc``."""
+        self.op(acc, other, out=acc)
+        return acc
 
     @property
     def rollup(self) -> "Measure":
@@ -77,14 +83,9 @@ def _sum_reduce(data: np.ndarray, axes: tuple) -> np.ndarray:
     return data.sum(axis=axes) if axes else data.copy()
 
 
-def _sum_combine(acc: np.ndarray, other: np.ndarray) -> np.ndarray:
-    acc += other
-    return acc
-
-
 def _sum_scatter(acc, idx: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     part = np.bincount(idx, weights=values, minlength=size)
-    return part if acc is None else _sum_combine(acc, part)
+    return part if acc is None else SUM.combine(acc, part)
 
 
 def _count_reduce(data: np.ndarray, axes: tuple) -> np.ndarray:
@@ -95,7 +96,7 @@ def _count_reduce(data: np.ndarray, axes: tuple) -> np.ndarray:
 
 def _count_scatter(acc, idx: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     part = np.bincount(idx, minlength=size)
-    return part.astype(np.float64) if acc is None else _sum_combine(acc, part)
+    return part.astype(np.float64) if acc is None else SUM.combine(acc, part)
 
 
 def _min_reduce(data: np.ndarray, axes: tuple) -> np.ndarray:
@@ -104,12 +105,7 @@ def _min_reduce(data: np.ndarray, axes: tuple) -> np.ndarray:
 
 def _min_scatter(acc, idx: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     acc = MIN.new_accumulator(size) if acc is None else acc
-    np.minimum.at(acc, idx, values)
-    return acc
-
-
-def _min_combine(acc: np.ndarray, other: np.ndarray) -> np.ndarray:
-    np.minimum(acc, other, out=acc)
+    MIN.op.at(acc, idx, values)
     return acc
 
 
@@ -119,29 +115,24 @@ def _max_reduce(data: np.ndarray, axes: tuple) -> np.ndarray:
 
 def _max_scatter(acc, idx: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
     acc = MAX.new_accumulator(size) if acc is None else acc
-    np.maximum.at(acc, idx, values)
-    return acc
-
-
-def _max_combine(acc: np.ndarray, other: np.ndarray) -> np.ndarray:
-    np.maximum(acc, other, out=acc)
+    MAX.op.at(acc, idx, values)
     return acc
 
 
 SUM = Measure(
     name="sum",
     identity=0.0,
+    op=np.add,
     reduce_dense=_sum_reduce,
     scatter=_sum_scatter,
-    combine=_sum_combine,
 )
 
 COUNT = Measure(
     name="count",
     identity=0.0,
+    op=np.add,
     reduce_dense=_count_reduce,
     scatter=_count_scatter,
-    combine=_sum_combine,
     transform_values=lambda v: np.ones_like(v),
     rollup_name="sum",
 )
@@ -149,17 +140,17 @@ COUNT = Measure(
 MIN = Measure(
     name="min",
     identity=float("inf"),
+    op=np.minimum,
     reduce_dense=_min_reduce,
     scatter=_min_scatter,
-    combine=_min_combine,
 )
 
 MAX = Measure(
     name="max",
     identity=float("-inf"),
+    op=np.maximum,
     reduce_dense=_max_reduce,
     scatter=_max_scatter,
-    combine=_max_combine,
 )
 
 MEASURES: Mapping[str, Measure] = {

@@ -85,6 +85,27 @@ class SparseChunk:
         out[self.offsets] = self.values
         return out.reshape(self.shape)
 
+    def merged(self, other: "SparseChunk") -> "SparseChunk":
+        """This chunk plus ``other``'s facts (increasing offsets), ``self`` if none.
+
+        The sorted offset runs are merged (a rank block's is sorted first); a
+        cell in both holds ``self``'s value plus ``other``'s.
+        """
+        if not other.nnz:
+            return self
+        offsets, values = self.offsets, self.values
+        if not bool((offsets[1:] > offsets[:-1]).all()):
+            offsets, values = _sorted_summed(offsets.copy(), values)
+        at = np.searchsorted(offsets, other.offsets)
+        hit = at < offsets.size
+        hit[hit] = offsets[at[hit]] == other.offsets[hit]
+        new = ~hit
+        offsets = np.insert(offsets, at[new], other.offsets[new])
+        values = np.insert(values, at[new], other.values[new])
+        # A hit moves right by the new facts inserted before it.
+        values[(at + np.cumsum(new))[hit]] += other.values[hit]
+        return SparseChunk(self.origin, self.shape, offsets, values)
+
 
 def _chunk_grid(shape: Sequence[int], chunk_shape: Sequence[int]) -> BlockPartition:
     """Chunk grid as a BlockPartition with ceil-division part counts.

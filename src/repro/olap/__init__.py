@@ -14,7 +14,7 @@ with named dimensions, hierarchies, and a query interface:
 - :mod:`repro.olap.view_selection` -- HRU greedy selection under a space
   budget.
 - :mod:`repro.olap.workload` -- reproducible query-mix generation/replay.
-- :mod:`repro.olap.maintenance` -- incremental refresh with delta cubes.
+- :mod:`repro.olap.maintenance` -- incremental refresh: delta facts folded into each view.
 - :mod:`repro.olap.granularity` -- hierarchy roll-up views with caching.
 """
 

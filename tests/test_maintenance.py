@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import repro.core.parallel
 from repro.arrays.dataset import random_sparse
-from repro.arrays.measures import COUNT, MIN
-from repro.arrays.sparse import SparseArray
+from repro.arrays.measures import COUNT, MAX, MIN, SUM
+from repro.arrays.sparse import SparseArray, SparseChunk
+from repro.core.plan import CubePlan
+from repro.core.sequential import cube_reference
 from repro.olap import DataCube, Schema, apply_delta, merge_sparse, refresh_full
 
 
@@ -36,6 +39,142 @@ class TestMergeSparse:
         b = SparseArray.from_dense(np.ones((3, 3)))
         with pytest.raises(ValueError):
             merge_sparse(a, b)
+
+    def test_refresh_keeps_the_base_grid_and_shares_untouched_chunks(self):
+        schema = Schema.simple(x=8, y=8, z=8)
+        base = random_sparse(schema.shape, 0.3, seed=1, chunk_shape=(4, 4, 4))
+        coords = np.array([[0, 0, 0], [1, 2, 3], [5, 6, 7]])
+        delta = SparseArray.from_coords(schema.shape, coords, np.array([1.0, 2.0, 3.0]))
+        cube = DataCube.build(schema, base)
+        apply_delta(cube, delta, update_base=True)
+        merged = cube.base
+        assert len(base.chunks) == 8
+        assert [(c.origin, c.shape) for c in merged.chunks] == [
+            (c.origin, c.shape) for c in base.chunks
+        ]
+        touched = {(0, 0, 0), (4, 4, 4)}
+        for old, new in zip(base.chunks, merged.chunks):
+            assert (new is old) == (old.origin not in touched), old.origin
+            assert (np.diff(new.offsets) > 0).all()
+        np.testing.assert_array_equal(
+            merged.to_dense(), base.to_dense() + delta.to_dense()
+        )
+
+    def test_unsorted_rank_block_base(self):
+        source = random_sparse((8, 8), 0.4, seed=3, chunk_shape=(4, 4))
+        block = source.extract_block((slice(2, 8), slice(0, 8)))
+        assert not (np.diff(block.chunks[0].offsets) > 0).all()
+        delta = random_sparse((6, 8), 0.3, seed=4)
+        merged = merge_sparse(block, delta)
+        assert len(merged.chunks) == 1
+        assert (np.diff(merged.chunks[0].offsets) > 0).all()
+        np.testing.assert_array_equal(
+            merged.to_dense(), block.to_dense() + delta.to_dense()
+        )
+
+    def test_chunks_off_a_balanced_grid_are_reingested(self):
+        values = np.array([1.0, 2.0])
+        base = SparseArray((8,), [
+            SparseChunk((0,), (2,), np.array([1]), values[:1]),
+            SparseChunk((2,), (6,), np.array([0]), values[1:]),
+        ])
+        delta = SparseArray.from_coords((8,), np.array([[7]]), np.array([3.0]))
+        merged = merge_sparse(base, delta)
+        assert [(c.origin, c.shape) for c in merged.chunks] == [((0,), (8,))]
+        np.testing.assert_array_equal(merged.to_dense(), [0, 1, 2, 0, 0, 0, 0, 3])
+
+    def test_explicit_chunk_shape_reingests(self):
+        a = random_sparse((8, 8), 0.3, seed=5)
+        b = random_sparse((8, 8), 0.3, seed=6)
+        merged = merge_sparse(a, b, chunk_shape=(4, 4))
+        assert len(merged.chunks) == 4
+        np.testing.assert_array_equal(merged.to_dense(), a.to_dense() + b.to_dense())
+
+
+def _disjoint_integer_facts(shape, seed):
+    """Integer-valued base and delta facts on disjoint cells, so that
+    MIN / MAX / COUNT of the merged facts equal the fold (a coinciding cell
+    would merge into one summed fact)."""
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(-6, 6, size=shape).astype(float)
+    owner = rng.integers(0, 3, size=shape)
+    base = SparseArray.from_dense(np.where(owner == 1, cells, 0.0), chunk_shape=(3, 3, 2))
+    delta = SparseArray.from_dense(np.where(owner == 2, cells, 0.0), chunk_shape=(3, 3, 2))
+    return base, delta
+
+
+BUILDS = {
+    "sequential": lambda schema, base, m: DataCube.build(schema, base, measure=m),
+    "partial": lambda schema, base, m: DataCube.build_partial(
+        schema, base, views=[("item", "branch"), ("time",), ()],
+        num_processors=4, measure=m,
+    ),
+    **{
+        f"{backend}-{scheduler}": (
+            lambda schema, base, m, backend=backend, scheduler=scheduler: DataCube.build(
+                schema, base, num_processors=4, measure=m,
+                backend=backend, scheduler=scheduler,
+            )
+        )
+        for backend in ("sim", "thread", "process")
+        for scheduler in ("fig5", "marginals-1")
+    },
+}
+
+
+class TestFold:
+    @pytest.mark.parametrize("build", sorted(BUILDS))
+    @pytest.mark.parametrize("measure", [SUM, COUNT, MIN, MAX], ids=lambda m: m.name)
+    def test_equals_reference_of_merged_facts(self, build, measure):
+        schema = Schema.simple(item=6, branch=5, time=4)
+        base, delta = _disjoint_integer_facts(schema.shape, seed=len(build))
+        cube = BUILDS[build](schema, base, measure)
+        views = set(cube.aggregates)
+        apply_delta(cube, delta)
+        assert set(cube.aggregates) == views
+        reference = cube_reference(merge_sparse(base, delta), measure, targets=views)
+        for node, arr in cube.aggregates.items():
+            np.testing.assert_array_equal(arr.data, reference[node].data, err_msg=str(node))
+
+    def test_strided_view_is_updated_in_place(self, schema):
+        base = make_delta(schema, 30)
+        delta = make_delta(schema, 31)
+        cube = DataCube.build(schema, base)
+        node = (0, 2)
+        buffer = np.zeros((schema.shape[0], 2 * schema.shape[2]))
+        strided = buffer[:, ::2]
+        strided[...] = cube.aggregates[node].data
+        assert not strided.flags.c_contiguous
+        cube.aggregates[node].data = strided
+        apply_delta(cube, delta)
+        assert cube.aggregates[node].data is strided
+        expected = (base.to_dense() + delta.to_dense()).sum(axis=1)
+        np.testing.assert_allclose(buffer[:, ::2], expected)
+        assert not buffer[:, 1::2].any()
+
+    def test_float_sum_is_old_value_then_delta_facts_in_order(self, schema):
+        base = make_delta(schema, 32)
+        delta = make_delta(schema, 33)
+        cube = DataCube.build(schema, base, num_processors=4, backend="thread")
+        before = {node: arr.data.copy() for node, arr in cube.aggregates.items()}
+        apply_delta(cube, delta)
+        coords, values = delta.all_coords_values()
+        first = np.zeros(len(values), dtype=np.intp)  # index of the added axis
+        for node, old in before.items():
+            np.add.at(old[None], (first, *coords[:, list(node)].T), values)
+            assert cube.aggregates[node].data.tobytes() == old.tobytes(), node
+
+    def test_builds_no_delta_cube(self, schema, monkeypatch):
+        cube = DataCube.build(schema, make_delta(schema, 34), num_processors=4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("apply_delta ran a cube construction")
+
+        monkeypatch.setattr(repro.core.parallel, "construct_cube_parallel", refuse)
+        for name in ("run_parallel", "run_partial", "run_sequential"):
+            monkeypatch.setattr(CubePlan, name, refuse)
+        stats = apply_delta(cube, make_delta(schema, 35))
+        assert stats.nodes_updated == len(cube.aggregates)
 
 
 class TestApplyDelta:
@@ -112,6 +251,15 @@ class TestApplyDelta:
         empty = SparseArray.from_dense(np.zeros(schema.shape))
         with pytest.raises(ValueError):
             apply_delta(cube, empty)
+
+    def test_dense_base_update_is_refused_before_any_view_changes(self, schema):
+        cube = DataCube.build(schema, make_delta(schema, 22).to_dense())
+        before = {node: arr.data.copy() for node, arr in cube.aggregates.items()}
+        with pytest.raises(ValueError, match="sparse base"):
+            apply_delta(cube, make_delta(schema, 23))
+        for node, arr in cube.aggregates.items():
+            np.testing.assert_array_equal(arr.data, before[node])
+        apply_delta(cube, make_delta(schema, 23), update_base=False)
 
     def test_rejects_shape_mismatch(self, schema):
         cube = DataCube.build(schema, make_delta(schema, 14))
