@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.arrays.dense import DenseArray, DEFAULT_DTYPE
 from repro.arrays.measures import Measure, SUM, get_measure
-from repro.arrays.sparse import SparseArray, SparseChunk
+from repro.arrays.sparse import SparseArray
 
 
 def project_axes(dims: Sequence[int], keep: Sequence[int]) -> tuple[int, ...]:
@@ -74,8 +74,9 @@ def _aggregate_sparse(
 ) -> list[DenseArray]:
     """The sparse kernel: every target's aggregate from one scan of ``arr``.
 
-    Each chunk is decoded in slabs of :data:`_SLAB` facts, and every target
-    folds a slab in before the next is decoded.  For SUM and COUNT a
+    Each chunk yields its facts in slabs of :data:`_SLAB` (a rank block's
+    are produced slab by slab, never held whole), and every target folds a
+    slab in before the next is decoded.  For SUM and COUNT a
     target's first ``bincount`` is its output array and later slabs add
     into it; a target no fact reaches comes back identity-filled.
     """
@@ -85,9 +86,7 @@ def _aggregate_sparse(
     accs: list[np.ndarray | None] = [None] * len(targets)
     for chunk in arr.iter_chunks():
         origin = np.asarray(chunk.origin, dtype=np.int64)
-        for lo in range(0, chunk.nnz, _SLAB):
-            sl = slice(lo, lo + _SLAB)
-            slab = SparseChunk(chunk.origin, chunk.shape, chunk.offsets[sl], chunk.values[sl])
+        for slab in chunk.slabs(_SLAB):
             coords = slab.local_coords()
             coords += origin
             for i, (axes, shape) in enumerate(zip(keep, out_shapes)):

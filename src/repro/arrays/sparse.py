@@ -33,8 +33,8 @@ class SparseChunk:
     corner; ``shape`` is the chunk's extent.  ``offsets`` are unique
     row-major linear offsets within the chunk; ``values`` are the
     corresponding non-zero values.  Ingest, ``from_dense`` and ``transpose``
-    keep offsets strictly increasing; a rank block from
-    :meth:`SparseArray.extract_block` lists them by source chunk instead.
+    keep offsets strictly increasing; a materialised rank block
+    (:class:`BlockChunk`) lists them by source chunk instead.
     """
 
     origin: tuple[int, ...]
@@ -63,6 +63,16 @@ class SparseChunk:
     def nbytes(self) -> int:
         """Logical compressed size: offset + value storage."""
         return int(self.offsets.nbytes + self.values.nbytes)
+
+    def materialized(self) -> "SparseChunk":
+        """This chunk: its facts already live in plain arrays."""
+        return self
+
+    def slabs(self, length: int) -> Iterator["SparseChunk"]:
+        """The facts in runs of ``length``, as views of this chunk's arrays."""
+        for lo in range(0, self.nnz, length):
+            sl = slice(lo, lo + length)
+            yield SparseChunk(self.origin, self.shape, self.offsets[sl], self.values[sl])
 
     def local_coords(self) -> np.ndarray:
         """Decode offsets to an ``(nnz, ndim)`` array of in-chunk coords."""
@@ -237,12 +247,81 @@ def _inside(
     return keep
 
 
+@dataclass(frozen=True)
+class BlockChunk:
+    """A rank block's one chunk as a recipe: ``parts`` are ``(source chunk,
+    offset shift, mask of its facts in the block or None)``.  Its facts, the
+    parts' facts concatenated and re-based, are never stored: :meth:`slabs`
+    produces them a run at a time, :meth:`materialized` all at once.
+    """
+
+    origin: tuple[int, ...]
+    shape: tuple[int, ...]
+    parts: tuple[tuple[SparseChunk, int, np.ndarray | None], ...]
+    nnz: int
+
+    @property
+    def nbytes(self) -> int:
+        """Logical compressed size, as if materialised."""
+        return self.nnz * (np.dtype(OFFSET_DTYPE).itemsize + np.dtype(VALUE_DTYPE).itemsize)
+
+    @property
+    def offsets(self) -> np.ndarray:
+        return self.materialized().offsets
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.materialized().values
+
+    def materialized(self) -> SparseChunk:
+        """The facts as one plain chunk of freshly allocated arrays."""
+        empty = SparseChunk(self.origin, self.shape, np.empty(0, OFFSET_DTYPE), np.empty(0))
+        return next(self.slabs(self.nnz), empty)
+
+    def slabs(self, length: int) -> Iterator[SparseChunk]:
+        """The facts in runs of ``length`` (the last may be shorter), each one
+        buffer of ``min(length, nnz)`` facts refilled per run: a slab is
+        valid only until the next is requested.
+        """
+        size = min(length, self.nnz)
+        offsets = np.empty(size, dtype=OFFSET_DTYPE)
+        values = np.empty(size, dtype=VALUE_DTYPE)
+        strides = _row_major_strides(self.shape)
+        at = 0
+        for c, shift, keep in self.parts:
+            lo = 0
+            while lo < c.nnz:
+                # Source facts [lo, hi) whose kept ones fit the buffer's room;
+                # a masked run reads at most ``size`` facts past ``lo``.
+                room = size - at
+                hi = min(c.nnz, lo + (room if keep is None else size))
+                n = hi - lo if keep is None else int(np.count_nonzero(keep[lo:hi]))
+                if n > room:
+                    hi = lo + int(np.flatnonzero(keep[lo:hi])[room - 1]) + 1
+                    n = room
+                run = SparseChunk(c.origin, c.shape, c.offsets[lo:hi], c.values[lo:hi])
+                if keep is not None:  # copies of the kept facts only
+                    kept = keep[lo:hi]
+                    run = SparseChunk(c.origin, c.shape, run.offsets[kept], run.values[kept])
+                dest = slice(at, at + n)
+                _rebased_offsets(run, strides, out=offsets[dest])
+                offsets[dest] += shift
+                values[dest] = run.values
+                del run  # hold no masked copy across the yield
+                lo, at = hi, at + n
+                if at == size:
+                    yield SparseChunk(self.origin, self.shape, offsets, values)
+                    at = 0
+        if at:
+            yield SparseChunk(self.origin, self.shape, offsets[:at], values[:at])
+
+
 class SparseArray:
     """A chunk-offset compressed sparse n-dimensional array."""
 
     __slots__ = ("shape", "chunks")
 
-    def __init__(self, shape: Sequence[int], chunks: Sequence[SparseChunk]):
+    def __init__(self, shape: Sequence[int], chunks: Sequence[SparseChunk | BlockChunk]):
         self.shape = tuple(shape)
         self.chunks = list(chunks)
 
@@ -371,7 +450,7 @@ class SparseArray:
     def nbytes(self) -> int:
         return sum(c.nbytes for c in self.chunks)
 
-    def iter_chunks(self) -> Iterator[SparseChunk]:
+    def iter_chunks(self) -> Iterator[SparseChunk | BlockChunk]:
         return iter(self.chunks)
 
     # -- conversion / slicing ------------------------------------------------------
@@ -380,7 +459,7 @@ class SparseArray:
         out = np.zeros(self.shape, dtype=VALUE_DTYPE)
         for c in self.chunks:
             sl = tuple(slice(o, o + s) for o, s in zip(c.origin, c.shape))
-            out[sl] += c.to_dense()
+            out[sl] += c.materialized().to_dense()
         return out
 
     def all_coords_values(self) -> tuple[np.ndarray, np.ndarray]:
@@ -390,8 +469,9 @@ class SparseArray:
                 np.empty((0, self.ndim), dtype=OFFSET_DTYPE),
                 np.empty(0, dtype=VALUE_DTYPE),
             )
-        coords = np.concatenate([c.global_coords() for c in self.chunks])
-        values = np.concatenate([c.values for c in self.chunks])
+        chunks = [c.materialized() for c in self.chunks]
+        coords = np.concatenate([c.global_coords() for c in chunks])
+        values = np.concatenate([c.values for c in chunks])
         return coords, values
 
     def transpose(self, order: Sequence[int]) -> "SparseArray":
@@ -411,6 +491,7 @@ class SparseArray:
             return self
         chunks = []
         for c in self.chunks:
+            c = c.materialized()
             shape = tuple(c.shape[a] for a in order)
             strides = [0] * self.ndim
             for pos, step in enumerate(_row_major_strides(shape)):
@@ -426,18 +507,16 @@ class SparseArray:
     def extract_block(self, slices: Sequence[slice]) -> "SparseArray":
         """Sub-array covered by per-dimension slices, as one chunk.
 
-        Used to hand each simulated processor its partition of the initial
-        array.  Slices must have unit step and explicit bounds.  The result
-        holds exactly one chunk spanning the block (none if the block is
-        empty).  A first pass over the intersecting chunks masks the ones
-        that straddle the block boundary and counts the facts; the block's
-        ``offsets`` / ``values`` are then allocated once, and a second pass
-        writes each chunk's offsets, re-based into the block frame, and its
-        values into that chunk's slice.  Facts are therefore ordered by
-        source chunk (in ``chunks`` order), then as in the chunk: offsets
-        are unique and in range but not globally increasing.  A block that
-        is exactly one chunk shares that chunk's arrays; inputs are
-        immutable by contract.
+        Used to hand each processor its partition of the initial array.
+        Slices must have unit step and explicit bounds.  The result holds one
+        chunk spanning the block (none if the block is empty): a block that
+        is exactly one chunk shares its arrays (inputs are immutable by
+        contract); otherwise one pass masks the chunks that straddle the
+        block and counts the facts.  A block of more facts than one kernel
+        slab is a :class:`BlockChunk`, the recipe, and allocates no fact
+        array; a smaller one is filled at once.  Facts are ordered by source
+        chunk (in ``chunks`` order), then as in the chunk: unique, in range,
+        not globally increasing.
         """
         lows = []
         highs = []
@@ -454,8 +533,7 @@ class SparseArray:
             return SparseArray(sub_shape, [])
         origin = (0,) * self.ndim
         strides = _row_major_strides(sub_shape)
-        # Pass 1: the intersecting chunks, their masks and fact counts.
-        parts: list[tuple[SparseChunk, int, np.ndarray | None, int]] = []
+        parts: list[tuple[SparseChunk, int, np.ndarray | None]] = []
         total = 0
         for c in self.chunks:
             # In-chunk coordinate window that falls inside the block.
@@ -465,27 +543,17 @@ class SparseArray:
             ]
             if any(lo >= e or hi <= 0 for (lo, hi), e in zip(window, c.shape)):
                 continue
+            c = c.materialized()
             keep = _inside(c, window)
             count = c.nnz if keep is None else int(np.count_nonzero(keep))
-            shift = sum(-lo * st for (lo, _), st in zip(window, strides))
-            parts.append((c, shift, keep, count))
-            total += count
+            if count:
+                parts.append((c, sum(-lo * st for (lo, _), st in zip(window, strides)), keep))
+                total += count
         if len(parts) == 1 and parts[0][2] is None and parts[0][0].shape == sub_shape:
             c = parts[0][0]  # the block is exactly this chunk: share its arrays
             return SparseArray(sub_shape, [SparseChunk(origin, sub_shape, c.offsets, c.values)])
-        # Pass 2: each chunk fills its slice of the once-allocated block.
-        dtype = parts[0][0].values.dtype if parts else VALUE_DTYPE
-        offsets = np.empty(total, dtype=OFFSET_DTYPE)
-        values = np.empty(total, dtype=dtype)
-        at = 0
-        for c, shift, keep, count in parts:
-            dest = slice(at, at + count)
-            if keep is None:
-                _rebased_offsets(c, strides, out=offsets[dest])
-                values[dest] = c.values
-            else:
-                np.compress(keep, _rebased_offsets(c, strides), out=offsets[dest])
-                np.compress(keep, c.values, out=values[dest])
-            offsets[dest] += shift
-            at += count
-        return SparseArray(sub_shape, [SparseChunk(origin, sub_shape, offsets, values)])
+        from repro.arrays import aggregate  # lazily: the kernel imports this module
+
+        block = BlockChunk(origin, sub_shape, tuple(parts), total)
+        # A block of one kernel slab is that slab: fill it here, as its scan would.
+        return SparseArray(sub_shape, [block.materialized() if total <= aggregate._SLAB else block])

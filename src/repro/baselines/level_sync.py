@@ -84,6 +84,8 @@ def construct_cube_level_sync(
     def program(env: RankEnv) -> Generator[Op, Any, dict[Node, DenseArray]]:
         rank = env.rank
         block = local_inputs[rank]
+        if isinstance(block, SparseArray):  # scanned once per node: materialise once
+            block = SparseArray(block.shape, [c.materialized() for c in block.chunks])
         local: dict[Node, DenseArray] = {}
         written: dict[Node, DenseArray] = {}
         yield env.disk_read(block.nbytes)

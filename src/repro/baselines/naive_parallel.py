@@ -106,6 +106,8 @@ def construct_cube_naive_parallel(
     def program(env: RankEnv) -> Generator[Op, Any, dict[Node, DenseArray]]:
         rank = env.rank
         block = local_inputs[rank]
+        if isinstance(block, SparseArray):  # scanned once per node: materialise once
+            block = SparseArray(block.shape, [c.materialized() for c in block.chunks])
         written: dict[Node, DenseArray] = {}
         yield env.disk_read(block.nbytes)
         for tag, node in enumerate(nodes):

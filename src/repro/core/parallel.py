@@ -103,12 +103,13 @@ def _extract_local_inputs(
 ) -> list[SparseArray | DenseArray]:
     """Hand each rank its block of the initial array.
 
-    A sparse block is one chunk holding the source chunks' facts in chunk
-    order, their offsets re-based into the block
-    (:meth:`SparseArray.extract_block`); facts are not re-encoded or
-    sorted, and a block may share arrays with the input.  Every backend's
-    ranks read these blocks as they are: threads share the host's memory,
-    and process workers are forked after this call.
+    A sparse block is one chunk whose facts are the source chunks' facts in
+    chunk order, their offsets re-based into the block
+    (:meth:`SparseArray.extract_block`).  A block of several kernel slabs is
+    only a recipe here: the scanning rank produces its facts slab by slab,
+    so it is never copied whole; a block of one slab is filled here.  Threads
+    share the host's memory, and process workers, forked after this call,
+    read the source chunks and blocks through the fork.
     """
     shape = tuple(array.shape)
     out: list[SparseArray | DenseArray] = []

@@ -35,6 +35,8 @@ class DataCube:
     refresh_listeners: list[Callable[[], None]] = field(
         default_factory=list, repr=False, compare=False
     )
+    #: In-place refreshes committed so far (bumped before listeners run).
+    refreshes: int = field(default=0, repr=False, compare=False)
 
     # -- construction ----------------------------------------------------------------
 
@@ -157,12 +159,19 @@ class DataCube:
         self.refresh_listeners.append(listener)
 
     def notify_refresh(self) -> None:
-        """Invoke every refresh listener, dropping any that return False."""
-        self.refresh_listeners[:] = [
-            listener
-            for listener in self.refresh_listeners
-            if listener() is not False
-        ]
+        """Invoke every refresh listener, dropping any that return False.
+
+        Every listener runs even when one raises; the first error is re-raised.
+        """
+        errors: list[Exception] = []
+        for listener in list(self.refresh_listeners):
+            try:
+                if listener() is False:
+                    self.refresh_listeners.remove(listener)
+            except Exception as exc:
+                errors.append(exc)
+        if errors:
+            raise errors[0]
 
     # -- access ------------------------------------------------------------------------
 

@@ -46,7 +46,8 @@ def merge_sparse(
         fresh = SparseArray.from_coords(a.shape, *b.all_coords_values(), chunk_shape=grid)
         onto = {(c.origin, c.shape): c for c in fresh.chunks}
         if sorted((c.origin, c.shape) for c in a.chunks) == sorted(onto):
-            return SparseArray(a.shape, [c.merged(onto[c.origin, c.shape]) for c in a.chunks])
+            merged = [c.materialized().merged(onto[c.origin, c.shape]) for c in a.chunks]
+            return SparseArray(a.shape, merged)
         chunk_shape = a.shape
     coords, values = (
         np.concatenate(pair) for pair in zip(a.all_coords_values(), b.all_coords_values())
@@ -97,6 +98,7 @@ def apply_delta(
             measure.op.at(data, cells, values)
     if update_base:
         cube.base = merge_sparse(cube.base, delta)
+    cube.refreshes += 1  # committed: a listener's error below must not re-fold it
     cube.notify_refresh()
     return MaintenanceStats(facts_absorbed=delta.nnz, nodes_updated=len(cube.aggregates))
 

@@ -233,7 +233,9 @@ class CubeService:
         it enters degraded mode, answering from the pre-failure cube with
         every result flagged ``stale=True``, and returns ``False`` instead
         of raising.  The next successful ``rebuild`` (through this method)
-        exits degraded mode.
+        exits degraded mode.  An attempt that committed a refresh (the
+        cube's ``refreshes`` count moved) is never retried: if a refresh
+        listener raised after the commit, its error propagates.
 
         Observability: ``serve.degraded.rebuild_failures`` and
         ``.rebuild_retries`` count attempts, ``.entered`` / ``.recovered``
@@ -247,9 +249,12 @@ class CubeService:
             if attempt:
                 self._rebuild_retries.inc()
                 sleep(backoff_s * 2 ** (attempt - 1))
+            committed = self.cube.refreshes
             try:
                 rebuild()
             except Exception as exc:
+                if self.cube.refreshes != committed:
+                    raise  # committed: a listener failed after the refresh
                 self._rebuild_failures.inc()
                 last_error = exc
                 continue

@@ -2,9 +2,12 @@
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.arrays import aggregate
 from repro.arrays.aggregate import (
@@ -16,7 +19,12 @@ from repro.arrays.aggregate import (
 from repro.arrays.dense import DenseArray
 from repro.arrays.measures import get_measure
 from repro.arrays.sparse import SparseArray
+from repro.baselines import construct_cube_level_sync, construct_cube_naive_parallel
+from repro.cluster.faults import FaultPlan
+from repro.core.parallel import construct_cube_parallel
 from repro.core.sequential import cube_reference
+from repro.tiling import construct_cube_tiled_parallel
+from tests.test_sparse import draw_slices, fact_tables
 
 
 def rand_dense(shape, seed=0):
@@ -223,3 +231,97 @@ class TestSlabbedKernel:
             bound = sum(out_bytes) + max(out_bytes) + slab * 8 * (ndim + 6)
             assert peak <= bound, (shape, peak, bound)
             assert sp.nnz * 8 * ndim > slab * 8 * (ndim + 6)
+
+
+def materialised(block):
+    return SparseArray(block.shape, [c.materialized() for c in block.chunks])
+
+
+class TestStreamedBlockKernel:
+    """The kernel over a rank block streamed slab by slab matches the kernel
+    over the block's materialised arrays byte for byte: same facts, same
+    order, same slab cut points."""
+
+    @given(
+        table=fact_tables(max_facts=80),
+        data=st.data(),
+        measure=st.sampled_from(MEASURE_NAMES),
+        slab=st.sampled_from([2, 3, 5, 7, 11]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_streamed_block_is_bit_identical(self, table, data, measure, slab):
+        shape, chunk_shape, coords, values = table
+        arr = SparseArray.from_coords(shape, coords, values, chunk_shape=chunk_shape)
+        dims = tuple(range(len(shape)))
+        targets = first_level(len(shape)) + [()]
+        with mock.patch.object(aggregate, "_SLAB", slab):
+            block = arr.extract_block(draw_slices(data, shape))
+            got = aggregate_sparse_multi(block, dims, targets, measure=measure)
+            want = aggregate_sparse_multi(materialised(block), dims, targets, measure=measure)
+        for g, w in zip(got, want):
+            assert g.dims == w.dims and g.data.tobytes() == w.data.tobytes(), g.dims
+
+    def test_scanning_a_rank_block_is_bounded_per_slab(self, monkeypatch):
+        # Partition and scan of a 4-chunk block: outputs plus a few slabs of
+        # temporaries (the fill buffer among them), whatever the block's
+        # nnz.  A block copied whole on extraction (16 B per fact) breaks it.
+        slab, ndim = 1024, 4
+        monkeypatch.setattr(aggregate, "_SLAB", slab)
+        for shape in [(16, 16, 16, 8), (16, 16, 16, 16)]:
+            chunk_shape = (8, 8) + shape[2:]
+            _, sp = int_facts(shape, chunk_shape, 0.6, seed=24)
+            assert len(sp.chunks) == 4 and sp.nnz >= 16 * slab
+            targets = first_level(ndim)
+            out_bytes = [8 * math.prod(shape[d] for d in t) for t in targets]
+            tracemalloc.start()
+            block = sp.extract_block([slice(0, s) for s in shape])
+            aggregate_sparse_multi(block, tuple(range(ndim)), targets)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            bound = sum(out_bytes) + max(out_bytes) + 6 * slab * 16
+            assert peak <= bound, (shape, peak, bound)
+            assert 16 * sp.nnz > 6 * slab * 16
+
+
+class TestStreamedBlocksEndToEnd:
+    """Every path that partitions facts into rank blocks stays bit-identical
+    to the oracle when slabs cut across source chunks and straddle masks
+    (integer-valued facts are exact under any combine order)."""
+
+    SHAPE = (12, 10, 8)
+
+    @pytest.fixture
+    def facts(self, monkeypatch):
+        monkeypatch.setattr(aggregate, "_SLAB", 7)
+        _, sp = int_facts(self.SHAPE, (5, 4, 8), 0.5, seed=25)  # chunks straddle every grid
+        return sp, cube_reference(sp)
+
+    @staticmethod
+    def assert_cube(results, ref):
+        assert set(results) >= set(ref)
+        for node, arr in ref.items():
+            assert results[node].data.tobytes() == arr.data.tobytes(), node
+
+    def test_fig5(self, facts):
+        sp, ref = facts
+        self.assert_cube(construct_cube_parallel(sp, (1, 1, 1)).results, ref)
+
+    def test_naive_parallel_and_level_sync(self, facts):
+        sp, ref = facts
+        self.assert_cube(construct_cube_naive_parallel(sp, (1, 1, 0)).results, ref)
+        self.assert_cube(construct_cube_level_sync(sp, (1, 1, 0)).results, ref)
+
+    def test_tiling_extracts_blocks_of_blocks(self, facts):
+        sp, ref = facts
+        res = construct_cube_tiled_parallel(sp, (1, 1, 0), capacity_elements_per_rank=60)
+        assert res.plan.num_tiles > 1
+        self.assert_cube(res.results, ref)
+
+    def test_fig5_buddy_rescans_a_dead_ranks_block(self, facts):
+        sp, ref = facts
+        res = construct_cube_parallel(
+            sp, (1, 1, 1), checkpoint=True, fault_plan=FaultPlan().crash_at_op(2, 1)
+        )
+        assert res.fault_stats.crashed_ranks == [2]
+        assert any("from its block" in e.detail for e in res.fault_stats.events)
+        self.assert_cube(res.results, ref)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import repro.core.parallel
+from repro.arrays import aggregate
 from repro.arrays.dataset import random_sparse
 from repro.arrays.measures import COUNT, MAX, MIN, SUM
-from repro.arrays.sparse import SparseArray, SparseChunk
+from repro.arrays.sparse import BlockChunk, SparseArray, SparseChunk
 from repro.core.plan import CubePlan
 from repro.core.sequential import cube_reference
 from repro.olap import DataCube, Schema, apply_delta, merge_sparse, refresh_full
@@ -60,9 +61,11 @@ class TestMergeSparse:
             merged.to_dense(), base.to_dense() + delta.to_dense()
         )
 
-    def test_unsorted_rank_block_base(self):
+    def test_unsorted_rank_block_base(self, monkeypatch):
+        monkeypatch.setattr(aggregate, "_SLAB", 7)  # a streamed block, merged materialised
         source = random_sparse((8, 8), 0.4, seed=3, chunk_shape=(4, 4))
         block = source.extract_block((slice(2, 8), slice(0, 8)))
+        assert isinstance(block.chunks[0], BlockChunk)
         assert not (np.diff(block.chunks[0].offsets) > 0).all()
         delta = random_sparse((6, 8), 0.3, seed=4)
         merged = merge_sparse(block, delta)

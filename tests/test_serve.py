@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.arrays.dataset import random_sparse
+from repro.arrays.sparse import SparseArray
 from repro.olap import (
     CanonicalQuery,
     DataCube,
@@ -485,6 +486,50 @@ class TestDegradedServing:
         svc = CubeService(cube)
         with pytest.raises(ValueError, match="max_retries"):
             svc.refresh_with(lambda: None, max_retries=-1)
+
+    def test_listener_error_never_folds_a_delta_twice(self):
+        # A refresh listener that raises once, after apply_delta has folded
+        # the views and merged the base: the commit stands, the error
+        # propagates, and no retry folds the delta a second time.
+        schema = Schema.of(Dimension("a", 8), Dimension("b", 6), Dimension("c", 4))
+        cube = DataCube.build(schema, random_sparse(schema.shape, 0.3, seed=10))
+        svc = CubeService(cube)
+        errors = [RuntimeError("listener down")]
+
+        def flaky():
+            if errors:
+                raise errors.pop()
+
+        cube.subscribe_refresh(flaky)
+        svc.execute(GroupByQuery(("a",)))
+        total = float(cube.aggregates[()].data)
+        coords = np.array([[0, 0, 0], [1, 2, 3], [7, 5, 3], [4, 4, 0], [2, 1, 1]])
+        delta = SparseArray.from_coords(schema.shape, coords, np.ones(5))
+        with pytest.raises(RuntimeError, match="listener down"):
+            svc.refresh_with(lambda: apply_delta(cube, delta), sleep=lambda s: None)
+        assert cube.refreshes == 1
+        assert float(cube.aggregates[()].data) == total + 5
+        assert svc.degraded is False and len(svc.cache) == 0
+        assert svc.refresh_with(lambda: apply_delta(cube, delta)) is True
+        assert float(cube.aggregates[()].data) == total + 10
+
+    def test_every_listener_runs_and_the_first_error_is_raised(self, cube):
+        calls = []
+
+        def failing(name):
+            def listener():
+                calls.append(name)
+                raise RuntimeError(name)
+
+            return listener
+
+        cube.subscribe_refresh(failing("first"))
+        cube.subscribe_refresh(lambda: calls.append("done") or False)  # unsubscribes
+        cube.subscribe_refresh(failing("second"))
+        with pytest.raises(RuntimeError, match="first"):
+            cube.notify_refresh()
+        assert calls == ["first", "done", "second"]
+        assert len(cube.refresh_listeners) == 2  # raising listeners stay subscribed
 
 
 class TestServiceBackendPool:

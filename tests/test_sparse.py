@@ -1,14 +1,16 @@
 """Unit tests for the chunk-offset compressed sparse format."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.arrays import aggregate
 from repro.arrays.chunking import BlockPartition
-from repro.arrays.sparse import SparseArray, SparseChunk
+from repro.arrays.sparse import BlockChunk, SparseArray, SparseChunk
 
 
 def make_dense(shape, seed=0, density=0.4):
@@ -375,6 +377,7 @@ def assert_block_of(arr, slices, block):
     lows = np.array([sl.start for sl in slices])
     assert block.to_dense().tobytes() == arr.to_dense()[tuple(slices)].tobytes()
     (chunk,) = block.chunks
+    chunk = chunk.materialized()
     assert chunk.origin == (0,) * arr.ndim and chunk.shape == block.shape
     assert chunk.offsets.dtype == np.int64 and chunk.values.dtype == np.float64
     assert np.unique(chunk.offsets).size == chunk.nnz
@@ -391,16 +394,22 @@ def assert_block_of(arr, slices, block):
     return source
 
 
+def draw_slices(data, shape):
+    """A non-empty block of ``shape``, drawn from hypothesis ``data``."""
+    slices = []
+    for s in shape:
+        lo = data.draw(st.integers(0, s - 1))
+        slices.append(slice(lo, data.draw(st.integers(lo + 1, s))))
+    return slices
+
+
 class TestExtractBlockProperties:
     @given(table=fact_tables(), data=st.data())
     @settings(max_examples=150, deadline=None)
     def test_equals_dense_slice_as_one_chunk(self, table, data):
         shape, chunk_shape, coords, values = table
         arr = SparseArray.from_coords(shape, coords, values, chunk_shape=chunk_shape)
-        slices = []
-        for s in shape:
-            lo = data.draw(st.integers(0, s - 1))
-            slices.append(slice(lo, data.draw(st.integers(lo + 1, s))))
+        slices = draw_slices(data, shape)
         assert_block_of(arr, slices, arr.extract_block(slices))
 
     @pytest.mark.parametrize(
@@ -447,18 +456,20 @@ class TestExtractBlockProperties:
         assert block_chunk.offsets is chunk.offsets
 
     @pytest.mark.parametrize(
-        "chunk_shape, parts, ratio",
+        "chunk_shape, parts",
         [
-            ((16, 16, 16), (2, 2, 1), 1.06),  # four chunks per block, as Fig 7's grid
-            ((24, 20, 16), (2, 2, 1), 1.12),  # straddling chunks are masked
-            ((16, 16, 16), (1, 1, 1), 1.06),  # one block concatenates all 16 chunks
+            ((16, 16, 16), (2, 2, 1)),  # four chunks per block, as Fig 7's grid
+            ((24, 20, 16), (2, 2, 1)),  # straddling chunks are masked
+            ((16, 16, 16), (1, 1, 1)),  # one block of all 16 chunks
         ],
     )
-    def test_partition_transients_are_bounded(self, chunk_shape, parts, ratio):
-        # Each block is allocated once at its final size and filled chunk by
-        # chunk: the peak above what the blocks keep is one chunk's re-based
-        # offsets plus its masks (measured 1.04 / 1.10 / 1.04; a merge of
-        # the chunks' runs reads 1.13 / 1.16 / 1.51).
+    def test_partition_transients_are_bounded(self, chunk_shape, parts, monkeypatch):
+        # A block of several kernel slabs is a recipe: extract_block
+        # allocates no fact array.  It keeps a one-byte mask per fact of each
+        # straddling chunk, and its transients are one straddling chunk's
+        # index temporaries.  Copying the blocks' facts would cost 16 bytes
+        # per fact.
+        monkeypatch.setattr(aggregate, "_SLAB", 1024)
         dense = make_dense((64, 64, 16), seed=13, density=0.5)
         arr = SparseArray.from_dense(dense, chunk_shape=chunk_shape)
         grid = BlockPartition(dense.shape, parts)
@@ -467,7 +478,71 @@ class TestExtractBlockProperties:
         kept, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert sum(b.nnz for b in blocks) == arr.nnz
-        assert peak <= ratio * kept, (peak, kept)
+        masks = [k.nbytes for b in blocks for _, _, k in b.chunks[0].parts if k is not None]
+        assert bool(masks) == (chunk_shape == (24, 20, 16))
+        slack = 16 * 1024  # the recipes themselves
+        assert kept <= sum(masks) + slack, (kept, sum(masks))
+        assert peak <= kept + 3 * 8 * max(masks, default=0) + slack, (peak, kept)
+        assert 16 * arr.nnz > 8 * (sum(masks) + slack)
+
+
+class TestStreamedBlock:
+    """A rank block's facts are produced slab by slab, never stored whole."""
+
+    @given(
+        table=fact_tables(max_facts=80),
+        data=st.data(),
+        length=st.sampled_from([1, 2, 3, 5, 7, 11]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_slabs_concatenate_to_the_materialised_block(self, table, data, length):
+        # Slabs cut across source chunks and straddle masks wherever the
+        # concatenation does: every slab but the last holds ``length`` facts.
+        shape, chunk_shape, coords, values = table
+        arr = SparseArray.from_coords(shape, coords, values, chunk_shape=chunk_shape)
+        with mock.patch.object(aggregate, "_SLAB", 1):  # stream every block of 2+ facts
+            (chunk,) = arr.extract_block(draw_slices(data, shape)).chunks
+        whole = chunk.materialized()
+        # A yielded slab is valid until the next is requested: copy it.
+        slabs = [(s.offsets.copy(), s.values.copy()) for s in chunk.slabs(length)]
+        sizes = [o.size for o, _ in slabs]
+        assert sum(sizes) == chunk.nnz == whole.nnz
+        assert all(n == length for n in sizes[:-1]) and 0 < min(sizes, default=1) <= length
+        for got, want in zip(zip(*slabs), (whole.offsets, whole.values)):
+            assert np.concatenate(got or [want[:0]]).tobytes() == want.tobytes()
+
+    @given(table=fact_tables(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_nested_block_equals_direct_extraction(self, table, data):
+        # A block of a block materialises the outer one and filters it: the
+        # same facts, in the same order, as extracting the inner one directly.
+        shape, chunk_shape, coords, values = table
+        arr = SparseArray.from_coords(shape, coords, values, chunk_shape=chunk_shape)
+        outer = draw_slices(data, shape)
+        inner = draw_slices(data, [sl.stop - sl.start for sl in outer])
+        with mock.patch.object(aggregate, "_SLAB", 1):
+            nested = arr.extract_block(outer).extract_block(inner)
+            direct = arr.extract_block(
+                [slice(o.start + i.start, o.start + i.stop) for o, i in zip(outer, inner)]
+            )
+        (got,), (want,) = nested.chunks, direct.chunks
+        got, want = got.materialized(), want.materialized()
+        assert got.offsets.tobytes() == want.offsets.tobytes()
+        assert got.values.tobytes() == want.values.tobytes()
+
+    def test_a_block_of_one_slab_is_filled_at_partition(self, monkeypatch):
+        # Its one slab is the whole block, so the host fills it; a larger
+        # block's arrays are materialised afresh on each read.
+        arr = SparseArray.from_dense(make_dense((8, 6), seed=15), chunk_shape=(3, 4))
+        sl = (slice(1, 7), slice(0, 5))
+        (filled,) = arr.extract_block(sl).chunks
+        monkeypatch.setattr(aggregate, "_SLAB", filled.nnz - 1)
+        (chunk,) = arr.extract_block(sl).chunks
+        assert isinstance(filled, SparseChunk) and isinstance(chunk, BlockChunk)
+        assert chunk.nbytes == filled.nbytes == 16 * filled.nnz
+        assert chunk.offsets.tobytes() == filled.offsets.tobytes()
+        assert chunk.values.tobytes() == filled.values.tobytes()
+        assert chunk.offsets is not chunk.offsets
 
 
 class TestTranspose:
