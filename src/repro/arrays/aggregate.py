@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.arrays.dense import DenseArray, DEFAULT_DTYPE
 from repro.arrays.measures import Measure, SUM, get_measure
-from repro.arrays.sparse import SparseArray
+from repro.arrays.sparse import SparseArray, SparseChunk, _inside
 
 
 def project_axes(dims: Sequence[int], keep: Sequence[int]) -> tuple[int, ...]:
@@ -71,6 +71,7 @@ def _aggregate_sparse(
     out_shapes: Sequence[Sequence[int]],
     dtype,
     measure: Measure | str,
+    box: Sequence[tuple[int, int]] | None = None,
 ) -> list[DenseArray]:
     """The sparse kernel: every target's aggregate from one scan of ``arr``.
 
@@ -79,6 +80,10 @@ def _aggregate_sparse(
     slab in before the next is decoded.  For SUM and COUNT a
     target's first ``bincount`` is its output array and later slabs add
     into it; a target no fact reaches comes back identity-filled.
+
+    ``box`` (one ``(lo, hi)`` per axis) keeps only the facts inside it, at
+    coordinates relative to its corner.  Chunks outside it are skipped and
+    the rest keep their slabs, so each kept fact folds as in a whole scan.
     """
     measure = get_measure(measure)
     keep = [project_axes(dims, t) for t in targets]
@@ -86,7 +91,18 @@ def _aggregate_sparse(
     accs: list[np.ndarray | None] = [None] * len(targets)
     for chunk in arr.iter_chunks():
         origin = np.asarray(chunk.origin, dtype=np.int64)
+        if box is not None:
+            window = [(lo - o, hi - o) for (lo, hi), o in zip(box, chunk.origin)]
+            if any(lo >= e or hi <= 0 for (lo, hi), e in zip(window, chunk.shape)):
+                continue
+            origin -= [lo for lo, _ in box]
         for slab in chunk.slabs(_SLAB):
+            if box is not None and (inside := _inside(slab, window)) is not None:
+                if not inside.any():
+                    continue
+                slab = SparseChunk(
+                    chunk.origin, chunk.shape, slab.offsets[inside], slab.values[inside]
+                )
             coords = slab.local_coords()
             coords += origin
             for i, (axes, shape) in enumerate(zip(keep, out_shapes)):
@@ -110,6 +126,7 @@ def aggregate_sparse_to_dense(
     dim_sizes: Sequence[int] | None = None,
     dtype=DEFAULT_DTYPE,
     measure: Measure | str = SUM,
+    box: Sequence[tuple[int, int]] | None = None,
 ) -> DenseArray:
     """Aggregate a sparse array (axes = cube dims ``dims``) onto ``target_dims``.
 
@@ -128,10 +145,16 @@ def aggregate_sparse_to_dense(
     measure:
         Any distributive measure (default SUM).  Aggregation ranges over
         the stored facts; empty groups take the measure's identity.
+    box:
+        Aggregate only the facts in this ``(lo, hi)`` per axis of ``arr``;
+        ``dim_sizes`` then default to the box's extents.
     """
     if dim_sizes is None:
-        dim_sizes = [arr.shape[a] for a in project_axes(dims, target_dims)]
-    return _aggregate_sparse(arr, dims, [target_dims], [tuple(dim_sizes)], dtype, measure)[0]
+        extents = arr.shape if box is None else [hi - lo for lo, hi in box]
+        dim_sizes = [extents[a] for a in project_axes(dims, target_dims)]
+    return _aggregate_sparse(
+        arr, dims, [target_dims], [tuple(dim_sizes)], dtype, measure, box
+    )[0]
 
 
 def aggregate_sparse_multi(

@@ -18,22 +18,24 @@ still return results **bit-identical** to the one-at-a-time path: numpy's
 tuple-axis ``sum`` groups additions differently, but per-axis reductions
 commute bitwise with point/range selection on other axes.
 
-:class:`QueryEngine` resolves covers, applies point/range filters, and
-reports which view served each query and how many cells were scanned --
-the cost model view selection optimizes.  :class:`QueryEngine.execute`
-returns a structured :class:`QueryResult`.
+:class:`QueryEngine` compiles a query's shape into a :class:`QueryShape`
+(its cover and the axes each step reads), runs step 1
+(:meth:`~QueryEngine.partial`), and finishes every answer, alone or in a
+gathered group, with step 2 (:meth:`~QueryEngine.answer`), reporting which
+view served it and how many cells were scanned -- the cost model view
+selection optimizes.  :class:`QueryEngine.execute` returns a structured
+:class:`QueryResult`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.arrays.aggregate import aggregate_sparse_to_dense
-from repro.arrays.dense import DenseArray
+from repro.arrays.aggregate import aggregate_dense, aggregate_sparse_to_dense
 from repro.arrays.measures import Measure, get_measure
 from repro.arrays.sparse import SparseArray
 from repro.core.lattice import Node, node_size
@@ -120,18 +122,18 @@ class CanonicalQuery:
     group_by: Node = ()
     point_filters: tuple[tuple[int, int], ...] = ()
     range_filters: tuple[tuple[int, int, int], ...] = ()
+    #: Sorted dimensions the query touches (group-bys and filters).
+    mentioned: Node = field(init=False, repr=False, compare=False)
+    #: ``(group_by, point-filter dims, range-filter dims)``: every query of
+    #: one shape is answered through one :class:`QueryShape`.
+    shape: tuple[Node, Node, Node] = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def mentioned(self) -> Node:
-        """Sorted dimensions the query touches (group-bys and filters).
-
-        Cached: the dataclass is frozen, and the serving hot path asks
-        several times per query.
-        """
-        dims = set(self.group_by)
-        dims.update(d for d, _ in self.point_filters)
-        dims.update(d for d, _, _ in self.range_filters)
-        return tuple(sorted(dims))
+    def __post_init__(self) -> None:
+        points = tuple([f[0] for f in self.point_filters])
+        ranges = tuple([f[0] for f in self.range_filters])
+        dims = sorted({*self.group_by, *points, *ranges})
+        object.__setattr__(self, "mentioned", tuple(dims))
+        object.__setattr__(self, "shape", (self.group_by, points, ranges))
 
 
 def canonicalize_query(schema, query: GroupByQuery) -> CanonicalQuery:
@@ -202,64 +204,6 @@ def rollup_axes_descending(measure: Measure | str) -> AxisReduce:
     return reduce
 
 
-def finish_from_partial(
-    data: np.ndarray,
-    mentioned: Node,
-    cq: CanonicalQuery,
-    reduce: AxisReduce,
-) -> tuple[np.ndarray | float, int]:
-    """Step 2 of evaluation: filter/keep/reduce a mentioned-dims partial.
-
-    ``data`` has one axis per dimension in ``mentioned`` (sorted);
-    ``reduce`` is the cube's :func:`rollup_axes_descending`.
-    Returns ``(values, cells_scanned)`` where ``cells_scanned`` is the
-    size of the indexed sub-array.
-    """
-    points = dict(cq.point_filters)
-    ranges = {d: (lo, hi) for d, lo, hi in cq.range_filters}
-    grouped = set(cq.group_by)
-    index: list[object] = []
-    sum_axes: list[int] = []
-    kept = 0
-    for d in mentioned:
-        if d in points:
-            index.append(points[d])
-        elif d in ranges:
-            lo, hi = ranges[d]
-            index.append(slice(lo, hi))
-            if d not in grouped:
-                sum_axes.append(kept)
-            kept += 1
-        else:
-            index.append(slice(None))
-            kept += 1
-    sub = np.asarray(data)[tuple(index)]
-    cells = int(sub.size)
-    out = reduce(sub, sum_axes)
-    if isinstance(out, np.ndarray) and out.ndim > 0:
-        if out.base is not None:
-            out = out.copy()  # never alias the cube's own storage
-        return out, cells
-    return float(out), cells
-
-
-def scan_cells_after_reduce(schema, cq: CanonicalQuery) -> int:
-    """Size of the sub-array step 2 scans (the arithmetic form).
-
-    Equals the ``cells_scanned`` that :func:`finish_from_partial` reports,
-    without touching any data -- used by the batch path to attribute a
-    stand-alone cost to results it computed via shared passes.
-    """
-    points = {d for d, _ in cq.point_filters}
-    ranges = {d: hi - lo for d, lo, hi in cq.range_filters}
-    cells = 1
-    for d in cq.mentioned:
-        if d in points:
-            continue
-        cells *= ranges.get(d, schema.dimensions[d].size)
-    return cells
-
-
 @dataclass
 class QueryResult:
     """Structured outcome of one group-by query.
@@ -291,6 +235,39 @@ class QueryResult:
     cells_scanned: int
     is_fallback: bool = False
     stale: bool = False
+
+
+class QueryShape(NamedTuple):
+    """What every query of one :attr:`CanonicalQuery.shape` shares, resolved
+    once: where it is served from and which axes each step reads.
+
+    Step 1 rolls the cover's ``cover_axes`` up (``cover_cells`` is what that
+    scans; a base fallback reads the base instead).  Step 2 indexes the
+    mentioned axes -- ``point_axes`` and ``range_axes`` are the filtered
+    dimensions' positions -- and rolls up ``rollup_axes``, positions among
+    the axes the points leave, in descending order.  A query scans
+    ``free_cells`` times its range widths in step 2.
+    """
+
+    mentioned: Node
+    cover: Node | None
+    served_by: tuple[str, ...]
+    cover_axes: tuple[int, ...]
+    cover_cells: int
+    point_axes: tuple[int, ...]
+    range_axes: tuple[int, ...]
+    rollup_axes: tuple[int, ...]
+    free_cells: int
+
+    @property
+    def is_fallback(self) -> bool:
+        """True when no materialized view covers the shape."""
+        return self.cover is None
+
+
+#: A step-1 result: ``(data over the mentioned axes, its origin on each,
+#: cells scanned)``.
+Partial = tuple[np.ndarray, tuple[int, ...], int]
 
 
 class QueryEngine:
@@ -329,46 +306,111 @@ class QueryEngine:
                     best, best_size = v, size_v
         return best
 
-    def _base_group_by(self, node: Node) -> DenseArray:
-        """Aggregate the base facts onto ``node`` with the cube's measure
-        (last resort)."""
+    def compile(self, cq: CanonicalQuery, like: QueryShape | None = None) -> QueryShape:
+        """Resolve the :attr:`~CanonicalQuery.shape` of ``cq`` to its
+        :class:`QueryShape` (the same for every query of that shape).
+
+        ``like``, a compiled shape of the same mentioned dimensions, lends
+        its cover and step 1 instead of a new cover lookup.
+        """
+        group_by, points, ranges = cq.shape
+        mentioned = cq.mentioned
+        sizes = self.cube.schema.shape
+        if like is None:
+            cover = self.resolve_cover(mentioned)
+            axes: tuple[int, ...] = ()
+            served, cells = BASE, 0
+            if cover is not None:
+                axes = tuple([i for i, d in enumerate(cover) if d not in mentioned])
+                served = self.cube.schema.names_of(cover)
+                cells = node_size(cover, sizes) if axes else 0
+            like = QueryShape(mentioned, cover, served, axes, cells, (), (), (), 0)
+        rest = [d for d in mentioned if d not in points]
+        return QueryShape(
+            *like[:5],
+            tuple([mentioned.index(d) for d in points]),
+            tuple([mentioned.index(d) for d in ranges]),
+            tuple([
+                i for i in range(len(rest) - 1, -1, -1)
+                if rest[i] in ranges and rest[i] not in group_by
+            ]),
+            math.prod([sizes[d] for d in rest if d not in ranges]),
+        )
+
+    def partial(self, shape: QueryShape, group: Sequence[CanonicalQuery]) -> Partial:
+        """Step 1 for ``group`` (queries of ``shape``): the cover rolled up
+        onto the mentioned dimensions, or the base aggregated onto them with
+        the cube's measure -- a sparse base only its facts in the group's box.
+        """
+        zeros = (0,) * len(shape.mentioned)
+        if shape.cover is not None:
+            data = self.cube.aggregates[shape.cover].data
+            if shape.cover_axes:
+                data = self.reduce_axes(data, shape.cover_axes)
+            return data, zeros, shape.cover_cells
         base = self.cube.base
         if base is None:
             raise LookupError(
                 "no materialized view covers the query and the base array "
                 "was not kept (build with keep_base=True)"
             )
-        n = len(self.cube.schema.dimensions)
-        if isinstance(base, SparseArray):
-            return aggregate_sparse_to_dense(
-                base, tuple(range(n)), node, measure=self.measure
-            )
-        from repro.arrays.aggregate import aggregate_dense
+        if not isinstance(base, SparseArray):
+            # numpy sums a slice of an array in another order than the array.
+            return aggregate_dense(base, shape.mentioned, self.measure).data, zeros, base.size
+        box = [(0, s) for s in base.shape]
+        for j, (d, _) in enumerate(group[0].point_filters):
+            at = [cq.point_filters[j][1] for cq in group]
+            box[d] = (min(at), max(at) + 1)
+        for d, lo, hi in group[0].range_filters:
+            box[d] = (lo, hi)
+        dims = tuple(range(len(box)))
+        out = aggregate_sparse_to_dense(base, dims, shape.mentioned, measure=self.measure, box=box)
+        return out.data, tuple(box[d][0] for d in shape.mentioned), base.nnz
 
-        return aggregate_dense(base, node, measure=self.measure)
+    def answer(
+        self,
+        shape: QueryShape,
+        group: Sequence[CanonicalQuery],
+        partial: Partial | None = None,
+    ) -> tuple[list[QueryResult], int]:
+        """Step 2, the one way answers are finished: filter, keep and roll up.
 
-    def reduce_to_mentioned(
-        self, cover: Node | None, mentioned: Node
-    ) -> tuple[np.ndarray, int]:
-        """Step 1 of evaluation: project the serving view onto ``mentioned``.
-
-        Returns ``(data, cells_scanned)`` where ``data`` has one axis per
-        mentioned dimension and ``cells_scanned`` is the cost of the
-        projection (zero when the cover is exactly the mentioned node).
-        This is the pass :class:`repro.serve.CubeService` shares across a
-        batch.
+        ``group`` holds queries of ``shape`` with equal range filters;
+        ``partial`` is their step 1 (computed here when omitted).  One query
+        is basic-indexed; several are gathered at their points in one pass.
+        Returns the results and the cells step 2 scanned for all of them.
         """
-        if cover is None:
-            base = self.cube.base
-            arr = self._base_group_by(mentioned)
-            cells = base.nnz if isinstance(base, SparseArray) else base.size
-            return arr.data, int(cells)
-        arr = self.cube.aggregates[cover]
-        mset = set(mentioned)
-        axes = [i for i, d in enumerate(arr.dims) if d not in mset]
-        if not axes:
-            return arr.data, 0
-        return self.reduce_axes(arr.data, axes), arr.size
+        data, origin, reduce_cells = partial or self.partial(shape, group)
+        first = group[0]
+        index: list[object] = [slice(None)] * len(origin)
+        cells = shape.free_cells
+        for ax, (_, lo, hi) in zip(shape.range_axes, first.range_filters):
+            index[ax] = slice(lo - origin[ax], hi - origin[ax])
+            cells *= hi - lo
+        if len(group) == 1:
+            for ax, (_, p) in zip(shape.point_axes, first.point_filters):
+                index[ax] = p - origin[ax]
+            sub = data[tuple(index)]
+            outs = [self.reduce_axes(sub, shape.rollup_axes) if shape.rollup_axes else sub]
+        else:
+            at = tuple(
+                np.array([cq.point_filters[j][1] for cq in group]) - origin[ax]
+                for j, ax in enumerate(shape.point_axes)
+            )
+            rest = [sl for ax, sl in enumerate(index) if ax not in shape.point_axes]
+            moved = np.moveaxis(data, shape.point_axes, range(len(at)))
+            block = moved[at][(slice(None), *rest)]  # shape (G, *rest)
+            outs = self.reduce_axes(block, [ax + 1 for ax in shape.rollup_axes])
+        results = []
+        for out in outs:
+            if isinstance(out, np.ndarray) and out.ndim > 0:
+                value = out.copy() if out.base is not None else out  # never alias the cube
+            else:
+                value = float(out)
+            results.append(
+                QueryResult(value, shape.served_by, reduce_cells + cells, shape.is_fallback)
+            )
+        return results, cells * len(group)
 
     # -- answering ------------------------------------------------------------------
 
@@ -379,15 +421,10 @@ class QueryEngine:
             if isinstance(query, CanonicalQuery)
             else self.canonicalize(query)
         )
-        mentioned = cq.mentioned
-        cover = self.resolve_cover(mentioned)
-        data, reduce_cells = self.reduce_to_mentioned(cover, mentioned)
-        values, finish_cells = finish_from_partial(data, mentioned, cq, self.reduce_axes)
-        cells = reduce_cells + finish_cells
-        served = BASE if cover is None else self.cube.schema.names_of(cover)
+        (result,), _ = self.answer(self.compile(cq), [cq])
         self.queries_answered += 1
-        self.total_cells_scanned += cells
-        return QueryResult(values, served, cells, is_fallback=cover is None)
+        self.total_cells_scanned += result.cells_scanned
+        return result
 
     def execute_many(
         self, queries: Sequence[GroupByQuery | CanonicalQuery]

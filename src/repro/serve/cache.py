@@ -104,26 +104,34 @@ class ResultCache:
         self.stats = CacheStats(
             self._hits, self._misses, self._evictions, self._invalidations
         )
-        self._entries: OrderedDict[CanonicalQuery, QueryResult] = OrderedDict()
+        self._entries: OrderedDict[CanonicalQuery, tuple[QueryResult, int]] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: CanonicalQuery) -> QueryResult | None:
-        """Look up ``key``, refreshing its recency; counts a hit or miss."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self._misses.inc()
-            return None
-        self._entries.move_to_end(key)
-        self._hits.inc()
-        return entry
+    def get(self, key: CanonicalQuery, tag: int = 0) -> QueryResult | None:
+        """Look up ``key``, refreshing its recency; counts a hit or miss.
 
-    def put(self, key: CanonicalQuery, result: QueryResult) -> None:
-        """Store ``result``, evicting the least recently used on overflow."""
+        An entry put under another ``tag`` (a service tags each answer with
+        the cube's refresh count read before computing it) is dropped and
+        the lookup misses.
+        """
+        entry = self._entries.get(key)
+        if entry is not None and entry[1] == tag:
+            self._entries.move_to_end(key)
+            self._hits.inc()
+            return entry[0]
+        if entry is not None:
+            self._entries.pop(key, None)
+        self._misses.inc()
+        return None
+
+    def put(self, key: CanonicalQuery, result: QueryResult, tag: int = 0) -> None:
+        """Store ``result`` under ``tag``, evicting the least recently used
+        on overflow."""
         if self.capacity <= 0:
             return
-        self._entries[key] = result
+        self._entries[key] = (result, tag)
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

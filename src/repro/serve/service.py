@@ -4,8 +4,9 @@
 the bare :class:`repro.olap.query.QueryEngine` it adds the three
 optimizations the serving workload rewards:
 
-- **canonicalization + cover memoization** -- each distinct mentioned-
-  dimension set resolves its serving view once, not per query;
+- **canonicalization + compiled query shapes** -- each distinct shape
+  (group-by, point- and range-filtered dimensions) resolves its serving
+  view and axes once, not per query;
 - **a bounded LRU result cache** keyed on the canonical query, with
   hit/miss/eviction counters and automatic invalidation when the cube
   absorbs a delta (:func:`repro.olap.maintenance.apply_delta`);
@@ -37,11 +38,10 @@ from repro.olap.query import (
     GroupByQuery,
     QueryEngine,
     QueryResult,
+    QueryShape,
 )
 from repro.serve.batch import BatchReport, run_batch
 from repro.serve.cache import CacheStats, ResultCache
-
-_NO_COVER = object()
 
 
 class CubeService:
@@ -91,7 +91,8 @@ class CubeService:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.cache = ResultCache(result_cache_size, metrics=self.metrics)
-        self._cover_memo: dict[Node, Node | None | object] = {}
+        #: Compiled shapes by mentioned dimensions, then by shape.
+        self._shapes: dict[Node, dict[tuple[Node, Node, Node], QueryShape]] = {}
         self._canon_memo: dict[tuple, CanonicalQuery] = {}
         self._queries = self.metrics.counter("serve.queries")
         self._batches = self.metrics.counter("serve.batches")
@@ -185,19 +186,23 @@ class CubeService:
             self._canon_memo[key] = cached
         return cached
 
-    def resolve_cover(self, mentioned: Node) -> Node | None:
-        """Memoized smallest-cover lookup (``None`` means base fallback)."""
-        cached = self._cover_memo.get(mentioned, _NO_COVER)
-        if cached is _NO_COVER:
-            cached = self.engine.resolve_cover(mentioned)
-            self._cover_memo[mentioned] = cached
-        return cached
+    def compile(self, cq: CanonicalQuery) -> QueryShape:
+        """:meth:`QueryEngine.compile`, memoized on the query's shape; the
+        shapes of one mentioned-dimension set share one cover lookup."""
+        shapes = self._shapes.get(cq.mentioned)
+        if shapes is None:
+            shapes = self._shapes[cq.mentioned] = {}
+        shape = shapes.get(cq.shape)
+        if shape is None:
+            like = next(iter(shapes.values()), None)
+            shape = shapes[cq.shape] = self.engine.compile(cq, like)
+        return shape
 
     def _handle_refresh(self) -> None:
-        """Cube absorbed a delta: drop cached results, keep the cover memo.
+        """Cube absorbed a delta: drop cached results, keep compiled shapes.
 
         An in-place refresh changes aggregate *values* but not the set of
-        materialized views, so cover resolutions stay valid while every
+        materialized views, so compiled shapes stay valid while every
         cached result is stale.
         """
         self._refreshes.inc()
@@ -208,12 +213,12 @@ class CubeService:
             )
 
     def invalidate(self) -> int:
-        """Manually drop all cached results (also resets the cover memo).
+        """Manually drop all cached results (also resets compiled shapes).
 
         For out-of-band cube mutations that bypass
         :func:`repro.olap.maintenance.apply_delta`.
         """
-        self._cover_memo.clear()
+        self._shapes.clear()
         return self.cache.invalidate()
 
     def refresh_with(
@@ -358,8 +363,18 @@ class CubeService:
     # -- serving -------------------------------------------------------------------
 
     def execute(self, query: GroupByQuery | CanonicalQuery) -> QueryResult:
-        """Answer one query through the cache; misses hit the cube."""
-        return self.execute_batch([query])[0]
+        """Answer one query through the cache; a miss is a group of one."""
+        cq = self.canonicalize(query)
+        tag = self.cube.refreshes
+        result = self.cache.get(cq, tag)
+        if result is None:
+            with self.tracer.span("serve.batch", cat="serve", queries=1, misses=1):
+                (result,), _ = self.engine.answer(self.compile(cq), [cq])
+            cells = result.cells_scanned
+            self._absorb_report(BatchReport(1, 1, 1, 0, cells, cells))
+            if self.cube.refreshes == tag:  # see _keep
+                self.cache.put(cq, result, tag)
+        return self._serve([result])[0]
 
     def execute_batch(
         self, queries: Sequence[GroupByQuery | CanonicalQuery]
@@ -367,19 +382,14 @@ class CubeService:
         """Answer many queries with shared passes and the result cache.
 
         Cache hits cost zero cube cells; misses are deduplicated, grouped
-        by serving view, answered via :func:`repro.serve.batch.run_batch`,
+        by compiled shape, answered via :func:`repro.serve.batch.run_batch`,
         and inserted into the cache.  Results are positional and
         bit-identical to per-query execution.
         """
         canonical = [self.canonicalize(q) for q in queries]
-        results: list[QueryResult | None] = [None] * len(canonical)
-        miss_indices: list[int] = []
-        for i, cq in enumerate(canonical):
-            hit = self.cache.get(cq)
-            if hit is not None:
-                results[i] = hit
-            else:
-                miss_indices.append(i)
+        tag = self.cube.refreshes
+        results = [self.cache.get(cq, tag) for cq in canonical]
+        miss_indices = [i for i, r in enumerate(results) if r is None]
         if miss_indices:
             miss_queries = [canonical[i] for i in miss_indices]
             with self.tracer.span(
@@ -389,22 +399,33 @@ class CubeService:
                 misses=len(miss_queries),
             ):
                 answers, report = run_batch(
-                    self.engine, miss_queries, resolve_cover=self.resolve_cover
+                    self.engine, miss_queries, compile=self.compile
                 )
             self._absorb_report(report)
             for i, result in zip(miss_indices, answers):
                 results[i] = result
-                self.cache.put(canonical[i], result)
-        self._queries.inc(len(canonical))
+            self._keep(miss_queries, answers, tag)
+        return self._serve(results)  # type: ignore[arg-type]
+
+    def _keep(
+        self, queries: list[CanonicalQuery], answers: list[QueryResult], tag: int
+    ) -> None:
+        """Cache answers computed at refresh count ``tag`` -- unless a refresh
+        committed meanwhile; one that commits later is caught by the tag."""
+        if self.cube.refreshes == tag:
+            for cq, result in zip(queries, answers):
+                self.cache.put(cq, result, tag)
+
+    def _serve(self, results: list[QueryResult]) -> list[QueryResult]:
+        """Count the served queries; flag them in degraded mode."""
+        self._queries.inc(len(results))
         self._batches.inc()
         if self._stale:
             # Degraded mode: flag copies, never the cached entries -- the
             # cache outlives the degradation and must stay unflagged.
-            self._degraded_queries.inc(len(canonical))
-            results = [
-                replace(r, stale=True) for r in results  # type: ignore[arg-type]
-            ]
-        return results  # type: ignore[return-value]
+            self._degraded_queries.inc(len(results))
+            results = [replace(r, stale=True) for r in results]
+        return results
 
     def _absorb_report(self, report: BatchReport) -> None:
         self._cells_actual.inc(report.cells_scanned_actual)

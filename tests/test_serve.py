@@ -5,8 +5,12 @@ import gc
 import numpy as np
 import pytest
 
+from repro.arrays import aggregate
+from repro.arrays.aggregate import aggregate_dense, aggregate_sparse_to_dense
 from repro.arrays.dataset import random_sparse
+from repro.arrays.measures import get_measure
 from repro.arrays.sparse import SparseArray
+from repro.core.lattice import node_size
 from repro.olap import (
     CanonicalQuery,
     DataCube,
@@ -225,6 +229,130 @@ class TestBitIdenticalPaths:
         assert any(r.is_fallback for r in ref)  # fallbacks exercised
 
 
+def reference_answer(cube, cq):
+    """The 10.0.0 arithmetic every path must reproduce bit for bit.
+
+    The smallest cover (or the whole base, aggregated with the cube's
+    measure) is reduced to the mentioned dimensions, basic-indexed, and
+    rolled up one axis at a time, highest axis first.
+    """
+    schema = cube.schema
+    measure = get_measure(cube.measure_name)
+    rollup = measure.rollup
+    mentioned = cq.mentioned
+    n = len(schema.dimensions)
+    covers = [v for v in cube.aggregates if set(mentioned) <= set(v)]
+    if len(mentioned) < n and covers:
+        cover = min(covers, key=lambda v: (node_size(v, schema.shape), v))
+        data = cube.aggregates[cover].data
+        for ax in reversed([i for i, d in enumerate(cover) if d not in mentioned]):
+            data = rollup.reduce_dense(data, (ax,))
+    elif isinstance(cube.base, SparseArray):
+        data = aggregate_sparse_to_dense(
+            cube.base, tuple(range(n)), mentioned, measure=measure
+        ).data
+    else:
+        data = aggregate_dense(cube.base, mentioned, measure).data
+    points = dict(cq.point_filters)
+    ranges = {d: (lo, hi) for d, lo, hi in cq.range_filters}
+    index, axes, kept = [], [], 0
+    for d in mentioned:
+        if d in points:
+            index.append(points[d])
+            continue
+        if d in ranges and d not in cq.group_by:
+            axes.append(kept)
+        index.append(slice(*ranges[d]) if d in ranges else slice(None))
+        kept += 1
+    out = data[tuple(index)]
+    for ax in sorted(axes, reverse=True):
+        out = rollup.reduce_dense(out, (ax,))
+    return np.asarray(out, dtype=np.float64)
+
+
+class TestFloatBitIdentity:
+    """Every serving path against :func:`reference_answer`, bitwise, on
+    floats of mixed magnitude, where any change in the order of additions
+    shows."""
+
+    SHAPE = dict(a=9, b=4, c=3, d=10)
+
+    def cube(self, kind, measure):
+        schema = Schema.simple(**self.SHAPE)
+        rng = np.random.default_rng(21)
+        size = int(np.prod(schema.shape))
+        values = rng.standard_normal(size) * 10.0 ** rng.integers(-4, 5, size)
+        if kind.endswith("dense"):
+            data = values.reshape(schema.shape)
+        else:
+            flat = rng.choice(size, size=size // 2, replace=False)
+            coords = np.stack(np.unravel_index(flat, schema.shape), axis=1)
+            data = SparseArray.from_coords(
+                schema.shape, coords, values[: len(flat)], chunk_shape=(4, 2, 3, 4)
+            )
+        if kind.startswith("partial"):
+            views = [("a", "b", "d"), ("b", "c"), ("a",)]
+            return DataCube.build_partial(schema, data, views=views, measure=measure)
+        return DataCube.build(schema, data, measure=measure)
+
+    def queries(self, schema):
+        queries = generate_workload(
+            schema, WorkloadSpec(num_queries=150, filter_probability=0.6), seed=22
+        )
+        # Base fallbacks on any cube (every dimension mentioned), in point
+        # lookalike groups that a batch gathers from one box.
+        queries += [GroupByQuery(("a", "b", "d"), {"c": c}) for c in range(3)]
+        queries += [
+            GroupByQuery(("b", "c"), {"a": a, "d": (1, 10)}) for a in (0, 4, 8)
+        ]
+        return queries
+
+    def assert_reference(self, cube, queries, results):
+        for q, r in zip(queries, results):
+            want = reference_answer(cube, canonicalize_query(cube.schema, q))
+            got = np.asarray(r.values, dtype=np.float64)
+            assert got.shape == want.shape, q
+            assert got.tobytes() == want.tobytes(), q
+
+    @pytest.mark.parametrize("measure", ["sum", "count", "min", "max"])
+    @pytest.mark.parametrize(
+        "kind, slab",
+        [
+            ("full-sparse", None),
+            ("partial-sparse", None),
+            ("full-sparse", 5),  # several slabs per chunk
+            ("partial-sparse", 5),
+            ("full-dense", None),
+            ("partial-dense", None),
+        ],
+    )
+    def test_every_path_matches_reference(self, kind, slab, measure, monkeypatch):
+        if slab is not None:
+            monkeypatch.setattr(aggregate, "_SLAB", slab)
+        cube = self.cube(kind, measure)
+        queries = self.queries(cube.schema)
+        ref = QueryEngine(cube).execute_many(queries)
+        self.assert_reference(cube, queries, ref)
+        assert any(r.is_fallback for r in ref)
+
+        batched = CubeService(cube, result_cache_size=0)
+        self.assert_reference(cube, queries, batched.execute_batch(queries))
+        assert batched.last_batch_report.vectorized_groups > 0
+
+        cached = CubeService(cube, result_cache_size=4096)
+        self.assert_reference(cube, queries, [cached.execute(q) for q in queries])
+        self.assert_reference(cube, queries, [cached.execute(q) for q in queries])
+        assert cached.cache_stats.hits >= len(queries)
+
+        def fail():
+            raise RuntimeError("rebuild failed")
+
+        assert not cached.refresh_with(fail, max_retries=0)
+        stale = cached.execute_batch(queries)
+        assert all(r.stale for r in stale)
+        self.assert_reference(cube, queries, stale)
+
+
 class TestBatchSharing:
     def test_duplicates_computed_once(self, cube):
         q = GroupByQuery(("item",))
@@ -292,11 +420,18 @@ class TestServiceCaching:
         assert len(service.cache) == 1
 
     def test_cover_memo_reused(self, cube):
+        # The memo holds compiled shapes: queries that differ only in their
+        # filter values compile once, and the shapes of one mentioned set
+        # share one cover lookup.
         service = CubeService(cube)
-        service.execute(GroupByQuery(("item",)))
-        service.execute(GroupByQuery(("item",), {"item": (0, 2)}))
-        assert service.resolve_cover((0,)) == (0,)
-        assert len(service._cover_memo) == 1
+        service.execute(GroupByQuery(("item",), {"branch": 0}))
+        service.execute(GroupByQuery(("item",), {"branch": 2}))
+        service.execute(GroupByQuery(("item", "branch")))
+        assert list(service._shapes) == [(0, 1)]
+        points, grouped = service._shapes[(0, 1)].values()
+        assert points.cover == grouped.cover == (0, 1)
+        again = canonicalize_query(cube.schema, GroupByQuery(("item",), {"branch": 1}))
+        assert service.compile(again) is points
 
     def test_refresh_invalidates_results_not_cover_memo(self, schema):
         data = random_sparse(schema.shape, 0.5, seed=8)
@@ -304,12 +439,13 @@ class TestServiceCaching:
         service = CubeService(cube)
         q = GroupByQuery(("item",))
         stale = service.execute(q)
-        memo_size = len(service._cover_memo)
+        memo = {m: dict(shapes) for m, shapes in service._shapes.items()}
+        assert len(memo) == 1
         delta = random_sparse(schema.shape, 0.2, seed=9)
         apply_delta(cube, delta)
         assert service.refreshes_seen == 1
         assert len(service.cache) == 0
-        assert len(service._cover_memo) == memo_size
+        assert service._shapes == memo
         fresh = service.execute(q)
         expected = QueryEngine(cube).execute(q)
         assert np.array_equal(
@@ -318,6 +454,41 @@ class TestServiceCaching:
         assert not np.allclose(
             np.asarray(stale.values), np.asarray(fresh.values)
         )
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_refresh_during_a_miss_is_never_served(self, batched):
+        # A refresh that commits while a miss is being answered (here:
+        # from inside the answer's roll-up) must not leave the pre-refresh
+        # answer in the cache.
+        schema = Schema.simple(a=8, b=6, c=4)
+        cube = DataCube.build(schema, random_sparse(schema.shape, 0.5, seed=8))
+        delta = random_sparse(schema.shape, 0.3, seed=9)
+        service = CubeService(cube)
+        q = GroupByQuery(("a",), {"b": (0, 3)})
+        rollup = service.engine.reduce_axes
+        fired = []
+
+        def rollup_then_refresh(data, axes):
+            out = rollup(data, axes)
+            if axes and not fired:  # the answer's own roll-up, not step 1
+                fired.append(True)
+                apply_delta(cube, delta)
+            return out
+
+        service.engine.reduce_axes = rollup_then_refresh
+        before = service.execute_batch([q])[0] if batched else service.execute(q)
+        assert fired and service.refreshes_seen == 1
+        after = service.execute(q)
+        expected = QueryEngine(cube).execute(q)
+        assert np.array_equal(np.asarray(after.values), np.asarray(expected.values))
+        assert not np.allclose(np.asarray(before.values), np.asarray(after.values))
+
+    def test_entry_from_an_older_cube_is_dropped(self, cube):
+        service = CubeService(cube)
+        q = service.canonicalize(GroupByQuery(("item",)))
+        service.cache.put(q, service.engine.execute(q), tag=cube.refreshes - 1)
+        assert service.execute(q).cells_scanned == service.cells_scanned_actual
+        assert service.cache.stats.hits == 0 and len(service.cache) == 1
 
     def test_dropped_service_unsubscribes_on_next_refresh(self, schema):
         data = random_sparse(schema.shape, 0.5, seed=8)
@@ -334,7 +505,7 @@ class TestServiceCaching:
         service.execute(GroupByQuery(("item",)))
         assert service.invalidate() == 1
         assert len(service.cache) == 0
-        assert len(service._cover_memo) == 0
+        assert len(service._shapes) == 0
 
     def test_describe_mentions_counters(self, cube):
         service = CubeService(cube)
