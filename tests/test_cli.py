@@ -400,11 +400,54 @@ class TestBackendsList:
         code_b, text_b = run_cli("backends", "list")
         code_s, text_s = run_cli("sched", "list")
         assert code_b == 0 and code_s == 0
-        # Both render through Registry.render_list: name column, two
-        # spaces, description column.
-        for text in (text_b, text_s):
-            lines = [ln for ln in text.splitlines() if ln.strip()]
-            assert all("  " in ln for ln in lines)
+        # Both listings share one layout: name column padded to the
+        # longest name, two spaces, description.  Pinned byte for byte
+        # to the 11.0.0 output.
+        assert text_b == (
+            "process  real OS processes forked after partition; shared output"
+            " arena, supervised respawn\n"
+            "sim      deterministic discrete-event simulator (simulated clocks,"
+            " full fault surface)\n"
+            "thread   one GIL-releasing thread per rank; persistent"
+            " worker-pool fast path\n"
+        )
+        assert text_s == (
+            "fig5                     the paper's Fig 5 SPMD schedule"
+            " (communication and memory optimal)\n"
+            "shuffle                  MapReduce-style batch-shuffle"
+            " materialization (arXiv:1709.10072)\n"
+            "marginals-<k>[-shuffle]  only the order-k group-bys"
+            " (arXiv:1509.08855), fig5 or shuffle planning\n"
+        )
+
+    def test_unknown_name_errors_are_pinned(self):
+        from repro.exec import get_backend
+        from repro.sched import get_scheduler
+
+        cases = [
+            (
+                get_backend,
+                "thred",
+                "unknown backend 'thred'; available: process, sim, thread"
+                " (did you mean 'thread'?)",
+            ),
+            (
+                get_scheduler,
+                "fig6",
+                "unknown scheduler 'fig6'; available: fig5,"
+                " marginals-<k>[-shuffle], shuffle (did you mean 'fig5'?)",
+            ),
+            (
+                get_scheduler,
+                "marginals-x",
+                "unknown scheduler 'marginals-x'; available: fig5,"
+                " marginals-<k>[-shuffle], shuffle",
+            ),
+        ]
+        for lookup, name, message in cases:
+            with pytest.raises(ValueError) as err:
+                lookup(name)
+            assert str(err.value) == message
 
 
 class TestTopCommand:
