@@ -76,7 +76,6 @@ from repro.exec import (
     available_backends,
     get_backend,
 )
-from repro.registry import Registry
 from repro.obs import (
     MetricsRegistry,
     Tracer,
@@ -96,7 +95,6 @@ from repro.sched import (
     Scheduler,
     available_schedulers,
     get_scheduler,
-    register_scheduler,
 )
 from repro.serve import CubeService, ServiceStats
 
@@ -164,13 +162,11 @@ __all__ = [
     "SimBackend",
     "ThreadBackend",
     "WorkerPool",
-    "Registry",
     "available_backends",
     "get_backend",
     "Scheduler",
     "available_schedulers",
     "get_scheduler",
-    "register_scheduler",
     "MetricsRegistry",
     "Tracer",
     "load_run",

@@ -19,7 +19,7 @@ Installed as ``repro-cube`` (see ``pyproject.toml``); also runnable as
                  optional traced-run linting (live or from an exported
                  trace via ``--run-trace``) and the in-repo source gate;
 - ``sched``      construction schedulers (``repro.sched``): ``sched list``
-                 names the registered strategies, ``sched compare`` runs
+                 names the built-in strategies, ``sched compare`` runs
                  the same build under each and tabulates communication
                  volume, per-rank memory peak, and simulated makespan;
 - ``trace``      run telemetry (``repro.obs``): ``trace export`` writes a
@@ -43,7 +43,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.util import human_bytes, human_count, node_letters
 
@@ -127,38 +127,26 @@ def _cli_backend(args: argparse.Namespace):
     if not getattr(args, "pool", False):
         yield args.backend
         return
-    from repro.exec.registry import backend_metadata, get_backend
+    from repro.exec.registry import BACKEND_CLASSES
 
-    meta = backend_metadata(args.backend)
-    if not meta.get("supports_pooling", False):
+    backend_cls = BACKEND_CLASSES[args.backend]
+    if not backend_cls.supports_pooling:
         pooling = ", ".join(
-            name
-            for name in available_backends_with_pooling()
-        ) or "(none)"
+            name for name, cls in BACKEND_CLASSES.items() if cls.supports_pooling
+        )
         raise ValueError(
             f"--pool requires a pooling backend; {args.backend!r} does not "
             f"support persistent worker pools (pooling backends: {pooling})"
         )
-    backend = get_backend(args.backend)
+    backend = backend_cls()
     try:
         yield backend.open()
     finally:
         backend.close()
 
 
-def available_backends_with_pooling() -> list[str]:
-    """Registered backend names whose metadata declares pooling support."""
-    from repro.exec.registry import BACKENDS
-
-    return [
-        e.name
-        for e in BACKENDS.entries()
-        if e.metadata.get("supports_pooling", False)
-    ]
-
-
 def _scheduler_spec(text: str) -> str:
-    """Validate ``--scheduler`` against the registry, with its own error."""
+    """Validate ``--scheduler`` against the scheduler table, with its own error."""
     from repro.sched import get_scheduler
 
     try:
@@ -775,25 +763,29 @@ def cmd_check(args: argparse.Namespace, out) -> int:
     return 0 if ok else 1
 
 
-def cmd_backends(args: argparse.Namespace, out) -> int:
-    """``backends``: list registered execution backends and capabilities."""
-    from repro.exec.registry import BACKENDS
+def _print_listing(table: Mapping[str, Any], out) -> None:
+    """``name  description`` rows for ``backends list`` and ``sched list``:
+    the name column padded to the longest name."""
+    width = max(map(len, table))
+    for name, cls in table.items():
+        print(f"{name:<{width}}  {cls.description}", file=out)
 
-    # Same rendering code path as `sched list` (Registry.render_list).
-    for line in BACKENDS.render_list():
-        print(line, file=out)
+
+def cmd_backends(args: argparse.Namespace, out) -> int:
+    """``backends``: list the execution backends."""
+    from repro.exec.registry import BACKEND_CLASSES
+
+    _print_listing(BACKEND_CLASSES, out)
     return 0
 
 
 def cmd_sched(args: argparse.Namespace, out) -> int:
-    """``sched``: list registered schedulers or compare them on one build."""
+    """``sched``: list the schedulers or compare them on one build."""
     from repro.sched import get_scheduler
-    from repro.sched.registry import SCHEDULERS
+    from repro.sched.registry import SCHEDULER_CLASSES
 
     if args.sched_cmd == "list":
-        # Same rendering code path as `backends list` (Registry.render_list).
-        for line in SCHEDULERS.render_list():
-            print(line, file=out)
+        _print_listing(SCHEDULER_CLASSES, out)
         return 0
 
     # compare
@@ -1063,12 +1055,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "backends",
-        help="list registered execution backends (repro.exec)",
+        help="list the execution backends (repro.exec)",
     )
     bsub = p.add_subparsers(dest="backends_cmd", required=True)
 
     bp = bsub.add_parser(
-        "list", help="name every registered backend and its capabilities"
+        "list", help="name every backend and describe it"
     )
     bp.set_defaults(fn=cmd_backends)
 
@@ -1078,7 +1070,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ssub = p.add_subparsers(dest="sched_cmd", required=True)
 
-    sp = ssub.add_parser("list", help="name every registered scheduler")
+    sp = ssub.add_parser("list", help="name every scheduler")
     sp.set_defaults(fn=cmd_sched)
 
     sp = ssub.add_parser(

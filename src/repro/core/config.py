@@ -144,7 +144,7 @@ class BuildConfig:
         from repro.exec.registry import get_backend
 
         if isinstance(self.backend, str):
-            # Unknown names raise the registry's ValueError (available
+            # Unknown names raise get_backend's ValueError (available
             # names plus a "did you mean ...?" suggestion).
             backend_obj = get_backend(self.backend)
         elif isinstance(self.backend, Backend):
@@ -165,13 +165,7 @@ class BuildConfig:
         contract :func:`repro.exec.base.check_backend_options` gives the
         backend axis.
         """
-        if isinstance(self.scheduler, str) and self.scheduler == "fig5":
-            # The default scheduler supports every build option (the
-            # cross-field rules above already ran); skip the import on the
-            # overwhelmingly common path.
-            return
-        # Imported lazily: repro.sched sits above repro.core, and only
-        # non-default configs need it.
+        # Imported lazily: repro.sched sits above repro.core.
         from repro.sched import resolve_scheduler
 
         sched = resolve_scheduler(self.scheduler)

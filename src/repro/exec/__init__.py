@@ -34,9 +34,7 @@ drive the *same* generator program, the arithmetic (including the order of
 floating-point accumulation in reductions) is identical, and results are
 bit-for-bit the same across backends.  Select
 one by name through :func:`get_backend` or
-``construct_cube_parallel(backend="thread")``; the registry is an
-instance of the generic :class:`repro.registry.Registry` and its entries
-carry capability metadata.
+``construct_cube_parallel(backend="thread")``, or pass an instance.
 
 What robustness options a backend accepts is capability-declared
 (:attr:`Backend.fault_capabilities`, :attr:`Backend.supports_machines`,
@@ -49,13 +47,7 @@ from repro.exec.base import Backend, ProgramFactory, check_backend_options
 from repro.exec.chaos import PROCESS_FAULT_KINDS, THREAD_FAULT_KINDS, ChaosAgent
 from repro.exec.pool import PoolClosed, PoolTask, WorkerPool
 from repro.exec.process import ProcessBackend, WorkerError
-from repro.exec.registry import (
-    BACKENDS,
-    available_backends,
-    backend_metadata,
-    get_backend,
-    register_backend,
-)
+from repro.exec.registry import available_backends, get_backend
 from repro.exec.shm import (
     OutputArena,
     OutputLayout,
@@ -88,9 +80,6 @@ __all__ = [
     "OutputLayout",
     "StagedResult",
     "check_backend_options",
-    "BACKENDS",
     "get_backend",
-    "backend_metadata",
-    "register_backend",
     "available_backends",
 ]

@@ -66,8 +66,12 @@ class Backend(abc.ABC):
     supports instead of every caller special-casing names.
     """
 
-    #: Registry name; subclasses override.
+    #: Name in :func:`~repro.exec.registry.get_backend`'s table; subclasses
+    #: override.
     name: str = "abstract"
+
+    #: One-line summary shown by ``repro-cube backends list``.
+    description: str = ""
 
     #: Whether per-rank machine cost models (``machines=``) are meaningful
     #: on this backend.  Only cost-model-driven backends can honor them.

@@ -155,6 +155,10 @@ class ProcessBackend(Backend):
     """
 
     name = "process"
+    description = (
+        "real OS processes forked after partition; shared output arena, "
+        "supervised respawn"
+    )
     supports_machines = False
     fault_capabilities = PROCESS_FAULT_KINDS
 

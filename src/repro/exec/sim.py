@@ -22,6 +22,9 @@ class SimBackend(Backend):
     """
 
     name = "sim"
+    description = (
+        "deterministic discrete-event simulator (simulated clocks, full fault surface)"
+    )
     supports_machines = True
     fault_capabilities = ALL_FAULT_KINDS
 

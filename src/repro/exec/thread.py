@@ -105,6 +105,9 @@ class ThreadBackend(Backend):
     """
 
     name = "thread"
+    description = (
+        "one GIL-releasing thread per rank; persistent worker-pool fast path"
+    )
     supports_machines = False
     fault_capabilities = THREAD_FAULT_KINDS
     supports_pooling = True

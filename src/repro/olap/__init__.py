@@ -13,7 +13,7 @@ with named dimensions, hierarchies, and a query interface:
   materialized cover (or the base facts).
 - :mod:`repro.olap.view_selection` -- HRU greedy selection under a space
   budget.
-- :mod:`repro.olap.workload` -- reproducible query-mix generation/replay.
+- :mod:`repro.olap.workload` -- reproducible query-mix generation.
 - :mod:`repro.olap.maintenance` -- incremental refresh: delta facts folded into each view.
 - :mod:`repro.olap.granularity` -- hierarchy roll-up views with caching.
 """
@@ -35,10 +35,8 @@ from repro.olap.maintenance import (
     refresh_full,
 )
 from repro.olap.workload import (
-    ReplayReport,
     WorkloadSpec,
     generate_workload,
-    replay_workload,
     workload_node_frequencies,
 )
 from repro.olap.view_selection import (
@@ -65,10 +63,8 @@ __all__ = [
     "apply_delta",
     "merge_sparse",
     "refresh_full",
-    "ReplayReport",
     "WorkloadSpec",
     "generate_workload",
-    "replay_workload",
     "workload_node_frequencies",
     "ViewSelection",
     "answering_cost",

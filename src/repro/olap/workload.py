@@ -1,10 +1,11 @@
-"""Query workload generation and replay.
+"""Query workload generation.
 
 View selection is only as good as its workload model.  This module
 generates reproducible query mixes over a schema -- Zipf-skewed choice of
 group-by sets (dashboards hammer a few views), configurable filter
-probability, point vs range filters -- and replays them through a
-:class:`~repro.olap.query.QueryEngine`, reporting the cells-scanned cost
+probability, point vs range filters.  :func:`repro.serve.replay` runs them
+(``mode="per-query"`` through a bare
+:class:`~repro.olap.query.QueryEngine`) and reports the cells-scanned cost
 that :mod:`repro.olap.view_selection` optimizes.
 
 The node-frequency histogram of a generated workload feeds straight into
@@ -20,8 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.lattice import Node, all_nodes
-from repro.olap.cube import DataCube
-from repro.olap.query import GroupByQuery, QueryEngine
+from repro.olap.query import GroupByQuery
 from repro.olap.schema import Schema
 
 
@@ -125,33 +125,3 @@ def workload_node_frequencies(
     if total:
         counts = {nd: c / total for nd, c in counts.items()}
     return counts
-
-
-@dataclass
-class ReplayReport:
-    """Outcome of replaying a workload against a cube."""
-
-    queries: int
-    total_cells_scanned: int
-    base_fallbacks: int
-
-    @property
-    def mean_cells_per_query(self) -> float:
-        return self.total_cells_scanned / self.queries if self.queries else 0.0
-
-
-def replay_workload(
-    cube: DataCube, queries: Sequence[GroupByQuery]
-) -> ReplayReport:
-    """Run every query through a fresh engine; returns the cost report."""
-    engine = QueryEngine(cube)
-    fallbacks = 0
-    for q in queries:
-        result = engine.execute(q)
-        if result.is_fallback:
-            fallbacks += 1
-    return ReplayReport(
-        queries=engine.queries_answered,
-        total_cells_scanned=engine.total_cells_scanned,
-        base_fallbacks=fallbacks,
-    )

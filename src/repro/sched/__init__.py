@@ -7,7 +7,7 @@ ordering, reduction-lead routing, and the communication schedule; it emits
 an ordinary generator rank-program over the portable op vocabulary, so
 every scheduler runs unchanged on every backend.
 
-Three strategies ship registered (:mod:`repro.sched.registry`):
+Three strategies ship, looked up by name (:mod:`repro.sched.registry`):
 
 - ``fig5`` -- the paper's Fig 5 SPMD schedule (communication and memory
   optimal): the rank programs that walk the one step list of
@@ -20,20 +20,15 @@ Three strategies ship registered (:mod:`repro.sched.registry`):
 
 Select one with ``BuildConfig(scheduler=...)``,
 ``plan_cube(..., scheduler=...)``, ``DataCube.build(..., scheduler=...)``,
-or ``repro-cube construct --scheduler ...``; compare them with
+or ``repro-cube construct --scheduler ...`` -- by spec, or as an instance
+(the way a custom scheduler plugs in); compare them with
 ``repro-cube sched compare``.
 """
 
 from repro.sched.base import ProgramFactory, Scheduler
 from repro.sched.fig5 import Fig5Scheduler
 from repro.sched.marginals import MarginalsScheduler, order_k_nodes
-from repro.sched.registry import (
-    available_schedulers,
-    get_scheduler,
-    register_scheduler,
-    register_scheduler_family,
-    resolve_scheduler,
-)
+from repro.sched.registry import available_schedulers, get_scheduler, resolve_scheduler
 from repro.sched.shuffle import ShuffleScheduler, shuffle_comm_volume, shuffle_targets
 
 __all__ = [
@@ -45,8 +40,6 @@ __all__ = [
     "available_schedulers",
     "get_scheduler",
     "order_k_nodes",
-    "register_scheduler",
-    "register_scheduler_family",
     "resolve_scheduler",
     "shuffle_comm_volume",
     "shuffle_targets",

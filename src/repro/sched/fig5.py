@@ -556,6 +556,8 @@ class Fig5Scheduler(Scheduler):
     """
 
     name = "fig5"
+    description = "the paper's Fig 5 SPMD schedule (communication and memory optimal)"
+    options = ("checkpoint", "max_message_elements")
     stages_outputs = True
 
     def __init__(
@@ -673,10 +675,3 @@ class Fig5Scheduler(Scheduler):
         :class:`~repro.core.config.BuildConfig`."""
         if reduction not in ("flat", "binomial"):
             raise ValueError(f"unknown reduction {reduction!r}")
-
-    def describe(self) -> str:
-        """Summary line for ``repro-cube sched list``."""
-        return (
-            "the paper's Fig 5 SPMD schedule -- communication optimal "
-            "(Theorem 3) and memory optimal (Theorem 4)"
-        )

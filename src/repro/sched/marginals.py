@@ -18,7 +18,7 @@ before planning and composes with either base strategy:
     order-``k`` nodes -- no intermediate ancestors exist at all, so the
     map phase emits exactly ``C(n, k)`` partials per rank.
 
-Both spellings parse through the registry
+Both spellings parse through :func:`~repro.sched.registry.get_scheduler`
 (``get_scheduler("marginals-2")``); ``k`` must satisfy ``0 <= k < n`` for
 the shape being planned, checked at construction time.
 """
@@ -54,6 +54,9 @@ class MarginalsScheduler(Scheduler):
     """Materialize only the order-``k`` group-bys, via Fig 5 or shuffle."""
 
     name = "marginals"
+    description = (
+        "only the order-k group-bys (arXiv:1509.08855), fig5 or shuffle planning"
+    )
 
     def __init__(self, k: int, base: str = "fig5") -> None:
         if not isinstance(k, int) or k < 0:
@@ -144,15 +147,4 @@ class MarginalsScheduler(Scheduler):
             max_message_elements=(
                 None if self.base == "fig5" else max_message_elements
             ),
-        )
-
-    def describe(self) -> str:
-        """Summary line for ``repro-cube sched list``."""
-        via = (
-            "batch shuffle, no intermediate ancestors"
-            if self.base == "shuffle"
-            else "pruned Fig 5 tree, ancestors discarded"
-        )
-        return (
-            f"only the order-{self.k} group-bys (arXiv:1509.08855) via {via}"
         )

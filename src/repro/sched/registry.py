@@ -1,81 +1,52 @@
-"""Name-based registry of construction schedulers.
+"""The construction schedulers by name: one fixed table of classes.
 
-A thin instantiation of the generic :class:`repro.registry.Registry`
-(shared with :mod:`repro.exec.registry`): ``get_scheduler("fig5")`` /
-``get_scheduler("shuffle")`` return a *fresh* scheduler instance per call,
-and third-party schedulers join via :func:`register_scheduler`.  On top of
-exact names, the registry understands parameterized *families*:
-``get_scheduler("marginals-2")`` and ``get_scheduler("marginals-2-shuffle")``
-construct :class:`~repro.sched.marginals.MarginalsScheduler` instances with
-the order parsed out of the spec.
-
-Entries carry capability metadata (description, which build options the
-scheduler honors) used by ``BuildConfig`` validation errors and rendered
-by ``repro-cube sched list`` through the same code path as
-``repro-cube backends list``.
+``get_scheduler("fig5")`` / ``get_scheduler("shuffle")`` return a *fresh*
+scheduler instance per call; ``get_scheduler("marginals-2")`` and
+``get_scheduler("marginals-2-shuffle")`` construct
+:class:`~repro.sched.marginals.MarginalsScheduler` instances with the order
+(and base) parsed out of the spec.  Each class declares its
+``description`` (the ``repro-cube sched list`` line) and the build
+``options`` it honors.  A custom scheduler plugs in as an instance:
+``BuildConfig(scheduler=MyScheduler())``.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Callable, Mapping
+from typing import Mapping
 
-from repro.registry import Registry
 from repro.sched.base import Scheduler
 from repro.sched.fig5 import Fig5Scheduler
 from repro.sched.marginals import MarginalsScheduler
 from repro.sched.shuffle import ShuffleScheduler
+from repro.util import unknown_name
 
-#: The scheduler registry (an instance of the one generic Registry).
-SCHEDULERS: Registry[Scheduler] = Registry("scheduler")
+#: The listed spec of the ``marginals`` family (not itself a spec).
+_MARGINALS = "marginals-<k>[-shuffle]"
+_MARGINALS_RE = re.compile(r"^marginals-(\d+)(-shuffle)?$")
 
-
-def register_scheduler(
-    name: str,
-    factory: Callable[[], Scheduler],
-    *,
-    metadata: Mapping[str, Any] | None = None,
-) -> None:
-    """Register ``factory`` under ``name`` (overwrites an existing entry).
-
-    ``factory`` is called with no arguments and must return a fresh
-    :class:`~repro.sched.base.Scheduler` each time.
-    """
-    if not name or not isinstance(name, str):
-        raise ValueError("scheduler name must be a non-empty string")
-    SCHEDULERS.register(name, factory, metadata=metadata, replace=True)
-
-
-def register_scheduler_family(
-    template: str,
-    parser: Callable[[str], Scheduler | None],
-    *,
-    metadata: Mapping[str, Any] | None = None,
-) -> None:
-    """Register a parameterized spec family (e.g. ``marginals-<k>``).
-
-    ``parser`` receives the full spec string and returns a scheduler, or
-    ``None`` when the spec is not of this family; ``template`` is the
-    human-readable form shown in listings and error messages.
-    """
-    if not template or not isinstance(template, str):
-        raise ValueError("scheduler family template must be a non-empty string")
-    SCHEDULERS.register_family(template, parser, metadata=metadata, replace=True)
+#: Listed spec -> class, in listing order.
+SCHEDULER_CLASSES: Mapping[str, type[Scheduler]] = {
+    "fig5": Fig5Scheduler,
+    "shuffle": ShuffleScheduler,
+    _MARGINALS: MarginalsScheduler,
+}
 
 
 def available_schedulers() -> tuple[str, ...]:
-    """Registered scheduler specs (exact names plus family templates), sorted."""
-    return tuple(SCHEDULERS.names())
+    """Scheduler specs (exact names plus the family template), sorted."""
+    return tuple(sorted(SCHEDULER_CLASSES))
 
 
 def get_scheduler(spec: str) -> Scheduler:
-    """A fresh scheduler for ``spec`` (exact name or parameterized family)."""
-    return SCHEDULERS.get(spec)
-
-
-def scheduler_metadata(spec: str) -> Mapping[str, Any]:
-    """Capability metadata of the scheduler governing ``spec``."""
-    return SCHEDULERS.metadata_for(spec)
+    """A fresh scheduler for ``spec`` (exact name or ``marginals-<k>[-shuffle]``)."""
+    m = _MARGINALS_RE.match(spec)
+    if m is not None:
+        return MarginalsScheduler(int(m.group(1)), base="shuffle" if m.group(2) else "fig5")
+    if spec == _MARGINALS or spec not in SCHEDULER_CLASSES:
+        exact = [s for s in SCHEDULER_CLASSES if s != _MARGINALS]
+        raise unknown_name("scheduler", spec, SCHEDULER_CLASSES, exact)
+    return SCHEDULER_CLASSES[spec]()
 
 
 def resolve_scheduler(scheduler: object) -> Scheduler:
@@ -88,41 +59,3 @@ def resolve_scheduler(scheduler: object) -> Scheduler:
         "scheduler must be a registered spec string or a Scheduler "
         f"instance, got {type(scheduler).__name__}"
     )
-
-
-_MARGINALS_RE = re.compile(r"^marginals-(\d+)(-shuffle)?$")
-
-
-def _parse_marginals(spec: str) -> Scheduler | None:
-    m = _MARGINALS_RE.match(spec)
-    if m is None:
-        return None
-    k = int(m.group(1))
-    base = "shuffle" if m.group(2) else "fig5"
-    return MarginalsScheduler(k, base=base)
-
-
-register_scheduler(
-    "fig5",
-    Fig5Scheduler,
-    metadata={
-        "description": "the paper's Fig 5 SPMD schedule (communication and memory optimal)",
-        "options": ("checkpoint", "max_message_elements"),
-    },
-)
-register_scheduler(
-    "shuffle",
-    ShuffleScheduler,
-    metadata={
-        "description": "MapReduce-style batch-shuffle materialization (arXiv:1709.10072)",
-        "options": (),
-    },
-)
-register_scheduler_family(
-    "marginals-<k>[-shuffle]",
-    _parse_marginals,
-    metadata={
-        "description": "only the order-k group-bys (arXiv:1509.08855), fig5 or shuffle planning",
-        "options": (),
-    },
-)

@@ -105,6 +105,7 @@ class ShuffleScheduler(Scheduler):
     """Batch-shuffle materialization: one map pass, per-target reductions."""
 
     name = "shuffle"
+    description = "MapReduce-style batch-shuffle materialization (arXiv:1709.10072)"
 
     def __init__(self, targets: Iterable[Node] | None = None) -> None:
         self._targets = (
@@ -254,12 +255,4 @@ class ShuffleScheduler(Scheduler):
                 portion_elements(t, grid.label(r), lengths) for t in targets
             )
             for r in range(grid.size)
-        )
-
-    def describe(self) -> str:
-        """Summary line for ``repro-cube sched list``."""
-        return (
-            "MapReduce-style batch shuffle (arXiv:1709.10072) -- one map "
-            "pass emits every group-by's partial, then per-target "
-            "reductions; no aggregation-tree reuse"
         )

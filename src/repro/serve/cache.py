@@ -114,28 +114,37 @@ class ResultCache:
 
         An entry put under another ``tag`` (a service tags each answer with
         the cube's refresh count read before computing it) is dropped and
-        the lookup misses.
+        the lookup misses.  So does a lookup whose entry an
+        :meth:`invalidate` on another thread clears before its recency is
+        refreshed: the read path takes no lock.
         """
         entry = self._entries.get(key)
         if entry is not None and entry[1] == tag:
-            self._entries.move_to_end(key)
-            self._hits.inc()
-            return entry[0]
-        if entry is not None:
+            try:
+                self._entries.move_to_end(key)
+                self._hits.inc()
+                return entry[0]
+            except KeyError:  # invalidated since the lookup: a miss
+                pass
+        elif entry is not None:
             self._entries.pop(key, None)
         self._misses.inc()
         return None
 
     def put(self, key: CanonicalQuery, result: QueryResult, tag: int = 0) -> None:
         """Store ``result`` under ``tag``, evicting the least recently used
-        on overflow."""
+        on overflow.  An :meth:`invalidate` on another thread that clears
+        the entries mid-put leaves them cleared."""
         if self.capacity <= 0:
             return
         self._entries[key] = (result, tag)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-            self._evictions.inc()
+        try:
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self._evictions.inc()
+        except KeyError:  # invalidated mid-put
+            pass
 
     def invalidate(self) -> int:
         """Drop every entry (cube refreshed); returns how many were dropped."""

@@ -40,7 +40,6 @@ MODULES = [
     "repro.cli",
     "repro.iceberg",
     "repro.iceberg.buc",
-    "repro.registry",
     "repro.obs",
     "repro.obs.expo",
     "repro.obs.export",
@@ -152,7 +151,6 @@ CURATED_TOP_LEVEL = [
     "ServiceStats",
     "available_schedulers",
     "get_scheduler",
-    "register_scheduler",
 ]
 
 
@@ -201,4 +199,4 @@ def test_version():
     pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
     match = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
     assert match is not None
-    assert repro.__version__ == match.group(1) == "11.0.0"
+    assert repro.__version__ == match.group(1) == "12.0.0"

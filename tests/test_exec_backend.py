@@ -34,7 +34,6 @@ from repro.exec import (
     SimBackend,
     available_backends,
     get_backend,
-    register_backend,
 )
 
 
@@ -62,10 +61,6 @@ class TestRegistry:
             get_backend("mpi")
         with pytest.raises(ValueError, match="process"):
             get_backend("mpi")
-
-    def test_register_backend_validates_name(self):
-        with pytest.raises(ValueError):
-            register_backend("", SimBackend)
 
 
 # -- cube programs and generic SPMD programs run without warnings ----------------------

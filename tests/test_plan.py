@@ -41,6 +41,22 @@ class TestPlanning:
         assert plan.comm_volume_elements >= 0
         assert plan.parallel_memory_bound_elements <= plan.sequential_memory_bound_elements
 
+    @pytest.mark.parametrize(
+        "shape, p", [((8, 4, 2), 4), ((9, 5, 3, 2), 8), ((7,), 2), ((6, 6, 5, 4, 3), 32)]
+    )
+    def test_default_scheduler_declares_the_theorems(self, shape, p):
+        # The default fig5 plan reads its scheduler's declared forms, which
+        # are Theorem 3's closed volume and Theorem 4's exact bound.
+        from repro.core.comm_model import total_comm_volume
+        from repro.core.memory_model import parallel_memory_bound_exact
+
+        plan = plan_cube(shape, num_processors=p)
+        assert plan.comm_volume_elements == total_comm_volume(plan.ordered_shape, plan.bits)
+        assert plan.parallel_memory_bound_elements == parallel_memory_bound_exact(
+            plan.ordered_shape, plan.bits
+        )
+        assert plan.target_nodes is None
+
 
 class TestNodeTranslation:
     def test_roundtrip(self):

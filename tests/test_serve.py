@@ -1,6 +1,7 @@
 """Tests for the serving subsystem: canonicalization, caching, batching."""
 
 import gc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -169,6 +170,36 @@ class TestResultCache:
         cache.get(self.key(0))
         cache.get(self.key(1))
         assert cache.stats.hit_rate == 0.5
+
+    def test_invalidate_racing_a_get_or_put_is_a_miss_or_a_no_op(self):
+        # An invalidate() on another thread can empty the entries between a
+        # get's lookup and its move_to_end, or in the middle of a put.  The
+        # dict below stands in for that thread: it clears itself there.
+        class ClearedOnMove(OrderedDict):
+            def move_to_end(self, key, last=True):
+                self.clear()
+                super().move_to_end(key, last)
+
+        cache = ResultCache(capacity=4)
+        cache.put(self.key(0), self.result(0))
+        cache._entries = ClearedOnMove(cache._entries)
+        assert cache.get(self.key(0)) is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+        cache.put(self.key(1), self.result(1))
+        assert len(cache) == 0
+
+    def test_invalidate_racing_an_eviction_is_a_no_op(self):
+        class ClearedOnEvict(OrderedDict):
+            def popitem(self, last=True):
+                self.clear()
+                return super().popitem(last)
+
+        cache = ResultCache(capacity=1)
+        cache.put(self.key(0), self.result(0))
+        cache._entries = ClearedOnEvict(cache._entries)
+        cache.put(self.key(1), self.result(1))
+        assert len(cache) == 0
+        assert cache.stats.evictions == 0
 
 
 class TestBitIdenticalPaths:

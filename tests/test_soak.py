@@ -17,7 +17,8 @@ from repro.olap import (
     apply_delta,
     greedy_select_views,
 )
-from repro.olap.workload import WorkloadSpec, generate_workload, replay_workload
+from repro.olap.workload import WorkloadSpec, generate_workload
+from repro.serve import replay
 
 
 class TestFiveDimensionalEndToEnd:
@@ -67,7 +68,7 @@ class TestWarehouseSoak:
         views = sel.views or [()]
 
         cube = DataCube.build_partial(schema, base, views=views, num_processors=4)
-        report0 = replay_workload(cube, queries)
+        report0 = replay(cube, queries, mode="per-query")
 
         # Three nightly refreshes.
         expected_dense = base.to_dense().copy()
@@ -98,8 +99,11 @@ class TestWarehouseSoak:
             base=load_sparse(tmp_path / "facts.npz"),
             measure_name=measure,
         )
-        report1 = replay_workload(reloaded, queries)
-        assert report1.total_cells_scanned == replay_workload(cube, queries).total_cells_scanned
+        report1 = replay(reloaded, queries, mode="per-query")
+        assert (
+            report1.cells_scanned
+            == replay(cube, queries, mode="per-query").cells_scanned
+        )
         ans2 = QueryEngine(reloaded).execute(GroupByQuery(group_by=("branch",)))
         assert np.allclose(ans2.values, ans.values)
         # The initial replay used the same engine logic (sanity anchor).

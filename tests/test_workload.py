@@ -5,12 +5,11 @@ import pytest
 from repro.arrays.dataset import random_sparse
 from repro.olap import DataCube, Schema, canonicalize_query, greedy_select_views
 from repro.olap.workload import (
-    ReplayReport,
     WorkloadSpec,
     generate_workload,
-    replay_workload,
     workload_node_frequencies,
 )
+from repro.serve import ServiceStats, replay
 
 
 @pytest.fixture
@@ -87,8 +86,8 @@ class TestReplay:
         data = random_sparse(schema.shape, 0.3, seed=7)
         cube = DataCube.build(schema, data)
         queries = generate_workload(schema, WorkloadSpec(num_queries=40), seed=8)
-        report = replay_workload(cube, queries)
-        assert isinstance(report, ReplayReport)
+        report = replay(cube, queries, mode="per-query")
+        assert isinstance(report, ServiceStats)
         assert report.queries == 40
         # Only queries whose filters mention every dimension hit the base --
         # after canonicalization, which drops no-op full-range filters.
@@ -99,16 +98,16 @@ class TestReplay:
             if len(canonicalize_query(schema, q).mentioned) == n
         )
         assert report.base_fallbacks == fully_mentioned
-        assert report.mean_cells_per_query > 0
+        assert report.cells_scanned > 0
 
     def test_partial_cube_costs_more(self, schema):
         data = random_sparse(schema.shape, 0.3, seed=9)
         queries = generate_workload(schema, WorkloadSpec(num_queries=60), seed=10)
         full = DataCube.build(schema, data)
         tiny = DataCube.build_partial(schema, data, views=[()])
-        full_report = replay_workload(full, queries)
-        tiny_report = replay_workload(tiny, queries)
-        assert tiny_report.total_cells_scanned >= full_report.total_cells_scanned
+        full_report = replay(full, queries, mode="per-query")
+        tiny_report = replay(tiny, queries, mode="per-query")
+        assert tiny_report.cells_scanned >= full_report.cells_scanned
 
     def test_workload_tuned_selection_beats_uniform(self, schema):
         # Select views against the workload's own frequencies; replay cost
@@ -125,6 +124,6 @@ class TestReplay:
         uniform = DataCube.build_partial(
             schema, data, views=uniform_sel.views or [()]
         )
-        tuned_cost = replay_workload(tuned, queries).total_cells_scanned
-        uniform_cost = replay_workload(uniform, queries).total_cells_scanned
+        tuned_cost = replay(tuned, queries, mode="per-query").cells_scanned
+        uniform_cost = replay(uniform, queries, mode="per-query").cells_scanned
         assert tuned_cost <= uniform_cost
