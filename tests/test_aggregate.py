@@ -1,7 +1,9 @@
 """Unit tests for aggregation kernels."""
 
+import itertools
 import math
 import tracemalloc
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -18,7 +20,7 @@ from repro.arrays.aggregate import (
 )
 from repro.arrays.dense import DenseArray
 from repro.arrays.measures import get_measure
-from repro.arrays.sparse import SparseArray
+from repro.arrays.sparse import BlockChunk, SparseArray
 from repro.baselines import construct_cube_level_sync, construct_cube_naive_parallel
 from repro.cluster.faults import FaultPlan
 from repro.core.parallel import construct_cube_parallel
@@ -325,3 +327,136 @@ class TestStreamedBlocksEndToEnd:
         assert res.fault_stats.crashed_ranks == [2]
         assert any("from its block" in e.detail for e in res.fault_stats.events)
         self.assert_cube(res.results, ref)
+
+
+def all_targets(n):
+    return [t for k in range(n + 1) for t in itertools.combinations(range(n), k)]
+
+
+@st.composite
+def mixed_fact_tables(draw):
+    """``fact_tables`` with n = 1-6 (extent-1 axes included) and values
+    spread over 16 decades, so a changed fold order changes the bits."""
+    shape, chunk_shape, coords, values = draw(fact_tables(max_dim=6, max_extent=4, max_facts=90))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return shape, chunk_shape, coords, values * 10.0 ** rng.integers(-8, 9, values.size)
+
+
+def decoded_reference(arr, dims, targets, measure):
+    """Each target through the per-axis decode: a box spanning the whole
+    array selects that path and leaves every chunk's slabs as they are."""
+    box = [(0, s) for s in arr.shape]
+    return [
+        aggregate_sparse_to_dense(arr, dims, t, measure=measure, box=box) for t in targets
+    ]
+
+
+@contextmanager
+def counting_run_indices():
+    """Count the slabs indexed straight from their offsets."""
+    calls = []
+    real = aggregate._run_indices
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    with mock.patch.object(aggregate, "_run_indices", spy):
+        yield calls
+
+
+class TestOffsetRunIndex:
+    """A chunk in the output frame indexes each target from its offsets'
+    runs of kept axes; the index, and so every fold, is the per-axis
+    decode's bit for bit.  Any other chunk still decodes."""
+
+    @given(table=fact_tables(max_dim=6, max_extent=4, max_facts=90), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_run_index_equals_the_per_axis_decode(self, table, data):
+        shape, _, coords, values = table
+        chunk = SparseArray.from_coords(shape, coords, values).chunks[0]
+        n = len(shape)
+        dims = tuple(data.draw(st.permutations(range(n))))  # kept axes in any order
+        keep = [project_axes(dims, t) for t in all_targets(n)]
+        out_shapes = [tuple(shape[a] for a in axes) for axes in keep]
+        plans = [aggregate._offset_runs(shape, axes) for axes in keep]
+        buf = np.empty((2, chunk.nnz), dtype=np.int64)
+        got = [idx.copy() for idx in aggregate._run_indices(chunk.offsets, plans, buf)]
+        origin = np.zeros(n, dtype=np.int64)
+        want = list(aggregate._decoded_indices(chunk, origin, keep, out_shapes))
+        assert len(got) == len(want) == 2**n
+        for axes, g, w in zip(keep, got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), axes
+
+    @given(
+        table=mixed_fact_tables(),
+        data=st.data(),
+        measure=st.sampled_from(MEASURE_NAMES),
+        slab=st.sampled_from([2, 3, 5, 7, 11]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rank_blocks_fold_as_the_decode(self, table, data, measure, slab):
+        shape, chunk_shape, coords, values = table
+        arr = SparseArray.from_coords(shape, coords, values, chunk_shape=chunk_shape)
+        dims = tuple(data.draw(st.permutations(range(len(shape)))))
+        targets = all_targets(len(shape))
+        with mock.patch.object(aggregate, "_SLAB", slab):
+            block = arr.extract_block(draw_slices(data, shape))
+            with counting_run_indices() as calls:
+                got = aggregate_sparse_multi(block, dims, targets, measure=measure)
+            want = decoded_reference(block, dims, targets, measure)
+        assert len(calls) == -(-block.nnz // slab)  # every slab, no decode
+        for g, w in zip(got, want):
+            assert g.dims == w.dims and g.data.tobytes() == w.data.tobytes(), g.dims
+
+    @pytest.mark.parametrize("measure", MEASURE_NAMES)
+    def test_masked_block_chunk_spanning_slabs(self, monkeypatch, measure):
+        rng = np.random.default_rng(26)
+        shape = (9, 1, 7, 5)
+        coords = np.stack([rng.integers(0, s, 400) for s in shape], axis=1)
+        values = rng.uniform(-1.0, 1.0, 400) * 10.0 ** rng.integers(-8, 9, 400)
+        arr = SparseArray.from_coords(shape, coords, values, chunk_shape=(4, 1, 3, 5))
+        monkeypatch.setattr(aggregate, "_SLAB", 16)
+        block = arr.extract_block([slice(1, 8), slice(0, 1), slice(2, 7), slice(0, 5)])
+        (chunk,) = block.chunks
+        assert isinstance(chunk, BlockChunk) and chunk.nnz > 3 * 16
+        assert any(mask is not None for _, _, mask in chunk.parts)
+        targets = all_targets(4)
+        with counting_run_indices() as calls:
+            got = aggregate_sparse_multi(block, (0, 1, 2, 3), targets, measure=measure)
+        assert len(calls) == -(-chunk.nnz // 16)
+        want = decoded_reference(block, (0, 1, 2, 3), targets, measure)
+        for g, w in zip(got, want):
+            assert g.data.tobytes() == w.data.tobytes(), g.dims
+
+    @given(
+        table=mixed_fact_tables(),
+        data=st.data(),
+        measure=st.sampled_from(MEASURE_NAMES),
+        slab=st.sampled_from([2, 3, 5, 7, 11]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_multi_chunk_arrays_keep_the_decode(self, table, data, measure, slab):
+        shape, chunk_shape, coords, values = table
+        arr = SparseArray.from_coords(shape, coords, values, chunk_shape=chunk_shape)
+        dims = tuple(data.draw(st.permutations(range(len(shape)))))
+        targets = all_targets(len(shape))
+        with mock.patch.object(aggregate, "_SLAB", slab):
+            with counting_run_indices() as calls:
+                got = aggregate_sparse_multi(arr, dims, targets, measure=measure)
+            want = decoded_reference(arr, dims, targets, measure)
+        if len(arr.chunks) > 1:
+            assert not calls
+        for g, w in zip(got, want):
+            assert g.data.tobytes() == w.data.tobytes(), g.dims
+
+    def test_an_output_wider_than_the_frame_decodes(self):
+        # A one-chunk array aggregated into larger outputs: the offsets'
+        # runs would use the array's strides, so the decode answers.
+        sp = SparseArray.from_dense(np.arange(6.0).reshape(2, 3))
+        with counting_run_indices() as calls:
+            out = aggregate_sparse_to_dense(sp, (0, 1), (0, 1), dim_sizes=(3, 4))
+        assert not calls
+        want = np.zeros((3, 4))
+        want[:2, :3] = np.arange(6.0).reshape(2, 3)
+        assert out.data.tobytes() == want.tobytes()
