@@ -94,31 +94,88 @@ def _offset_runs(
     return runs
 
 
+def _quotient_plan(
+    extents: Sequence[int], axes: Sequence[int]
+) -> list[tuple[int, int, int]]:
+    """A target's flat index in an ``extents`` frame as a signed sum of
+    floor quotients, in Horner form: steps ``(mult, sign, d)``, each
+    multiplying the index so far by ``mult`` and adding ``sign * (offset
+    // d)`` (``d == 1`` is the offset itself; the first ``mult`` is 1).
+
+    With the runs of :func:`_offset_runs` from the outermost in, a run's
+    digit ``(o // div) % mod`` is ``o // div - mod * (o // (div * mod))``
+    (``(o // a) // b == o // (a * b)``), so the index so far takes ``-(o //
+    (div * mod))``, is multiplied by ``mod`` and takes ``+(o // div)``.  A
+    run that starts the frame has no remainder term, and its ``mod`` is
+    ``size // div``.  Between two multiplies, terms with one divisor
+    merge; what cancels, or divides by the whole frame (always 0), goes.
+    Every kept sign is +-1.
+    """
+    size = math.prod(extents)
+    stretches: list[tuple[int, dict[int, int]]] = [(1, {})]
+
+    def add(sign: int, d: int) -> None:
+        if d < size:
+            terms = stretches[-1][1]
+            terms[d] = terms.get(d, 0) + sign
+
+    for div, mod, _ in reversed(_offset_runs(extents, axes)):
+        if mod:
+            add(-1, div * mod)
+        mult = mod or size // div
+        if mult != 1:
+            last, terms = stretches[-1]
+            if any(terms.values()):
+                stretches.append((mult, {}))
+            else:  # multiplies a sum of no terms: fold into the last one
+                stretches[-1] = (last * mult, terms)
+        add(1, div)
+    steps = []
+    for mult, terms in stretches:
+        for sign, d in sorted(((c, d) for d, c in terms.items() if c), reverse=True):
+            assert sign in (1, -1)
+            steps.append((mult if steps else 1, sign, d))
+            mult = 1
+    assert not steps or steps[-1][1] == 1  # the innermost digit's quotient
+    return steps
+
+
 def _run_indices(
     offsets: np.ndarray, plans: Sequence[list[tuple[int, int, int]]], buf: np.ndarray
 ) -> Iterator[np.ndarray]:
     """Each target's flat index straight from row-major ``offsets`` (a
-    whole-array frame), by :func:`_offset_runs`.  ``buf`` is two rows of
-    ``offsets.size``: the index and one run's part.  A yielded index is
-    valid until the next is requested."""
+    whole-array frame), by its :func:`_quotient_plan` and no remainder.
+    ``buf`` is two rows of ``offsets.size``: the index and one quotient.
+    A yielded index is valid until the next is requested.
+
+    The index may hold the negation of the sum so far (``neg``): a first
+    step of sign -1 is written as the bare quotient, and a later step of
+    sign +1 flips it back for free (``q - idx``); every plan ends on one.
+    A drop-one child ``j`` is
+    ``(off // P[j] - off // P[j+1]) * P[j+1] + off`` with ``P[k] =
+    prod(E[k:])``: two divides, a subtract, a multiply and an add per fact.
+    """
     idx, tmp = buf
-    for runs in plans:
-        if not runs:
+    for steps in plans:
+        if not steps:
             idx[...] = 0
-        for k, (div, mod, stride) in enumerate(runs):
-            part = idx if k == 0 else tmp
-            src = offsets
-            if div != 1:
-                src = np.floor_divide(src, div, out=part)
-            if mod:
-                src = np.remainder(src, mod, out=part)
-            if stride != 1:
-                src = np.multiply(src, stride, out=part)
+        neg = False
+        for k, (mult, sign, d) in enumerate(steps):
+            q = offsets if d == 1 else np.floor_divide(offsets, d, out=idx if k == 0 else tmp)
             if k == 0:
-                if src is offsets:
-                    part[...] = offsets
+                if q is offsets:
+                    idx[...] = offsets
+                neg = sign < 0
+                continue
+            if mult != 1:
+                idx *= mult
+            if (sign < 0) == neg:
+                idx += q
+            elif neg:
+                np.subtract(q, idx, out=idx)
+                neg = False
             else:
-                idx += src
+                idx -= q
         yield idx
 
 
@@ -176,7 +233,7 @@ def _aggregate_sparse(
         tuple(shape) == tuple(arr.shape[a] for a in axes)
         for axes, shape in zip(keep, out_shapes)
     )
-    plans = [_offset_runs(arr.shape, axes) for axes in keep] if whole else []
+    plans = [_quotient_plan(arr.shape, axes) for axes in keep] if whole else []
     for chunk in arr.iter_chunks():
         origin = np.asarray(chunk.origin, dtype=np.int64)
         direct = whole and not origin.any() and tuple(chunk.shape) == arr.shape
@@ -236,10 +293,19 @@ def aggregate_sparse_to_dense(
     box:
         Aggregate only the facts in this ``(lo, hi)`` per axis of ``arr``;
         ``dim_sizes`` then default to the box's extents.
+
+    Raises ``ValueError`` if a ``dim_sizes`` entry is smaller than its
+    dimension's extent: facts would alias into the wrong cells.
     """
+    extents = arr.shape if box is None else [hi - lo for lo, hi in box]
+    kept = [extents[a] for a in project_axes(dims, target_dims)]
     if dim_sizes is None:
-        extents = arr.shape if box is None else [hi - lo for lo, hi in box]
-        dim_sizes = [extents[a] for a in project_axes(dims, target_dims)]
+        dim_sizes = kept
+    for d, size, extent in zip(target_dims, dim_sizes, kept, strict=True):
+        if size < extent:
+            raise ValueError(
+                f"dim_sizes gives dimension {d} {size} cells, fewer than its extent {extent}"
+            )
     return _aggregate_sparse(
         arr, dims, [target_dims], [tuple(dim_sizes)], dtype, measure, box
     )[0]

@@ -274,8 +274,7 @@ def construct_cube_parallel(
         )
         if out_arena is not None:
             # Take the staged nodes *before* the finally clause releases
-            # the arena: owned copies of a segment, or views that keep a
-            # private buffer alive on their own.
+            # the arena: views that keep its mapping alive on their own.
             staged_nodes = sorted(
                 {
                     node

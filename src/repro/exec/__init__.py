@@ -11,7 +11,8 @@ vocabulary.  Three ship with the package:
   :mod:`multiprocessing`, forked after the partition so each worker reads
   the host's input blocks through the fork (copy-on-write, and the blocks
   are never written), with finalized aggregates written back through a
-  :class:`SharedOutputArena` instead of pickled result queues.
+  :class:`SharedOutputArena` (a mapping shared across the fork, whose
+  views are the build's results) instead of pickled result queues.
   Clocks are wall-clock seconds.  Every run is overseen by a
   :class:`Supervisor` that detects worker death, respawns crashed ranks
   from the checkpoint store, and turns unrecoverable failures into an

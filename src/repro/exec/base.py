@@ -82,6 +82,9 @@ class Backend(abc.ABC):
     #: Empty by default: a backend must opt in to each fault kind.
     fault_capabilities: frozenset[str] = frozenset()
 
+    #: The running build's output arena, set by :meth:`prepare_outputs`.
+    _out_arena: OutputArena | None = None
+
     #: Whether :meth:`open` warms a persistent worker pool that
     #: :meth:`spawn_ranks` reuses across runs.  Backends without pooling
     #: still honor the ``open()``/``close()`` lifecycle (both no-ops).
@@ -104,7 +107,7 @@ class Backend(abc.ABC):
         ``layout`` describes the written nodes of one construction
         (:class:`~repro.exec.shm.OutputLayout`).  A real backend returns
         an :class:`~repro.exec.shm.OutputArena` over a buffer all its
-        ranks can write -- a named shared-memory segment for workers in
+        ranks can write -- a mapping shared across the fork for workers in
         *another address space*, a private mapping for threads -- so rank
         programs write finalized aggregates straight into the assembled
         arrays instead of returning them through result queues.  The
@@ -152,12 +155,17 @@ class Backend(abc.ABC):
         return self
 
     def end_run(self) -> None:
-        """Release the resources of one run (its output arena).
+        """Release the resources of one run: stop staging into its output
+        arena.
 
-        Keeps long-lived resources (worker pools) warm; called by
-        :func:`repro.core.parallel.construct_cube_parallel` after every
-        build regardless of who owns the backend.
+        Nothing is unlinked -- the arena's mapping belongs to whoever holds
+        the result arrays.  Keeps long-lived resources (worker pools) warm;
+        called by :func:`repro.core.parallel.construct_cube_parallel` after
+        every build regardless of who owns the backend.
         """
+        if self._out_arena is not None:
+            self._out_arena.close()
+            self._out_arena = None
 
     def close(self) -> None:
         """Full shutdown: per-run resources *and* persistent pools.

@@ -173,7 +173,6 @@ class ProcessBackend(Backend):
             raise ValueError("max_respawns must be non-negative")
         self.watchdog_s = watchdog_s
         self.max_respawns = max_respawns
-        self._out_arena: SharedOutputArena | None = None
 
     @property
     def timeouts(self) -> TimeoutPolicy:
@@ -186,10 +185,11 @@ class ProcessBackend(Backend):
         Rank programs write finalized aggregates into their slices of the
         arena instead of pickling them back through the control queue --
         the cube-sized half of the result channel becomes a memcpy.  The
-        host copies the nodes out once; ``end_run`` unlinks the segment.
+        build's results are views of the shared mapping: no copy-out and
+        no segment to unlink.
         """
-        self._out_arena = SharedOutputArena(layout)
-        return self._out_arena
+        self._out_arena = arena = SharedOutputArena(layout)
+        return arena
 
     def spawn_ranks(
         self,
@@ -272,9 +272,3 @@ class ProcessBackend(Backend):
             registry=MetricsRegistry() if record_trace else NULL_REGISTRY,
             faults=sup.fstats,
         )
-
-    def end_run(self) -> None:
-        """Release the shared-memory output arena of the finished run."""
-        if self._out_arena is not None:
-            self._out_arena.close()
-            self._out_arena = None

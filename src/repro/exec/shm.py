@@ -18,19 +18,15 @@ and every output cell is written once.  The arena is geometry plus
 in ``prepare_outputs``:
 
 * :class:`PrivateOutputArena` (threads) -- a process-private anonymous
-  mapping.  ``collect`` returns **views**, so the arrays of a finished
-  build *are* the memory the ranks wrote: no copy-out, nothing to unlink,
-  and the mapping lives exactly as long as some result array does.
-* :class:`SharedOutputArena` (forked processes) -- a named shared-memory
-  segment the workers inherit.  ``collect`` copies the nodes out once and
-  ``close`` unlinks the segment.
+  mapping.
+* :class:`SharedOutputArena` (forked processes) -- an anonymous
+  ``MAP_SHARED`` mapping created before the fork, so the workers write the
+  very pages the host reads.
 
-Neither buffer is zero-filled by hand: a fresh anonymous mapping and a
-freshly truncated POSIX segment both read as zero.
-
-The shared arena owns its segment: the host must keep it alive for the
-duration of the run and call ``close()`` afterwards (the
-:class:`~repro.exec.process.ProcessBackend` does both, in ``end_run``).
+Either way ``collect`` returns **views**, so the arrays of a finished
+build *are* the memory the ranks wrote: no copy-out, nothing to unlink,
+and the mapping lives exactly as long as some result array does.  Neither
+buffer is zero-filled by hand: a fresh anonymous mapping reads as zero.
 """
 
 from __future__ import annotations
@@ -38,7 +34,6 @@ from __future__ import annotations
 import mmap
 import sys
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import Any, Sequence
 
 import numpy as np
@@ -193,29 +188,18 @@ class PrivateOutputArena(OutputArena):
 
 
 class SharedOutputArena(OutputArena):
-    """Output arena over a named shared-memory segment (forked workers).
+    """Output arena over an anonymous shared mapping (forked workers).
 
-    Created host-side *before* workers fork, so they inherit the mapping.
-    :meth:`collect` copies the finished nodes out as owned arrays, safe to
-    use after :meth:`close` has unlinked the segment.
+    Created host-side *before* workers fork, so they inherit the mapping
+    and their writes land in the host's pages.  As on threads, collected
+    arrays are views that keep the whole mapping alive, and :meth:`close`
+    only stops staging.  The pages are also shared with every process the
+    host forks later (a later build's workers included), so such a child's
+    writes to a result array would be visible to the host.
     """
 
     def __init__(self, layout: OutputLayout) -> None:
         super().__init__(layout)
-        self._shm = shared_memory.SharedMemory(create=True, size=self.nbytes)
-        self._buf = self._shm.buf
-
-    def collect(self, nodes: Sequence[Node] | None = None) -> dict[Node, DenseArray]:
-        """Copy finished node arrays out of the segment (host side)."""
-        return {
-            node: DenseArray(np.array(arr.data), node)
-            for node, arr in super().collect(nodes).items()
-        }
-
-    def close(self) -> None:
-        """Release and unlink the segment (host side; idempotent)."""
-        if self._buf is None:
-            return
-        self._buf = None
-        self._shm.close()
-        self._shm.unlink()
+        self._buf = mmap.mmap(
+            -1, self.nbytes, flags=mmap.MAP_SHARED | mmap.MAP_ANONYMOUS
+        )

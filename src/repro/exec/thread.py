@@ -122,7 +122,6 @@ class ThreadBackend(Backend):
         self.watchdog_s = watchdog_s
         self.workers = workers
         self._pool: WorkerPool | None = None
-        self._out_arena: PrivateOutputArena | None = None
 
     @property
     def timeouts(self) -> TimeoutPolicy:
@@ -158,18 +157,8 @@ class ThreadBackend(Backend):
         assemble loop -- and the build's results are views of that buffer,
         so an output cell is written once and never copied.
         """
-        self._out_arena = PrivateOutputArena(layout)
-        return self._out_arena
-
-    def end_run(self) -> None:
-        """Release per-run state; the warm pool stays up.
-
-        Nothing is unlinked: the output buffer belongs to whoever holds
-        the result arrays, and this only stops further staging into it.
-        """
-        if self._out_arena is not None:
-            self._out_arena.close()
-            self._out_arena = None
+        self._out_arena = arena = PrivateOutputArena(layout)
+        return arena
 
     def close(self) -> None:
         """Release per-run resources and shut down the warm pool."""

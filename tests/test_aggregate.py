@@ -20,7 +20,7 @@ from repro.arrays.aggregate import (
 )
 from repro.arrays.dense import DenseArray
 from repro.arrays.measures import get_measure
-from repro.arrays.sparse import BlockChunk, SparseArray
+from repro.arrays.sparse import BlockChunk, SparseArray, SparseChunk
 from repro.baselines import construct_cube_level_sync, construct_cube_naive_parallel
 from repro.cluster.faults import FaultPlan
 from repro.core.parallel import construct_cube_parallel
@@ -107,6 +107,15 @@ class TestAggregateSparse:
         out = aggregate_sparse_to_dense(sp, (0, 1), (0,), dim_sizes=(2,))
         assert out.shape == (2,)
         assert np.allclose(out.data, [3.0, 3.0])
+
+    @pytest.mark.parametrize("target, sizes", [((0, 1), (2, 2)), ((1,), (2,))])
+    def test_output_sizes_below_the_extents_raise(self, target, sizes):
+        # Regression: the facts at (0, 2) and (1, 0) of a (2, 3) frame
+        # aliased into one cell of a (2, 2) output, and a 2-cell output of
+        # axis 1 failed to reshape.
+        sp = SparseArray.from_coords((2, 3), np.array([[0, 2], [1, 0]]), np.array([5.0, 7.0]))
+        with pytest.raises(ValueError, match="dimension 1 2 cells, fewer than its extent 3"):
+            aggregate_sparse_to_dense(sp, (0, 1), target, dim_sizes=sizes)
 
     def test_subset_dims_identity(self):
         # Sparse array whose axes are cube dims (1, 4).
@@ -379,7 +388,7 @@ class TestOffsetRunIndex:
         dims = tuple(data.draw(st.permutations(range(n))))  # kept axes in any order
         keep = [project_axes(dims, t) for t in all_targets(n)]
         out_shapes = [tuple(shape[a] for a in axes) for axes in keep]
-        plans = [aggregate._offset_runs(shape, axes) for axes in keep]
+        plans = [aggregate._quotient_plan(shape, axes) for axes in keep]
         buf = np.empty((2, chunk.nnz), dtype=np.int64)
         got = [idx.copy() for idx in aggregate._run_indices(chunk.offsets, plans, buf)]
         origin = np.zeros(n, dtype=np.int64)
@@ -387,6 +396,43 @@ class TestOffsetRunIndex:
         assert len(got) == len(want) == 2**n
         for axes, g, w in zip(keep, got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), axes
+
+    def test_a_frame_of_2_to_the_50_cells_indexes_exactly(self):
+        # Facts near the far corner of a ~2**50-cell frame: every quotient,
+        # product and partial sum of every target's index stays in int64.
+        shape = (1 << 16, 3, 1 << 15, 5, 1 << 12, 7)
+        assert 2**49 < math.prod(shape) < 2**50
+        rng = np.random.default_rng(50)
+        coords = np.array([[s - 1 - int(rng.integers(0, 3)) for s in shape] for _ in range(8)])
+        coords[0] = [s - 1 for s in shape]
+        chunk = SparseChunk((0,) * 6, shape, np.ravel_multi_index(coords.T, shape), np.ones(8))
+        keep = all_targets(6)
+        plans = [aggregate._quotient_plan(shape, axes) for axes in keep]
+        buf = np.empty((2, chunk.nnz), dtype=np.int64)
+        got = [idx.copy() for idx in aggregate._run_indices(chunk.offsets, plans, buf)]
+        for axes, g in zip(keep, got):
+            out_shape = tuple(shape[a] for a in axes)
+            want = np.ravel_multi_index(coords[:, list(axes)].T, out_shape) if axes else 0
+            np.testing.assert_array_equal(g, want, err_msg=str(axes))
+        assert got[-1][0] == math.prod(shape) - 1
+
+    def test_a_rank_block_is_indexed_with_no_remainder(self, monkeypatch):
+        # Each target's index is a signed sum of floor quotients.
+        dense, sp = int_facts((6, 5, 4, 3), None, 0.5, seed=38)
+        monkeypatch.setattr(aggregate, "_SLAB", 16)
+        block = sp.extract_block([slice(1, 6), slice(0, 5), slice(1, 4), slice(0, 3)])
+        targets = all_targets(4)
+
+        def remainder(*args, **kwargs):
+            raise AssertionError("np.remainder on the offset-index path")
+
+        with counting_run_indices() as calls, mock.patch.object(np, "remainder", remainder):
+            got = aggregate_sparse_multi(block, (0, 1, 2, 3), targets)
+        assert len(calls) == -(-block.nnz // 16)
+        sub = dense[1:6, 0:5, 1:4, 0:3]
+        for t, g in zip(targets, got):
+            drop = tuple(a for a in range(4) if a not in t)
+            np.testing.assert_array_equal(g.data, sub.sum(axis=drop), err_msg=str(t))
 
     @given(
         table=mixed_fact_tables(),

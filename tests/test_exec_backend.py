@@ -197,10 +197,11 @@ class TestBuildConfigValidation:
 
 
 class TestProcessInputs:
-    @pytest.mark.parametrize("scheduler, segments", [("fig5", 1), ("shuffle", 0)])
+    @pytest.mark.parametrize("scheduler, segments", [("fig5", 0), ("shuffle", 0)])
     def test_build_creates_no_input_segment(self, monkeypatch, scheduler, segments):
-        # Workers are forked after the partition and read the host's blocks;
-        # the only segment is fig5's output arena (shuffle stages none).
+        # Workers are forked after the partition and read the host's blocks,
+        # and fig5's output arena is an anonymous mapping shared across the
+        # fork (shuffle stages none): no build creates a named segment.
         created = []
         real = shared_memory.SharedMemory
 

@@ -3,8 +3,8 @@
 Covers the executor itself (real threads, by-reference payloads, fail-fast
 barrier aborts), the fault capability surface (no ``crash_op`` -- threads
 share one fate), the persistent-pool lifecycle behind ``open()``/``close()``,
-the output arena hookup and its zero-copy contract (a thread build's
-results are views of the private buffer the ranks wrote), and pool reuse
+the output arena hookup and its zero-copy contract (a thread or process
+build's results are views of the buffer the ranks wrote), and pool reuse
 across repeated builds --
 including the property the pool exists for: two builds on one warm pool
 produce exactly the bytes two fresh-pool builds do, on the same live
@@ -312,25 +312,38 @@ class _DecliningProcessBackend(ProcessBackend):
         return self._out_arena
 
 
-class _SegmentSpyBackend(ThreadBackend):
-    """Records the /dev/shm segments linked while the ranks run."""
+def _segment_spy(backend_cls):
+    """``backend_cls`` whose builds fail if a /dev/shm segment is linked
+    when the output arena is made or while rank 0 runs -- checked in the
+    rank's own worker, so a process build fails with a WorkerError."""
 
-    def __init__(self):
-        super().__init__()
-        self.seen = []
+    class Spy(backend_cls):
+        prepared = 0
 
-    def prepare_outputs(self, layout):
-        arena = super().prepare_outputs(layout)
-        self.seen.append(_segments())
-        return arena
+        def prepare_outputs(self, layout):
+            before = _segments()
+            arena = super().prepare_outputs(layout)
+            assert _segments() <= before, "the output arena linked a segment"
+            self.prepared += 1
+            return arena
 
-    def spawn_ranks(self, num_ranks, program_factory, **options):
-        def spying(env):
-            if env.rank == 0:
-                self.seen.append(_segments())
-            return program_factory(env)
+        def spawn_ranks(self, num_ranks, program_factory, **options):
+            before = _segments()
 
-        return super().spawn_ranks(num_ranks, spying, **options)
+            def spying(env):
+                if env.rank == 0 and not _segments() <= before:
+                    raise AssertionError("a segment is linked mid-run")
+                return program_factory(env)
+
+            return super().spawn_ranks(num_ranks, spying, **options)
+
+    return Spy
+
+
+#: Both real backends stage outputs in a mapping whose views are the results.
+STAGING_BACKENDS = pytest.mark.parametrize(
+    "backend_cls", [ThreadBackend, ProcessBackend], ids=["thread", "process"]
+)
 
 
 class TestOutputArena:
@@ -358,12 +371,13 @@ class TestOutputArena:
         out[(0,)].data[0] = 7.0
         assert out[(0,)].data[0] == 7.0
 
-    def test_results_are_views_that_outlive_run_rebuild_and_backend(self):
+    @STAGING_BACKENDS
+    def test_results_are_views_that_outlive_run_rebuild_and_backend(self, backend_cls):
         # Aliasing regression: the arrays handed out are the buffer the
         # ranks wrote, so nothing a later run or shutdown does may reach it.
         first = _integer_facts((8, 6, 4), seed=5)
         second = _integer_facts((8, 6, 4), seed=6)
-        backend = ThreadBackend().open(workers=4)
+        backend = backend_cls().open()
         try:
             run = construct_cube_parallel(first, (1, 1, 0), backend=backend)
             assert not any(arr.data.flags.owndata for arr in run.results.values())
@@ -380,29 +394,32 @@ class TestOutputArena:
         for node, arr in other.results.items():
             np.testing.assert_array_equal(arr.data, reference[node].data)
 
-    def test_thread_built_cube_is_writable_and_absorbs_a_delta(self):
+    @STAGING_BACKENDS
+    def test_built_cube_is_writable_and_absorbs_a_delta(self, backend_cls):
         schema = Schema.simple(item=10, branch=6, time=4)
         base = _integer_facts(schema.shape, seed=1)
         delta = _integer_facts(schema.shape, seed=2)
-        cube = DataCube.build(schema, base, num_processors=4, backend="thread")
+        cube = DataCube.build(schema, base, num_processors=4, backend=backend_cls.name)
         assert all(arr.data.flags.writeable for arr in cube.aggregates.values())
         apply_delta(cube, delta)
         reference = cube_reference(merge_sparse(base, delta))
         for node, arr in cube.aggregates.items():
             np.testing.assert_array_equal(arr.data, reference[node].data)
 
-    def test_thread_build_links_no_segment_and_process_build_leaves_none(self):
-        data = random_sparse((8, 6, 4), sparsity=0.3, seed=5)
+    @STAGING_BACKENDS
+    def test_build_links_no_segment(self, backend_cls):
+        data = _integer_facts((8, 6, 4), seed=5)
         before = _segments()
-        backend = _SegmentSpyBackend()
+        backend = _segment_spy(backend_cls)()
         try:
-            construct_cube_parallel(data, (1, 1, 0), backend=backend)
+            run = construct_cube_parallel(data, (1, 1, 0), backend=backend)
         finally:
             backend.close()
-        assert len(backend.seen) == 2  # after the arena exists, and mid-run
-        assert all(seen <= before for seen in backend.seen)
-        construct_cube_parallel(data, (1, 1, 0), backend="process")
+        assert backend.prepared == 1
         assert _segments() <= before
+        reference = cube_reference(data)
+        for node, arr in run.results.items():
+            np.testing.assert_array_equal(arr.data, reference[node].data)
 
     @pytest.mark.parametrize("measure", [SUM, MIN], ids=lambda m: m.name)
     @pytest.mark.parametrize(
