@@ -41,6 +41,9 @@ SPEC = WorkloadSpec(
 )
 BATCH_SIZE = 1024
 CACHE_SIZE = 4096
+#: Per-query and batched are each timed as the best of this many interleaved
+#: replays: one wall-clock replay a side let host noise alone trip the floor.
+REPLAYS = 3
 
 
 def _build():
@@ -54,14 +57,15 @@ def _build():
 def test_serving_throughput(benchmark):
     schema, cube, queries = _build()
 
-    per_query = replay(cube, queries, mode="per-query")
-    batched = benchmark.pedantic(
-        lambda: replay(
-            cube, queries, mode="batched", batch_size=BATCH_SIZE
-        ),
-        rounds=1,
-        iterations=1,
-    )
+    def best_of_interleaved():
+        runs = [
+            (replay(cube, queries, mode="per-query"),
+             replay(cube, queries, mode="batched", batch_size=BATCH_SIZE))
+            for _ in range(REPLAYS)
+        ]
+        return [max(side, key=lambda s: s.throughput_qps) for side in zip(*runs)]
+
+    per_query, batched = benchmark.pedantic(best_of_interleaved, rounds=1, iterations=1)
     cached = replay(cube, queries, mode="cached", cache_size=CACHE_SIZE)
 
     speedup = batched.throughput_qps / per_query.throughput_qps

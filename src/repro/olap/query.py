@@ -119,7 +119,7 @@ def resolve_filter(dim: Dimension, value: object) -> int | tuple[int, int]:
     return idx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalQuery:
     """A :class:`GroupByQuery` normalized to hashable dimension-index form.
 

@@ -43,6 +43,12 @@ from repro.olap.query import (
 from repro.serve.batch import BatchReport, run_batch
 from repro.serve.cache import CacheStats, ResultCache
 
+#: A compiled query's CanonicalQuery is written straight into its slots (in
+#: field order), past the frozen ``__setattr__`` and ``__post_init__``.
+_set_group_by, _set_points, _set_ranges, _set_mentioned, _set_shape = [
+    getattr(CanonicalQuery, f).__set__ for f in CanonicalQuery.__slots__
+]
+
 
 class CubeService:
     """Serves group-by queries from a cube with caching and batching.
@@ -96,7 +102,9 @@ class CubeService:
         #: ``(cells, view, its dimensions)`` per materialized view, smallest
         #: first; built by the first cover lookup.
         self._covers: list[tuple[int, Node, frozenset[int]]] | None = None
-        self._canon_memo: dict[tuple, CanonicalQuery] = {}
+        #: Canonicalization compiled per raw ``(group_by, where names)``:
+        #: ``(grouped dims, filters, {pattern: (group_by, mentioned, shape)})``.
+        self._raw_shapes: dict[tuple, tuple] = {}
         self._queries = self.metrics.counter("serve.queries")
         self._batches = self.metrics.counter("serve.batches")
         self._cells_actual = self.metrics.counter("serve.cells_scanned_actual")
@@ -168,36 +176,85 @@ class CubeService:
     # -- pipeline pieces ---------------------------------------------------------
 
     def canonicalize(self, query: GroupByQuery | CanonicalQuery) -> CanonicalQuery:
-        """Normalize ``query``, memoizing repeats (no-op when canonical).
-
-        The memo key is the query's raw ``(group_by, where-items)`` shape,
-        each filter value tagged with its type (a range with its bounds'
-        types): ``True``, ``1.0`` and ``1`` are equal and hash alike, but
-        only ``1`` canonicalizes, so a hit never answers a query that
-        canonicalization would reject.  Queries with unhashable filter
-        values just skip the memo.  Bounded by wholesale clearing -- a
-        repeating dashboard workload stays far below the bound, and a miss
-        only costs one canonicalization.
-        """
+        """Normalize ``query`` by a table compiled per raw ``(group_by, where
+        names)`` shape, bounded by wholesale clearing (no-op when canonical).
+        A filter value that is not exactly an ``int`` index (never on an
+        integer-labelled dimension), a known ``str`` label or a ``tuple`` of
+        two in-range ``int`` bounds goes to :func:`canonicalize_query`, the
+        one definition of filter semantics, which raises every error."""
         if isinstance(query, CanonicalQuery):
             return query
+        where = query.where
         try:
-            key = (
-                query.group_by,
-                tuple([
-                    (k, v, tuple(map(type, v)) if isinstance(v, tuple) else type(v))
-                    for k, v in query.where.items()
-                ]),
-            )
-            cached = self._canon_memo.get(key)
-        except TypeError:
+            key = (query.group_by, tuple(where))
+            entry = self._raw_shapes.get(key)
+        except TypeError:  # an unhashable group-by
             return self.engine.canonicalize(query)
-        if cached is None:
-            cached = self.engine.canonicalize(query)
-            if len(self._canon_memo) >= 65536:
-                self._canon_memo.clear()
-            self._canon_memo[key] = cached
-        return cached
+        if entry is None:
+            entry = self._compile_raw(key)
+            if entry is None:  # an unknown name, or a group-by over every dimension
+                return self.engine.canonicalize(query)
+        grouped, filters, patterns = entry
+        points, ranges, mask = [], [], 0  # mask: the point/range pattern, 2 bits a filter
+        for (d, size, limit, is_grouped, labels, bit), v in zip(filters, where.values()):
+            t = type(v)
+            if t is int and 0 <= v < limit:
+                points.append((d, v))
+            elif t is str and v in labels:
+                points.append((d, labels[v]))
+            elif (t is tuple and len(v) == 2 and type(v[0]) is type(v[1]) is int
+                  and 0 <= v[0] <= v[1] <= size):
+                if v[1] - v[0] == size:
+                    continue  # selects every member: a no-op
+                if v[1] != v[0] + 1 or is_grouped:
+                    ranges.append((d, *v))
+                    mask |= bit << 1
+                    continue
+                points.append((d, v[0]))  # width-1 range, axis dropped either way
+            else:
+                return self.engine.canonicalize(query)
+            mask |= bit
+        points.sort()
+        ranges.sort()
+        pattern = patterns.get(mask)
+        if pattern is None:  # a point filter collapses the axis, grouped or not
+            group_by = tuple(sorted(grouped.difference([d for d, _ in points])))
+            cq = CanonicalQuery(group_by, tuple(points), tuple(ranges))
+            patterns[mask] = (group_by, cq.mentioned, cq.shape)
+            return cq
+        cq = object.__new__(CanonicalQuery)
+        _set_group_by(cq, pattern[0])
+        _set_points(cq, tuple(points))
+        _set_ranges(cq, tuple(ranges))
+        _set_mentioned(cq, pattern[1])
+        _set_shape(cq, pattern[2])
+        return cq
+
+    def _compile_raw(self, key: tuple) -> tuple | None:
+        """Raw shape ``key``'s entry: per filter, in ``where`` order, ``(dimension,
+        size, index limit, grouped, string labels, pattern bit)``; ``None`` when
+        ``canonicalize_query`` rejects the names."""
+        group_by, names = key
+        schema = self.cube.schema
+        try:
+            grouped = {schema.index(nm) for nm in group_by}
+            dims = [schema.index(nm) for nm in names]
+        except KeyError:
+            return None
+        if len(grouped) == len(schema.dimensions):
+            return None
+        filters = []
+        for k, d in enumerate(dims):
+            size, labels = schema.shape[d], schema.dimensions[d].labels or ()
+            # Ints are labels, never indices, on an integer-labelled dimension;
+            # of equal string labels the first wins, as in ``labels.index``.
+            strings = all(isinstance(x, str) for x in labels)
+            index = dict(zip(labels[::-1], range(size - 1, -1, -1))) if strings else {}
+            filters.append((d, size, size if strings else 0, d in grouped, index, 1 << 2 * k))
+        if len(self._raw_shapes) >= 65536:
+            self._raw_shapes.clear()
+        entry = self._raw_shapes[key] = (grouped, tuple(filters), {})
+        return entry
 
     def _resolve_cover(self, mentioned: Node) -> Node | None:
         """:meth:`QueryEngine.resolve_cover` by table: the views sorted once
@@ -403,12 +460,14 @@ class CubeService:
         tag = self.cube.refreshes
         result = self.cache.get(cq, tag)
         if result is None:
-            with self.tracer.span("serve.batch", cat="serve", queries=1, misses=1):
+            if self.tracer.enabled:
+                with self.tracer.span("serve.batch", cat="serve", queries=1, misses=1):
+                    (result,), _ = self.engine.answer(self.compile(cq), [cq])
+            else:
                 (result,), _ = self.engine.answer(self.compile(cq), [cq])
             cells = result.cells_scanned
             self._absorb_report(BatchReport(1, 1, 1, 0, cells, cells))
-            if self.cube.refreshes == tag:  # see _keep
-                self.cache.put(cq, result, tag)
+            self._keep([cq], [result], tag)
         return self._serve([result])[0]
 
     def execute_batch(
@@ -427,15 +486,12 @@ class CubeService:
         miss_indices = [i for i, r in enumerate(results) if r is None]
         if miss_indices:
             miss_queries = [canonical[i] for i in miss_indices]
-            with self.tracer.span(
-                "serve.batch",
-                cat="serve",
-                queries=len(canonical),
-                misses=len(miss_queries),
-            ):
-                answers, report = run_batch(
-                    self.engine, miss_queries, compile=self.compile
-                )
+            if self.tracer.enabled:
+                with self.tracer.span("serve.batch", cat="serve", queries=len(canonical),
+                                      misses=len(miss_queries)):
+                    answers, report = run_batch(self.engine, miss_queries, compile=self.compile)
+            else:
+                answers, report = run_batch(self.engine, miss_queries, compile=self.compile)
             self._absorb_report(report)
             for i, result in zip(miss_indices, answers):
                 results[i] = result
@@ -445,8 +501,12 @@ class CubeService:
     def _keep(
         self, queries: list[CanonicalQuery], answers: list[QueryResult], tag: int
     ) -> None:
-        """Cache answers computed at refresh count ``tag`` -- unless a refresh
+        """Make answers read-only (cache hits and a batch's duplicates share
+        them); cache those computed at refresh count ``tag`` -- unless a refresh
         committed meanwhile; one that commits later is caught by the tag."""
+        for result in answers:
+            if not isinstance(result.values, float):
+                result.values.flags.writeable = False
         if self.cube.refreshes == tag:
             for cq, result in zip(queries, answers):
                 self.cache.put(cq, result, tag)

@@ -613,6 +613,36 @@ class TestServiceCaching:
         assert "1 queries" in text and "cache" in text
 
 
+class TestServedAnswersAreReadOnly:
+    """A cache hit returns the cached result, and duplicates in one batch
+    share one: a write into a served answer must not reach later readers."""
+
+    @pytest.fixture
+    def arange_cube(self):
+        return DataCube.build(Schema.simple(a=4, b=3, c=2), np.arange(24.0).reshape(4, 3, 2))
+
+    def test_execute_answers_are_read_only(self, arange_cube):
+        q = GroupByQuery(("a",))
+        want = QueryEngine(arange_cube).execute(q).values
+        service = CubeService(arange_cube)
+        for served in (service.execute(q), service.execute(q)):  # a miss, then a hit
+            with pytest.raises(ValueError):
+                served.values[0] = -1.0
+        assert service.cache.stats.hits == 1
+        assert np.array_equal(service.execute(q).values, want)
+
+    @pytest.mark.parametrize("cache_size", [1024, 0])
+    def test_duplicates_in_one_batch_are_read_only(self, arange_cube, cache_size):
+        q = GroupByQuery(("a",))
+        want = QueryEngine(arange_cube).execute(q).values
+        service = CubeService(arange_cube, result_cache_size=cache_size)
+        first, second = service.execute_batch([q, GroupByQuery(("a",), {"b": (0, 3)})])
+        with pytest.raises(ValueError):
+            first.values[0] = -1.0
+        assert np.array_equal(second.values, want)
+        assert np.array_equal(service.execute(q).values, want)
+
+
 class TestReplay:
     @pytest.fixture
     def setup(self):
