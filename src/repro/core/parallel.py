@@ -203,6 +203,7 @@ def construct_cube_parallel(
     grid = ProcessorGrid(bits)
     # Validate the partition against the shape early.
     BlockPartition(shape, grid.parts)
+    declared = sched_obj.declared_volume(shape, bits)
 
     # Host-side phases run on the wall clock in their own trace lane
     # (rank -1); they are outside every rank's timeline, so they never
@@ -234,13 +235,12 @@ def construct_cube_parallel(
             )
         else:
             t_prep = host_tr.clock()
-            if sched_obj.stages_outputs and cfg.collect_results:
-                # Offer the backend an output arena: leads write finalized
-                # aggregates straight into global-shaped slots instead of
-                # returning them through result queues (sim returns None
-                # -- results are in-process).  Sparse inputs accumulate
-                # into DEFAULT_DTYPE; dense reductions preserve the input
-                # dtype.
+            if cfg.collect_results:
+                # Offer the backend an output arena: finalized aggregates
+                # go straight into global-shaped slots instead of back
+                # through result queues (sim returns None -- results are
+                # in-process).  Sparse inputs accumulate into
+                # DEFAULT_DTYPE; dense reductions preserve the input dtype.
                 out_dtype = (
                     np.dtype(DEFAULT_DTYPE)
                     if isinstance(array, SparseArray)
@@ -249,7 +249,7 @@ def construct_cube_parallel(
                 targets = sched_obj.target_nodes(n)
                 written = all_nodes(n)[1:] if targets is None else targets
                 out_arena = backend_obj.prepare_outputs(
-                    OutputLayout(shape, grid, tuple(written), out_dtype)
+                    OutputLayout(shape, grid, tuple(written), out_dtype, declared)
                 )
             program = sched_obj.rank_program(
                 shape,
@@ -335,7 +335,7 @@ def construct_cube_parallel(
         metrics=metrics,
         bits=bits,
         shape=shape,
-        expected_comm_volume_elements=sched_obj.declared_volume(shape, bits),
+        expected_comm_volume_elements=declared,
         scheduler=sched_obj.spec,
     )
 

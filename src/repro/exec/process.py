@@ -7,9 +7,9 @@ calling :func:`~repro.exec.driver.drive_rank` over per-rank
 incarnation too -- is forked from the host after the partition, and the
 program closure holds the host's input blocks, so a worker reads its local
 partition through the fork: the blocks are never written, and
-copy-on-write copies none of their pages.  Only cross-rank partials travel
-through pickled queue messages, and finalized aggregates are written into
-a :class:`~repro.exec.shm.SharedOutputArena`.
+copy-on-write copies none of their pages.  Arrays leave a worker through
+mappings made before the fork: partials through a message region (only a
+slot's name is queued), results through a shared output arena.
 
 Because the *program* is identical -- same numpy kernels, same flat
 reduce-to-lead combine order -- results are bit-for-bit identical to the
@@ -40,8 +40,9 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
+from repro.arrays.dense import DenseArray
 from repro.cluster.faults import FaultPlan
 from repro.cluster.machine import MachineModel
 from repro.cluster.metrics import RunMetrics, build_run
@@ -49,7 +50,7 @@ from repro.cluster.runtime import MONOTONIC_TIMEOUTS, TimeoutPolicy
 from repro.exec.base import Backend, ProgramFactory, check_backend_options
 from repro.exec.chaos import PROCESS_FAULT_KINDS
 from repro.exec.driver import AwaitMessage, WorkerError, drive_rank
-from repro.exec.shm import OutputLayout, SharedOutputArena
+from repro.exec.shm import MessageRegion, OutputLayout, SharedOutputArena, StagedResult
 from repro.exec.supervisor import (
     BARRIER_TAG_BASE,
     DEFAULT_MAX_RESPAWNS,
@@ -59,11 +60,27 @@ from repro.exec.supervisor import (
 )
 from repro.obs.live import LiveRunView, RankProbe
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.span import NULL_TRACER, Tracer
 
 #: Minimum spacing of the heartbeats workers piggyback on the control
 #: queue at op boundaries (diagnostic context for post-mortems; liveness
 #: itself is judged from process exit codes, not heartbeat gaps).
 HEARTBEAT_INTERVAL_S = 0.25
+
+
+class _RegionInbox(NamedTuple):
+    """A rank's inbox whose array payloads travel through the message region."""
+
+    queue: Any
+    region: MessageRegion
+
+    def put(self, item: tuple[int, int, Any]) -> None:
+        src, tag, payload = item
+        self.queue.put((src, tag, self.region.park(payload)))
+
+    def get(self, timeout: float | None = None) -> tuple[int, int, Any]:
+        src, tag, payload = self.queue.get(timeout=timeout)
+        return src, tag, self.region.unpark(payload)
 
 
 def _worker(
@@ -79,6 +96,7 @@ def _worker(
     incarnation: int,
     epoch0: float | None,
     live_enabled: bool,
+    arena: SharedOutputArena | None,
 ) -> None:
     """Process entry point: drive the program, ship stats (or the error).
 
@@ -131,6 +149,12 @@ def _worker(
             record_trace=record_trace, watchdog_s=watchdog_s, faults=faults,
             incarnation=incarnation, probe=probe, tick=heartbeat,
         )
+        result = stats["result"]
+        if arena is not None and isinstance(result, dict):
+            # Stage what the program returned in-band; Fig 5's leads staged theirs.
+            for node, portion in result.items():
+                if isinstance(portion, DenseArray) and arena.stage(rank, node, portion.data):
+                    result[node] = StagedResult(node, portion.nbytes)
         if probe is not None:
             # The terminal snapshot bypasses the heartbeat rate limit.
             ctl_queue.put(("snap", rank, incarnation, probe.snapshot()))
@@ -179,17 +203,23 @@ class ProcessBackend(Backend):
         """Wall-clock windows with jitter-proof floors."""
         return MONOTONIC_TIMEOUTS
 
-    def prepare_outputs(self, layout: OutputLayout) -> SharedOutputArena:
-        """Stage a writeback arena; forked workers inherit the mapping.
+    _messages: MessageRegion | None = None  # set by prepare_outputs
 
-        Rank programs write finalized aggregates into their slices of the
-        arena instead of pickling them back through the control queue --
-        the cube-sized half of the result channel becomes a memcpy.  The
-        build's results are views of the shared mapping: no copy-out and
-        no segment to unlink.
+    def prepare_outputs(self, layout: OutputLayout) -> SharedOutputArena:
+        """Map the output arena and the message region before the fork.
+
+        Results are views of the arena: no copy-out, no segment to unlink.
+        The message region is a separate mapping, so that result views
+        never pin its pages.
         """
         self._out_arena = arena = SharedOutputArena(layout)
+        self._messages = MessageRegion(layout, multiprocessing.get_context("fork").Lock())
         return arena
+
+    def end_run(self) -> None:
+        """Stop staging and drop the message region."""
+        super().end_run()
+        self._messages = None
 
     def spawn_ranks(
         self,
@@ -213,7 +243,9 @@ class ProcessBackend(Backend):
             return build_run([], backend=self.name)
 
         ctx = multiprocessing.get_context("fork")
-        inboxes = [ctx.Queue() for _ in range(num_ranks)]
+        inboxes: list[Any] = [ctx.Queue() for _ in range(num_ranks)]
+        if self._messages is not None:
+            inboxes = [_RegionInbox(q, self._messages) for q in inboxes]
         ctl_queue = ctx.Queue()
         # Fault-tolerant programs mark themselves replayable-from-checkpoint;
         # only those may be respawned (a plain program would recompute sends
@@ -229,7 +261,7 @@ class ProcessBackend(Backend):
                 args=(
                     r, num_ranks, mach, program_factory, inboxes, ctl_queue,
                     record_trace, self.watchdog_s, faults,
-                    incarnation, epoch0, live is not None,
+                    incarnation, epoch0, live is not None, self._out_arena,
                 ),
             )
             proc.start()
@@ -244,6 +276,7 @@ class ProcessBackend(Backend):
             watchdog_s=self.watchdog_s,
             max_respawns=self.max_respawns,
             on_snapshot=live.update if live is not None else None,
+            tracer=Tracer(rank=-1) if record_trace else NULL_TRACER,
         )
         try:
             stats = sup.run()
@@ -271,4 +304,5 @@ class ProcessBackend(Backend):
             backend=self.name,
             registry=MetricsRegistry() if record_trace else NULL_REGISTRY,
             faults=sup.fstats,
+            spans=sup.tracer.spans,
         )

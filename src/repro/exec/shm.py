@@ -27,6 +27,7 @@ Either way ``collect`` returns **views**, so the arrays of a finished
 build *are* the memory the ranks wrote: no copy-out, nothing to unlink,
 and the mapping lives exactly as long as some result array does.  Neither
 buffer is zero-filled by hand: a fresh anonymous mapping reads as zero.
+Forked workers also send each other partials through a :class:`MessageRegion`.
 """
 
 from __future__ import annotations
@@ -59,18 +60,15 @@ class OutputLayout:
     intermediates excluded); ``shape``/``grid`` fix each node's global
     projected shape and each lead's slice of it -- the same geometry
     :func:`repro.core.parallel.assemble_results` stitches by.
+    ``declared_volume`` is the scheduler's declared communication volume in
+    elements (Theorem 3 for Fig 5); it sizes a :class:`MessageRegion`.
     """
 
     shape: tuple[int, ...]
     grid: ProcessorGrid
     nodes: tuple[Node, ...]
     dtype: np.dtype = field(default_factory=lambda: np.dtype(DEFAULT_DTYPE))
-
-    @property
-    def nbytes(self) -> int:
-        """Payload bytes (pre-alignment) of all node slots."""
-        itemsize = np.dtype(self.dtype).itemsize
-        return sum(node_size(node, self.shape) for node in self.nodes) * itemsize
+    declared_volume: int = 0
 
 
 @dataclass(frozen=True)
@@ -203,3 +201,43 @@ class SharedOutputArena(OutputArena):
         self._buf = mmap.mmap(
             -1, self.nbytes, flags=mmap.MAP_SHARED | mmap.MAP_ANONYMOUS
         )
+
+
+class MessageRegion:
+    """The arrays forked workers send each other, in one anonymous
+    ``MAP_SHARED`` mapping made before the fork: a bump-offset header, then
+    ``layout.declared_volume`` elements.  :meth:`park` copies a numeric array
+    (bare or in a ``DenseArray``) into the next slot, claimed under ``lock``,
+    and returns ``(offset, shape, dtype, dims)``; any other payload, or one
+    that does not fit, comes back as it is.  :meth:`unpark` reads a slot in
+    place.  Slots are never reused, so a view stays valid.
+    """
+
+    def __init__(self, layout: OutputLayout, lock: Any) -> None:
+        self.nbytes = layout.declared_volume * np.dtype(layout.dtype).itemsize
+        self._lock = lock
+        self._buf = mmap.mmap(-1, _ALIGN + self.nbytes, flags=mmap.MAP_SHARED | mmap.MAP_ANONYMOUS)
+        self._used = np.ndarray((), dtype=np.int64, buffer=self._buf)
+
+    def park(self, payload: Any) -> Any:
+        dims = payload.dims if isinstance(payload, DenseArray) else None
+        data = payload if dims is None else payload.data
+        if not isinstance(data, np.ndarray) or data.dtype.kind not in "biufc":
+            return payload
+        size = -(-data.nbytes // 8) * 8
+        with self._lock:
+            start = int(self._used)
+            if start + size > self.nbytes:
+                return payload
+            self._used[...] = start + size
+        offset = _ALIGN + start
+        np.ndarray(data.shape, dtype=data.dtype, buffer=self._buf, offset=offset)[...] = data
+        return (offset, data.shape, data.dtype, dims)
+
+    def unpark(self, payload: Any) -> Any:
+        # A payload is an array, a Control or None: only a parked one is a tuple.
+        if type(payload) is not tuple:
+            return payload
+        offset, shape, dtype, dims = payload
+        data = np.ndarray(shape, dtype=dtype, buffer=self._buf, offset=offset)
+        return data if dims is None else DenseArray(data, dims)

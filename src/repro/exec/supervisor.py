@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
 
 from repro.cluster.faults import FaultStats
-from repro.obs.span import Span
+from repro.obs.span import NULL_TRACER, Span, Tracer
 
 #: Pseudo-rank the supervisor uses as the ``src`` of control messages it
 #: pushes into worker inboxes (barrier releases).  Negative so it can never
@@ -163,6 +163,8 @@ class Supervisor:
         Workers piggyback :class:`~repro.obs.live.RankSnapshot` objects
         on the heartbeat cadence; the supervisor forwards each one here
         (typically :meth:`repro.obs.live.LiveRunView.update`).
+    tracer:
+        Host lane: ``exec.fork`` per worker started, ``exec.reap`` at the end.
     """
 
     def __init__(
@@ -175,8 +177,10 @@ class Supervisor:
         watchdog_s: float = 120.0,
         max_respawns: int = DEFAULT_MAX_RESPAWNS,
         on_snapshot: Callable[[Any], Any] | None = None,
+        tracer: Tracer = NULL_TRACER,
     ) -> None:
         self.num_ranks = num_ranks
+        self.tracer = tracer
         self._inboxes = inboxes
         self._ctl = ctl_queue
         self._spawn = spawn
@@ -205,7 +209,7 @@ class Supervisor:
         :class:`_FatalFailure` wrapped by the caller into a
         :class:`~repro.exec.driver.WorkerError` on unrecoverable failure.
         """
-        self._ranks = [_RankState(self._spawn(r, 0, None)) for r in range(self.num_ranks)]
+        self._ranks = [_RankState(self._start(r, 0, None)) for r in range(self.num_ranks)]
         deadline = time.monotonic() + self._watchdog_s + 30.0
         try:
             while not self._finished():
@@ -227,7 +231,8 @@ class Supervisor:
                     deadline = time.monotonic() + self._watchdog_s + 30.0
             return self._stats
         finally:
-            self._shutdown()
+            with self.tracer.span("exec.reap", ranks=self.num_ranks):
+                self._shutdown()
 
     def incidents(self) -> list[RankIncident]:
         """Structured per-rank post-mortem of the cohort's current state."""
@@ -280,6 +285,10 @@ class Supervisor:
         return "\n".join(lines)
 
     # -- internals ----------------------------------------------------------------
+
+    def _start(self, rank: int, incarnation: int, epoch0: float | None) -> Any:
+        with self.tracer.span("exec.fork", rank=rank, incarnation=incarnation):
+            return self._spawn(rank, incarnation, epoch0)
 
     def _finished(self) -> bool:
         return all(st.done or st.dead for st in self._ranks)
@@ -419,7 +428,7 @@ class Supervisor:
                 "retry", t, rank,
                 f"respawning rank {rank} (incarnation {st.incarnation})",
             )
-            st.proc = self._spawn(rank, st.incarnation, self.epoch)
+            st.proc = self._start(rank, st.incarnation, self.epoch)
         else:
             st.dead = True
             self._recheck_barriers()

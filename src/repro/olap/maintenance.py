@@ -89,6 +89,13 @@ def apply_delta(
     coords, values = delta.all_coords_values()
     if measure.transform_values is not None:
         values = measure.transform_values(values)
+    # All or nothing: a writable view of its cuboid's shape takes every delta
+    # cell, so past these checks no fold fails and a retry folds once.
+    base = merge_sparse(cube.base, delta) if update_base else cube.base
+    for node, view in cube.aggregates.items():
+        data = view.data
+        if not data.flags.writeable or data.shape != tuple([delta.shape[d] for d in node]):
+            raise ValueError(f"view {node} is read-only or not of its cuboid's shape")
     for node, view in cube.aggregates.items():
         data, cells = view.data, tuple(coords.T[list(node)])
         if data.flags.c_contiguous:  # reshape is a view, the 0-d total's too
@@ -96,8 +103,7 @@ def apply_delta(
             measure.op.at(data.reshape(-1), flat, values)
         else:
             measure.op.at(data, cells, values)
-    if update_base:
-        cube.base = merge_sparse(cube.base, delta)
+    cube.base = base
     cube.refreshes += 1  # committed: a listener's error below must not re-fold it
     cube.notify_refresh()
     return MaintenanceStats(facts_absorbed=delta.nnz, nodes_updated=len(cube.aggregates))

@@ -105,12 +105,6 @@ class Scheduler(abc.ABC):
     #: in :meth:`validate_options`' errors.
     options: tuple[str, ...] = ()
 
-    #: Whether :meth:`rank_program` writes finalized portions into the
-    #: ``outputs`` arena it is handed.  The host allocates one only for
-    #: schedulers that declare it, so a program that returns its results
-    #: in-band never costs an arena it would not use.
-    stages_outputs: bool = False
-
     @property
     def spec(self) -> str:
         """The full spec, including parameters (``"marginals-2"``).
@@ -159,8 +153,9 @@ class Scheduler(abc.ABC):
     ) -> ProgramFactory:
         """Build the backend-portable rank program for one construction.
 
-        ``outputs`` is the output arena of this run, or ``None``
-        (always ``None`` unless :attr:`stages_outputs`).
+        ``outputs`` is the run's output arena (``None`` on the simulator).
+        A program may stage finalized portions into it or return them
+        in-band and leave the staging to the backend.
         """
 
     def rank_program_ft(

@@ -558,7 +558,6 @@ class Fig5Scheduler(Scheduler):
     name = "fig5"
     description = "the paper's Fig 5 SPMD schedule (communication and memory optimal)"
     options = ("checkpoint", "max_message_elements")
-    stages_outputs = True
 
     def __init__(
         self, targets: Iterable[Sequence[int]] | None = None, tree: Any = None

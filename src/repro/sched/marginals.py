@@ -68,7 +68,6 @@ class MarginalsScheduler(Scheduler):
             )
         self.k = k
         self.base = base
-        self.stages_outputs = base == "fig5"
 
     @property
     def spec(self) -> str:

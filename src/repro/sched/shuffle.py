@@ -136,8 +136,8 @@ class ShuffleScheduler(Scheduler):
 
         Runs unchanged on every backend -- the program only uses the shared
         op vocabulary and the existing reduction collectives.  Results
-        return in-band (``stages_outputs`` is false), so ``outputs`` is
-        always ``None``.
+        return in-band (process workers stage them after the program;
+        on threads the host assembles them), so ``outputs`` is unused.
         """
         if max_message_elements is not None:
             raise ValueError(

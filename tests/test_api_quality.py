@@ -199,4 +199,4 @@ def test_version():
     pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
     match = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
     assert match is not None
-    assert repro.__version__ == match.group(1) == "12.2.0"
+    assert repro.__version__ == match.group(1) == "13.0.0"

@@ -3,18 +3,21 @@
 Covers the registry, the deprecation shim on direct ``run_spmd`` cube
 builds, the :class:`TimeoutPolicy` abstraction, construction-time
 ``BuildConfig`` validation, the process backend's input path (the fork,
-no staging segment), and its guard rails.  Cross-backend result parity lives in
-``test_backend_parity.py``.
+no staging segment), its message region, and its guard rails.
+Cross-backend result parity lives in ``test_backend_parity.py``.
 """
 
+import multiprocessing
 import warnings
 from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
+from repro.arrays.dataset import random_sparse
 from repro.arrays.dense import DenseArray
 from repro.arrays.sparse import SparseArray
+from repro.cluster.faults import FaultPlan
 from repro.cluster.machine import MachineModel
 from repro.cluster.runtime import (
     MONOTONIC_TIMEOUTS,
@@ -26,6 +29,7 @@ from repro.cluster.runtime import (
     TimeoutPolicy,
     run_spmd,
 )
+from repro.cluster.topology import ProcessorGrid
 from repro.core.config import BuildConfig
 from repro.core.parallel import construct_cube_parallel
 from repro.exec import (
@@ -35,6 +39,8 @@ from repro.exec import (
     available_backends,
     get_backend,
 )
+from repro.exec.shm import MessageRegion, OutputLayout
+from repro.sched import ShuffleScheduler
 
 
 # -- registry --------------------------------------------------------------------------
@@ -200,8 +206,8 @@ class TestProcessInputs:
     @pytest.mark.parametrize("scheduler, segments", [("fig5", 0), ("shuffle", 0)])
     def test_build_creates_no_input_segment(self, monkeypatch, scheduler, segments):
         # Workers are forked after the partition and read the host's blocks,
-        # and fig5's output arena is an anonymous mapping shared across the
-        # fork (shuffle stages none): no build creates a named segment.
+        # and the output arena and the message region are anonymous
+        # mappings shared across the fork: no build creates a named segment.
         created = []
         real = shared_memory.SharedMemory
 
@@ -218,6 +224,105 @@ class TestProcessInputs:
         assert len(created) == segments
         np.testing.assert_array_equal(res.results[()].data, dense.sum())
         np.testing.assert_array_equal(res.results[(0, 2)].data, dense.sum(axis=1))
+
+
+# -- process messages travel through a region sized by the declared volume ------------
+
+
+class _KeepsRegion(ProcessBackend):
+    """Keeps the build's message region for inspection after the run."""
+
+    def prepare_outputs(self, layout):
+        arena = super().prepare_outputs(layout)
+        self.region = self._messages
+        return arena
+
+
+class _UnderDeclared(ShuffleScheduler):
+    """A shuffle that declares half of what it sends."""
+
+    def declared_volume(self, shape, bits):
+        return super().declared_volume(shape, bits) // 2
+
+
+class TestProcessMessages:
+    SHAPE, BITS = (8, 6, 4), (1, 1, 0)
+
+    def _build(self, scheduler, **options):
+        data = random_sparse(self.SHAPE, sparsity=0.3, seed=21)
+        backend = _KeepsRegion()
+        run = construct_cube_parallel(
+            data, self.BITS, scheduler=scheduler, backend=backend, **options
+        )
+        sim = construct_cube_parallel(
+            data, self.BITS, scheduler=scheduler, backend="sim", **options
+        )
+        assert set(run.results) == set(sim.results)
+        for node, arr in sim.results.items():
+            assert run.results[node].data.tobytes() == arr.data.tobytes(), node
+        assert run.metrics.comm.total_elements == sim.metrics.comm.total_elements
+        assert run.metrics.comm.total_bytes == sim.metrics.comm.total_bytes
+        assert run.metrics.comm.total_messages == sim.metrics.comm.total_messages
+        return run, int(backend.region._used), backend.region.nbytes
+
+    @pytest.mark.parametrize("scheduler", ["fig5", "shuffle"])
+    def test_declared_volume_fills_the_region_exactly(self, scheduler):
+        run, used, nbytes = self._build(scheduler)
+        assert used == nbytes == run.expected_comm_volume_elements * 8
+        assert run.metrics.comm.total_elements == run.expected_comm_volume_elements
+
+    def test_chunked_reduction_slabs_use_the_region(self):
+        run, used, nbytes = self._build("fig5", max_message_elements=5)
+        assert used == nbytes > 0
+
+    def test_under_declared_volume_overflows_into_the_pipe(self):
+        # Payloads that no longer fit are pickled as before: same cube,
+        # same volume, same bytes.
+        run, used, nbytes = self._build(_UnderDeclared())
+        sent = run.metrics.comm.total_bytes
+        assert 0 < used <= nbytes < sent
+        assert run.metrics.comm.total_elements == ShuffleScheduler().declared_volume(
+            self.SHAPE, self.BITS
+        )
+
+    def test_concurrent_parks_claim_disjoint_slots(self):
+        # More writers than cores race for one bump offset: a lost update
+        # would hand two payloads one slot (a value overwritten, the
+        # region not filled exactly).
+        ctx = multiprocessing.get_context("fork")
+        sizes = [i % 7 + 1 for i in range(2000)]
+        writers = 6
+        layout = OutputLayout(
+            (1,), ProcessorGrid((0,)), ((0,),), declared_volume=writers * sum(sizes)
+        )
+        region = MessageRegion(layout, ctx.Lock())
+        slots = ctx.Queue()
+
+        def park(k):
+            slots.put([region.park(np.full(n, k * 10_000.0 + i)) for i, n in enumerate(sizes)])
+
+        procs = [ctx.Process(target=park, args=(k,)) for k in range(writers)]
+        for proc in procs:
+            proc.start()
+        got = [slots.get(timeout=60) for _ in range(writers)]
+        for proc in procs:
+            proc.join(timeout=30)
+            assert not proc.is_alive()
+        assert int(region._used) == region.nbytes
+        for parked in got:
+            assert all(isinstance(slot, tuple) for slot in parked)
+            for i, slot in enumerate(parked):
+                values = region.unpark(slot)
+                assert values.size == sizes[i] and (values == values[0]).all()
+                assert values[0] % 10_000 == i
+
+    def test_duplicated_delivery_overflows_into_the_pipe(self):
+        # The duplicate is charged like the simulator's, and whichever
+        # copy no longer fits the exactly sized region is pickled.
+        plan = FaultPlan(seed=5).duplicate_messages(1.0, src=3, max_events=1)
+        run, used, nbytes = self._build("fig5", fault_plan=plan)
+        assert run.metrics.faults.messages_duplicated == 1
+        assert used <= nbytes < run.metrics.comm.total_bytes
 
 
 # -- process backend guard rails -------------------------------------------------------
@@ -292,6 +397,16 @@ class TestProcessBackend:
         ref = construct_cube_parallel(data, (1, 1, 0))
         for node, arr in ref.results.items():
             assert run.results[node].data.tobytes() == arr.data.tobytes()
+
+    def test_traced_build_has_a_host_span_per_fork_and_one_reap(self):
+        data = np.arange(8 * 4 * 4, dtype=float).reshape(8, 4, 4)
+        traced = construct_cube_parallel(data, (1, 1, 0), backend="process", trace=True)
+        host = [s for s in traced.metrics.spans if s.rank < 0]
+        forks = [s for s in host if s.name == "exec.fork"]
+        assert sorted(s.attrs["rank"] for s in forks) == [0, 1, 2, 3]
+        assert [s.name for s in host].count("exec.reap") == 1
+        plain = construct_cube_parallel(data, (1, 1, 0), backend="process")
+        assert not plain.metrics.spans
 
     def test_backend_repr(self):
         assert "process" in repr(ProcessBackend())

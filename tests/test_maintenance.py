@@ -180,6 +180,51 @@ class TestFold:
         assert stats.nodes_updated == len(cube.aggregates)
 
 
+class TestApplyDeltaIsAllOrNothing:
+    def _snapshot(self, cube):
+        views = {node: arr.data.copy() for node, arr in cube.aggregates.items()}
+        return views, cube.base, cube.refreshes
+
+    def _assert_unchanged(self, cube, snapshot):
+        views, base, refreshes = snapshot
+        for node, arr in cube.aggregates.items():
+            assert arr.data.tobytes() == views[node].tobytes(), node
+        assert cube.base is base
+        assert cube.refreshes == refreshes
+
+    def test_failed_base_merge_folds_nothing(self, schema, monkeypatch):
+        cube = DataCube.build(schema, make_delta(schema, 40), num_processors=4)
+        delta = make_delta(schema, 41)
+        snapshot = self._snapshot(cube)
+
+        def fail(*args, **kwargs):
+            raise MemoryError("merge failed")
+
+        monkeypatch.setattr("repro.olap.maintenance.merge_sparse", fail)
+        with pytest.raises(MemoryError, match="merge failed"):
+            apply_delta(cube, delta)
+        self._assert_unchanged(cube, snapshot)
+        # A retry after the failure folds the delta exactly once.
+        monkeypatch.undo()
+        apply_delta(cube, delta)
+        rebuilt = DataCube.build(schema, merge_sparse(snapshot[1], delta), num_processors=4)
+        for node, arr in rebuilt.aggregates.items():
+            np.testing.assert_allclose(cube.aggregates[node].data, arr.data, err_msg=str(node))
+
+    @pytest.mark.parametrize("spoil", ["read-only", "wrong shape"])
+    def test_unfoldable_last_view_folds_nothing(self, schema, spoil):
+        cube = DataCube.build(schema, make_delta(schema, 42))
+        last = list(cube.aggregates)[-1]
+        if spoil == "read-only":
+            cube.aggregates[last].data.flags.writeable = False
+        else:
+            cube.aggregates[last].data = np.zeros(cube.aggregates[last].data.shape[:-1])
+        snapshot = self._snapshot(cube)
+        with pytest.raises(ValueError, match="read-only or not of its cuboid's shape"):
+            apply_delta(cube, make_delta(schema, 43))
+        self._assert_unchanged(cube, snapshot)
+
+
 class TestApplyDelta:
     @pytest.mark.parametrize("procs", [1, 4])
     def test_equals_rebuild_for_sum(self, schema, procs):

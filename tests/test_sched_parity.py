@@ -26,7 +26,7 @@ from repro.arrays.dataset import random_sparse
 from repro.arrays.sparse import SparseArray
 from repro.core.parallel import construct_cube_parallel
 from repro.core.sequential import construct_cube_sequential
-from repro.exec import ThreadBackend
+from repro.exec import ProcessBackend, ThreadBackend
 from repro.exec.shm import StagedResult
 from repro.sched import Fig5Scheduler, get_scheduler
 
@@ -201,21 +201,30 @@ def test_step_list_schedulers_stage_into_the_arena(make):
     _assert_bytes_equal(runs["sim"].results, runs["thread"].results, "thread")
 
 
-class _CountingThreadBackend(ThreadBackend):
-    """Counts the output arenas a build asks for."""
+def _counting(backend_cls):
+    """``backend_cls`` that counts the output arenas a build asks for."""
 
-    arenas = 0
+    class Counting(backend_cls):
+        arenas = 0
 
-    def prepare_outputs(self, layout):
-        self.arenas += 1
-        return super().prepare_outputs(layout)
+        def prepare_outputs(self, layout):
+            self.arenas += 1
+            return super().prepare_outputs(layout)
+
+    return Counting
 
 
 @pytest.mark.parametrize(
-    "spec,arenas",
+    "spec,stages_on_threads",
     [("fig5", 1), ("marginals-1", 1), ("shuffle", 0), ("marginals-1-shuffle", 0)],
 )
-def test_only_staging_schedulers_get_an_output_segment(spec, arenas):
+def test_every_scheduler_gets_one_output_arena(spec, stages_on_threads):
+    # Every build that collects results is offered exactly one arena.  On
+    # threads only the step-list programs write into it: shuffle's results
+    # come back by reference, and the host's assembly of them is cheaper
+    # than first-touching the arena's pages.  On processes each worker
+    # stages whatever its program returned in-band, so every portion
+    # crosses the pipe as a marker and the cube is read from the mapping.
     def segments():
         try:
             return {e for e in os.listdir("/dev/shm") if e.startswith("psm_")}
@@ -225,12 +234,26 @@ def test_only_staging_schedulers_get_an_output_segment(spec, arenas):
     shape, bits = (8, 6, 4), (1, 1, 0)
     data = random_sparse(shape, sparsity=0.3, seed=12)
     before = segments()
-    backend = _CountingThreadBackend()
-    try:
-        run = construct_cube_parallel(data, bits, scheduler=spec, backend=backend)
-    finally:
-        backend.close()
-    assert backend.arenas == arenas
-    assert (_staged_count(run) > 0) == bool(arenas)
-    assert get_scheduler(spec).stages_outputs == bool(arenas)
+    sim = construct_cube_parallel(data, bits, scheduler=spec, backend="sim")
+    runs = {}
+    for name, backend_cls in (("thread", ThreadBackend), ("process", ProcessBackend)):
+        backend = _counting(backend_cls)()
+        try:
+            runs[name] = construct_cube_parallel(
+                data, bits, scheduler=spec, backend=backend
+            )
+        finally:
+            backend.close()
+        assert backend.arenas == 1, name
+        _assert_bytes_equal(sim.results, runs[name].results, name)
+    staged = {
+        name: [
+            isinstance(portion, StagedResult)
+            for written in run.metrics.rank_results
+            for portion in written.values()
+        ]
+        for name, run in runs.items()
+    }
+    assert staged["thread"] and set(staged["thread"]) == {bool(stages_on_threads)}
+    assert staged["process"] and all(staged["process"])
     assert segments() <= before  # and whatever was created is gone
