@@ -123,14 +123,6 @@ property) minimizes tiling I/O.""",
         "t_tiling",
     ),
     (
-        "T-io — single-pass vs multi-pass input reading (section 2)",
-        """The paper's cache/memory-reuse claim quantified: the strawman that
-computes first-level children one at a time re-reads the input n times;
-the paper's simultaneous-update discipline reads it once (asserted:
-exactly n-fold read amplification).""",
-        "t_io",
-    ),
-    (
         "T-freq — communication frequency vs buffer memory (section 4)",
         """The tradeoff the paper calls 'hard to analyze theoretically',
 measured: shrinking the reduction slab size leaves the volume invariant
@@ -173,14 +165,6 @@ service with the LRU result cache.  Asserted: the batched path is at least
 warm cache serves repeats with zero additional cells scanned, and all
 three modes return bit-identical values, provenance, and costs.""",
         "t_serving",
-    ),
-    (
-        "T-iceberg — BUC support pruning (related-work extension)",
-        """Iceberg cubes close the partial-materialization loop at cell
-granularity: BUC's monotone support pruning keeps a rapidly shrinking
-fraction of the cube as minsup grows, verified cell-for-cell against the
-filter-the-full-cube oracle built on the paper's constructor.""",
-        "t_iceberg",
     ),
     (
         "T-backend — real-process execution vs serial (extension)",

@@ -105,8 +105,8 @@ def _version() -> str:
     A source checkout (the tests run with ``PYTHONPATH=src``) parses the
     adjacent ``pyproject.toml`` -- it outranks any installed distribution's
     metadata, which can lag the tree.  Installed copies without the source
-    tree read the distribution metadata; anything else gets the literal
-    matching the last release.
+    tree read the distribution metadata; anything else gets ``0+unknown``,
+    which no release can be mistaken for.
     """
     from pathlib import Path
 
@@ -131,7 +131,7 @@ def _version() -> str:
 
         return version("repro")
     except Exception:
-        return "7.0.0"
+        return "0+unknown"
 
 
 __version__ = _version()

@@ -22,6 +22,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
 #: Every fault kind a :class:`FaultPlan` can describe.  Execution backends
 #: declare the subset they can honor (``Backend.fault_capabilities``);
@@ -392,6 +393,34 @@ def _rule_dir(rule: MessageFaultRule) -> str:
 # -- per-run state ---------------------------------------------------------------------
 
 
+def rule_fires(
+    rules: Sequence[MessageFaultRule],
+    src: int,
+    dst: int,
+    rng: random.Random,
+    fires: dict[int, int],
+) -> bool:
+    """Whether one of ``rules`` fires for a message posted ``src -> dst``.
+
+    Every matching rule up to the first that fires consumes exactly one
+    ``rng`` draw, whether or not it fires (a rule past its ``max_events``
+    budget included), so adding a never-firing rule elsewhere does not
+    perturb the stream consumed by this pair.  ``fires`` counts each
+    rule's firings, keyed by ``id(rule)``.
+    """
+    for rule in rules:
+        if not rule.matches(src, dst):
+            continue
+        draw = rng.random()
+        fired = fires.get(id(rule), 0)
+        if rule.max_events is not None and fired >= rule.max_events:
+            continue
+        if draw < rule.probability:
+            fires[id(rule)] = fired + 1
+            return True
+    return False
+
+
 class FaultController:
     """Mutable per-run view of a :class:`FaultPlan`.
 
@@ -428,23 +457,12 @@ class FaultController:
     def message_action(self, src: int, dst: int) -> str:
         """Fate of a message posted ``src -> dst``: deliver/drop/duplicate.
 
-        Every matching rule consumes exactly one RNG draw whether or not it
-        fires, so adding a never-firing rule elsewhere does not perturb the
-        stream consumed by this pair.
+        Drop rules draw first, then duplicate rules (see :func:`rule_fires`).
         """
         for rules, action in ((self.plan.drops, self.DROP),
                               (self.plan.duplicates, self.DUPLICATE)):
-            for rule in rules:
-                if not rule.matches(src, dst):
-                    continue
-                draw = self._rng.random()
-                key = id(rule)
-                fired = self._rule_fires.get(key, 0)
-                if rule.max_events is not None and fired >= rule.max_events:
-                    continue
-                if draw < rule.probability:
-                    self._rule_fires[key] = fired + 1
-                    return action
+            if rule_fires(rules, src, dst, self._rng, self._rule_fires):
+                return action
         return self.DELIVER
 
 

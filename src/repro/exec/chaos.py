@@ -47,7 +47,7 @@ import os
 import random
 import signal
 
-from repro.cluster.faults import FaultPlan, MessageFaultRule, NicDegradation
+from repro.cluster.faults import FaultPlan, MessageFaultRule, NicDegradation, rule_fires
 from repro.cluster.machine import MachineModel
 
 #: FaultPlan kinds the process backend can honor (see module docstring for
@@ -113,21 +113,10 @@ class ChaosAgent:
     def deliveries(self, dst: int) -> int:
         """Copies to enqueue for a send to ``dst`` (1, or 2 on duplication).
 
-        One RNG draw per matching rule whether or not it fires, mirroring
-        :meth:`repro.cluster.faults.FaultController.message_action`.
+        Draws as :meth:`repro.cluster.faults.FaultController.message_action`
+        does, through the same :func:`~repro.cluster.faults.rule_fires`.
         """
-        for rule in self._dups:
-            if not rule.matches(self.rank, dst):
-                continue
-            draw = self._rng.random()
-            key = id(rule)
-            fired = self._rule_fires.get(key, 0)
-            if rule.max_events is not None and fired >= rule.max_events:
-                continue
-            if draw < rule.probability:
-                self._rule_fires[key] = fired + 1
-                return 2
-        return 1
+        return 2 if rule_fires(self._dups, self.rank, dst, self._rng, self._rule_fires) else 1
 
 
 class _NullChaos:

@@ -243,14 +243,16 @@ class DataCube:
         """Group-by over ``[name] + keep`` with ``name`` rolled up.
 
         E.g. ``cube.rollup("time", "month", "branch")`` -> month x branch.
-        The rolled-up dimension becomes axis 0.
+        The rolled-up dimension becomes axis 0.  Folds with the cube's
+        measure, and answers a partial cube from its cover or the base
+        (:class:`repro.olap.granularity.GranularityEngine`).
         """
-        dim = self.schema.dimension(name)
-        h = dim.hierarchy(hierarchy)
-        arr = self.group_by(name, *keep)
-        axis = arr.axis_of_dim(self.schema.index(name))
-        rolled = h.rollup_axis(arr.data, axis)
-        return np.moveaxis(rolled, axis, 0)
+        from repro.olap.granularity import GranularityEngine  # imports this module
+
+        grain: dict[str, str | None] = dict.fromkeys(keep)
+        grain[name] = hierarchy
+        axis = sorted(grain, key=self.schema.index).index(name)
+        return np.moveaxis(GranularityEngine(self).view(grain), axis, 0)
 
     def top_k(self, name: str, k: int = 5) -> list[tuple[str, float]]:
         """Largest members of a 1-d group-by, labelled."""

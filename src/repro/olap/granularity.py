@@ -4,14 +4,15 @@ OLAP sessions move between granularities -- sales by *day* roll up to
 *month*, branches to *regions* -- without touching the base data.  A
 *grain* assigns each mentioned dimension either its base granularity or one
 of its named hierarchies; the corresponding view derives from the
-materialized group-by over the same dimensions by folding each hierarchical
-axis with its mapping.  Derived views are cached: a dashboard flipping
-between month/quarter/year pays each roll-up once.
+group-by over the same dimensions, answered by
+:class:`~repro.olap.query.QueryEngine`, by folding each hierarchical axis
+with its mapping.  Derived views are cached: a dashboard flipping between
+month/quarter/year pays each roll-up once.
 
-This composes with everything else: partial cubes (derivation uses the
-query engine's best cover), measures (roll-ups fold with the cube measure's
-combine -- MIN of months is the MIN of their days), and maintenance
-(the cache is invalidated explicitly after a refresh).
+This composes with everything else: partial cubes (the group-by comes from
+the query engine's best cover, or the base), measures (roll-ups fold with
+the cube measure's combine -- MIN of months is the MIN of their days), and
+maintenance (a view cached before a refresh is never served after it).
 """
 
 from __future__ import annotations
@@ -20,23 +21,30 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.arrays.measures import get_measure
+from repro.arrays.measures import Measure
 from repro.olap.cube import DataCube
+from repro.olap.query import GroupByQuery, QueryEngine
+from repro.olap.schema import Hierarchy
 
 
-def _fold_axis(data: np.ndarray, axis: int, mapping, num_groups: int, measure) -> np.ndarray:
-    """Roll one axis into hierarchy groups using the measure's combine.
+def fold_axis(data: np.ndarray, axis: int, hierarchy: Hierarchy, measure: Measure) -> np.ndarray:
+    """Roll ``axis`` of ``data`` into ``hierarchy``'s groups with the
+    measure's combine (SUM and COUNT add, MIN and MAX keep the extreme).
 
     Works on a 2-d (member, rest) layout so each ``out[group]`` row is a
     writable view for the measure's in-place combine.
     """
+    if data.shape[axis] != len(hierarchy.mapping):
+        raise ValueError(
+            f"axis length {data.shape[axis]} != hierarchy size {len(hierarchy.mapping)}"
+        )
     moved = np.moveaxis(data, axis, 0)
     tail = moved.shape[1:]
     flat = np.ascontiguousarray(moved).reshape(moved.shape[0], -1)
-    out = np.full((num_groups, flat.shape[1]), measure.identity, dtype=np.float64)
-    for member, group in enumerate(mapping):
+    out = np.full((hierarchy.num_groups, flat.shape[1]), measure.identity, dtype=np.float64)
+    for member, group in enumerate(hierarchy.mapping):
         measure.combine(out[group], flat[member])
-    return np.moveaxis(out.reshape((num_groups,) + tail), 0, axis)
+    return np.moveaxis(out.reshape((hierarchy.num_groups,) + tail), 0, axis)
 
 
 class GranularityEngine:
@@ -48,8 +56,9 @@ class GranularityEngine:
 
     def __init__(self, cube: DataCube):
         self.cube = cube
-        self._measure = get_measure(cube.measure_name)
-        self._cache: dict[tuple, np.ndarray] = {}
+        self._engine = QueryEngine(cube)
+        #: grain key -> (``cube.refreshes`` read before deriving, view).
+        self._cache: dict[tuple, tuple[int, np.ndarray]] = {}
         self.derivations = 0  # cache misses, for tests/diagnostics
 
     # -- core ---------------------------------------------------------------------
@@ -63,24 +72,24 @@ class GranularityEngine:
     def view(self, grain: Mapping[str, str | None]) -> np.ndarray:
         """The aggregate at ``grain``; axes follow schema dimension order.
 
-        ``grain={"week": "month", "branch": None}`` returns month x branch.
+        ``grain={"week": "month", "branch": None}`` returns month x branch;
+        ``{}`` the grand total.  A view cached before the cube's last
+        refresh is derived again.
         """
         schema = self.cube.schema
-        if not grain:
-            return np.asarray(self.cube.grand_total)
         key = self._grain_key(grain)
-        if key in self._cache:
-            return self._cache[key]
-        names = [name for name, _lvl in key]
-        base = self.cube.group_by(*names)
-        data = np.array(base.data, dtype=np.float64, copy=True)
+        tag = self.cube.refreshes
+        hit = self._cache.get(key)
+        if hit is not None and hit[0] == tag:
+            return hit[1]
+        names = tuple(name for name, _lvl in key)
+        answer = self._engine.execute(GroupByQuery(group_by=names))
+        data = np.asarray(answer.values, dtype=np.float64)
         for axis, (name, level) in enumerate(key):
-            if level is None:
-                continue
-            dim = schema.dimension(name)
-            h = dim.hierarchy(level)
-            data = _fold_axis(data, axis, h.mapping, h.num_groups, self._measure)
-        self._cache[key] = data
+            if level is not None:
+                h = schema.dimension(name).hierarchy(level)
+                data = fold_axis(data, axis, h, self._engine.measure)
+        self._cache[key] = (tag, data)
         self.derivations += 1
         return data
 
@@ -120,5 +129,5 @@ class GranularityEngine:
         return out
 
     def invalidate(self) -> None:
-        """Drop cached views (call after :func:`repro.olap.apply_delta`)."""
+        """Drop every cached view (a refresh already retires the stale ones)."""
         self._cache.clear()

@@ -6,8 +6,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class Hierarchy:
@@ -30,17 +28,6 @@ class Hierarchy:
     @property
     def num_groups(self) -> int:
         return len(self.group_labels)
-
-    def rollup_axis(self, data: np.ndarray, axis: int) -> np.ndarray:
-        """Sum ``data`` along ``axis`` into hierarchy groups."""
-        if data.shape[axis] != len(self.mapping):
-            raise ValueError(
-                f"axis length {data.shape[axis]} != hierarchy size {len(self.mapping)}"
-            )
-        moved = np.moveaxis(data, axis, 0)
-        out = np.zeros((self.num_groups,) + moved.shape[1:], dtype=data.dtype)
-        np.add.at(out, np.asarray(self.mapping), moved)
-        return np.moveaxis(out, 0, axis)
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,6 @@ MODULES = [
     "repro.baselines.partitions",
     "repro.baselines.trees",
     "repro.cli",
-    "repro.iceberg",
-    "repro.iceberg.buc",
     "repro.obs",
     "repro.obs.expo",
     "repro.obs.export",
@@ -61,7 +59,6 @@ MODULES = [
     "repro.core.aggregation_tree",
     "repro.core.comm_model",
     "repro.core.config",
-    "repro.core.io_study",
     "repro.core.lattice",
     "repro.core.memory_model",
     "repro.core.ordering",
@@ -199,4 +196,17 @@ def test_version():
     pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
     match = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
     assert match is not None
-    assert repro.__version__ == match.group(1) == "13.0.0"
+    assert repro.__version__ == match.group(1) == "14.0.0"
+
+
+def test_version_fallback_names_no_release(monkeypatch):
+    # With no pyproject beside the package and no distribution metadata,
+    # the version must not read as a release.
+    import importlib.metadata
+
+    def missing(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(repro, "__file__", "/nonexistent/src/repro/__init__.py")
+    monkeypatch.setattr(importlib.metadata, "version", missing)
+    assert repro._version() == "0+unknown"

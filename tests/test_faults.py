@@ -22,7 +22,7 @@ from repro.cluster.collectives import (
     reduce_to_lead,
     reduce_to_lead_reliable,
 )
-from repro.cluster.faults import FaultPlan, FaultStats
+from repro.cluster.faults import FaultController, FaultPlan, FaultStats
 from repro.cluster.machine import MachineModel
 from repro.cluster.network import CONTROL_NBYTES, Control
 from repro.cluster.runtime import (
@@ -33,6 +33,7 @@ from repro.cluster.runtime import (
 )
 from repro.core.parallel import construct_cube_parallel
 from repro.core.sequential import construct_cube_sequential, verify_cube
+from repro.exec.chaos import ChaosAgent
 
 
 def quiet_machine():
@@ -386,6 +387,30 @@ class TestDeterminism:
             for s in range(5)
         }
         assert len(counts) > 1  # different seeds, different drop patterns
+
+    def test_draw_sequences_are_pinned(self):
+        # Recorded before the per-rule draw loop was shared between the
+        # simulator's controller and the process backend's chaos agent;
+        # any change to the draw order, budget or matching shows here.
+        # Per-rank delivery copies for sends to 0, 1, 2, 3 (six rounds):
+        plan = FaultPlan(seed=11).duplicate_messages(0.3)
+        plan.duplicate_messages(0.6, src=1, max_events=2)
+        plan.duplicate_messages(0.5, dst=2, max_events=3)
+        expected = [
+            "112222222122112111112121",
+            "212121222111122112211111",
+            "112111221111212212212121",
+            "212112111211112111211122",
+        ]
+        for rank, want in enumerate(expected):
+            agent = ChaosAgent(plan, rank, 0, MachineModel())
+            assert "".join(str(agent.deliveries(d)) for d in [0, 1, 2, 3] * 6) == want
+        # Controller fates (d-e-liver, d-r-op, d-u-plicate), three posts per pair:
+        plan = (FaultPlan(seed=5).drop_messages(0.2)
+                .duplicate_messages(0.4, src=0, max_events=2).duplicate_messages(0.5))
+        ctl = FaultController(plan)
+        fates = [ctl.message_action(s, d)[1] for s in range(3) for d in range(3) for _ in range(3)]
+        assert "".join(fates) == "eereuuueerurueueueeurrrerue"
 
 
 # -- reliable collectives --------------------------------------------------------------

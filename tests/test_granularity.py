@@ -5,6 +5,7 @@ import pytest
 
 from repro.arrays.dataset import random_sparse
 from repro.arrays.measures import MAX, MIN
+from repro.arrays.sparse import SparseArray
 from repro.olap import DataCube, Dimension, Hierarchy, Schema, apply_delta
 from repro.olap.granularity import GranularityEngine
 
@@ -110,6 +111,17 @@ class TestCacheAndNavigation:
         weekly = dense.sum(axis=(0, 2))
         assert np.allclose(after[0], weekly[0:4].sum())
 
+    def test_a_refresh_retires_cached_views(self, schema, cube):
+        # No invalidate(): the view cached before the refresh is not served.
+        eng = GranularityEngine(cube)
+        before = eng.view({"week": "month"}).copy()
+        delta = SparseArray.from_coords(schema.shape, np.array([[0, 0, 0]]), np.array([5.0]))
+        apply_delta(cube, delta)
+        after = eng.view({"week": "month"})
+        assert after[0] == before[0] + 5.0
+        assert np.array_equal(after[1:], before[1:])
+        assert eng.derivations == 2
+
     def test_roll_up_and_drill_down(self, cube):
         eng = GranularityEngine(cube)
         grain = {"week": None, "branch": None}
@@ -142,3 +154,61 @@ class TestPartialCube:
         assert out.shape == (3, 3)
         dense = data.to_dense()
         assert np.isclose(out.sum(), dense.sum())
+
+
+ORACLE = {  # measure -> (reduce cells over axes, fold aggregates into a group)
+    "sum": (np.sum, np.sum),
+    "min": (np.min, np.min),
+    "max": (np.max, np.max),
+    "count": (lambda x, axis: np.ones_like(x).sum(axis=axis), np.sum),
+}
+
+
+def _oracle(x, measure, keep, rolled):
+    """``measure`` of dense ``x`` over the ``keep`` axes, with each axis in
+    ``rolled`` (axis -> hierarchy) folded into its groups."""
+    reduce, fold = ORACLE[measure]
+    drop = tuple(ax for ax in range(x.ndim) if ax not in keep)
+    out = reduce(x, axis=drop)
+    for ax, h in rolled.items():
+        at = keep.index(ax)
+        groups = [
+            fold(np.take(out, [m for m, g in enumerate(h.mapping) if g == grp], axis=at), axis=at)
+            for grp in range(h.num_groups)
+        ]
+        out = np.stack(groups, axis=at)
+    return out
+
+
+@pytest.mark.parametrize("scheduler", ["fig5", "marginals-1"])
+@pytest.mark.parametrize("measure", ["sum", "min", "max", "count"])
+class TestMeasureOracle:
+    """Roll-ups fold with the cube's measure, on a full cube and on a cube
+    that materialized only the 1-d group-bys (2-d grains come from the base)."""
+
+    @pytest.fixture
+    def setup(self, schema, measure, scheduler):
+        x = np.random.default_rng(46).integers(1, 50, size=schema.shape).astype(float)
+        cube = DataCube.build(schema, x, num_processors=4, measure=measure, scheduler=scheduler)
+        return x, cube
+
+    def test_grain_views(self, schema, setup, measure):
+        x, cube = setup
+        eng = GranularityEngine(cube)
+        month = schema.dimension("week").hierarchy("month")
+        region = schema.dimension("branch").hierarchy("region")
+        cases = [
+            ({"week": "month"}, (1,), {1: month}),
+            ({"item": None, "week": "month"}, (0, 1), {1: month}),
+            ({"week": "month", "branch": "region"}, (1, 2), {1: month, 2: region}),
+            ({}, (), {}),
+        ]
+        for grain, keep, rolled in cases:
+            assert np.array_equal(eng.view(grain), _oracle(x, measure, keep, rolled)), grain
+
+    def test_cube_rollup(self, schema, setup, measure):
+        x, cube = setup
+        month = schema.dimension("week").hierarchy("month")
+        got = cube.rollup("week", "month", "branch")
+        assert np.array_equal(got, _oracle(x, measure, (1, 2), {1: month}))
+        assert np.array_equal(cube.rollup("week", "month"), _oracle(x, measure, (1,), {1: month}))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.arrays.dataset import random_sparse, zipf_sparse
+from repro.arrays.measures import MAX, SUM
 from repro.olap import (
     DataCube,
     Dimension,
@@ -12,6 +13,7 @@ from repro.olap import (
     QueryEngine,
     Schema,
 )
+from repro.olap.granularity import fold_axis
 
 
 @pytest.fixture
@@ -90,14 +92,15 @@ class TestHierarchyRollup:
     def test_rollup_axis(self):
         h = Hierarchy("h", (0, 1, 0, 1), ("even", "odd"))
         data = np.arange(8.0).reshape(4, 2)
-        out = h.rollup_axis(data, 0)
+        out = fold_axis(data, 0, h, SUM)
         assert out.shape == (2, 2)
         assert np.allclose(out[0], data[0] + data[2])
+        assert np.array_equal(fold_axis(data, 0, h, MAX)[0], data[2])
 
     def test_rollup_wrong_axis_length(self):
         h = Hierarchy("h", (0, 1), ("a", "b"))
         with pytest.raises(ValueError):
-            h.rollup_axis(np.zeros((3, 3)), 0)
+            fold_axis(np.zeros((3, 3)), 0, h, SUM)
 
 
 class TestDataCube:
