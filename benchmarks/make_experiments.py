@@ -167,18 +167,6 @@ three modes return bit-identical values, provenance, and costs.""",
         "t_serving",
     ),
     (
-        "T-backend — real-process execution vs serial (extension)",
-        """Execution-backend extension beyond the paper: the Fig 5 rank
-programs interpreted by real OS processes (`backend=\"process\"`, shared
-memory inputs, pickled reduction partials) against the serial Fig 3
-constructor, host wall clock.  Asserted always: process-backend results
-are byte-identical to the sim backend's and move exactly the Theorem 3
-volume.  The >= 3x speedup gate at p=8 is enforced only on hosts with at
-least 8 CPUs; the machine-readable record (including the skip reason on
-smaller hosts) is `benchmarks/results/BENCH_backend.json`.""",
-        "t_backend",
-    ),
-    (
         "T-sched — construction schedulers head-to-head (extension)",
         """Scheduler extension beyond the paper: the Fig 5 schedule against
 the MapReduce-style batch shuffle (arXiv:1709.10072) and order-k marginal
@@ -225,22 +213,6 @@ rank.  The wall clocks, supervisor-observed time-to-recover, and
 redundant disk reads are records, not gates — the machine-readable copy
 is `benchmarks/results/BENCH_chaos.json`.""",
         "t_chaos",
-    ),
-    (
-        "T-speed — real parallel speedup: backends, warm pools (extension)",
-        """Parallel-speed extension beyond the paper: the Fig 7 shape built
-serially, on cold real backends (process, thread), and on a warm
-persistent thread pool (`ThreadBackend.open()`), all against the same
-fact array.  Asserted always: every parallel build is bit-identical to
-the serial cube, the warm-pool builds reuse the same live worker
-threads (pool task accounting), and staged writeback lands aggregates
-in the shared output arena instead of pickling partials.  The >= 2x
-warm-pool-vs-serial gate enforces only on hosts with >= 4 CPUs and
-self-skips with a recorded reason below that (the dev box has 1 CPU,
-so the JSON records the honest slowdown trajectory: warm-pool thread
-0.24x vs process-cold 0.15x).  The machine-readable record is
-`benchmarks/results/BENCH_speed.json`.""",
-        "t_speed",
     ),
 ]
 

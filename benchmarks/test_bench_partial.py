@@ -9,8 +9,8 @@ cost versus the full cube, asserting both move monotonically with budget.
 
 from repro.core.lattice import all_nodes, node_size
 from repro.core.parallel import construct_cube_parallel
-from repro.core.partial import construct_partial_cube_parallel
 from repro.core.partition import greedy_partition
+from repro.sched import Fig5Scheduler
 from repro.olap.view_selection import (
     greedy_select_views,
     uniform_workload,
@@ -47,8 +47,9 @@ def test_partial_budget_sweep(benchmark):
         budget = int(total_space * frac)
         sel = greedy_select_views(SHAPE, budget, workload=wl)
         if sel.views:
-            run = construct_partial_cube_parallel(
-                data, bits, sel.views, collect_results=False
+            run = construct_cube_parallel(
+                data, bits, scheduler=Fig5Scheduler(targets=sel.views),
+                collect_results=False,
             )
             comm = run.comm_volume_elements
             sim = run.simulated_time_s

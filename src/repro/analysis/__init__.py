@@ -8,9 +8,7 @@ Four layers, one diagnostic vocabulary (:mod:`repro.analysis.diagnostics`):
   happens-before race detection, exhaustive-interleaving deadlock
   certification, and static memory-lifetime analysis;
 - :mod:`repro.analysis.lint_trace` -- audit a recorded run's trace *after*
-  the fact, including fault-injection runs;
-- :mod:`repro.analysis.repo_gate` -- the in-repo subset of the repo's
-  static-analysis gate (ruff/mypy run the full version in CI).
+  the fact, including fault-injection runs.
 
 One pairing, one static pass: a send meets a receive only in
 :func:`~repro.analysis.model.hb.build_hb`, on programs recorded from the
@@ -40,7 +38,6 @@ from repro.analysis.model import (
     parse_kill,
     seed_model_defect,
 )
-from repro.analysis.repo_gate import run_gate
 from repro.analysis.verify_plan import (
     PlanVerification,
     ScheduleVerification,
@@ -62,7 +59,6 @@ __all__ = [
     "hb_from_trace",
     "lint_trace",
     "parse_kill",
-    "run_gate",
     "seed_model_defect",
     "verify_plan",
     "verify_schedule",

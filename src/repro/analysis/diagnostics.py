@@ -2,16 +2,16 @@
 
 A :class:`Diagnostic` is one finding: a stable rule id (``SPMD004``), a
 severity, a human message, and enough location (rank, aggregation-tree
-edge, schedule step, file/line) for the reader to act on it.  The rule
+edge, schedule step) for the reader to act on it.  The rule
 catalog (:data:`RULES`) is the single source of truth for ids, severities,
 and one-line summaries; ``docs/ANALYSIS.md`` mirrors it and the tests
 assert the two stay consistent.
 
 Severities:
 
-- ``error``    -- the plan/run/code violates an invariant the paper (or the
-  repo gate) guarantees; executing it deadlocks, corrupts results, or
-  breaks a theorem.
+- ``error``    -- the plan or run violates an invariant the paper
+  guarantees; executing it deadlocks, corrupts results, or breaks a
+  theorem.
 - ``warning``  -- legal but suspicious: the run finished by accident, not
   by design (e.g. a timeout silently swallowed a lost payload).
 - ``info``     -- advisory signal (e.g. idle-time skew) useful for tuning.
@@ -50,8 +50,7 @@ class Rule:
 #: because MC301, MC303 and MC307 prove the same properties on the same
 #: graph and ledger (``docs/ANALYSIS.md`` maps each).  TRACE is the
 #: post-hoc linter (:mod:`repro.analysis.lint_trace`), MC the rank-program
-#: model checker (:mod:`repro.analysis.model`), GATE the in-repo source
-#: gate (:mod:`repro.analysis.repo_gate`).
+#: model checker (:mod:`repro.analysis.model`).
 RULE_LIST: tuple[Rule, ...] = (
     Rule(
         "SPMD001",
@@ -178,24 +177,6 @@ RULE_LIST: tuple[Rule, ...] = (
         "the block-liveness memory high-water exceeds the scheduler's "
         "declared memory bound (or the requested --mem-cap)",
     ),
-    Rule(
-        "GATE201",
-        "error",
-        "unused-import",
-        "a module-scope import is never used (and is not re-exported via __all__)",
-    ),
-    Rule(
-        "GATE202",
-        "error",
-        "missing-annotation",
-        "a function in a strict-typed package lacks parameter or return annotations",
-    ),
-    Rule(
-        "GATE203",
-        "error",
-        "mutable-default",
-        "a function parameter defaults to a mutable literal shared across calls",
-    ),
 )
 
 #: The rule catalog, keyed by rule id.
@@ -207,9 +188,8 @@ class Diagnostic:
     """One finding from a static or post-hoc analyzer.
 
     ``rule`` must be a key of :data:`RULES`; ``severity`` defaults to the
-    rule's catalog severity.  Location fields are optional -- a plan
-    diagnostic names ``rank``/``edge``/``step``, a repo-gate diagnostic
-    names ``path``/``line``.
+    rule's catalog severity.  Location fields (``rank``/``edge``/``step``)
+    are optional.
     """
 
     rule: str
@@ -218,8 +198,6 @@ class Diagnostic:
     rank: int | None = None
     edge: Node | None = None
     step: int | None = None
-    path: str | None = None
-    line: int | None = None
     hint: str = ""
 
     def __post_init__(self) -> None:
@@ -241,11 +219,6 @@ class Diagnostic:
     def format(self) -> str:
         """One-line rendering: ``SPMD004 error [rank 3, edge (0,1)]: ...``."""
         loc = []
-        if self.path is not None:
-            if self.line is None:
-                loc.append(self.path)
-            else:
-                loc.append(f"{self.path}:{self.line}")
         if self.rank is not None:
             loc.append(f"rank {self.rank}")
         if self.edge is not None:
@@ -259,14 +232,12 @@ class Diagnostic:
         return text
 
 
-def _sort_key(d: Diagnostic) -> tuple[int, str, str, int, int, int]:
+def _sort_key(d: Diagnostic) -> tuple[int, str, int, int]:
     rank = d.rank if d.rank is not None else -1
     step = d.step if d.step is not None else -1
     return (
         -SEVERITIES.index(d.severity),
         d.rule,
-        d.path or "",
-        d.line or 0,
         rank,
         step,
     )

@@ -17,7 +17,7 @@ Installed as ``repro-cube`` (see ``pyproject.toml``); also runnable as
 - ``check``      statically verify a plan's communication protocol and
                  closed forms before running it (``repro.analysis``), with
                  optional traced-run linting (live or from an exported
-                 trace via ``--run-trace``) and the in-repo source gate;
+                 trace via ``--run-trace``);
 - ``sched``      construction schedulers (``repro.sched``): ``sched list``
                  names the built-in strategies, ``sched compare`` runs
                  the same build under each and tabulates communication
@@ -673,8 +673,8 @@ def cmd_slo(args: argparse.Namespace, out) -> int:
 
 
 def cmd_check(args: argparse.Namespace, out) -> int:
-    """``check``: static plan verification (and optional run lint / gate)."""
-    from repro.analysis import check_model, lint_trace, parse_kill, run_gate, verify_plan
+    """``check``: static plan verification (and optional run lint)."""
+    from repro.analysis import check_model, lint_trace, parse_kill, verify_plan
     from repro.core.ordering import apply_order, canonical_order
     from repro.core.partition import greedy_partition
 
@@ -748,15 +748,6 @@ def cmd_check(args: argparse.Namespace, out) -> int:
     if args.run_trace:
         report = lint_trace(args.run_trace, shape=shape, bits=bits, scheduler=args.scheduler)
         print(f"lint of exported trace {args.run_trace}:", file=out)
-        print(report.format(), file=out)
-        ok = ok and report.ok
-
-    if args.gate:
-        from pathlib import Path
-
-        src_root = Path(__file__).resolve().parent.parent
-        report = run_gate(src_root, packages=["repro"])
-        print(f"source gate over {src_root}:", file=out)
         print(report.format(), file=out)
         ok = ok and report.ok
 
@@ -1047,8 +1038,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --model: also explore one fault scenario "
                         "(crash RANK before its OP-th model op) after the "
                         "fault-free program")
-    p.add_argument("--gate", action="store_true",
-                   help="also run the in-repo static-analysis gate over src")
     _add_backend_arg(p)
     _add_scheduler_arg(p)
     p.set_defaults(fn=cmd_check)

@@ -79,11 +79,7 @@ from repro.core.partition import (
 from repro.core.config import BuildConfig
 from repro.core.sequential import construct_cube_sequential, SequentialResult
 from repro.core.parallel import construct_cube_parallel, ParallelResult
-from repro.core.partial import (
-    construct_partial_cube_parallel,
-    partial_comm_volume,
-    required_closure,
-)
+from repro.core.partial import partial_comm_volume, required_closure
 from repro.core.plan import CubePlan, plan_cube
 
 __all__ = [
@@ -135,7 +131,6 @@ __all__ = [
     "SequentialResult",
     "construct_cube_parallel",
     "ParallelResult",
-    "construct_partial_cube_parallel",
     "partial_comm_volume",
     "required_closure",
     "CubePlan",

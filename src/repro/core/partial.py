@@ -29,16 +29,11 @@ target set as given.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
-import numpy as np
-
-from repro.arrays.dense import DenseArray
-from repro.arrays.sparse import SparseArray
 from repro.core.aggregation_tree import AggregationTree, scheduled_nodes
 from repro.core.comm_model import tree_comm_volume
 from repro.core.lattice import Node
-from repro.core.parallel import ParallelResult, construct_cube_parallel
 
 
 def required_closure(targets: Iterable[Sequence[int]], n: int) -> set[Node]:
@@ -51,22 +46,3 @@ def partial_comm_volume(
 ) -> int:
     """Lemma-1 sum over the pruned aggregation tree's edges (elements)."""
     return tree_comm_volume(AggregationTree(len(shape)), shape, bits, targets)
-
-
-def construct_partial_cube_parallel(
-    array: SparseArray | DenseArray | np.ndarray,
-    bits: Sequence[int],
-    targets: Iterable[Sequence[int]],
-    **options: Any,
-) -> ParallelResult:
-    """Materialize only ``targets`` (and transient ancestors) in parallel.
-
-    ``options`` are :class:`~repro.core.config.BuildConfig` fields, as for
-    :func:`~repro.core.parallel.construct_cube_parallel`.
-    """
-    # repro.sched sits above repro.core (its modules import this package).
-    from repro.sched import Fig5Scheduler
-
-    return construct_cube_parallel(
-        array, bits, scheduler=Fig5Scheduler(targets=targets), **options
-    )

@@ -18,7 +18,6 @@ import numpy as np
 from repro.arrays.dense import DenseArray
 from repro.arrays.measures import Measure, SUM
 from repro.arrays.sparse import SparseArray
-from repro.cluster.machine import MachineModel
 from repro.core.lattice import Node
 from repro.core.memory_model import sequential_memory_bound
 from repro.core.ordering import apply_order, canonical_order, invert_order
@@ -207,35 +206,6 @@ class CubePlan:
         if result.results is not None:
             result.results = self.translate_results(result.results)
         return result
-
-    def run_partial(
-        self,
-        array: SparseArray | DenseArray | np.ndarray,
-        targets: Iterable[Sequence[int]],
-        machine: MachineModel | None = None,
-        parallel: bool | None = None,
-        collect_results: bool = True,
-        measure: Measure | str = SUM,
-    ) -> ParallelResult | SequentialResult:
-        """Materialize only ``targets`` (original-dimension nodes).
-
-        Runs the pruned aggregation-tree schedule; parallel when the plan
-        has more than one processor (override with ``parallel``).  Results
-        are re-keyed by original dimensions.
-        """
-        if parallel is None:
-            parallel = self.num_processors > 1
-        if not parallel:
-            return self.run_sequential(array, measure, targets=targets)
-        from repro.sched import Fig5Scheduler
-
-        return self.run_parallel(
-            array,
-            scheduler=Fig5Scheduler(targets=[self.to_plan_node(t) for t in targets]),
-            machine=machine,
-            collect_results=collect_results,
-            measure=measure,
-        )
 
     def describe(self) -> str:
         sched = "" if self.scheduler == "fig5" else f" scheduler={self.scheduler}"

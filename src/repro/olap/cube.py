@@ -20,6 +20,7 @@ from repro.cluster.machine import MachineModel
 from repro.core.lattice import Node
 from repro.core.plan import CubePlan, plan_cube
 from repro.olap.schema import Schema
+from repro.sched import Fig5Scheduler
 
 
 @dataclass
@@ -127,10 +128,11 @@ class DataCube:
                 targets.append(v)
         measure = get_measure(measure)
         plan = plan_cube(schema.shape, num_processors=num_processors)
-        run = plan.run_partial(
-            data, targets, machine=machine, parallel=num_processors > 1,
-            measure=measure,
-        )
+        if num_processors == 1:
+            run = plan.run_sequential(data, measure, targets=targets)
+        else:
+            pruned = Fig5Scheduler(targets=[plan.to_plan_node(t) for t in targets])
+            run = plan.run_parallel(data, scheduler=pruned, machine=machine, measure=measure)
         base = data if keep_base else None
         if isinstance(base, np.ndarray):
             base = DenseArray.full_cube_input(base)
@@ -189,12 +191,23 @@ class DataCube:
             raise KeyError(
                 "the full group-by is the base array; ask for fewer dimensions"
             )
-        return self.aggregates[node]
+        return self._view(node)
+
+    def _view(self, node: Node) -> DenseArray:
+        """The materialized view ``node`` itself, or else the group-by over
+        it answered by :class:`repro.olap.query.QueryEngine` (from the
+        smallest materialized cover, or the base)."""
+        if node in self.aggregates:
+            return self.aggregates[node]
+        from repro.olap.query import GroupByQuery, QueryEngine  # imports this module
+
+        query = GroupByQuery(group_by=self.schema.names_of(node))
+        return DenseArray(np.asarray(QueryEngine(self).execute(query).values), node)
 
     @property
     def grand_total(self) -> float:
         """The scalar ``all`` aggregate."""
-        return float(self.aggregates[()].data)
+        return float(self._view(()).data)
 
     def value(self, **coords: int | str) -> float:
         """Point lookup on the group-by over the named dimensions.
@@ -204,9 +217,9 @@ class DataCube:
         """
         names = sorted(coords, key=self.schema.index)
         node = self.node_for(names)
-        arr = self.aggregates[node] if node != tuple(range(len(self.schema.dimensions))) else None
-        if arr is None:
+        if len(node) == len(self.schema.dimensions):
             raise KeyError("point lookups on the base array go through .base")
+        arr = self._view(node)
         idx = []
         for name in names:
             dim = self.schema.dimension(name)
@@ -218,12 +231,13 @@ class DataCube:
         """Sum with some dimensions fixed and others kept.
 
         ``cube.slice_sum({"branch": 2}, by=["time"])`` -> sales over time at
-        branch 2.  Answered from the smallest adequate materialized
-        aggregate (the group-by over ``fixed + by``).
+        branch 2.  Answered from the group-by over ``fixed + by``, which
+        :class:`repro.olap.query.QueryEngine` rolls up from its smallest
+        materialized cover when it is not materialized itself.
         """
         names = sorted(set(fixed) | set(by), key=self.schema.index)
         node = self.node_for(names)
-        arr = self.aggregates[node]
+        arr = self._view(node)
         index: list[object] = []
         for name in names:
             if name in fixed:

@@ -1,5 +1,6 @@
-"""Repo gate and diagnostics vocabulary: the in-repo analyzers stay clean,
-seeded violations are caught, and the rule catalog matches the docs.
+"""Source rules and diagnostics vocabulary: seeded violations are caught by
+the source rules of ``tests/test_architecture.py``, and the analyzers' rule
+catalog matches the docs.
 
 When ruff/mypy are installed (as in the CI ``lint`` job) the full external
 gate runs too; otherwise those tests skip.
@@ -12,93 +13,97 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import RULES, Diagnostic, DiagnosticReport, format_diagnostics
+from repro.analysis import RULES, Diagnostic, DiagnosticReport
 from repro.analysis.diagnostics import SEVERITIES
-from repro.analysis.repo_gate import STRICT_PACKAGES, check_file, run_gate
+from tests.test_architecture import RULES as SOURCE_RULES
+from tests.test_architecture import (
+    ROOT,
+    SRC,
+    Source,
+    _mutable_defaults,
+    _strict_packages,
+    _unannotated,
+    _unused_imports,
+)
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-SRC_ROOT = REPO_ROOT / "src"
+
+
+#: The source rules' checks over ``src/repro``, to be re-rooted at a seeded tree.
+CHECKS = [
+    check for rule in SOURCE_RULES for check in rule.checks
+    if isinstance(check, Source) and check.root == SRC
+]
 
 
 class TestRepoIsClean:
+    """The repo itself under the same checks, with the scopes they have
+    always had."""
+
     def test_strict_packages_pass_the_gate(self):
-        report = run_gate(SRC_ROOT, packages=list(STRICT_PACKAGES))
-        assert report.ok, report.format()
-        assert len(report) == 0, report.format()
+        finds = (_unused_imports, _unannotated, _mutable_defaults)
+        problems = [p for f in finds for p in Source(_strict_packages(), f).problems()]
+        assert problems == [], "\n".join(problems)
 
     def test_whole_tree_has_no_unused_imports(self):
-        report = run_gate(SRC_ROOT, packages=["repro"])
-        unused = [d for d in report if d.rule == "GATE201"]
-        assert unused == [], format_diagnostics(unused)
+        problems = Source(("",), _unused_imports).problems()
+        assert problems == [], "\n".join(problems)
 
     def test_tests_and_benchmarks_have_no_unused_imports(self):
-        diags = []
-        for tree in (REPO_ROOT / "tests", REPO_ROOT / "benchmarks"):
-            for path in sorted(tree.rglob("*.py")):
-                diags += [
-                    d
-                    for d in check_file(path, REPO_ROOT, strict=False)
-                    if d.rule == "GATE201"
-                ]
-        assert diags == [], format_diagnostics(diags)
+        problems = Source(("tests", "benchmarks"), _unused_imports, root=ROOT).problems()
+        assert problems == [], "\n".join(problems)
 
 
 class TestSeededViolations:
-    def write(self, tmp_path, body):
-        path = tmp_path / "repro" / "core" / "bad.py"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(body))
-        return path
+    """The source rules of ``tests/test_architecture.py`` on a seeded tree."""
+
+    def problems(self, tmp_path, body, rel="core/bad.py"):
+        for check in CHECKS:
+            for package in check.paths:
+                (tmp_path / package).mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(textwrap.dedent(body))
+        return [p for check in CHECKS for p in check._replace(root=tmp_path).problems()]
 
     def test_unused_import_fires_gate201(self, tmp_path):
-        path = self.write(tmp_path, '"""doc."""\nimport os\n\nX = 1\n')
-        diags = check_file(path, tmp_path)
-        assert [d.rule for d in diags] == ["GATE201"]
-        assert diags[0].path == "repro/core/bad.py"
-        assert diags[0].line == 2
+        problems = self.problems(tmp_path, '"""doc."""\nimport os\n\nX = 1\n')
+        assert problems == ["core/bad.py:2: import 'os' is never used"]
 
     def test_dunder_all_counts_as_use(self, tmp_path):
-        path = self.write(
-            tmp_path,
-            '"""doc."""\nfrom os import sep\n\n__all__ = ["sep"]\n',
-        )
-        assert check_file(path, tmp_path) == []
+        body = '"""doc."""\nfrom os import sep\n\n__all__ = ["sep"]\n'
+        assert self.problems(tmp_path, body) == []
 
     def test_reexport_idiom_is_exempt(self, tmp_path):
-        path = self.write(tmp_path, '"""doc."""\nfrom os import sep as sep\n')
-        assert check_file(path, tmp_path) == []
+        assert self.problems(tmp_path, '"""doc."""\nfrom os import sep as sep\n') == []
+
+    def test_future_and_star_imports_are_exempt(self, tmp_path):
+        body = '"""doc."""\nfrom __future__ import annotations\n\nfrom os import *\n'
+        assert self.problems(tmp_path, body) == []
 
     def test_missing_annotations_fire_gate202_in_strict_packages(self, tmp_path):
         body = '"""doc."""\ndef f(x):\n    return x\n'
-        path = self.write(tmp_path, body)
-        rules = [d.rule for d in check_file(path, tmp_path)]
-        assert rules.count("GATE202") == 2  # parameter and return
+        problems = self.problems(tmp_path, body)
+        assert len(problems) == 2, problems  # parameter and return
 
     def test_annotations_not_required_outside_strict_packages(self, tmp_path):
-        path = tmp_path / "repro" / "viz" / "loose.py"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text('"""doc."""\ndef f(x):\n    return x\n')
-        assert check_file(path, tmp_path) == []
+        body = '"""doc."""\ndef f(x):\n    return x\n'
+        assert self.problems(tmp_path, body, "viz/loose.py") == []
 
     def test_self_and_cls_are_exempt(self, tmp_path):
         body = '"""doc."""\nclass C:\n    def m(self) -> int:\n        return 1\n'
-        path = self.write(tmp_path, body)
-        assert check_file(path, tmp_path) == []
+        assert self.problems(tmp_path, body) == []
 
     def test_mutable_default_fires_gate203(self, tmp_path):
         body = '"""doc."""\ndef f(x: list = []) -> list:\n    return x\n'
-        path = self.write(tmp_path, body)
-        assert [d.rule for d in check_file(path, tmp_path)] == ["GATE203"]
+        assert self.problems(tmp_path, body) == ["core/bad.py:2: 'f' has a mutable default value"]
 
     def test_mutable_default_call_fires_gate203(self, tmp_path):
         body = '"""doc."""\ndef f(x: dict = dict()) -> dict:\n    return x\n'
-        path = self.write(tmp_path, body)
-        assert [d.rule for d in check_file(path, tmp_path)] == ["GATE203"]
+        assert self.problems(tmp_path, body) == ["core/bad.py:2: 'f' has a mutable default value"]
 
     def test_clean_strict_file_yields_nothing(self, tmp_path):
         body = '"""doc."""\nimport os\n\n\ndef f(x: int) -> str:\n    return os.sep * x\n'
-        path = self.write(tmp_path, body)
-        assert check_file(path, tmp_path) == []
+        assert self.problems(tmp_path, body) == []
 
 
 class TestDiagnosticsVocabulary:
@@ -136,7 +141,7 @@ class TestDiagnosticsVocabulary:
     def test_catalog_ids_are_namespaced_and_severities_valid(self):
         for rule_id, rule in RULES.items():
             assert rule.id == rule_id
-            assert rule_id[:-3] in ("SPMD", "TRACE", "MC", "GATE")
+            assert rule_id[:-3] in ("SPMD", "TRACE", "MC")
             assert rule.severity in SEVERITIES
             assert rule.title and rule.summary
 
@@ -182,7 +187,7 @@ class TestExternalGate:
     @needs_mypy
     def test_mypy_strict_packages_pass(self):
         proc = subprocess.run(
-            ["mypy", "src/repro/core", "src/repro/cluster"],
+            ["mypy"],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,

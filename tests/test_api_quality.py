@@ -21,7 +21,6 @@ MODULES = [
     "repro.analysis.model.lifetime",
     "repro.analysis.model.ops",
     "repro.analysis.model.record",
-    "repro.analysis.repo_gate",
     "repro.analysis.verify_plan",
     "repro.arrays",
     "repro.arrays.aggregate",
@@ -196,7 +195,7 @@ def test_version():
     pyproject = Path(repro.__file__).resolve().parents[2] / "pyproject.toml"
     match = re.search(r'^version = "([^"]+)"', pyproject.read_text(), re.M)
     assert match is not None
-    assert repro.__version__ == match.group(1) == "14.0.0"
+    assert repro.__version__ == match.group(1) == "15.0.0"
 
 
 def test_version_fallback_names_no_release(monkeypatch):

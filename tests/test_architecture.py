@@ -8,21 +8,25 @@ the rule exists.  A check is one of
   exactly how many lines do;
 - :class:`Absent` -- files that must not exist;
 - :class:`Calls` -- which top-level functions of a module use a name, read
-  from its syntax tree rather than its text.
+  from its syntax tree rather than its text;
+- :class:`Source` -- source hygiene read from each file's syntax tree: the
+  subset of ruff and mypy that must hold even where neither is installed.
 
 A structural change that retires a mechanism adds a case here, so the
 tier-1 suite keeps the mechanism from coming back.  Paths are relative to
-``src/repro``; a directory stands for every ``.py`` file under it, and
-``""`` for the whole package.  The last case walks the import graph: a
-module that nothing imports is dead code.
+``src/repro`` (a :class:`Source` check may name another root); a directory
+stands for every ``.py`` file under it, and ``""`` for the whole package.
+The last case walks the import graph: a module that nothing imports is
+dead code.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import re
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import pytest
 
@@ -30,10 +34,16 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "repro"
 
 
-def _files(paths: tuple[str, ...]) -> list[Path]:
+@functools.lru_cache(maxsize=None)
+def _tree(path: Path) -> ast.Module:
+    """The syntax tree of ``path``, parsed once per session."""
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _files(paths: tuple[str, ...], root: Path = SRC) -> list[Path]:
     out: list[Path] = []
     for rel in paths:
-        path = SRC / rel
+        path = root / rel
         out += sorted(path.rglob("*.py")) if path.is_dir() else [path]
     return out
 
@@ -100,7 +110,7 @@ class Calls(NamedTuple):
 
     def places(self) -> list[str]:
         places: list[str] = []
-        for stmt in ast.parse((SRC / self.path).read_text()).body:
+        for stmt in _tree(SRC / self.path).body:
             place = getattr(stmt, "name", "<module>")
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Call):
@@ -123,10 +133,101 @@ class Calls(NamedTuple):
         return problems
 
 
+def _unused_imports(tree: ast.Module) -> Iterator[tuple[int, str]]:
+    """Module-scope imports whose name the module never reads (ruff F401).
+    A name in ``__all__`` counts as read; ``__future__``, ``*`` and the
+    re-export idiom ``from m import x as x`` are exempt."""
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(
+                c.value for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            )
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound = [
+                alias.asname or alias.name for alias in node.names
+                if alias.name != "*" and alias.asname != alias.name
+            ]
+        else:
+            continue
+        for name in bound:
+            if name not in used:
+                yield node.lineno, f"import {name!r} is never used"
+
+
+def _functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunctionDef]:
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node
+
+
+def _unannotated(tree: ast.Module) -> Iterator[tuple[int, str]]:
+    """Parameters and returns without annotations (mypy
+    ``disallow_untyped_defs``); a leading ``self`` or ``cls`` is exempt."""
+    for fn in _functions(tree):
+        args = fn.args
+        missing = [
+            a.arg for i, a in enumerate(args.posonlyargs + args.args)
+            if a.annotation is None and not (i == 0 and a.arg in ("self", "cls"))
+        ]
+        missing += [a.arg for a in args.kwonlyargs if a.annotation is None]
+        missing += [a.arg for a in (args.vararg, args.kwarg) if a and a.annotation is None]
+        if missing:
+            yield fn.lineno, f"{fn.name!r} has unannotated parameter(s) {missing}"
+        if fn.returns is None:
+            yield fn.lineno, f"{fn.name!r} has no return annotation"
+
+
+def _mutable_defaults(tree: ast.Module) -> Iterator[tuple[int, str]]:
+    """Parameters defaulting to one list, dict, set or bytearray shared by
+    every call (ruff B006)."""
+    for fn in _functions(tree):
+        for default in fn.args.defaults + [d for d in fn.args.kw_defaults if d]:
+            if isinstance(default, (ast.List, ast.Dict, ast.Set)) or (
+                isinstance(default, ast.Call)
+                and getattr(default.func, "id", None) in ("list", "dict", "set", "bytearray")
+            ):
+                yield default.lineno, f"{fn.name!r} has a mutable default value"
+
+
+class Source(NamedTuple):
+    """What ``finds`` -- an ``ast`` walk yielding ``(line, message)`` --
+    reports for each file of ``paths`` under ``root``."""
+
+    paths: tuple[str, ...]
+    finds: Callable[[ast.Module], Iterator[tuple[int, str]]]
+    root: Path = SRC
+
+    def problems(self) -> list[str]:
+        problems: list[str] = []
+        for path in _files(self.paths, self.root):
+            rel = path.relative_to(self.root).as_posix()
+            problems += [f"{rel}:{line}: {msg}" for line, msg in self.finds(_tree(path))]
+        return problems
+
+
+def _strict_packages() -> tuple[str, ...]:
+    """``[tool.mypy] packages`` from pyproject.toml, as paths under
+    ``src/repro`` (read with a regex: Python 3.10 has no ``tomllib``)."""
+    text = (ROOT / "pyproject.toml").read_text()
+    listed = re.search(r"^\[tool\.mypy\][^[]*?^packages = \[(.*?)\]", text, re.M | re.S)
+    assert listed, "pyproject.toml: no [tool.mypy] packages list"
+    names = re.findall(r'"repro\.([\w.]+)"', listed.group(1))
+    return tuple(name.replace(".", "/") for name in names)
+
+
 class Rule(NamedTuple):
     name: str
     why: str
-    checks: tuple[Match | Absent | Calls, ...]
+    checks: tuple[Match | Absent | Calls | Source, ...]
 
 
 RULES = [
@@ -301,7 +402,7 @@ RULES = [
         "measure's operator (olap/maintenance.py): no delta cube, no build, "
         "and so no simulated refresh time to report.",
         (
-            Match(("olap/maintenance.py",), (r"run_partial\(|construct_cube",)),
+            Match(("olap/maintenance.py",), (r"run_(parallel|sequential)\(|construct_cube",)),
             Match(("",), (r"delta_simulated_time_s",)),
         ),
     ),
@@ -357,6 +458,37 @@ RULES = [
             ),
         ),
     ),
+    Rule(
+        "no unused imports",
+        "A module-scope import nothing reads is dead weight (ruff F401), in "
+        "the package, its tests and its benchmarks alike.",
+        (
+            Source(("",), _unused_imports),
+            Source(("tests", "benchmarks"), _unused_imports, root=ROOT),
+        ),
+    ),
+    Rule(
+        "strict packages are annotated",
+        "The packages pyproject.toml lists under [tool.mypy] packages are "
+        "held to strict typing: every parameter but a leading self or cls, "
+        "and every return, is annotated (mypy disallow_untyped_defs).",
+        (Source(_strict_packages(), _unannotated),),
+    ),
+    Rule(
+        "no mutable defaults",
+        "A default list, dict, set or bytearray is one object shared by "
+        "every call (ruff B006).",
+        (Source(("",), _mutable_defaults),),
+    ),
+    Rule(
+        "source rules run in tier-1",
+        "The rules above are the one place the source is checked; the "
+        "package ships no linter of its own source.",
+        (
+            Absent(("analysis/repo_gate.py",)),
+            Match(("",), (r"run_gate|GATE20\d",)),
+        ),
+    ),
 ]
 
 
@@ -378,7 +510,7 @@ def _imported(path: Path) -> set[str]:
     """Every module ``path`` names in an import, at any depth (lazy imports
     inside functions count), with every package on the way to it."""
     names: set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and node.module and not node.level:

@@ -233,11 +233,6 @@ class TestCheck:
         assert code == 0
         assert "no diagnostics" in text
 
-    def test_gate_flag_runs_source_gate(self):
-        code, text = run_cli("check", "--shape", "8,8", "--procs", "2", "--gate")
-        assert code == 0
-        assert "source gate" in text
-
 
 class TestBackendOption:
     def test_construct_on_process_backend(self):

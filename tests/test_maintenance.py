@@ -174,7 +174,7 @@ class TestFold:
             raise AssertionError("apply_delta ran a cube construction")
 
         monkeypatch.setattr(repro.core.parallel, "construct_cube_parallel", refuse)
-        for name in ("run_parallel", "run_partial", "run_sequential"):
+        for name in ("run_parallel", "run_sequential"):
             monkeypatch.setattr(CubePlan, name, refuse)
         stats = apply_delta(cube, make_delta(schema, 35))
         assert stats.nodes_updated == len(cube.aggregates)

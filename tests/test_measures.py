@@ -132,12 +132,12 @@ class TestCubeConstruction:
         verify_cube(res.results, sp, measure=MIN)
 
     def test_partial_cube_with_measure(self):
-        from repro.core.partial import construct_partial_cube_parallel
+        from repro.sched import Fig5Scheduler
 
         data = random_sparse((8, 6, 4), 0.3, seed=7)
         ref = cube_reference(data, measure=COUNT)
-        res = construct_partial_cube_parallel(
-            data, (1, 1, 0), [(0,), (1, 2)], measure=COUNT
+        res = construct_cube_parallel(
+            data, (1, 1, 0), scheduler=Fig5Scheduler(targets=[(0,), (1, 2)]), measure=COUNT
         )
         for t in [(0,), (1, 2)]:
             assert np.allclose(res.results[t].data, ref[t].data)

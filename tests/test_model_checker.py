@@ -1,6 +1,6 @@
 """End-to-end model checker: check_model, the CLI surface
-(``repro-cube check --model``), the gate over the new package, and the
-seeded-defect property sweep (every MC rule must fire)."""
+(``repro-cube check --model``), the source checks over the new package,
+and the seeded-defect property sweep (every MC rule must fire)."""
 
 import io
 
@@ -180,15 +180,18 @@ class TestCLI:
 
 class TestGateOverModelPackage:
     def test_model_package_passes_the_repo_gate(self):
-        from pathlib import Path
+        from tests.test_architecture import (
+            Source,
+            _mutable_defaults,
+            _strict_packages,
+            _unannotated,
+            _unused_imports,
+        )
 
-        import repro
-        from repro.analysis.repo_gate import STRICT_PACKAGES, run_gate
-
-        assert "repro/analysis" in STRICT_PACKAGES
-        src_root = Path(repro.__file__).resolve().parent.parent
-        report = run_gate(src_root, packages=["repro/analysis/model"])
-        assert report.ok, report.format()
+        assert "analysis" in _strict_packages()
+        finds = (_unused_imports, _unannotated, _mutable_defaults)
+        problems = [p for f in finds for p in Source(("analysis/model",), f).problems()]
+        assert problems == [], "\n".join(problems)
 
 
 def seeded_check(prog, **bounds):

@@ -165,6 +165,27 @@ class TestDataCube:
     def test_memory_footprint(self, cube):
         assert cube.memory_footprint_elements == cube.memory_footprint_elements
 
+    @pytest.mark.parametrize("measure", [SUM, MAX], ids=["sum", "max"])
+    def test_partial_cube_reads_match_the_full_cube(self, measure):
+        schema = Schema.simple(a=4, b=3, c=2)
+        data = np.arange(24.0).reshape(4, 3, 2)
+        full = DataCube.build(schema, data, num_processors=4, measure=measure)
+        part = DataCube.build(
+            schema, data, num_processors=4, scheduler="marginals-1", measure=measure
+        )
+        assert sorted(part.aggregates) == [(0,), (1,), (2,)]
+        assert part.grand_total == full.grand_total
+        for names in (("a", "b"), ("b", "c"), ("a",), ()):
+            np.testing.assert_array_equal(
+                part.group_by(*names).data, full.group_by(*names).data
+            )
+        np.testing.assert_array_equal(
+            part.slice_sum({"a": 1}, by=["b"]), full.slice_sum({"a": 1}, by=["b"])
+        )
+        assert part.value(a=1, b=2) == full.value(a=1, b=2)
+        # A materialized view is handed out as itself.
+        assert part.group_by("a") is part.aggregates[(0,)]
+
 
 class TestQueryEngine:
     def test_point_filter(self, cube):

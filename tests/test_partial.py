@@ -12,13 +12,11 @@ from repro.core.aggregation_tree import (
     WriteBack,
     tree_schedule,
 )
-from repro.core.partial import (
-    construct_partial_cube_parallel,
-    partial_comm_volume,
-    required_closure,
-)
+from repro.core.partial import partial_comm_volume, required_closure
 from repro.core.comm_model import total_comm_volume
+from repro.core.parallel import construct_cube_parallel
 from repro.core.sequential import construct_cube_sequential, cube_reference
+from repro.sched import Fig5Scheduler
 
 
 class TestClosure:
@@ -127,7 +125,7 @@ class TestParallelPartial:
         data = random_sparse(shape, 0.3, seed=5)
         ref = cube_reference(data)
         targets = [(0, 1, 2), (0,), ()]
-        res = construct_partial_cube_parallel(data, bits, targets)
+        res = construct_cube_parallel(data, bits, scheduler=Fig5Scheduler(targets=targets))
         assert set(res.results) == set(targets)
         for t in targets:
             assert np.allclose(res.results[t].data, ref[t].data)
@@ -136,8 +134,8 @@ class TestParallelPartial:
         shape, bits = (8, 6, 4, 4), (1, 1, 1, 0)
         data = random_sparse(shape, 0.3, seed=6)
         targets = [(0, 1), (3,)]
-        res = construct_partial_cube_parallel(
-            data, bits, targets, collect_results=False
+        res = construct_cube_parallel(
+            data, bits, scheduler=Fig5Scheduler(targets=targets), collect_results=False
         )
         assert res.comm_volume_elements == partial_comm_volume(shape, bits, targets)
         assert res.comm_volume_elements == res.expected_comm_volume_elements
@@ -161,9 +159,7 @@ class TestParallelPartial:
         # BuildConfig used to refuse tree= together with schedule=; the
         # scheduler that owns both prunes *its* tree to the targets.
         from repro.core.comm_model import tree_comm_volume
-        from repro.core.parallel import construct_cube_parallel
         from repro.core.spanning_tree import left_deep_tree
-        from repro.sched import Fig5Scheduler
 
         shape, bits = (8, 6, 4), (1, 1, 0)
         data = random_sparse(shape, 0.3, seed=10)
